@@ -6,10 +6,15 @@ The per-pixel iteration is vectorized over a shrinking active set; a
 pixel is only labeled after its orbit stays inside the capture disk for
 two further iterations, which filters out flybys near repelling fixed
 points.
+
+Every map application, for one orbit point or a whole active set, goes
+through ratmap.eval_sphere, the one sphere evaluator, so poles follow its
+one rule: z is a pole when |den(z)| <= POLE_RTOL * sum_k |d_k| |z|**k.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -250,12 +255,7 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
                        + [-(ci + 1) for ci, cyc in enumerate(cycle_tuple) for _ in cyc],
                        dtype=np.int32)
 
-    num_c = np.array(R.num.coeffs, dtype=np.complex128)
-    den_c = np.array(R.den.coeffs, dtype=np.complex128)
-    num_rev = num_c[::-1].copy()
-    den_rev = den_c[::-1].copy()
-    diff = R.num.degree - R.den.degree
-    lead_ratio = R.num.lead / R.den.lead if diff == 0 else 0j
+    fixes_infinity = R.num.degree > R.den.degree
 
     active = np.arange(n)
     cand = np.full(n, -1, dtype=np.int64)
@@ -284,77 +284,17 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
                 active = active[~done]
         if it == max_iter or active.size == 0:
             break
-        za, frozen = _grid_step(z[active], num_c, den_c, num_rev, den_rev,
-                                diff, lead_ratio)
+        za = eval_sphere(R, z[active])
         z[active] = za
-        if frozen is not None and frozen.any():
+        if fixes_infinity:
             # pixels parked at the point at infinity never converge to a root
-            active = active[~frozen]
+            parked = ~np.isfinite(za)
+            if parked.any():
+                active = active[~parked]
 
     grid.labels[:] = labels.reshape(height, width)
     grid.iterations[:] = iters.reshape(height, width)
     return grid
-
-
-def _grid_step(za, num_c, den_c, num_rev, den_rev, diff, lead_ratio,
-               handoff: float = 1e8):
-    """One map application over a flat array of sphere points.
-
-    Returns (new values, frozen mask).  frozen is None unless the map
-    fixes infinity, in which case pixels that reached a non-finite value
-    are flagged so the caller can retire them.
-    """
-    out = np.empty_like(za)
-    bad = ~np.isfinite(za)
-    frozen = None
-    if bad.any():
-        if diff > 0:
-            out[bad] = np.inf
-            frozen = bad
-        elif diff == 0:
-            out[bad] = lead_ratio
-        else:
-            out[bad] = 0j
-    good = ~bad
-    zg = za[good]
-    absz = np.abs(zg)
-    far = absz > handoff
-    near = ~far
-    res = np.empty_like(zg)
-    if near.any():
-        zn = zg[near]
-        nv = _horner_vec(num_c, zn)
-        dv = _horner_vec(den_c, zn)
-        with np.errstate(all="ignore"):
-            val = nv / dv
-        exact_pole = dv == 0
-        if exact_pole.any():
-            val[exact_pole] = np.inf
-        nanmask = np.isnan(val)
-        if nanmask.any():
-            val[nanmask] = np.inf
-        res[near] = val
-    if far.any():
-        zf = zg[far]
-        with np.errstate(all="ignore"):
-            w = 1.0 / zf
-            ratio = _horner_vec(num_rev, w) / _horner_vec(den_rev, w)
-            if diff == 0:
-                val = ratio
-            elif diff == 1:
-                val = zf * ratio
-            else:
-                val = zf ** diff * ratio
-        res[far] = val
-    out[good] = res
-    return out, frozen
-
-
-def _horner_vec(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
 
 
 def free_critical_fates(p: Polynomial, R: RationalMap | None = None,
@@ -532,15 +472,13 @@ def real_axis_profile(R: RationalMap, x_min: float, x_max: float,
     _require_real(R)
     if not x_min < x_max:
         raise ValueError("need x_min < x_max")
+    xs = np.linspace(x_min, x_max, samples)
     rows = []
-    for x in np.linspace(x_min, x_max, samples):
-        x = float(x)
-        dv = R.den(complex(x))
-        if abs(dv) <= 1e-9 * max(R.den.eval_scale(x), 1e-300):
+    for x, v in zip(xs.tolist(), eval_sphere(R, xs).tolist()):
+        if not cmath.isfinite(v):
             rows.append(ProfileRow(x, None, None, 0))
             continue
-        val = (R.num(complex(x)) / dv).real
-        rows.append(ProfileRow(x, val, val - x, 0))
+        rows.append(ProfileRow(x, v.real, v.real - x, 0))
     for c in poles(R):
         r = c.location
         if abs(r.imag) <= 1e-7 * max(1.0, abs(r.real)) and x_min <= r.real <= x_max:

@@ -20,7 +20,7 @@ from .errors import (
     NoCycle,
     PoleAtTwenty,
 )
-from .polycore import Polynomial, RootCluster, find_roots
+from .polycore import Polynomial, RootCluster, find_roots, horner, _deflate
 from .ratmap import RationalMap
 
 # roots of the discriminant of z**3 + 6z + b: the polynomial degenerates
@@ -89,7 +89,7 @@ def cycle_condition_polynomial(sample_offset: int = 0) -> Polynomial:
     vander = np.vander(fit_b, 7, increasing=True)
     coeffs = np.linalg.solve(vander, fit_v)
     for b_hold, v_hold in zip(bs[7:], vals[7:]):
-        approx = sum(c * b_hold ** k for k, c in enumerate(coeffs))
+        approx = horner(coeffs, b_hold)
         if abs(approx - v_hold) > 1e-6 * max(abs(v_hold), 1.0):
             raise InterpolationInconsistent(
                 f"held-out sample at b = {b_hold} off by {abs(approx - v_hold)}")
@@ -105,17 +105,13 @@ def _cleared_condition(b: float) -> float:
 
 
 def divide_out_root(p: Polynomial, r: complex) -> tuple[Polynomial, float]:
-    """Synthetic division of p by (z - r): (quotient, |remainder|)."""
-    coeffs = list(p.coeffs)
-    n = len(coeffs) - 1
-    if n < 1:
+    """Synthetic division of p by (z - r): (quotient, |remainder|).
+
+    The remainder of the division is p(r)."""
+    if p.degree < 1:
         raise ValueError("need degree >= 1")
-    out = [0j] * n
-    acc = coeffs[n]
-    for k in range(n - 1, -1, -1):
-        out[k] = acc
-        acc = coeffs[k] + r * acc
-    return Polynomial.make(out), abs(acc)
+    quotient = _deflate(np.array(p.coeffs, dtype=np.complex128), r)
+    return Polynomial.make(quotient), abs(horner(p.coeffs, r))
 
 
 def roots_of_F(seed: int = 0) -> list[RootCluster]:

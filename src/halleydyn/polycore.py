@@ -71,15 +71,7 @@ class Polynomial:
         return self.coeffs[-1]
 
     def __call__(self, z):
-        if isinstance(z, np.ndarray):
-            acc = np.zeros_like(z, dtype=np.complex128)
-            for c in reversed(self.coeffs):
-                acc = acc * z + c
-            return acc
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return horner(self.coeffs, z)
 
     def deriv(self, order: int = 1) -> "Polynomial":
         c = self.coeffs
@@ -133,11 +125,7 @@ class Polynomial:
 
     def eval_scale(self, z) -> float:
         """Sum of |c_k| |z|**k, the rounding-error envelope of __call__."""
-        az = abs(z)
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * az + abs(c)
-        return acc
+        return envelope(self.coeffs, z)
 
 
 X = Polynomial((0j, 1.0 + 0j))
@@ -177,6 +165,28 @@ class NormalizedForm:
     alpha: int
     beta: int
     p0: Polynomial
+
+
+def horner(coeffs, z):
+    """Value at z of the ascending coefficients, for a scalar or an ndarray z.
+
+    This is the package's one complex Horner loop: polynomials, the
+    reversed 1/z chart of the sphere evaluator and the root finder's
+    residuals all evaluate through it.
+    """
+    acc = np.zeros(z.shape, dtype=np.complex128) if isinstance(z, np.ndarray) else 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def envelope(coeffs, z):
+    """Sum of |c_k| |z|**k, the rounding-error envelope of horner(coeffs, z)."""
+    az = abs(z)
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * az + abs(c)
+    return acc
 
 
 def eval_with_derivatives(p: Polynomial, z: complex) -> tuple[complex, complex, complex]:
@@ -281,8 +291,8 @@ def _gated_clusters(degree: int, c: np.ndarray, raw,
     for loc, mult in merged:
         # coefficients below TRIM_RTOL*scale count as zero, so the residual
         # envelope is not meaningful below that floor (c is scaled to 1)
-        env = max(_eval_scale_arr(c, loc), TRIM_RTOL)
-        if abs(_horner_arr(c, loc)) > 1e-6 * env:
+        env = max(envelope(c, loc), TRIM_RTOL)
+        if abs(horner(c, loc)) > 1e-6 * env:
             raise NonConvergence(f"residual too large at {loc}")
     merged.sort(key=lambda t: (t[0].real, t[0].imag))
     return [RootCluster(loc, m) for loc, m in merged]
@@ -311,21 +321,6 @@ def _companion_clusters(c: np.ndarray, cluster_radius: float):
         z = _newton_polish(base, dbase, loc)
         out.append((z if abs(z - loc) <= r else loc, m))
     return out
-
-
-def _horner_arr(c: np.ndarray, z: complex) -> complex:
-    acc = 0j
-    for ck in c[::-1]:
-        acc = acc * z + ck
-    return acc
-
-
-def _eval_scale_arr(c: np.ndarray, z: complex) -> float:
-    az = abs(z)
-    acc = 0.0
-    for ck in c[::-1]:
-        acc = acc * az + abs(ck)
-    return acc
 
 
 def _deflate(c: np.ndarray, r: complex) -> np.ndarray:
@@ -372,8 +367,8 @@ def _roots_rec(c: np.ndarray, seed: int, max_sweeps: int,
     for loc, m in dclusters:
         if loc == 0j:
             continue  # origin roots were deflated exactly above
-        env = _eval_scale_arr(c, loc)
-        if abs(_horner_arr(c, loc)) <= MULTIPLE_ROOT_RTOL * env:
+        env = envelope(c, loc)
+        if abs(horner(c, loc)) <= MULTIPLE_ROOT_RTOL * env:
             out.append((loc, m + 1))
             for _ in range(m + 1):
                 work = _deflate(work, loc)
@@ -417,12 +412,8 @@ def _aberth(c: np.ndarray, seed: int, max_sweeps: int) -> list[complex]:
     dc = np.arange(1, n + 1) * c[1:]
     ok = False
     for _ in range(max_sweeps):
-        pv = np.zeros(n, dtype=np.complex128)
-        for ck in c[::-1]:
-            pv = pv * z + ck
-        dv = np.zeros(n, dtype=np.complex128)
-        for ck in dc[::-1]:
-            dv = dv * z + ck
+        pv = horner(c, z)
+        dv = horner(dc, z)
         with np.errstate(all="ignore"):
             newton = np.where(dv != 0, pv / dv, 0.0)
             diff = z[:, None] - z[None, :]
@@ -437,23 +428,17 @@ def _aberth(c: np.ndarray, seed: int, max_sweeps: int) -> list[complex]:
             break
     if not ok:
         # accept anyway if every residual is already at the noise floor
-        pv = np.zeros(n, dtype=np.complex128)
-        for ck in c[::-1]:
-            pv = pv * z + ck
-        env = np.zeros(n, dtype=np.float64)
-        for ck in c[::-1]:
-            env = env * np.abs(z) + abs(ck)
-        if not np.all(np.abs(pv) <= 1e-10 * env):
+        if not np.all(np.abs(horner(c, z)) <= 1e-10 * envelope(c, z)):
             raise NonConvergence("Aberth-Ehrlich sweep budget exhausted")
     return [complex(v) for v in z]
 
 
 def _newton_polish(c: np.ndarray, dc: np.ndarray, z: complex) -> complex:
     for _ in range(3):
-        pv = _horner_arr(c, z)
-        if abs(pv) <= 1e-15 * _eval_scale_arr(c, z):
+        pv = horner(c, z)
+        if abs(pv) <= 1e-15 * envelope(c, z):
             break
-        dv = _horner_arr(dc, z)
+        dv = horner(dc, z)
         if dv == 0:
             break
         z = z - pv / dv

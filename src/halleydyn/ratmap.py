@@ -3,11 +3,20 @@
 Maps are quotients of two Polynomials, reduced so numerator and
 denominator share no root.  Construction helpers build the Halley map
 and its Koenig / Chebyshev-Halley relatives directly from a polynomial.
+
+eval_sphere is the one evaluator of a map on the sphere, for single
+points and whole arrays alike.  A point z is a pole when den(z) is lost
+in its own rounding envelope:
+
+    |den(z)| <= POLE_RTOL * sum_k |d_k| |z|**k.
+
+The same rule decides poles in the 1/z chart (where both sides scale by
+|z|**-deg(den)) and in RationalMap.derivative_at.
 """
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +27,9 @@ from .polycore import (
     Polynomial,
     RootCluster,
     compose_affine,
+    envelope,
     find_roots,
+    horner,
     _deflate,
 )
 
@@ -27,7 +38,6 @@ HANDOFF_RADIUS = 1e8
 POLE_RTOL = 1e-12
 FIXED_RTOL = 1e-6
 LOCAL_DEGREE_RTOL = 1e-7
-_LOG_HUGE = 709.0  # log(float max), overflow guard for z**k scaling
 
 
 class Infinity:
@@ -205,56 +215,85 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex, seed: int = 0) -> Rationa
     return make_reduced(num, den, seed=seed, hints=_cancel_hints(p, roots, seed))
 
 
-def eval_sphere(R: RationalMap, z, handoff: float = HANDOFF_RADIUS):
-    """Evaluate R at a sphere point (complex or INF).
+def eval_sphere(R: RationalMap, z):
+    """Evaluate R at sphere points: INF, a complex number or an ndarray.
 
-    Finite points beyond the handoff radius are evaluated in the
-    coordinate w = 1/z via the reversed coefficient arrays, so huge inputs
-    neither overflow nor lose the leading behavior.  A zero denominator
-    with nonzero numerator returns INF; both vanishing raises
-    Indeterminate (the map was not reduced).
+    Array entries that are not finite stand for the point at infinity,
+    and so do non-finite entries of the returned array; a scalar input
+    returns a complex or INF.  Points beyond HANDOFF_RADIUS are evaluated
+    in the chart w = 1/z through the reversed coefficients, so huge inputs
+    neither overflow nor lose the leading behaviour.  A pole (see the
+    module docstring) maps to infinity; if num vanishes there by the same
+    rule, Indeterminate is raised (R is not reduced).
     """
-    num, den = R.num, R.den
-    dn, dd = num.degree, den.degree
     if is_infinity(z):
-        if dn > dd:
-            return INF
-        if dn < dd:
-            return 0j
-        return num.lead / den.lead
-    z = complex(z)
-    if abs(z) > handoff:
-        w = 1.0 / z
-        nv = _rev_eval(num, w)
-        dv = _rev_eval(den, w)
-        if dv == 0:
-            return INF
-        ratio = nv / dv
-        diff = dn - dd
-        if diff == 0:
-            return ratio
-        logmag = diff * math.log(abs(z)) + math.log(max(abs(ratio), 1e-300))
-        if diff > 0:
-            if logmag > _LOG_HUGE:
-                return INF
-            return (z ** diff) * ratio
-        if logmag < -_LOG_HUGE:
-            return 0j
-        return ratio / (z ** (-diff))
-    dv = den(z)
-    if abs(dv) <= POLE_RTOL * den.eval_scale(z):
-        nv = num(z)
-        if abs(nv) <= POLE_RTOL * num.eval_scale(z):
-            raise Indeterminate(f"num and den both vanish at {z}")
+        return _value_at_infinity(R)
+    if isinstance(z, np.ndarray):
+        return _eval_array(R, z)
+    v = _eval_array(R, np.array([complex(z)]))[0]
+    return complex(v) if cmath.isfinite(v) else INF
+
+
+def _value_at_infinity(R: RationalMap):
+    dn, dd = R.num.degree, R.den.degree
+    if dn > dd:
         return INF
-    return num(z) / dv
+    if dn < dd:
+        return 0j
+    return R.num.lead / R.den.lead
 
 
-def _rev_eval(p: Polynomial, w: complex) -> complex:
-    acc = 0j
-    for c in p.coeffs:
-        acc = acc * w + c
-    return acc
+def _eval_array(R: RationalMap, z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=np.complex128)
+    num, den = R.num, R.den
+    diff = num.degree - den.degree
+    with np.errstate(all="ignore"):
+        az = np.abs(z)
+        near = az <= HANDOFF_RADIUS  # False for non-finite entries
+        if near.all():
+            out = _quotient(num.coeffs, den.coeffs, z, az)
+        else:
+            at_inf = _value_at_infinity(R)
+            out = np.full(z.shape, np.inf if is_infinity(at_inf) else at_inf,
+                          dtype=np.complex128)
+            out[near] = _quotient(num.coeffs, den.coeffs, z[near], az[near])
+            far = ~near & np.isfinite(z)
+            if far.any():
+                zf = z[far]
+                w = 1.0 / zf
+                ratio = _quotient(num.coeffs[::-1], den.coeffs[::-1], w, np.abs(w))
+                out[far] = ratio if diff == 0 else zf ** diff * ratio
+    out[~np.isfinite(out)] = np.inf
+    return out
+
+
+def _quotient(num_c, den_c, x: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """num_c(x) / den_c(x) in one chart of the sphere, with np.inf at poles."""
+    nv = horner(num_c, x)
+    dv = horner(den_c, x)
+    pole = _vanishes(den_c, x, ax, dv)
+    if pole.any():
+        both = _vanishes(num_c, x[pole], ax[pole], nv[pole])
+        if both.any():
+            raise Indeterminate(f"num and den both vanish at {x[pole][both][0]}")
+    q = nv / dv
+    q[pole] = np.inf
+    return q
+
+
+def _vanishes(coeffs, x: np.ndarray, ax: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Where |v| <= POLE_RTOL * envelope(coeffs, x), for v = horner(coeffs, x).
+
+    sum_k |c_k| * max(1, |x|)**deg bounds the envelope from above at the
+    cost of one power, so the envelope itself is only evaluated at the
+    few points that meet the bound.
+    """
+    av = np.abs(v)
+    hit = av <= (POLE_RTOL * sum(abs(c) for c in coeffs)
+                 * np.maximum(1.0, ax) ** (len(coeffs) - 1))
+    if hit.any():
+        hit[hit] = av[hit] <= POLE_RTOL * envelope(coeffs, x[hit])
+    return hit
 
 
 def fixed_points(R: RationalMap) -> list:

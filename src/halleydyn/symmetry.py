@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContainmentError, WindowNotCentered
 from .polycore import Polynomial, find_roots, normalized_form
-from .ratmap import RationalMap, eval_sphere, halley_of, is_infinity
+from .ratmap import RationalMap, eval_sphere, halley_of
 from .dynamics import UNDECIDED, BasinGrid, Window, classify_grid
 
 MAP_PROBE_POINTS = 64
@@ -66,10 +66,14 @@ def map_rotation_order(R: RationalMap, n_max: int = DEFAULT_N_MAX,
         z = complex(rng.uniform(-1.7, 1.7), rng.uniform(-1.7, 1.7))
         if abs(z) < 0.2:
             continue
+        # a margin for conditioning, not a pole test: R is evaluated to
+        # about eps * envelope / |den| relative error, which must stay
+        # well below rtol for the equivariance comparison
         if abs(R.den(z)) <= 1e-6 * R.den.eval_scale(z):
             continue
         zs.append(z)
-    values = [eval_sphere(R, z) for z in zs]
+    zs = np.array(zs)
+    values = eval_sphere(R, zs)
     for n in range(n_max, 1, -1):
         lam = cmath.exp(2j * cmath.pi / n)
         if _equivariant(R, zs, values, lam, rtol):
@@ -78,15 +82,13 @@ def map_rotation_order(R: RationalMap, n_max: int = DEFAULT_N_MAX,
 
 
 def _equivariant(R, zs, values, lam, rtol) -> bool:
-    for z, v in zip(zs, values):
-        rot = eval_sphere(R, lam * z)
-        if is_infinity(v) or is_infinity(rot):
-            if is_infinity(v) != is_infinity(rot):
-                return False
-            continue
-        if abs(rot - lam * v) > rtol * max(1.0, abs(v)):
-            return False
-    return True
+    rot = eval_sphere(R, lam * zs)
+    at_inf = ~np.isfinite(values)
+    if np.any(at_inf != ~np.isfinite(rot)):
+        return False
+    with np.errstate(invalid="ignore"):
+        close = np.abs(rot - lam * values) <= rtol * np.maximum(1.0, np.abs(values))
+    return bool(np.all(close | at_inf))
 
 
 def grid_symmetry_order(grid: BasinGrid, n_max: int = DEFAULT_N_MAX,

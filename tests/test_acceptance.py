@@ -16,10 +16,29 @@ def test_criterion(name, fn, capsys):
     assert ok, f"{name} failed: {detail}"
 
 
-def test_run_reports_every_criterion():
-    results = acceptance.run(seed=0)
-    assert [name for name, _, _ in results] == [n for n, _ in acceptance.CRITERIA]
-    assert all(ok for _, ok, _ in results)
+def test_run_reports_every_criterion(monkeypatch):
+    # test_criterion already runs every experiment; here cheap stand-ins
+    # check run()'s ordering, seed passing and folding of exceptions
+    seeds = []
+
+    def passing(seed):
+        seeds.append(seed)
+        return True, "fine"
+
+    def failing(seed):
+        return False, "gate missed"
+
+    def raising(seed):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [("E2", failing), ("E1", passing), ("E3", raising)])
+    assert acceptance.run(seed=5) == [("E2", False, "gate missed"),
+                                      ("E1", True, "fine"),
+                                      ("E3", False, "ValueError: boom")]
+    assert seeds == [5]
+    assert acceptance.run(only=["e3", "E1"], seed=1) == [("E1", True, "fine"),
+                                                         ("E3", False, "ValueError: boom")]
 
 
 def test_run_subset_filter():
