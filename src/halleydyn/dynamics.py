@@ -40,6 +40,7 @@ CYCLE_TOL = 1e-9
 PERIOD_CAP = 32
 UNDECIDED = int(np.iinfo(np.int32).min)
 REAL_COEFF_RTOL = 1e-9
+_TILE = 32  # side of the tiles _seed_component classifies on demand
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,15 @@ class BasinGrid:
     def pixel_height(self) -> float:
         return 2.0 * self.window.half_height / self.height
 
-    def pixel_centers(self) -> np.ndarray:
+    def pixel_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real parts of the column centres and imaginary parts of the row centres."""
         w = self.window
         xs = w.center.real - w.half_width + (np.arange(self.width) + 0.5) * self.pixel_width
         ys = w.center.imag + w.half_height - (np.arange(self.height) + 0.5) * self.pixel_height
+        return xs, ys
+
+    def pixel_centers(self) -> np.ndarray:
+        xs, ys = self.pixel_axes()
         return xs[None, :] + 1j * ys[:, None]
 
     def locate(self, point: complex) -> tuple[int, int]:
@@ -238,27 +244,43 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
     root_tuple = tuple(complex(r) for r in roots)
     cycle_tuple = tuple(tuple(complex(p) for p in cyc) for cyc in cycles)
     grid = BasinGrid(window, width, height,
-                     labels=np.full((height, width), UNDECIDED, dtype=np.int32),
-                     iterations=np.full((height, width), max_iter, dtype=np.int32),
+                     labels=np.empty((height, width), dtype=np.int32),
+                     iterations=np.empty((height, width), dtype=np.int32),
                      max_iter=max_iter,
                      roots=root_tuple,
                      cycles=cycle_tuple)
-    z = grid.pixel_centers().ravel().astype(np.complex128)
+    labels, iters = _classify_points(R, grid.pixel_centers().ravel(), root_tuple,
+                                     cycle_tuple, max_iter, capture_radius)
+    grid.labels[:] = labels.reshape(height, width)
+    grid.iterations[:] = iters.reshape(height, width)
+    return grid
+
+
+def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
+                     max_iter: int, capture_radius: float):
+    """(labels, iterations) of each initial value in the 1-D array z.
+
+    Every step is elementwise over the points, so a point's outcome does
+    not depend on which other points share the call.  A point is captured
+    once it lies within capture_radius of a target with the same label on
+    three consecutive steps; the points of one cycle share a label, so an
+    orbit alternating between them counts as staying captured.
+    """
+    z = np.array(z, dtype=np.complex128)
     n = z.size
     labels = np.full(n, UNDECIDED, dtype=np.int32)
     iters = np.full(n, max_iter, dtype=np.int32)
 
-    targets = np.array(list(root_tuple)
-                       + [p for cyc in cycle_tuple for p in cyc],
+    targets = np.array(list(roots) + [p for cyc in cycles for p in cyc],
                        dtype=np.complex128)
-    tlabels = np.array(list(range(len(root_tuple)))
-                       + [-(ci + 1) for ci, cyc in enumerate(cycle_tuple) for _ in cyc],
+    tlabels = np.array(list(range(len(roots)))
+                       + [-(ci + 1) for ci, cyc in enumerate(cycles) for _ in cyc],
                        dtype=np.int32)
 
     fixes_infinity = R.num.degree > R.den.degree
 
     active = np.arange(n)
-    cand = np.full(n, -1, dtype=np.int64)
+    cand = np.full(n, UNDECIDED, dtype=np.int32)
     cstart = np.zeros(n, dtype=np.int32)
     chits = np.zeros(n, dtype=np.int32)
 
@@ -268,18 +290,18 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
             dmat = np.abs(za[:, None] - targets[None, :])
             tidx = dmat.argmin(axis=1)
             hit = dmat[np.arange(za.size), tidx] < capture_radius
-            t = np.where(hit, tidx, -1)
+            t = np.where(hit, tlabels[tidx], UNDECIDED)
             prev = cand[active]
-            same = (t == prev) & (t >= 0)
+            same = (t == prev) & hit
             chits[active] = np.where(same, chits[active] + 1, 0)
-            fresh = (t != prev) & (t >= 0)
+            fresh = (t != prev) & hit
             idx_fresh = active[fresh]
             cstart[idx_fresh] = it
             cand[active] = t
             done = chits[active] >= 2
             if done.any():
                 idx_done = active[done]
-                labels[idx_done] = tlabels[cand[idx_done]]
+                labels[idx_done] = cand[idx_done]
                 iters[idx_done] = cstart[idx_done]
                 active = active[~done]
         if it == max_iter or active.size == 0:
@@ -292,9 +314,7 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
             if parked.any():
                 active = active[~parked]
 
-    grid.labels[:] = labels.reshape(height, width)
-    grid.iterations[:] = iters.reshape(height, width)
-    return grid
+    return labels, iters
 
 
 def free_critical_fates(p: Polynomial, R: RationalMap | None = None,
@@ -341,36 +361,96 @@ def immediate_basin_component(grid: BasinGrid, seed_point: complex):
     return comp_mask, touches
 
 
+def _seed_component(R: RationalMap, roots, window: Window, size: tuple,
+                    seed_point: complex, max_iter: int, capture_radius: float):
+    """immediate_basin_component of the window's grid, classifying only tiles it reaches.
+
+    size is (width, height).  Pixels are classified in _TILE x _TILE tiles,
+    starting from the seed's tile; each round classifies every pending tile
+    in one call, takes the seed's component, and queues the unclassified
+    tiles holding a 4-neighbour of it.  Once none is left, no neighbour of
+    the component can carry its label, so it is the component of the full
+    grid: every pixel is classified from the same centre by the same
+    elementwise kernel as in classify_grid.
+    """
+    width, height = size
+    root_tuple = tuple(complex(r) for r in roots)
+    grid = BasinGrid(window, width, height,
+                     labels=np.full((height, width), UNDECIDED, dtype=np.int32),
+                     iterations=np.full((height, width), max_iter, dtype=np.int32),
+                     max_iter=max_iter,
+                     roots=root_tuple)
+    xs, ys = grid.pixel_axes()
+    tiles_y, tiles_x = -(-height // _TILE), -(-width // _TILE)
+    classified = np.zeros((tiles_y, tiles_x), dtype=bool)
+    pending = np.zeros((tiles_y, tiles_x), dtype=bool)
+    row, col = grid.locate(complex(seed_point))
+    pending[row // _TILE, col // _TILE] = True
+    reach = np.zeros((tiles_y * _TILE, tiles_x * _TILE), dtype=bool)
+    near = reach[:height, :width]
+    while pending.any():
+        classified |= pending
+        blocks = [(slice(ty * _TILE, (ty + 1) * _TILE), slice(tx * _TILE, (tx + 1) * _TILE))
+                  for ty, tx in np.argwhere(pending)]
+        z = np.concatenate([(xs[cols][None, :] + 1j * ys[rows][:, None]).ravel()
+                            for rows, cols in blocks])
+        labels, iters = _classify_points(R, z, root_tuple, (), max_iter, capture_radius)
+        start = 0
+        for rows, cols in blocks:
+            shape = grid.labels[rows, cols].shape
+            stop = start + shape[0] * shape[1]
+            grid.labels[rows, cols] = labels[start:stop].reshape(shape)
+            grid.iterations[rows, cols] = iters[start:stop].reshape(shape)
+            start = stop
+        mask, touches = immediate_basin_component(grid, seed_point)
+        near[:] = mask
+        near[1:] |= mask[:-1]
+        near[:-1] |= mask[1:]
+        near[:, 1:] |= mask[:, :-1]
+        near[:, :-1] |= mask[:, 1:]
+        pending = reach.reshape(tiles_y, _TILE, tiles_x, _TILE).any(axis=(1, 3)) & ~classified
+    return mask, touches
+
+
 def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
                          windows, resolution: int = 400,
                          max_iter: int = DEFAULT_MAX_ITER,
                          capture_radius: float = CAPTURE_RADIUS) -> BoundednessReport:
     """Area-stabilization evidence that a basin component is bounded.
 
-    Classifies the same seed component over a strictly increasing window
-    sequence.  Evidence of boundedness requires the final component to
-    avoid the border while its area settles to within 1 percent of the
-    previous window's.
+    Classifies the same seed component over a window sequence whose half
+    extents strictly increase and where each window contains the previous
+    one.  Evidence of boundedness requires the final component to avoid
+    the border while its area settles to within 1 percent of the previous
+    window's.
 
     resolution sets the pixel count of the first window; later windows
     scale it by their extent ratio, keeping the pixel pitch constant so
-    that area estimates are comparable across windows (an interior
-    component then sees identical sample centers under nested windows).
+    that area estimates are comparable across windows.  Sample centres of
+    nested windows agree only up to rounding (a few ulps off dyadic
+    centres).  Only the tiles of each window that the seed's component
+    reaches are classified; the component, and so the report, is the one
+    the window's full classify_grid would give.
     """
-    widths = [w.half_width for w in windows]
-    if len(windows) < 2 or any(b <= a for a, b in zip(widths, widths[1:])):
+    if len(windows) < 2:
         raise ValueError("need a strictly increasing window sequence")
+    for a, b in zip(windows, windows[1:]):
+        if b.half_width <= a.half_width or b.half_height <= a.half_height:
+            raise ValueError("need a strictly increasing window sequence")
+        if (b.center.real - b.half_width > a.center.real - a.half_width
+                or b.center.real + b.half_width < a.center.real + a.half_width
+                or b.center.imag - b.half_height > a.center.imag - a.half_height
+                or b.center.imag + b.half_height < a.center.imag + a.half_height):
+            raise ValueError("each window must contain the previous one")
     areas = []
     touches = []
     for win in windows:
-        ratio = win.half_width / windows[0].half_width
-        res_w = max(2, round(resolution * ratio))
-        ratio_h = win.half_height / windows[0].half_height
-        res_h = max(2, round(resolution * ratio_h))
-        grid = classify_grid(R, roots, win, (res_w, res_h),
-                             max_iter=max_iter, capture_radius=capture_radius)
-        mask, touch = immediate_basin_component(grid, seed_point)
-        areas.append(float(mask.sum()) * grid.pixel_width * grid.pixel_height)
+        res_w = max(2, round(resolution * (win.half_width / windows[0].half_width)))
+        res_h = max(2, round(resolution * (win.half_height / windows[0].half_height)))
+        mask, touch = _seed_component(R, roots, win, (res_w, res_h), seed_point,
+                                      max_iter, capture_radius)
+        areas.append(float(mask.sum()) * (2.0 * win.half_width / res_w)
+                     * (2.0 * win.half_height / res_h))
         touches.append(touch)
     stable = areas[-2] > 0 and abs(areas[-1] - areas[-2]) < 0.01 * areas[-2]
     verdict = "bounded-evidence" if (stable and not touches[-1]) else "unbounded-evidence"

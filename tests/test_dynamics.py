@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from halleydyn import dynamics
 from halleydyn.dynamics import (
+    CAPTURE_RADIUS,
     UNDECIDED,
     Window,
     boundedness_evidence,
@@ -167,6 +169,70 @@ def test_boundedness_evidence_two_ways():
                                 [Window(0j, 2.0, 2.0), Window(0j, 4.0, 4.0)],
                                 resolution=140)
     assert rep2.verdict == "unbounded-evidence"
+
+
+SEED_COMPONENT_CASES = {
+    "off-dyadic-octic": (OCTIC, Window(0.0025 + 0.0075j, 2.0, 2.0), (160, 160)),
+    "border-touching": (CUBIC_ODD, Window(0j, 2.0, 2.0), (100, 100)),
+    "non-square-odd": (OCTIC, Window(0.1 + 0.05j, 1.5, 1.0), (75, 53)),
+    "several-tiles": (OCTIC, Window(0j, 2.0, 2.0), (256, 256)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_COMPONENT_CASES))
+def test_seed_component_equals_full_grid_component(name):
+    p, win, res = SEED_COMPONENT_CASES[name]
+    h = halley_of(p)
+    roots = roots_of(p)
+    grid = classify_grid(h, roots, win, res)
+    mask, touches = immediate_basin_component(grid, 0j)
+    got_mask, got_touches = dynamics._seed_component(h, roots, win, res, 0j,
+                                                     200, CAPTURE_RADIUS)
+    assert np.array_equal(got_mask, mask)
+    assert got_touches == touches
+    assert touches == (name == "border-touching")
+    if name == "several-tiles":
+        rows = np.nonzero(mask.any(axis=1))[0] // dynamics._TILE
+        cols = np.nonzero(mask.any(axis=0))[0] // dynamics._TILE
+        assert rows[-1] - rows[0] >= 2 and cols[-1] - cols[0] >= 2
+
+
+def test_seed_component_rejects_unlabeled_seed():
+    h = halley_of(CUBIC_ODD)
+    with pytest.raises(SeedUnlabeled):
+        dynamics._seed_component(h, roots_of(CUBIC_ODD), Window(0j, 1.0, 1.0),
+                                 (21, 21), 0.57 + 0.57j, 1, CAPTURE_RADIUS)
+
+
+def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
+    # work count, not time: the central component of z^8 - z covers about
+    # 1.4 of the windows' 16, 64 and 256 square units
+    counted = []
+    classify_points = dynamics._classify_points
+
+    def counting(R, z, *args):
+        counted.append(len(z))
+        return classify_points(R, z, *args)
+
+    monkeypatch.setattr(dynamics, "_classify_points", counting)
+    wins = [Window(0j, s, s) for s in (2.0, 4.0, 8.0)]
+    rep = boundedness_evidence(halley_of(OCTIC), roots_of(OCTIC), 0j, wins,
+                               resolution=128)
+    assert rep.verdict == "bounded-evidence"
+    assert 0 < sum(counted) < 0.1 * (128 ** 2 + 256 ** 2 + 512 ** 2)
+
+
+@pytest.mark.parametrize("windows, message", [
+    ([Window(0j, 2.0, 2.0)], "increasing"),
+    ([Window(0j, 2.0, 2.0), Window(0j, 2.0, 4.0)], "increasing"),
+    ([Window(0j, 2.0, 2.0), Window(0j, 4.0, 2.0)], "increasing"),
+    ([Window(0j, 2.0, 2.0), Window(3.0 + 0j, 4.0, 4.0)], "contain"),
+    ([Window(0j, 2.0, 2.0), Window(0j, 4.0, 4.0), Window(0.5j, 6.0, 4.2)], "contain"),
+])
+def test_boundedness_evidence_rejects_windows_that_do_not_nest(windows, message):
+    with pytest.raises(ValueError, match=message):
+        boundedness_evidence(halley_of(OCTIC), roots_of(OCTIC), 0j, windows,
+                             resolution=16)
 
 
 def test_interval_convergence_between_fixed_points():

@@ -11,14 +11,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from halleydyn.dynamics import Window, classify_grid
+from halleydyn.dynamics import UNDECIDED, Window, classify_grid
 from halleydyn.polycore import Polynomial, find_roots
 from halleydyn.ratmap import RationalMap, halley_of
 
 # the real quintic parameter of z^3 + 6z + b with a superattracting
 # two-cycle through 1; its partner (1 + 4b) / (b - 20) in closed form.
-# The capture test asks for the same target on consecutive steps, which a
-# two-cycle alternates, so the recorded grid leaves its basin undecided.
+# The capture test compares target labels, which both points of the cycle
+# share, so every pixel of this window is labelled -1 (the latest capture
+# is at step 39).  The digest before that fix left 4484 pixels undecided.
 CYCLE_B = 62.5144396
 CYCLE = (1.0 + 0j, complex((1.0 + 4.0 * CYCLE_B) / (CYCLE_B - 20.0)))
 
@@ -45,7 +46,7 @@ CASES = {
                      "e665d68da89750dc083c4cad421b59103c92e8caae41e65d2d6c2d08bd3e739f"),
     "cycle": (lambda: _halley_case([CYCLE_B, 6, 0, 1]),
               Window(1 + 0j, 0.2, 0.2), 96, (CYCLE,),
-              "241d5e385f861ffcefb92844726a7913a030945769565c9073cb001436786d26"),
+              "68c6429f61a00ddb2c6563dd75b4ae82f0555c58c36156d6aeafe8903f8882e1"),
     "low-numerator": (_inverted_newton,
                       Window(0j, 2.0, 2.0), 96, (),
                       "ee3382686dc12ff6d0f625a61c4d315deb05cdd8070d4fc8ba4b9801376896c9"),
@@ -65,3 +66,11 @@ def test_grid_matches_golden_hash(name):
     R, roots = build()
     grid = classify_grid(R, roots, window, res, cycles=cycles)
     assert grid_digest(grid) == digest
+
+
+def test_two_cycle_basin_is_labelled():
+    build, window, res, cycles, _ = CASES["cycle"]
+    R, roots = build()
+    grid = classify_grid(R, roots, window, res, cycles=cycles)
+    assert not (grid.labels == UNDECIDED).any()
+    assert int(grid.labels[grid.locate(1 + 0j)]) == -1
