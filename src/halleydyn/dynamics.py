@@ -445,8 +445,10 @@ def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
     areas = []
     touches = []
     for win in windows:
-        res_w = max(2, round(resolution * (win.half_width / windows[0].half_width)))
-        res_h = max(2, round(resolution * (win.half_height / windows[0].half_height)))
+        ratio = win.half_width / windows[0].half_width
+        res_w = max(2, round(resolution * ratio))
+        ratio_h = win.half_height / windows[0].half_height
+        res_h = max(2, round(resolution * ratio_h))
         mask, touch = _seed_component(R, roots, win, (res_w, res_h), seed_point,
                                       max_iter, capture_radius)
         areas.append(float(mask.sum()) * (2.0 * win.half_width / res_w)
