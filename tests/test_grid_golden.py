@@ -19,7 +19,7 @@ from halleydyn.ratmap import RationalMap, halley_of
 # two-cycle through 1; its partner (1 + 4b) / (b - 20) in closed form.
 # The capture test compares target labels, which both points of the cycle
 # share, so every pixel of this window is labelled -1 (the latest capture
-# is at step 39).  The digest before that fix left 4484 pixels undecided.
+# is at step 39).
 CYCLE_B = 62.5144396
 CYCLE = (1.0 + 0j, complex((1.0 + 4.0 * CYCLE_B) / (CYCLE_B - 20.0)))
 
