@@ -1,8 +1,10 @@
-"""Golden hashes of basin grids: labels and iteration counts must not move.
+"""Golden hashes of basin grids and free critical fates: they must not move.
 
-The digests were recorded before the grid step was routed through the
-shared sphere evaluator; any change to the per-pixel arithmetic, the
-capture test or the treatment of poles and infinity shows up here.
+The first four digests were recorded before the grid step was routed
+through the shared sphere evaluator, the acceptance grids and the fates
+before single orbits and grids shared one capture loop; any change to the
+per-pixel arithmetic, the capture test or the treatment of poles and
+infinity shows up here.
 """
 
 import cmath
@@ -11,7 +13,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from halleydyn.dynamics import UNDECIDED, Window, classify_grid
+from halleydyn.dynamics import (
+    UNDECIDED,
+    OrbitOutcome,
+    Window,
+    classify_grid,
+    free_critical_fates,
+)
+from halleydyn.paramsearch import family_polynomial, halley_b
 from halleydyn.polycore import Polynomial, find_roots
 from halleydyn.ratmap import RationalMap, halley_of
 
@@ -37,6 +46,12 @@ def _inverted_newton():
     return R, [cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
 
 
+def _acceptance_case(coeffs, digest):
+    # the acceptance grids' window and budget; the kernel is elementwise,
+    # so 120^2 pins the same per-pixel arithmetic as their 400^2 and 800^2
+    return (lambda: _halley_case(coeffs), Window(0j, 2.0, 2.0), 120, (), digest)
+
+
 CASES = {
     "cubic": (lambda: _halley_case([0, -1, 0, 1]),
               Window(0j, 2.0, 1.5), (96, 72), (),
@@ -50,6 +65,54 @@ CASES = {
     "low-numerator": (_inverted_newton,
                       Window(0j, 2.0, 2.0), 96, (),
                       "ee3382686dc12ff6d0f625a61c4d315deb05cdd8070d4fc8ba4b9801376896c9"),
+    # E1: (z^2 - 1)^k for k = 1, 2, 3
+    "e1-k1": _acceptance_case(
+        [-1, 0, 1],
+        "0d92207d407949bc00c1ead10738ed4ea4561ab8b885074c8fd5b6e39440962e"),
+    "e1-k2": _acceptance_case(
+        [1, 0, -2, 0, 1],
+        "f953aa7cbe41ebd7d2d68882396654e3593e81169af1fa8cafdd1feded526229"),
+    "e1-k3": _acceptance_case(
+        [-1, 0, 3, 0, -3, 0, 1],
+        "0454ed77daa91ad3e2c5a1300b55e585835a55793ead9ea9ad74cd231ab45de5"),
+    # E5's four polynomials; E7's z(z^n - 1) grids for n = 2 and 3 are
+    # the z^3 - z and z^4 - z grids here, and for n = 7 and 9 E6's below
+    "e5-z3-1": _acceptance_case(
+        [-1, 0, 0, 1],
+        "742bb174c18a1d10bd670da8f132191649adcf2147df162a39ff04c19a1e5809"),
+    "e5-z3-z": _acceptance_case(
+        [0, -1, 0, 1],
+        "4186389f0efe373347da5b0e3ae2b474ce3de3e47a42283ab6cf4e206dde3e60"),
+    "e5-z4-z": _acceptance_case(
+        [0, -1, 0, 0, 1],
+        "0b95aa8ada19496fb3b14d7e274930a50c7b67fe01341d05d03a1b15142c8c73"),
+    "e5-z4-z2": _acceptance_case(
+        [0, 0, -1, 0, 1],
+        "49bf1a6ddf06e70fc8bf674be09e7cdb0f4c69225302513c749df6cc2be698a6"),
+    # E6: z(z^n - 1) for n = 7 and 9
+    "e6-n7": _acceptance_case(
+        [0, -1] + [0] * 6 + [1],
+        "95999884ea8bbed7ee29bf01355062d594ee100e87e9fe6b3948f041a51ed0bb"),
+    "e6-n9": _acceptance_case(
+        [0, -1] + [0] * 8 + [1],
+        "412663b2313d71f7d3db026cce76715cb52d7cfa836b596451f7f1fb5c150b26"),
+}
+
+# free_critical_fates, field by field, exact floats included
+FATES = {
+    "z^3 - z": (
+        lambda: (Polynomial.make([0, -1, 0, 1]), None),
+        [OrbitOutcome("root", root_index=1, iterations=3,
+                      last=6.548873622226315e-194 + 1.1806403368729746e-137j),
+         OrbitOutcome("root", root_index=1, iterations=3,
+                      last=-6.985465197041404e-194 - 1.1806403368729746e-137j)]),
+    "z^3 + 6z + b": (
+        lambda: (family_polynomial(62.5144395981942), halley_b(62.5144395981942)),
+        [OrbitOutcome("root", root_index=0, iterations=3,
+                      last=-3.4679220624179443 + 0j),
+         OrbitOutcome("cycle", iterations=200,
+                      cycle=(5.905235039330978 + 0j, 1.000000000000001 + 0j),
+                      period=2, last=1.000000000000001 + 0j)]),
 }
 
 
@@ -74,3 +137,10 @@ def test_two_cycle_basin_is_labelled():
     grid = classify_grid(R, roots, window, res, cycles=cycles)
     assert not (grid.labels == UNDECIDED).any()
     assert int(grid.labels[grid.locate(1 + 0j)]) == -1
+
+
+@pytest.mark.parametrize("name", sorted(FATES))
+def test_free_critical_fates_match_golden(name):
+    build, want = FATES[name]
+    p, R = build()
+    assert free_critical_fates(p, R) == want
