@@ -31,8 +31,8 @@ from .ratmap import (
 from .classify import classify_fixed_points, extraneous_fixed_points
 from .dynamics import (
     Window,
+    _orbit_outcomes,
     classify_grid,
-    free_critical_fates,
     immediate_basin_component,
     boundedness_evidence,
     real_axis_profile,
@@ -250,9 +250,15 @@ def cmd_render(args) -> int:
     R = build_map(p, cfg.method, seed=cfg.seed)
     window = cfg.window or Window(0j, 2.0, 2.0)
     roots = [c.location for c in find_roots(p, seed=cfg.seed)]
+    # every attracting cycle attracts a critical point, so the free
+    # critical orbits find the cycles whose basins the grid labels
+    crits = free_critical_points(R, roots)
+    fates = _orbit_outcomes(R, [c.location for c in crits], roots,
+                            cfg.max_iter, cfg.capture_radius)
     grid = classify_grid(R, roots, window, cfg.res,
                          max_iter=cfg.max_iter,
-                         capture_radius=cfg.capture_radius)
+                         capture_radius=cfg.capture_radius,
+                         cycles=tuple(f.cycle for f in fates if f.kind == "cycle"))
     cmap = ColorMap(palette=default_palette(max(8, len(roots))),
                     shading=cfg.shading)
     write_image(grid, cmap, cfg.out)
@@ -267,10 +273,6 @@ def cmd_render(args) -> int:
 
     out.write("[free_critical_fates]\n")
     out.write("location,outcome,target\n")
-    crits = free_critical_points(R, roots)
-    fates = free_critical_fates(p, R, max_iter=cfg.max_iter,
-                                capture_radius=cfg.capture_radius,
-                                seed=cfg.seed)
     for c, f in zip(crits, fates):
         if f.kind == "root":
             tgt = _fmt(roots[f.root_index])

@@ -1,15 +1,17 @@
 """Orbit iteration, basin grids, and real-axis convergence diagnostics.
 
-Grid classification iterates every pixel center as an initial value and
-labels it by the root (or attracting cycle) that captures its orbit.
-The per-pixel iteration is vectorized over a shrinking active set; a
-pixel is only labeled after its orbit stays inside the capture disk for
-two further iterations, which filters out flybys near repelling fixed
-points.
+One kernel, _classify_points, follows every orbit to a root or cycle:
+grid pixels, single orbits, free critical points and the sample points
+of interval checks.  It applies the map to all live points of a call at
+once and keeps state only for points not yet retired.  Its one capture
+rule: a point is captured when it lies within the capture radius of
+targets with the same label on three consecutive steps, the last of them
+at most max_iter, and its iteration count is the first of those steps.
+This filters out flybys near repelling fixed points.
 
-Every map application, for one orbit point or a whole active set, goes
-through ratmap.eval_sphere, the one sphere evaluator, so poles follow its
-one rule: z is a pole when |den(z)| <= POLE_RTOL * sum_k |d_k| |z|**k.
+Every map application goes through ratmap.eval_sphere, the one sphere
+evaluator, so poles follow its one rule: z is a pole when
+|den(z)| <= POLE_RTOL * sum_k |d_k| |z|**k.
 """
 
 from __future__ import annotations
@@ -154,33 +156,36 @@ def iterate_orbit(R: RationalMap, z0, roots,
                   period_cap: int = PERIOD_CAP) -> OrbitOutcome:
     """Iterate a single sphere point and report where the orbit settles.
 
-    Root capture requires the orbit to stay within capture_radius of the
-    root for two further applications.  If the budget runs out, Brent's
-    tortoise-and-hare detection runs on the orbit tail to look for an
-    attracting cycle of period at most period_cap.
+    The orbit is captured by a root under the grid's rule (see the module
+    docstring), so it gets the label and iteration count of a pixel
+    centred at z0.  If the budget runs out, Brent's tortoise-and-hare
+    detection runs on the orbit tail to look for an attracting cycle of
+    period at most period_cap.
     """
-    root_locs = [complex(r) for r in roots]
-    z = z0
-    for it in range(max_iter + 1):
-        if not is_infinity(z):
-            for ri, r in enumerate(root_locs):
-                if abs(z - r) < capture_radius:
-                    w = z
-                    confirmed = True
-                    for _ in range(2):
-                        w = eval_sphere(R, w)
-                        if is_infinity(w) or abs(w - r) >= capture_radius:
-                            confirmed = False
-                            break
-                    if confirmed:
-                        return OrbitOutcome(kind="root", root_index=ri,
-                                            iterations=it, last=w)
-                    break
-        if it == max_iter:
-            break
-        z = eval_sphere(R, z)
-    return _detect_cycle(R, z, root_locs, max_iter, capture_radius,
-                         cycle_tol, period_cap)
+    return _orbit_outcomes(R, [z0], roots, max_iter, capture_radius,
+                           cycle_tol, period_cap)[0]
+
+
+def _orbit_outcomes(R: RationalMap, points, roots, max_iter: int,
+                    capture_radius: float, cycle_tol: float = CYCLE_TOL,
+                    period_cap: int = PERIOD_CAP) -> list[OrbitOutcome]:
+    """OrbitOutcome of each sphere point: root capture in one _classify_points
+    call, then Brent's cycle detection for the points left undecided."""
+    root_locs = tuple(complex(r) for r in roots)
+    z = np.array([np.inf if is_infinity(p) else complex(p) for p in points],
+                 dtype=np.complex128)
+    labels, iters, last = _classify_points(R, z, root_locs, (), max_iter,
+                                           capture_radius)
+    out = []
+    for label, it, w in zip(labels.tolist(), iters.tolist(), last.tolist()):
+        w = w if cmath.isfinite(w) else INF
+        if label == UNDECIDED:
+            out.append(_detect_cycle(R, w, root_locs, max_iter, capture_radius,
+                                     cycle_tol, period_cap))
+        else:
+            out.append(OrbitOutcome(kind="root", root_index=label,
+                                    iterations=it, last=w))
+    return out
 
 
 def _detect_cycle(R, z, root_locs, max_iter, capture_radius,
@@ -249,8 +254,8 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
                      max_iter=max_iter,
                      roots=root_tuple,
                      cycles=cycle_tuple)
-    labels, iters = _classify_points(R, grid.pixel_centers().ravel(), root_tuple,
-                                     cycle_tuple, max_iter, capture_radius)
+    labels, iters, _ = _classify_points(R, grid.pixel_centers().ravel(), root_tuple,
+                                        cycle_tuple, max_iter, capture_radius)
     grid.labels[:] = labels.reshape(height, width)
     grid.iterations[:] = iters.reshape(height, width)
     return grid
@@ -258,63 +263,55 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
 
 def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
                      max_iter: int, capture_radius: float):
-    """(labels, iterations) of each initial value in the 1-D array z.
+    """(labels, iterations, last) of each initial value in the 1-D array z.
 
     Every step is elementwise over the points, so a point's outcome does
     not depend on which other points share the call.  A point is captured
     once it lies within capture_radius of a target with the same label on
     three consecutive steps; the points of one cycle share a label, so an
-    orbit alternating between them counts as staying captured.
+    orbit alternating between them counts as staying captured.  last is
+    where a point was at capture, at step max_iter, or (np.inf) when it
+    was parked at infinity by a map that fixes infinity.
     """
-    z = np.array(z, dtype=np.complex128)
-    n = z.size
+    last = np.array(z, dtype=np.complex128)
+    n = last.size
     labels = np.full(n, UNDECIDED, dtype=np.int32)
     iters = np.full(n, max_iter, dtype=np.int32)
-
-    targets = np.array(list(roots) + [p for cyc in cycles for p in cyc],
-                       dtype=np.complex128)
-    tlabels = np.array(list(range(len(roots)))
-                       + [-(ci + 1) for ci, cyc in enumerate(cycles) for _ in cyc],
-                       dtype=np.int32)
-
+    targets = list(enumerate(roots)) + [(-(ci + 1), p) for ci, cyc in enumerate(cycles)
+                                        for p in cyc]
     fixes_infinity = R.num.degree > R.den.degree
 
-    active = np.arange(n)
+    # state of the points not yet retired
+    w = last.copy()
+    index = np.arange(n)
     cand = np.full(n, UNDECIDED, dtype=np.int32)
-    cstart = np.zeros(n, dtype=np.int32)
-    chits = np.zeros(n, dtype=np.int32)
-
+    run = np.zeros(n, dtype=np.int32)
     for it in range(max_iter + 1):
-        if targets.size and active.size:
-            za = z[active]
-            dmat = np.abs(za[:, None] - targets[None, :])
-            tidx = dmat.argmin(axis=1)
-            hit = dmat[np.arange(za.size), tidx] < capture_radius
-            t = np.where(hit, tlabels[tidx], UNDECIDED)
-            prev = cand[active]
-            same = (t == prev) & hit
-            chits[active] = np.where(same, chits[active] + 1, 0)
-            fresh = (t != prev) & hit
-            idx_fresh = active[fresh]
-            cstart[idx_fresh] = it
-            cand[active] = t
-            done = chits[active] >= 2
-            if done.any():
-                idx_done = active[done]
-                labels[idx_done] = cand[idx_done]
-                iters[idx_done] = cstart[idx_done]
-                active = active[~done]
-        if it == max_iter or active.size == 0:
+        # label of the nearest target within capture_radius (the first one
+        # on a tie), one target at a time to keep memory O(points)
+        t = np.full(w.size, UNDECIDED, dtype=np.int32)
+        best = np.full(w.size, capture_radius)
+        for label, target in targets:
+            d = np.abs(w - target)
+            closer = d < best
+            best[closer] = d[closer]
+            t[closer] = label
+        run = np.where((t == cand) & (t != UNDECIDED), run + 1, 0)
+        cand = t
+        done = run >= 2
+        labels[index[done]] = cand[done]
+        iters[index[done]] = it - 2
+        # points parked at the point at infinity never converge to a root
+        retire = done | ~np.isfinite(w) if fixes_infinity else done
+        if retire.any():
+            last[index[retire]] = w[retire]
+            keep = ~retire
+            w, index, cand, run = w[keep], index[keep], cand[keep], run[keep]
+        if it == max_iter or index.size == 0:
             break
-        za = eval_sphere(R, z[active])
-        z[active] = za
-        if fixes_infinity:
-            # pixels parked at the point at infinity never converge to a root
-            parked = ~np.isfinite(za)
-            if parked.any():
-                active = active[~parked]
-
-    return labels, iters
+        w = eval_sphere(R, w)
+    last[index] = w
+    return labels, iters, last
 
 
 def free_critical_fates(p: Polynomial, R: RationalMap | None = None,
@@ -330,12 +327,8 @@ def free_critical_fates(p: Polynomial, R: RationalMap | None = None,
     if R is None:
         R = halley_of(p, seed=seed)
     roots = [c.location for c in find_roots(p, seed=seed)]
-    fates = []
-    for crit in free_critical_points(R, roots):
-        fates.append(iterate_orbit(R, crit.location, roots,
-                                   max_iter=max_iter,
-                                   capture_radius=capture_radius))
-    return fates
+    crits = [c.location for c in free_critical_points(R, roots)]
+    return _orbit_outcomes(R, crits, roots, max_iter, capture_radius)
 
 
 def has_trapped_cycle(fates: list[OrbitOutcome]) -> bool:
@@ -394,7 +387,7 @@ def _seed_component(R: RationalMap, roots, window: Window, size: tuple,
                   for ty, tx in np.argwhere(pending)]
         z = np.concatenate([(xs[cols][None, :] + 1j * ys[rows][:, None]).ravel()
                             for rows, cols in blocks])
-        labels, iters = _classify_points(R, z, root_tuple, (), max_iter, capture_radius)
+        labels, iters, _ = _classify_points(R, z, root_tuple, (), max_iter, capture_radius)
         start = 0
         for rows, cols in blocks:
             shape = grid.labels[rows, cols].shape
@@ -488,9 +481,11 @@ def interval_convergence_check(R: RationalMap, x1: float, x2: float,
 
     Scans the open interval for poles, critical points, and fixed points
     of R; any hit is reported as an obstruction (not raised).  On a clean
-    interval the sign of R(x) - x picks the limiting endpoint, and sample
-    orbits must actually reach it.  Pass x2 = inf for the ray variant,
-    which instead requires R(x) < x and predicts the left endpoint.
+    interval the sign of R(x) - x picks the limiting endpoint, and every
+    sample orbit must be captured by it, the only target, under the grid's
+    capture rule within max_iter steps (all samples run in one kernel
+    call).  Pass x2 = inf for the ray variant, which instead requires
+    R(x) < x and predicts the left endpoint.
     The obstruction scan runs first, so hypothesis failures are reported
     even when an endpoint is not fixed.
     """
@@ -525,20 +520,10 @@ def interval_convergence_check(R: RationalMap, x1: float, x2: float,
         predicted = x1 if eval_sphere(R, complex(mid)).real < mid else x2
         test_points = list(np.linspace(x1, x2, samples + 2)[1:-1])
 
-    verified = True
-    for x in test_points:
-        z = complex(x)
-        ok = False
-        for _ in range(max_iter):
-            if abs(z - predicted) < capture_radius:
-                ok = True
-                break
-            z = eval_sphere(R, z)
-            if is_infinity(z):
-                break
-        if not ok:
-            verified = False
-            break
+    labels, _, _ = _classify_points(R, np.array(test_points, dtype=np.complex128),
+                                    (complex(predicted),), (), max_iter,
+                                    capture_radius)
+    verified = bool((labels == 0).all())
     return IntervalReport(x1, x2, None, predicted, verified)
 
 

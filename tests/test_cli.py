@@ -11,7 +11,7 @@ from halleydyn.cli import (
     parse_config,
 )
 from halleydyn.errors import ConfigError
-from halleydyn.render import read_image
+from halleydyn.render import ColorMap, read_image
 
 CUBIC_CFG = """\
 # odd cubic with roots 0, 1, -1
@@ -155,6 +155,25 @@ def test_render_summary_is_machine_parseable(tmp_path, capsys):
         assert origin in {"root", "critical", "infinity", "other"}
         parsed += 1
     assert parsed == 6  # three roots, two extraneous points, infinity
+
+
+def test_render_draws_cycle_basins_in_the_cycle_colour(tmp_path, capsys):
+    # z^3 + 6z + b at the real cycle parameter: one free critical orbit
+    # falls into the superattracting two-cycle through 1, and the render
+    # hands that cycle to the grid, so its basin is drawn, not left black
+    cfg_path = tmp_path / "cycle.cfg"
+    cfg_path.write_text("coeff = 62.5144396\ncoeff = 6\ncoeff = 0\ncoeff = 1\n"
+                        "window = 1, 0, 0.2, 0.2\nres = 48\nshading = 1\n")
+    img = tmp_path / "cycle.ppm"
+    rc = main(["render", "--config", str(cfg_path), "--out", str(img)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert ",cycle,period-2\n" in out
+    _, _, pixels = read_image(str(img))
+    cycle_color = np.array(ColorMap().cycle_color, dtype=np.uint8)
+    assert not (pixels == 0).all(axis=2).any()
+    # the four pixels with a corner at z = 1
+    assert (pixels[23:25, 23:25] == cycle_color).all()
 
 
 def test_render_requires_out(tmp_path, capsys):

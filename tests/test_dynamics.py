@@ -59,6 +59,34 @@ def test_orbit_capture_is_stable():
             assert abs(z - target) <= 1e-8
 
 
+def test_orbit_follows_the_grid_capture_rule():
+    # a single orbit from a pixel centre gets the pixel's label and count
+    h = halley_of(CUBIC_ODD)
+    roots = roots_of(CUBIC_ODD)
+    grid = classify_grid(h, roots, Window(0.1 + 0.05j, 2.0, 2.0), 16)
+    for z0, label, iters in zip(grid.pixel_centers().ravel().tolist(),
+                                grid.labels.ravel().tolist(),
+                                grid.iterations.ravel().tolist()):
+        out = iterate_orbit(h, z0, roots)
+        if label == UNDECIDED:
+            assert out.kind != "root"
+        else:
+            assert (out.kind, out.root_index, out.iterations) == ("root", label, iters)
+    assert (grid.labels != UNDECIDED).any()
+
+
+def test_orbit_capture_must_complete_within_the_budget():
+    # capture at step k is confirmed at step k + 2, which must fit in max_iter
+    p = Polynomial.make([-1, 0, 1])
+    h = halley_of(p)
+    roots = roots_of(p)
+    k = iterate_orbit(h, 2.0, roots).iterations
+    assert k >= 1
+    assert iterate_orbit(h, 2.0, roots, max_iter=k + 1).kind == "undecided"
+    out = iterate_orbit(h, 2.0, roots, max_iter=k + 2)
+    assert (out.kind, out.iterations) == ("root", k)
+
+
 def test_local_error_contraction_is_cubic_grade():
     # conservative order check: e_{k+1} <= C e_k^2.5 near a simple root
     p = Polynomial.make([-1, 0, 1])
