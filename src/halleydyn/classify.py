@@ -1,11 +1,12 @@
-"""Fixed-point classification for Halley maps.
+"""Fixed-point classification for Halley maps and their relatives.
 
 Every fixed point of a Halley map traces back to the input polynomial:
 a root of multiplicity k carries multiplier (k-1)/(k+1), a non-root
 critical point of multiplicity l carries multiplier 1 + 2/l, and
 infinity carries (d+1)/(d-1) for d = deg p.  classify_fixed_points
-measures each multiplier from the map and cross-checks it against the
-value predicted from the point's origin.
+measures each multiplier from the map and, for a Halley map, cross-checks
+it against the value predicted from the point's origin.  Koenig and
+Chebyshev-Halley maps get measured classes and origins only.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PropositionMismatch
-from .polycore import Polynomial, find_roots
-from .ratmap import INF, RationalMap, fixed_points, is_infinity, multiplier_at
+from .polycore import Polynomial
+from .ratmap import RationalMap, fixed_points, is_infinity, multiplier_at, source_of
 
 SUPERATTRACTING_TOL = 1e-8
 INDIFFERENCE_BAND = 1e-6
@@ -69,14 +70,16 @@ def classify_multiplier(lam: complex,
 def classify_fixed_points(p: Polynomial, R: RationalMap,
                           tol: float = PREDICTION_TOL,
                           seed: int = 0) -> list[FixedPointRecord]:
-    """Records for every sphere fixed point of R = halley_of(p).
+    """Records for every sphere fixed point of R, a map built from p.
 
-    Raises PropositionMismatch when a measured multiplier strays more
-    than tol from the value its origin predicts, or when a fixed point
-    has no identifiable origin.
+    Origins are read from R's source (found from p for a bare map).  When
+    R.method is 'halley', PropositionMismatch is raised if a measured
+    multiplier strays more than tol from the value its origin predicts,
+    or if a fixed point has no identifiable origin; other maps get
+    predicted=None and may have origin 'other'.
     """
-    roots = find_roots(p, seed=seed)
-    crits = find_roots(p.deriv(), seed=seed) if p.degree >= 2 else []
+    src = source_of(p, R, seed=seed)
+    halley = R.method == "halley"
     d = p.degree
     records = []
     for fp in fixed_points(R):
@@ -87,18 +90,20 @@ def classify_fixed_points(p: Polynomial, R: RationalMap,
         else:
             origin = Origin("other")
             predicted = None
-            for rc in roots:
+            for rc in src.roots:
                 if abs(fp - rc.location) <= ORIGIN_MATCH_RADIUS:
                     k = rc.multiplicity
                     origin = Origin("root", k)
                     predicted = complex((k - 1.0) / (k + 1.0))
                     break
             else:
-                for cc in crits:
+                for cc in src.critical:
                     if abs(fp - cc.location) <= ORIGIN_MATCH_RADIUS:
                         origin = Origin("critical", cc.multiplicity)
                         predicted = complex(1.0 + 2.0 / cc.multiplicity)
                         break
+        if not halley:
+            predicted = None
         record = FixedPointRecord(
             location=fp,
             multiplier=lam,
@@ -106,7 +111,7 @@ def classify_fixed_points(p: Polynomial, R: RationalMap,
             origin=origin,
             predicted=predicted,
         )
-        if origin.kind == "other":
+        if halley and origin.kind == "other":
             raise PropositionMismatch("fixed point with no identifiable origin", record)
         if predicted is not None and abs(lam - predicted) > tol:
             raise PropositionMismatch(
@@ -116,5 +121,6 @@ def classify_fixed_points(p: Polynomial, R: RationalMap,
 
 
 def extraneous_fixed_points(records: list[FixedPointRecord]) -> list[FixedPointRecord]:
-    """Finite fixed points that are not roots of p (origin 'critical')."""
-    return [r for r in records if r.origin.kind == "critical"]
+    """Finite fixed points that are not roots of p."""
+    return [r for r in records
+            if not is_infinity(r.location) and r.origin.kind != "root"]

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, HalleyDynError
-from .polycore import Polynomial, find_roots
+from .polycore import Polynomial
 from .ratmap import (
     RationalMap,
     halley_of,
@@ -249,16 +249,23 @@ def cmd_render(args) -> int:
     p = build_polynomial(cfg)
     R = build_map(p, cfg.method, seed=cfg.seed)
     window = cfg.window or Window(0j, 2.0, 2.0)
-    roots = [c.location for c in find_roots(p, seed=cfg.seed)]
+    roots = [c.location for c in R.source.roots]
     # every attracting cycle attracts a critical point, so the free
-    # critical orbits find the cycles whose basins the grid labels
+    # critical orbits find the cycles whose basins the grid labels; a
+    # cycle several of them reach is passed once
     crits = free_critical_points(R, roots)
     fates = _orbit_outcomes(R, [c.location for c in crits], roots,
                             cfg.max_iter, cfg.capture_radius)
+    cycles: list = []
+    for f in fates:
+        if f.kind == "cycle" and not any(
+                min(abs(z - f.cycle[0]) for z in cyc) <= cfg.capture_radius
+                for cyc in cycles):
+            cycles.append(f.cycle)
     grid = classify_grid(R, roots, window, cfg.res,
                          max_iter=cfg.max_iter,
                          capture_radius=cfg.capture_radius,
-                         cycles=tuple(f.cycle for f in fates if f.kind == "cycle"))
+                         cycles=tuple(cycles))
     cmap = ColorMap(palette=default_palette(max(8, len(roots))),
                     shading=cfg.shading)
     write_image(grid, cmap, cfg.out)

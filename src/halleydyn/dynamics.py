@@ -34,6 +34,7 @@ from .ratmap import (
     halley_of,
     is_infinity,
     poles,
+    source_of,
 )
 
 CAPTURE_RADIUS = 1e-8
@@ -326,7 +327,7 @@ def free_critical_fates(p: Polynomial, R: RationalMap | None = None,
     """
     if R is None:
         R = halley_of(p, seed=seed)
-    roots = [c.location for c in find_roots(p, seed=seed)]
+    roots = [c.location for c in source_of(p, R, seed=seed).roots]
     crits = [c.location for c in free_critical_points(R, roots)]
     return _orbit_outcomes(R, crits, roots, max_iter, capture_radius)
 

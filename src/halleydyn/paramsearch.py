@@ -62,7 +62,7 @@ def halley_b(b: complex) -> RationalMap:
     _check_admissible(b)
     num = Polynomial.make((-2.0 * b, 0.0, -2.0 * b, -2.0, 0.0, 1.0))
     den = Polynomial.make((12.0, -b, 6.0, 0.0, 2.0))
-    return RationalMap(num, den, reduced=True)
+    return RationalMap(num, den, reduced=True, method="halley")
 
 
 def xi_of(b: complex) -> complex:

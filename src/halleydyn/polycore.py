@@ -369,6 +369,8 @@ def _roots_rec(c: np.ndarray, seed: int, max_sweeps: int,
             continue  # origin roots were deflated exactly above
         env = envelope(c, loc)
         if abs(horner(c, loc)) <= MULTIPLE_ROOT_RTOL * env:
+            if m + 1 > len(work) - 1:
+                raise NonConvergence("derivative clusters claim more roots than remain")
             out.append((loc, m + 1))
             for _ in range(m + 1):
                 work = _deflate(work, loc)

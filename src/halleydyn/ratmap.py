@@ -4,6 +4,15 @@ Maps are quotients of two Polynomials, reduced so numerator and
 denominator share no root.  Construction helpers build the Halley map
 and its Koenig / Chebyshev-Halley relatives directly from a polynomial.
 
+Each method's formula is written once, as terms(p, x) -> (num, den) with
+x the identity.  The raw num and den can share a factor only at a root or
+a critical point of p (for Koenig with n >= 4 also at a multiple root of
+q_{n-2}), so a constructed map finds its Source once, p's roots and its
+non-root critical points, and cancels only there.  The order at such a
+point h is read from terms(p(h + t), h + t) in exact zeros: the Taylor
+coefficients of p(h + t) known to vanish are set to 0 and the first
+nonzero one to 1, so the orders come out of integer arithmetic.
+
 eval_sphere is the one evaluator of a map on the sphere, for single
 points and whole arrays alike.  A point z is a pole when den(z) is lost
 in its own rounding envelope:
@@ -17,12 +26,14 @@ The same rule decides poles in the 1/z chart (where both sides scale by
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateMap, Indeterminate, NotFixed
 from .polycore import (
+    ONE,
+    X,
     AffineMap,
     Polynomial,
     RootCluster,
@@ -33,7 +44,7 @@ from .polycore import (
     _deflate,
 )
 
-MATCH_RADIUS = 1e-7
+SOURCE_MATCH_RADIUS = 1e-6
 HANDOFF_RADIUS = 1e8
 POLE_RTOL = 1e-12
 FIXED_RTOL = 1e-6
@@ -62,10 +73,26 @@ def is_infinity(z) -> bool:
 
 
 @dataclass(frozen=True)
+class Source:
+    """The polynomial a map is built from, with its roots and the critical
+    points of p that are not roots, each with its multiplicity."""
+
+    p: Polynomial
+    roots: tuple[RootCluster, ...]
+    critical: tuple[RootCluster, ...]
+
+
+@dataclass(frozen=True)
 class RationalMap:
+    """num / den on the sphere.  Maps built by halley_of, konig_of and
+    chebyshev_halley_of carry their method ('halley', 'konig(n)',
+    'chebyshev(sigma)') and their Source; bare quotients carry None."""
+
     num: Polynomial
     den: Polynomial
     reduced: bool = False
+    method: str | None = None
+    source: Source | None = None
 
     @property
     def degree(self) -> int:
@@ -93,20 +120,13 @@ class DegreeCensus:
     predicted_degree: int
 
 
-def make_reduced(num: Polynomial, den: Polynomial,
-                 match_radius: float = MATCH_RADIUS,
-                 seed: int = 0,
-                 hints: tuple = ()) -> RationalMap:
-    """Cancel shared roots of num and den, matched within match_radius.
+def make_reduced(num: Polynomial, den: Polynomial, cancel=()) -> RationalMap:
+    """num / den with the common factors that cancel names divided out.
 
-    Shared powers of z are cancelled exactly by coefficient shifts; the
-    remaining matches are removed by synthetic division.
-
-    hints are locations of expected shared roots known to higher accuracy
-    than the large num/den products can resolve (the method constructors
-    pass roots and critical points of the source polynomial).  A matched
-    pair near a hint is deflated at the hint on both sides; without one,
-    each side is deflated at its own recovered root location.
+    Common powers of z are shifted out exactly.  cancel holds (point,
+    count) pairs; each point is then deflated count times from both sides
+    by synthetic division, less the powers of z already shifted out when
+    the point is the origin.
     """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
@@ -116,44 +136,74 @@ def make_reduced(num: Polynomial, den: Polynomial,
     if t:
         num = Polynomial.make(num.coeffs[t:])
         den = Polynomial.make(den.coeffs[t:])
-    if num.degree >= 1 and den.degree >= 1:
-        nw = np.array(num.coeffs, dtype=np.complex128)
-        dw = np.array(den.coeffs, dtype=np.complex128)
-        nclusters = [[c.location, c.multiplicity] for c in find_roots(num, seed=seed)]
-        dclusters = [[c.location, c.multiplicity] for c in find_roots(den, seed=seed)]
-        for nc in nclusters:
-            for entry in dclusters:
-                if nc[1] == 0 or entry[1] == 0:
-                    continue
-                if abs(nc[0] - entry[0]) <= match_radius:
-                    cancel = min(nc[1], entry[1])
-                    loc_n, loc_d = nc[0], entry[0]
-                    for h in hints:
-                        if abs(h - nc[0]) <= match_radius:
-                            loc_n = loc_d = complex(h)
-                            break
-                    for _ in range(cancel):
-                        nw = _deflate(nw, loc_n)
-                        dw = _deflate(dw, loc_d)
-                    nc[1] -= cancel
-                    entry[1] -= cancel
-        num = Polynomial.make(nw)
-        den = Polynomial.make(dw)
-    return RationalMap(num, den, reduced=True)
+    nw = np.array(num.coeffs, dtype=np.complex128)
+    dw = np.array(den.coeffs, dtype=np.complex128)
+    for h, count in cancel:
+        for _ in range(count - t if h == 0 else count):
+            nw = _deflate(nw, h)
+            dw = _deflate(dw, h)
+    return RationalMap(Polynomial.make(nw), Polynomial.make(dw), reduced=True)
 
 
-def _cancel_hints(p: Polynomial, roots, seed: int = 0) -> tuple:
-    """Locations where a method's raw num and den can share a factor.
-
-    Any common root of the raw pair is a root or a critical point of the
-    source polynomial (both sides vanishing forces p or p' to vanish), and
-    those come out of the small, exactly known p far more accurately than
-    out of the degree-3d products.
-    """
-    hints = [c.location for c in roots]
+def source_of(p: Polynomial, R: RationalMap | None = None, seed: int = 0) -> Source:
+    """R's source when R was built from p; else p with its roots and its
+    non-root critical points, from one find_roots on p and one on p'."""
+    if R is not None and R.source is not None and R.source.p == p:
+        return R.source
+    roots = tuple(find_roots(p, seed=seed))
+    critical: tuple = ()
     if p.degree >= 2:
-        hints += [c.location for c in find_roots(p.deriv(), seed=seed)]
-    return tuple(hints)
+        critical = tuple(c for c in find_roots(p.deriv(), seed=seed)
+                         if all(abs(c.location - r.location) > SOURCE_MATCH_RADIUS
+                                for r in roots))
+    return Source(p, roots, critical)
+
+
+def _vanishing_order(terms, p: Polynomial, h: complex, known_zeros) -> int:
+    """Order at h of the common factor of the num and den that terms builds.
+
+    The Taylor coefficients of p at h listed in known_zeros vanish exactly
+    in theory, so they are set to 0, and the first nonzero one is scaled to
+    exactly 1.  The orders of num and den are then read off as the first
+    exactly nonzero coefficients of terms(p(h + t), h + t): integer-valued
+    cancellations stay exact rather than leaving rounding residues.
+    """
+    q = list(compose_affine(p, AffineMap(1.0, h)).coeffs)
+    for j in known_zeros:
+        q[j] = 0j
+    first = next(j for j, c in enumerate(q) if c != 0)
+    q = [c / q[first] for c in q]
+    q[first] = 1.0 + 0j
+    num, den = terms(Polynomial(tuple(q)), Polynomial((complex(h), 1.0 + 0j)))
+    return min(next(j for j, c in enumerate(f.coeffs) if c != 0) for f in (num, den))
+
+
+def _reduced_map(p: Polynomial, seed: int, method: str, terms,
+                 extra_points=None) -> RationalMap:
+    """The map terms(p, z) builds, cancelled at the roots and the non-root
+    critical points of p (and, through extra_points(source), wherever
+    else a method can make num and den share a factor)."""
+    if p.degree < 1:
+        raise ValueError("need degree >= 1")
+    src = source_of(p, seed=seed)
+    if len(src.roots) < 2:
+        raise DegenerateMap("single distinct root gives an affine iteration")
+    cancel = [(c.location, _vanishing_order(terms, p, c.location, range(c.multiplicity)))
+              for c in src.roots]
+    cancel += [(c.location,
+                _vanishing_order(terms, p, c.location, range(1, c.multiplicity + 1)))
+               for c in src.critical]
+    if extra_points is not None:
+        cancel += extra_points(src)
+    num, den = terms(p, X)
+    R = make_reduced(num, den, cancel)
+    return replace(R, method=method, source=src)
+
+
+def _halley_terms(p: Polynomial, x: Polynomial):
+    dp = p.deriv()
+    den = (dp * dp).scale(2.0) - p * p.deriv(2)
+    return x * den - (p * dp).scale(2.0), den
 
 
 def halley_of(p: Polynomial, seed: int = 0) -> RationalMap:
@@ -162,15 +212,17 @@ def halley_of(p: Polynomial, seed: int = 0) -> RationalMap:
     DegenerateMap is raised when p has a single distinct root; the
     iteration then collapses to an affine contraction onto that root.
     """
-    if p.degree < 1:
-        raise ValueError("need degree >= 1")
-    roots = find_roots(p, seed=seed)
-    if len(roots) < 2:
-        raise DegenerateMap("single distinct root gives an affine iteration")
+    return _reduced_map(p, seed, "halley", _halley_terms)
+
+
+def _derivative_tower(p: Polynomial, n: int) -> list[Polynomial]:
+    """q_0 .. q_n with q_0 = 1 and q_{k+1} = q_k' p - (k+1) q_k p'."""
     dp = p.deriv()
-    den = (dp * dp).scale(2.0) - p * p.deriv(2)
-    num = den.shifted_up(1) - (p * dp).scale(2.0)
-    return make_reduced(num, den, seed=seed, hints=_cancel_hints(p, roots, seed))
+    tower = [ONE]
+    for k in range(n):
+        q = tower[-1]
+        tower.append(q.deriv() * p - (k + 1.0) * (q * dp))
+    return tower
 
 
 def konig_of(p: Polynomial, n: int, seed: int = 0) -> RationalMap:
@@ -179,22 +231,35 @@ def konig_of(p: Polynomial, n: int, seed: int = 0) -> RationalMap:
     Uses the derivative tower of 1/p: with q_0 = 1 and
     q_{k+1} = q_k' p - (k+1) q_k p', the k-th derivative of 1/p equals
     q_k / p**(k+1), and the map is z + (n-1) q_{n-2} p / q_{n-1}.
+
+    For n >= 4, num and den also share a factor of order m - 1 at each
+    root of q_{n-2} of multiplicity m >= 2 that is neither a root nor a
+    critical point of p (for z^8 - z and n = 4, the seven roots of
+    6z^7 + 1).  Those are found on q_{n-2} with the roots of p divided
+    out at their orders (n-2)(k-1).
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if p.degree < 1:
-        raise ValueError("need degree >= 1")
-    roots = find_roots(p, seed=seed)
-    if len(roots) < 2:
-        raise DegenerateMap("single distinct root gives an affine iteration")
-    dp = p.deriv()
-    q_prev = Polynomial((1.0 + 0j,))
-    q_cur = q_prev
-    for k in range(n - 1):
-        q_next = q_cur.deriv() * p - (k + 1.0) * (q_cur * dp)
-        q_prev, q_cur = q_cur, q_next
-    num = q_cur.shifted_up(1) + float(n - 1) * (q_prev * p)
-    return make_reduced(num, q_cur, seed=seed, hints=_cancel_hints(p, roots, seed))
+
+    def terms(q: Polynomial, x: Polynomial):
+        *_, q_prev, q_cur = _derivative_tower(q, n - 1)
+        return x * q_cur + float(n - 1) * (q_prev * q), q_cur
+
+    def extra_points(src: Source) -> list:
+        w = np.array(_derivative_tower(p, n - 2)[-1].coeffs, dtype=np.complex128)
+        for r in src.roots:
+            for _ in range((n - 2) * (r.multiplicity - 1)):
+                w = _deflate(w, r.location)
+        rest = Polynomial.make(w)
+        if rest.degree < 2:
+            return []
+        known = [c.location for c in src.roots + src.critical]
+        return [(c.location, c.multiplicity - 1) for c in find_roots(rest, seed=seed)
+                if c.multiplicity >= 2
+                and all(abs(c.location - h) > SOURCE_MATCH_RADIUS for h in known)]
+
+    return _reduced_map(p, seed, f"konig({n})", terms,
+                        extra_points if n >= 4 else None)
 
 
 def chebyshev_halley_of(p: Polynomial, sigma: complex, seed: int = 0) -> RationalMap:
@@ -202,17 +267,14 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex, seed: int = 0) -> Rationa
 
     sigma = 0 is Chebyshev's method, sigma = 1/2 recovers Halley.
     """
-    if p.degree < 1:
-        raise ValueError("need degree >= 1")
-    roots = find_roots(p, seed=seed)
-    if len(roots) < 2:
-        raise DegenerateMap("single distinct root gives an affine iteration")
-    dp = p.deriv()
-    pddp = p * p.deriv(2)
-    bracket = dp * dp - complex(sigma) * pddp
-    den = dp * bracket
-    num = den.shifted_up(1) - p * (bracket + pddp.scale(0.5))
-    return make_reduced(num, den, seed=seed, hints=_cancel_hints(p, roots, seed))
+    def terms(q: Polynomial, x: Polynomial):
+        dq = q.deriv()
+        qddq = q * q.deriv(2)
+        bracket = dq * dq - complex(sigma) * qddq
+        den = dq * bracket
+        return x * den - q * (bracket + qddq.scale(0.5)), den
+
+    return _reduced_map(p, seed, f"chebyshev({sigma})", terms)
 
 
 def eval_sphere(R: RationalMap, z):
@@ -404,23 +466,13 @@ def degree_census(p: Polynomial, seed: int = 0) -> DegreeCensus:
     multiplicity >= 2 that are not roots of p, and B is their cumulative
     multiplicity.
     """
-    roots = find_roots(p, seed=seed)
-    n_distinct = len(roots)
-    s = 0
-    b = 0
-    if p.degree >= 2:
-        for crit in find_roots(p.deriv(), seed=seed):
-            if crit.multiplicity < 2:
-                continue
-            if any(abs(crit.location - r.location) <= 1e-6 for r in roots):
-                continue
-            s += 1
-            b += crit.multiplicity
+    src = source_of(p, seed=seed)
+    special = [c.multiplicity for c in src.critical if c.multiplicity >= 2]
     return DegreeCensus(
-        distinct_roots=n_distinct,
-        special_count=s,
-        special_total_multiplicity=b,
-        predicted_degree=2 * n_distinct + s - b - 1,
+        distinct_roots=len(src.roots),
+        special_count=len(special),
+        special_total_multiplicity=sum(special),
+        predicted_degree=2 * len(src.roots) + len(special) - sum(special) - 1,
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContainmentError, WindowNotCentered
-from .polycore import Polynomial, find_roots, normalized_form
+from .polycore import Polynomial, normalized_form
 from .ratmap import RationalMap, eval_sphere, halley_of
 from .dynamics import UNDECIDED, BasinGrid, Window, classify_grid
 
@@ -155,14 +155,16 @@ def symmetry_report(p: Polynomial, n_max: int = DEFAULT_N_MAX,
 
     Requires a normalized polynomial with at least three distinct roots
     (two-root inputs have straight-line basin boundaries, where rotation
-    order is not the right invariant).  Raises ContainmentError when the
-    polynomial order fails to divide either map-side estimate.
+    order is not the right invariant): ValueError otherwise, or
+    DegenerateMap from halley_of for a single distinct root.  Raises
+    ContainmentError when the polynomial order fails to divide either
+    map-side estimate.
     """
-    roots = find_roots(p, seed=seed)
+    R = halley_of(p, seed=seed)
+    roots = R.source.roots
     if len(roots) < 3:
         raise ValueError("need at least three distinct roots")
     sigma_p = polynomial_symmetry_order(p)
-    R = halley_of(p, seed=seed)
     map_order = map_rotation_order(R, n_max=n_max, seed=seed)
     grid = classify_grid(R, [c.location for c in roots],
                          Window(0j, window_half, window_half),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from halleydyn import cli
 from halleydyn.cli import (
     JobConfig,
     build_map,
@@ -10,6 +11,7 @@ from halleydyn.cli import (
     main,
     parse_config,
 )
+from halleydyn.dynamics import classify_grid
 from halleydyn.errors import ConfigError
 from halleydyn.render import ColorMap, read_image
 
@@ -174,6 +176,51 @@ def test_render_draws_cycle_basins_in_the_cycle_colour(tmp_path, capsys):
     assert not (pixels == 0).all(axis=2).any()
     # the four pixels with a corner at z = 1
     assert (pixels[23:25, 23:25] == cycle_color).all()
+
+
+def _fixed_point_rows(out):
+    lines = out.splitlines()
+    start = lines.index("[fixed_points]") + 2  # skip the header row
+    end = lines.index("[extraneous]")
+    return [line.split(",") for line in lines[start:end]]
+
+
+@pytest.mark.parametrize("command", ["analyze", "render"])
+@pytest.mark.parametrize("method", ["konig(4)", "chebyshev(0)"])
+def test_non_halley_methods_are_classified(tmp_path, capsys, command, method):
+    # measured classes and origins, without the Halley multiplier cross-check
+    cfg_path = tmp_path / "job.cfg"
+    cfg_path.write_text(CUBIC_CFG.replace("method = halley", f"method = {method}")
+                        .replace("res = 60x60", "res = 24x24"))
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "m.ppm")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    degree = int(next(line for line in out.splitlines()
+                      if line.startswith("degree,")).split(",")[1])
+    rows = _fixed_point_rows(out)
+    assert len(rows) == degree + 1
+    assert {row[3] for row in rows} >= {"root", "infinity"}
+
+
+def test_render_passes_each_cycle_once(tmp_path, capsys, monkeypatch):
+    # two free critical orbits of this quintic's Halley map reach one
+    # attracting 3-cycle, at different points of it
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["cycles"])
+        return classify_grid(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "classify_grid", spy)
+    cfg_path = tmp_path / "quintic.cfg"
+    cfg_path.write_text("".join(f"coeff = {c}\n" for c in
+                                (-1.94, 3.26, -1.74, 0.72, -1.73, 1))
+                        + "window = 0, 0, 0.05, 0.05\nres = 16\n")
+    rc = main(["render", "--config", str(cfg_path), "--out", str(tmp_path / "q.ppm")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.count(",cycle,period-3\n") == 2
+    assert len(seen) == 1 and len(seen[0]) == 1 and len(seen[0][0]) == 3
 
 
 def test_render_requires_out(tmp_path, capsys):

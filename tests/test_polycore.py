@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from halleydyn.errors import NotNormalized
+from halleydyn.errors import NonConvergence, NotNormalized
 from halleydyn.polycore import (
     AffineMap,
     Polynomial,
@@ -113,6 +113,20 @@ def test_find_roots_round_trip():
                 back = np.convolve(back, [-f.location, 1.0])
         scale = np.abs(c).max()
         assert np.abs(back - c).max() < 1e-8 * scale
+
+
+def test_find_roots_over_deflation_is_non_convergence():
+    # Halley's denominator 2p'^2 - p p'' for a p with two triple roots: the
+    # derivative clusters claim more multiplicity than the polynomial has
+    p = Polynomial.from_roots([1.354 + 0.532j] * 3 + [1.123 + 0.987j] * 3
+                              + [0.402 + 1.404j, -0.481 - 0.775j])
+    dp = p.deriv()
+    g = (dp * dp).scale(2.0) - p * p.deriv(2)
+    try:
+        clusters = find_roots(g)
+    except NonConvergence:
+        return
+    assert sum(c.multiplicity for c in clusters) == g.degree
 
 
 def test_compose_affine_identity():

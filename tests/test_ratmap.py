@@ -222,7 +222,7 @@ def test_eval_sphere_unreduced_raises():
 def test_make_reduced_cancels_shared_factor():
     num = Polynomial.make([0, 1]) * Polynomial.make([-1, 1])
     den = Polynomial.make([-1, 1]) * Polynomial.make([2, 1])
-    r = make_reduced(num, den)
+    r = make_reduced(num, den, [(1.0, 1)])
     assert r.num.degree == 1 and r.den.degree == 1
     assert abs(r(0.0)) < 1e-14
     assert abs(r(1.0) - 1.0 / 3.0) < 1e-12
@@ -246,3 +246,74 @@ def test_free_critical_points_match_known_pair():
     s = 1.0 / math.sqrt(6.0)
     assert abs(locs[0] + 1j * s) < 1e-8
     assert abs(locs[1] - 1j * s) < 1e-8
+
+
+# exact oracle: reduced degrees against sympy's gcd of the raw num and den,
+# all in exact arithmetic over the Gaussian rationals
+def _exact_roots(spec):
+    sp = pytest.importorskip("sympy")
+    z = sp.Symbol("z")
+    exact = sp.Poly(1, z, gaussian=True)
+    for re, im, m in spec:
+        exact *= sp.Poly(z - sp.Rational(re) - sp.I * sp.Rational(im), z, gaussian=True) ** m
+    approx = Polynomial.from_roots([complex(float(re), float(im))
+                                    for re, im, m in spec for _ in range(m)])
+    return exact, approx
+
+
+def _exact_coeffs(coeffs):
+    sp = pytest.importorskip("sympy")
+    z = sp.Symbol("z")
+    exact = sp.Poly(list(reversed(coeffs)), z, gaussian=True)
+    return exact, Polynomial.make(coeffs)
+
+
+ORACLE_POLYNOMIALS = {
+    "z^8 - z": lambda: _exact_coeffs([0, -1, 0, 0, 0, 0, 0, 0, 1]),
+    "z(z - 1)^2": lambda: _exact_coeffs([0, 1, -2, 1]),
+    "(z^2 - 1)^3": lambda: _exact_coeffs([-1, 0, 3, 0, -3, 0, 1]),
+    # two triple roots: the raw Halley products once made the root finder
+    # over-deflate here
+    "two-triples": lambda: _exact_roots([("1.354", "0.532", 3), ("1.123", "0.987", 3),
+                                         ("0.402", "1.404", 1), ("-0.481", "-0.775", 1)]),
+    "three-doubles": lambda: _exact_roots([("-1.181", "0.672", 2), ("-0.617", "-0.627", 2),
+                                           ("-0.588", "1.042", 2), ("-0.518", "-1.237", 1),
+                                           ("0.263", "-0.985", 1)]),
+}
+
+
+def _exact_terms(method, P):
+    sp = pytest.importorskip("sympy")
+    x = sp.Poly(P.gen, P.gen, domain=P.domain)
+    d1, d2 = P.diff(), P.diff().diff()
+    kind, arg = method
+    if kind == "konig":
+        tower = [sp.Poly(1, P.gen, domain=P.domain)]
+        for k in range(arg - 1):
+            tower.append(tower[-1].diff() * P - (k + 1) * tower[-1] * d1)
+        return x * tower[-1] + (arg - 1) * tower[-2] * P, tower[-1]
+    sigma = sp.Rational(1, 2) if kind == "halley" else sp.Rational(arg)
+    bracket = d1 ** 2 - sigma * P * d2
+    return x * d1 * bracket - P * (bracket + P * d2 * sp.Rational(1, 2)), d1 * bracket
+
+
+ORACLE_METHODS = {
+    "halley": (("halley", None), halley_of),
+    "konig(2)": (("konig", 2), lambda p: konig_of(p, 2)),
+    "konig(4)": (("konig", 4), lambda p: konig_of(p, 4)),
+    "konig(5)": (("konig", 5), lambda p: konig_of(p, 5)),
+    "chebyshev(0)": (("chebyshev", "0"), lambda p: chebyshev_halley_of(p, 0.0)),
+    "chebyshev(1/2)": (("chebyshev", "1/2"), lambda p: chebyshev_halley_of(p, 0.5)),
+    "chebyshev(3/2)": (("chebyshev", "3/2"), lambda p: chebyshev_halley_of(p, 1.5)),
+    "chebyshev(2)": (("chebyshev", "2"), lambda p: chebyshev_halley_of(p, 2.0)),
+}
+
+
+@pytest.mark.parametrize("method", sorted(ORACLE_METHODS))
+@pytest.mark.parametrize("poly", sorted(ORACLE_POLYNOMIALS))
+def test_reduced_degree_matches_exact_gcd(poly, method):
+    exact, approx = ORACLE_POLYNOMIALS[poly]()
+    spec, build = ORACLE_METHODS[method]
+    num, den = _exact_terms(spec, exact)
+    g = num.gcd(den).degree()
+    assert build(approx).degree == max(num.degree(), den.degree()) - g
