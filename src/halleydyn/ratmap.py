@@ -160,14 +160,9 @@ def source_of(p: Polynomial, R: RationalMap | None = None, seed: int = 0) -> Sou
 
 
 def _vanishing_order(terms, p: Polynomial, h: complex, known_zeros) -> int:
-    """Order at h of the common factor of the num and den that terms builds.
-
-    The Taylor coefficients of p at h listed in known_zeros vanish exactly
-    in theory, so they are set to 0, and the first nonzero one is scaled to
-    exactly 1.  The orders of num and den are then read off as the first
-    exactly nonzero coefficients of terms(p(h + t), h + t): integer-valued
-    cancellations stay exact rather than leaving rounding residues.
-    """
+    """Order at h of the common factor of the num and den that terms builds,
+    where known_zeros lists the Taylor coefficients of p at h that vanish
+    (see the module docstring)."""
     q = list(compose_affine(p, AffineMap(1.0, h)).coeffs)
     for j in known_zeros:
         q[j] = 0j

@@ -287,13 +287,15 @@ def _exact_terms(method, P):
     x = sp.Poly(P.gen, P.gen, domain=P.domain)
     d1, d2 = P.diff(), P.diff().diff()
     kind, arg = method
+    if kind == "halley":
+        den = 2 * d1 ** 2 - P * d2
+        return x * den - 2 * P * d1, den
     if kind == "konig":
         tower = [sp.Poly(1, P.gen, domain=P.domain)]
         for k in range(arg - 1):
             tower.append(tower[-1].diff() * P - (k + 1) * tower[-1] * d1)
         return x * tower[-1] + (arg - 1) * tower[-2] * P, tower[-1]
-    sigma = sp.Rational(1, 2) if kind == "halley" else sp.Rational(arg)
-    bracket = d1 ** 2 - sigma * P * d2
+    bracket = d1 ** 2 - sp.Rational(arg) * P * d2
     return x * d1 * bracket - P * (bracket + P * d2 * sp.Rational(1, 2)), d1 * bracket
 
 
