@@ -21,9 +21,9 @@ from halleydyn.dynamics import (
     profile_to_csv,
     real_axis_profile,
 )
-from halleydyn.errors import SeedUnlabeled
+from halleydyn.errors import Indeterminate, SeedUnlabeled
 from halleydyn.polycore import Polynomial, find_roots
-from halleydyn.ratmap import eval_sphere, halley_of
+from halleydyn.ratmap import RationalMap, eval_sphere, halley_of
 
 CUBIC_ODD = Polynomial.make([0, -1, 0, 1])           # z(z^2-1)
 OCTIC = Polynomial.make([0, -1] + [0] * 6 + [1])      # z(z^7-1)
@@ -110,6 +110,36 @@ def test_grid_determinism():
     b = classify_grid(h, roots_of(p), win, (64, 64))
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.iterations, b.iterations)
+
+
+def test_classify_points_is_split_invariant():
+    # every kernel step is elementwise, so classifying z in one call or as
+    # two pieces gives the same outcome, point by point, for any split
+    h = halley_of(CUBIC_ODD)
+    roots = tuple(roots_of(CUBIC_ODD))
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-2, 2, 70_000) + 1j * rng.uniform(-2, 2, 70_000)
+    z[::9_999] = np.inf  # parked at infinity, which this map fixes
+    whole = dynamics._classify_points(h, z, roots, (), 60, CAPTURE_RADIUS)
+    assert (whole[0] == UNDECIDED).any() and (whole[0] != UNDECIDED).any()
+    for k in (1, 32_769, 50_000):
+        head = dynamics._classify_points(h, z[:k], roots, (), 60, CAPTURE_RADIUS)
+        tail = dynamics._classify_points(h, z[k:], roots, (), 60, CAPTURE_RADIUS)
+        for got, a, b in zip(whole, head, tail):
+            assert np.array_equal(got, np.concatenate([a, b]))
+
+
+def test_multi_block_grid_of_unreduced_map_raises():
+    # num and den share the factor z - c, with c the centre of a pixel far
+    # from the first ones classified: the grid cannot be labelled
+    win, res = Window(0j, 2.0, 2.0), (257, 255)
+    c = dynamics.BasinGrid(win, *res, labels=None, iterations=None,
+                           max_iter=200).pixel_centers()[200, 100]
+    shared = Polynomial.make([-c, 1])
+    r = RationalMap(Polynomial.make([1, 0, 1]) * shared, shared.scale(2.0),
+                    reduced=False)
+    with pytest.raises(Indeterminate):
+        classify_grid(r, [1j, -1j], win, res)
 
 
 def test_grid_rotation_equivariance_quarter_turn():
