@@ -19,6 +19,9 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +47,11 @@ PERIOD_CAP = 32
 UNDECIDED = int(np.iinfo(np.int32).min)
 REAL_COEFF_RTOL = 1e-9
 _TILE = 32  # side of the tiles _seed_component classifies on demand
+# points per kernel block: a block's step temporaries stay in L2, and the
+# blocks of one call run on _pool's threads (numpy releases the GIL)
+_BLOCK = 32_768
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -267,7 +275,8 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
     """(labels, iterations, last) of each initial value in the 1-D array z.
 
     Every step is elementwise over the points, so a point's outcome does
-    not depend on which other points share the call.  A point is captured
+    not depend on which other points share the call, and the points are
+    followed in blocks of _BLOCK.  A point is captured
     once it lies within capture_radius of a target with the same label on
     three consecutive steps; the points of one cycle share a label, so an
     orbit alternating between them counts as staying captured.  last is
@@ -280,13 +289,33 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
     iters = np.full(n, max_iter, dtype=np.int32)
     targets = list(enumerate(roots)) + [(-(ci + 1), p) for ci, cyc in enumerate(cycles)
                                         for p in cyc]
-    fixes_infinity = R.num.degree > R.den.degree
 
+    def run(block: slice):
+        _classify_block(R, targets, max_iter, capture_radius,
+                        labels[block], iters[block], last[block])
+
+    blocks = [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
+    if len(blocks) == 1:
+        run(blocks[0])
+    elif blocks:
+        futures = [_pool().submit(run, block) for block in blocks]
+        # no block may still be writing once the call returns or raises
+        wait(futures)
+        for future in futures:
+            future.result()
+    return labels, iters, last
+
+
+def _classify_block(R: RationalMap, targets: list, max_iter: int,
+                    capture_radius: float, labels: np.ndarray, iters: np.ndarray,
+                    last: np.ndarray):
+    """The capture loop of _classify_points on one block, written into its views."""
+    fixes_infinity = R.num.degree > R.den.degree
     # state of the points not yet retired
     w = last.copy()
-    index = np.arange(n)
-    cand = np.full(n, UNDECIDED, dtype=np.int32)
-    run = np.zeros(n, dtype=np.int32)
+    index = np.arange(w.size)
+    cand = np.full(w.size, UNDECIDED, dtype=np.int32)
+    run = np.zeros(w.size, dtype=np.int32)
     for it in range(max_iter + 1):
         # label of the nearest target within capture_radius (the first one
         # on a tie), one target at a time to keep memory O(points)
@@ -312,7 +341,19 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
             break
         w = eval_sphere(R, w)
     last[index] = w
-    return labels, iters, last
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The module's block executor, one thread per CPU the process may use,
+    created on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            _POOL = ThreadPoolExecutor(max_workers=cpus,
+                                       thread_name_prefix="halleydyn-block")
+        return _POOL
 
 
 def free_critical_fates(p: Polynomial, R: RationalMap | None = None,

@@ -172,11 +172,22 @@ def horner(coeffs, z):
 
     This is the package's one complex Horner loop: polynomials, the
     reversed 1/z chart of the sphere evaluator and the root finder's
-    residuals all evaluate through it.
+    residuals all evaluate through it.  Arrays of two or more points are
+    updated in place, and a zero coefficient adds nothing but the sign of
+    a zero.  numpy's in-place product rounds differently from acc * z on
+    a one-element array, so scalars and single points take the
+    out-of-place loop, and a point gets the same value alone as in a batch.
     """
-    acc = np.zeros(z.shape, dtype=np.complex128) if isinstance(z, np.ndarray) else 0j
+    if not isinstance(z, np.ndarray) or z.size < 2:
+        acc = np.zeros(z.shape, dtype=np.complex128) if isinstance(z, np.ndarray) else 0j
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        return acc
+    acc = np.zeros(z.shape, dtype=np.complex128)
     for c in reversed(coeffs):
-        acc = acc * z + c
+        np.multiply(acc, z, out=acc)
+        if c != 0:
+            np.add(acc, c, out=acc)
     return acc
 
 
