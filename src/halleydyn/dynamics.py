@@ -2,8 +2,13 @@
 
 One kernel, _classify_points, follows every orbit to a root or cycle:
 grid pixels, single orbits, free critical points and the sample points
-of interval checks.  It applies the map to all live points of a call at
-once and keeps state only for points not yet retired.  Its one capture
+of interval checks.  It splits the points of a call into blocks of
+_BLOCK, applies the map to all live points of a block at once and keeps
+state only for points not yet retired.  Every step is elementwise, so a
+point's outcome does not depend on its block.  A call of several blocks
+runs them on one module-level thread pool, created on first use with a
+thread per CPU the process may use; numpy releases the GIL inside its
+ufuncs.  Its one capture
 rule: a point is captured when it lies within the capture radius of
 targets with the same label on three consecutive steps, the last of them
 at most max_iter, and its iteration count is the first of those steps.
@@ -275,13 +280,14 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
     """(labels, iterations, last) of each initial value in the 1-D array z.
 
     Every step is elementwise over the points, so a point's outcome does
-    not depend on which other points share the call, and the points are
-    followed in blocks of _BLOCK.  A point is captured
-    once it lies within capture_radius of a target with the same label on
-    three consecutive steps; the points of one cycle share a label, so an
-    orbit alternating between them counts as staying captured.  last is
-    where a point was at capture, at step max_iter, or (np.inf) when it
-    was parked at infinity by a map that fixes infinity.
+    not depend on which other points share the call or its block.  A
+    point is captured once it lies within capture_radius of a target with
+    the same label on three consecutive steps; the points of one cycle
+    share a label, so an orbit alternating between them counts as staying
+    captured.  last is where a point was at capture, at step max_iter, or
+    (np.inf) when it was parked at infinity by a map that fixes infinity.
+    The first exception of a block (in block order) is raised once every
+    block has finished.
     """
     last = np.array(z, dtype=np.complex128)
     n = last.size
@@ -384,16 +390,19 @@ def immediate_basin_component(grid: BasinGrid, seed_point: complex):
     pixel is undecided.
     """
     row, col = grid.locate(complex(seed_point))
-    label = int(grid.labels[row, col])
-    if label == UNDECIDED:
-        raise SeedUnlabeled(f"pixel at {seed_point} has no label")
-    mask = grid.labels == label
-    comp_ids, _ = ndimage.label(mask)
-    comp = comp_ids[row, col]
-    comp_mask = comp_ids == comp
+    comp_mask = _component(grid.labels, row, col, seed_point)
     touches = bool(comp_mask[0].any() or comp_mask[-1].any()
                    or comp_mask[:, 0].any() or comp_mask[:, -1].any())
     return comp_mask, touches
+
+
+def _component(labels: np.ndarray, row: int, col: int, seed_point) -> np.ndarray:
+    """Mask of the 4-connected same-label component of labels through (row, col)."""
+    label = int(labels[row, col])
+    if label == UNDECIDED:
+        raise SeedUnlabeled(f"pixel at {seed_point} has no label")
+    comp_ids, _ = ndimage.label(labels == label)
+    return comp_ids == comp_ids[row, col]
 
 
 def _seed_component(R: RationalMap, roots, window: Window, size: tuple,
@@ -406,7 +415,9 @@ def _seed_component(R: RationalMap, roots, window: Window, size: tuple,
     tiles holding a 4-neighbour of it.  Once none is left, no neighbour of
     the component can carry its label, so it is the component of the full
     grid: every pixel is classified from the same centre by the same
-    elementwise kernel as in classify_grid.
+    elementwise kernel as in classify_grid.  Unclassified pixels are
+    undecided, so the component lies in the bounding box of the classified
+    tiles, and only that box is labelled.
     """
     width, height = size
     root_tuple = tuple(complex(r) for r in roots)
@@ -421,8 +432,6 @@ def _seed_component(R: RationalMap, roots, window: Window, size: tuple,
     pending = np.zeros((tiles_y, tiles_x), dtype=bool)
     row, col = grid.locate(complex(seed_point))
     pending[row // _TILE, col // _TILE] = True
-    reach = np.zeros((tiles_y * _TILE, tiles_x * _TILE), dtype=bool)
-    near = reach[:height, :width]
     while pending.any():
         classified |= pending
         blocks = [(slice(ty * _TILE, (ty + 1) * _TILE), slice(tx * _TILE, (tx + 1) * _TILE))
@@ -437,13 +446,25 @@ def _seed_component(R: RationalMap, roots, window: Window, size: tuple,
             grid.labels[rows, cols] = labels[start:stop].reshape(shape)
             grid.iterations[rows, cols] = iters[start:stop].reshape(shape)
             start = stop
-        mask, touches = immediate_basin_component(grid, seed_point)
-        near[:] = mask
-        near[1:] |= mask[:-1]
-        near[:-1] |= mask[1:]
-        near[:, 1:] |= mask[:, :-1]
-        near[:, :-1] |= mask[:, 1:]
-        pending = reach.reshape(tiles_y, _TILE, tiles_x, _TILE).any(axis=(1, 3)) & ~classified
+        # the box of classified tiles, in tiles (t0:t1, s0:s1) and pixels
+        ty, tx = np.nonzero(classified.any(axis=1))[0], np.nonzero(classified.any(axis=0))[0]
+        t0, t1, s0, s1 = ty[0], ty[-1] + 1, tx[0], tx[-1] + 1
+        r0, r1 = t0 * _TILE, min(t1 * _TILE, height)
+        c0, c1 = s0 * _TILE, min(s1 * _TILE, width)
+        comp = _component(grid.labels[r0:r1, c0:c1], row - r0, col - c0, seed_point)
+        # 4-neighbours of the component, in the box grown by one tile
+        e0, e1 = max(t0 - 1, 0), min(t1 + 1, tiles_y)
+        f0, f1 = max(s0 - 1, 0), min(s1 + 1, tiles_x)
+        near = np.zeros(((e1 - e0) * _TILE, (f1 - f0) * _TILE), dtype=bool)
+        near[r0 - e0 * _TILE:r1 - e0 * _TILE, c0 - f0 * _TILE:c1 - f0 * _TILE] = comp
+        near = ndimage.binary_dilation(near)
+        pending[:] = False
+        pending[e0:e1, f0:f1] = near.reshape(e1 - e0, _TILE, f1 - f0, _TILE).any(axis=(1, 3))
+        pending &= ~classified
+    mask = np.zeros((height, width), dtype=bool)
+    mask[r0:r1, c0:c1] = comp
+    touches = bool((r0 == 0 and comp[0].any()) or (r1 == height and comp[-1].any())
+                   or (c0 == 0 and comp[:, 0].any()) or (c1 == width and comp[:, -1].any()))
     return mask, touches
 
 

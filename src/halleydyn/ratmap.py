@@ -454,14 +454,16 @@ def _conjugate_to_origin(R: RationalMap) -> RationalMap:
     return RationalMap(dr.shifted_up(dn - dd), nr, reduced=R.reduced)
 
 
-def degree_census(p: Polynomial, seed: int = 0) -> DegreeCensus:
+def degree_census(p: Polynomial, R: RationalMap | None = None,
+                  seed: int = 0) -> DegreeCensus:
     """Count data predicting deg(halley_of(p)) = 2N + s - B - 1.
 
     N is the number of distinct roots; s counts critical points of p of
     multiplicity >= 2 that are not roots of p, and B is their cumulative
-    multiplicity.
+    multiplicity.  The counts come from source_of(p, R, seed), so a map
+    built from p lends its source.
     """
-    src = source_of(p, seed=seed)
+    src = source_of(p, R, seed=seed)
     special = [c.multiplicity for c in src.critical if c.multiplicity >= 2]
     return DegreeCensus(
         distinct_roots=len(src.roots),

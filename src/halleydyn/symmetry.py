@@ -137,14 +137,16 @@ def _rotation_consistent(grid, labels, centers, source, n, agreement) -> bool:
     dst = dst[keep]
     if src.size == 0:
         return False
-    # majority-vote permutation per source label
-    perm = {}
-    for a in np.unique(src):
+    # majority-vote permutation per source label, as a lookup array over
+    # the sorted source labels
+    keys = np.unique(src)
+    images = np.empty_like(keys)
+    for i, a in enumerate(keys):
         tgt, counts = np.unique(dst[src == a], return_counts=True)
-        perm[int(a)] = int(tgt[counts.argmax()])
-    if len(set(perm.values())) != len(perm):
+        images[i] = tgt[counts.argmax()]
+    if np.unique(images).size != images.size:
         return False
-    mapped = np.array([perm[int(a)] for a in src])
+    mapped = images[np.searchsorted(keys, src)]
     return float((mapped == dst).mean()) >= agreement
 
 

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -120,6 +122,7 @@ def test_classify_points_is_split_invariant():
     rng = np.random.default_rng(7)
     z = rng.uniform(-2, 2, 70_000) + 1j * rng.uniform(-2, 2, 70_000)
     z[::9_999] = np.inf  # parked at infinity, which this map fixes
+    assert z.size > 2 * dynamics._BLOCK
     whole = dynamics._classify_points(h, z, roots, (), 60, CAPTURE_RADIUS)
     assert (whole[0] == UNDECIDED).any() and (whole[0] != UNDECIDED).any()
     for k in (1, 32_769, 50_000):
@@ -127,6 +130,32 @@ def test_classify_points_is_split_invariant():
         tail = dynamics._classify_points(h, z[k:], roots, (), 60, CAPTURE_RADIUS)
         for got, a, b in zip(whole, head, tail):
             assert np.array_equal(got, np.concatenate([a, b]))
+
+
+def test_concurrent_callers_share_the_block_pool(monkeypatch):
+    # callers in several threads, racing to create the pool under a short
+    # switch interval, each get the outcomes of a lone call
+    h = halley_of(CUBIC_ODD)
+    roots = tuple(roots_of(CUBIC_ODD))
+    rng = np.random.default_rng(8)
+    n = 2 * dynamics._BLOCK + 5
+    z = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+    want = dynamics._classify_points(h, z, roots, (), 20, CAPTURE_RADIUS)
+    monkeypatch.setattr(dynamics, "_POOL", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as callers:
+            got = list(callers.map(
+                lambda _: dynamics._classify_points(h, z, roots, (), 20, CAPTURE_RADIUS),
+                range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+        if dynamics._POOL is not None:
+            dynamics._POOL.shutdown()
+    for outcome in got:
+        for a, b in zip(outcome, want):
+            assert np.array_equal(a, b)
 
 
 def test_multi_block_grid_of_unreduced_map_raises():
