@@ -8,11 +8,11 @@ state only for points not yet retired.  Every step is elementwise, so a
 point's outcome does not depend on its block.  A call of several blocks
 runs them on one module-level thread pool, created on first use with a
 thread per CPU the process may use; numpy releases the GIL inside its
-ufuncs.  Its one capture
-rule: a point is captured when it lies within the capture radius of
-targets with the same label on three consecutive steps, the last of them
-at most max_iter, and its iteration count is the first of those steps.
-This filters out flybys near repelling fixed points.
+ufuncs.  Its one capture rule: a point is captured when it lies within
+the capture radius of targets with the same label on three consecutive
+steps, the last of them at most max_iter, and its iteration count is the
+first of those steps.  This filters out flybys near repelling fixed
+points.
 
 Every map application goes through ratmap.eval_sphere, the one sphere
 evaluator, so poles follow its one rule: z is a pole when
