@@ -185,9 +185,9 @@ def horner(coeffs, z):
         return acc
     acc = np.zeros(z.shape, dtype=np.complex128)
     for c in reversed(coeffs):
-        np.multiply(acc, z, out=acc)
+        acc *= z
         if c != 0:
-            np.add(acc, c, out=acc)
+            acc += c
     return acc
 
 
