@@ -296,15 +296,15 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
     targets = list(enumerate(roots)) + [(-(ci + 1), p) for ci, cyc in enumerate(cycles)
                                         for p in cyc]
 
-    def run(block: slice):
+    def follow(block: slice):
         _classify_block(R, targets, max_iter, capture_radius,
                         labels[block], iters[block], last[block])
 
     blocks = [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
     if len(blocks) == 1:
-        run(blocks[0])
+        follow(blocks[0])
     elif blocks:
-        futures = [_pool().submit(run, block) for block in blocks]
+        futures = [_pool().submit(follow, block) for block in blocks]
         # no block may still be writing once the call returns or raises
         wait(futures)
         for future in futures:
