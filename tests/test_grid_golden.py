@@ -97,7 +97,8 @@ CASES = {
         [0, -1] + [0] * 8 + [1],
         "412663b2313d71f7d3db026cce76715cb52d7cfa836b596451f7f1fb5c150b26"),
     # grids of several kernel blocks whose pixel counts (75,000 and 65,535)
-    # are not multiples of the block size; recorded from one-block runs
+    # are not multiples of the block size; recorded when each grid ran as
+    # one kernel call
     "cubic-blocks": (lambda: _halley_case([0, -1, 0, 1]),
                      Window(0j, 2.0, 1.5), (300, 250), (),
                      "b73da7470cd06aa28f1fe8bb26cf700876a1d540f0143696641a6c04decbc1c8"),
