@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 from .errors import PropositionMismatch
 from .polycore import Polynomial
-from .ratmap import RationalMap, fixed_points, is_infinity, multiplier_at, source_of
+from .ratmap import (SUPERATTRACTING_TOL, RationalMap, fixed_points, is_infinity,
+                     matching_point, multiplier_at, source_of)
 
-SUPERATTRACTING_TOL = 1e-8
 INDIFFERENCE_BAND = 1e-6
 PREDICTION_TOL = 1e-6
-ORIGIN_MATCH_RADIUS = 1e-6
 
 SUPERATTRACTING = "superattracting"
 ATTRACTING = "attracting"
@@ -72,7 +71,8 @@ def classify_fixed_points(p: Polynomial, R: RationalMap,
                           seed: int = 0) -> list[FixedPointRecord]:
     """Records for every sphere fixed point of R, a map built from p.
 
-    Origins are read from R's source (found from p for a bare map).  When
+    Origins are read from R's source (found from p for a bare map) through
+    ratmap.matching_point.  When
     R.method is 'halley', PropositionMismatch is raised if a measured
     multiplier strays more than tol from the value its origin predicts,
     or if a fixed point has no identifiable origin; other maps get
@@ -87,21 +87,16 @@ def classify_fixed_points(p: Polynomial, R: RationalMap,
         if is_infinity(fp):
             origin = Origin("infinity")
             predicted = complex((d + 1.0) / (d - 1.0)) if d >= 2 else None
+        elif (rc := matching_point(fp, src.roots)) is not None:
+            k = rc.multiplicity
+            origin = Origin("root", k)
+            predicted = complex((k - 1.0) / (k + 1.0))
+        elif (cc := matching_point(fp, src.critical)) is not None:
+            origin = Origin("critical", cc.multiplicity)
+            predicted = complex(1.0 + 2.0 / cc.multiplicity)
         else:
             origin = Origin("other")
             predicted = None
-            for rc in src.roots:
-                if abs(fp - rc.location) <= ORIGIN_MATCH_RADIUS:
-                    k = rc.multiplicity
-                    origin = Origin("root", k)
-                    predicted = complex((k - 1.0) / (k + 1.0))
-                    break
-            else:
-                for cc in src.critical:
-                    if abs(fp - cc.location) <= ORIGIN_MATCH_RADIUS:
-                        origin = Origin("critical", cc.multiplicity)
-                        predicted = complex(1.0 + 2.0 / cc.multiplicity)
-                        break
         if not halley:
             predicted = None
         record = FixedPointRecord(

@@ -14,6 +14,8 @@ Configs are flat key=value text files; see parse_config.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -73,16 +75,16 @@ _KNOWN_KEYS = {
 
 
 def _parse_complex(text: str) -> complex:
-    """Accept 're,im' or a bare real number."""
+    """Accept a finite 're,im' or a bare real number."""
     parts = [t.strip() for t in text.split(",")]
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            z = complex(*(float(t) for t in parts))
+            if cmath.isfinite(z):
+                return z
     except ValueError:
         pass
-    raise ConfigError(f"cannot parse complex value {text!r}")
+    raise ConfigError(f"cannot parse finite complex value {text!r}")
 
 
 def _parse_window(text: str) -> Window:
@@ -93,6 +95,8 @@ def _parse_window(text: str) -> Window:
         cx, cy, hw, hh = (float(t) for t in parts)
     except ValueError:
         raise ConfigError(f"window needs numeric cx,cy,hw,hh, got {text!r}")
+    if not all(map(math.isfinite, (cx, cy, hw, hh))):
+        raise ConfigError(f"window needs finite cx,cy,hw,hh, got {text!r}")
     if hw <= 0 or hh <= 0:
         raise ConfigError("window extents must be positive")
     return Window(complex(cx, cy), hw, hh)
@@ -160,8 +164,12 @@ def parse_config(text: str) -> JobConfig:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}")
     if cfg.max_iter < 1:
         raise ConfigError("max_iter must be positive")
-    if cfg.capture_radius <= 0:
-        raise ConfigError("capture_radius must be positive")
+    if not 0.0 < cfg.capture_radius < math.inf:
+        raise ConfigError("capture_radius must be positive and finite")
+    if not 0.0 <= cfg.shading <= 1.0:
+        raise ConfigError("shading must lie in [0, 1]")
+    if not -math.inf < cfg.x_min < cfg.x_max < math.inf:
+        raise ConfigError("need finite x_min < x_max")
     if cfg.samples < 2:
         raise ConfigError("samples must be at least 2")
     return cfg
@@ -327,7 +335,7 @@ def cmd_analyze(args) -> int:
     order = map_rotation_order(R)
     out.write(f"map_rotation_order,{order}\n")
     try:
-        rep = symmetry_report(p, seed=cfg.seed)
+        rep = symmetry_report(R, seed=cfg.seed)
     except (HalleyDynError, ValueError) as exc:
         out.write(f"group_comparison,skipped ({exc})\n")
     else:

@@ -33,11 +33,13 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import SeedUnlabeled
-from .polycore import Polynomial, RootCluster, find_roots
+from .polycore import Polynomial
 from .ratmap import (
     INF,
     RationalMap,
+    critical_points,
     eval_sphere,
+    fixed_points,
     free_critical_points,
     halley_of,
     is_infinity,
@@ -522,18 +524,12 @@ def _require_real(R: RationalMap):
             raise ValueError("map must have real coefficients")
 
 
-def _real_roots_between(poly: Polynomial, lo: float, hi: float,
-                        margin: float) -> list[float]:
-    if poly.degree < 1:
-        return []
-    out = []
-    for c in find_roots(poly):
-        r = c.location
-        if abs(r.imag) <= 1e-7 * max(1.0, abs(r.real)):
-            x = r.real
-            if lo + margin < x < hi - margin:
-                out.append(x)
-    return sorted(out)
+def _real_points_between(points, lo: float, hi: float, margin: float) -> list[float]:
+    """Sorted real parts of the real points in (lo + margin, hi - margin);
+    points may be complex numbers, RootClusters or INF."""
+    zs = [complex(getattr(pt, "location", pt)) for pt in points if not is_infinity(pt)]
+    return sorted(z.real for z in zs if abs(z.imag) <= 1e-7 * max(1.0, abs(z.real))
+                  and lo + margin < z.real < hi - margin)
 
 
 def interval_convergence_check(R: RationalMap, x1: float, x2: float,
@@ -559,10 +555,9 @@ def interval_convergence_check(R: RationalMap, x1: float, x2: float,
     hi = x2 if not ray else math.inf
     margin = 1e-9 * max(1.0, abs(x1), 0.0 if ray else abs(x2))
 
-    crit_poly = R.num.deriv() * R.den - R.num * R.den.deriv()
-    fixed_poly = R.num - R.den.shifted_up(1)
-    for kind, poly in (("pole", R.den), ("critical", crit_poly), ("fixed", fixed_poly)):
-        hits = _real_roots_between(poly, x1, hi, margin)
+    for kind, points_of in (("pole", poles), ("critical", critical_points),
+                            ("fixed", fixed_points)):
+        hits = _real_points_between(points_of(R), x1, hi, margin)
         if hits:
             return IntervalReport(x1, x2, Obstruction(kind, hits[0]), None, False)
 

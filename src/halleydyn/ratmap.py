@@ -21,6 +21,11 @@ in its own rounding envelope:
 
 The same rule decides poles in the 1/z chart (where both sides scale by
 |z|**-deg(den)) and in RationalMap.derivative_at.
+
+poles, critical_points and fixed_points define R's special points, and
+matching_point identifies a computed point with a given one.  INF is fixed
+when k = deg num - deg den >= 1, with local degree k and multiplier
+den.lead / num.lead for k = 1, 0 for k >= 2, both exact.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 
 from .errors import DegenerateMap, Indeterminate, NotFixed
 from .polycore import (
+    CLUSTER_RADIUS,
     ONE,
     X,
     AffineMap,
@@ -44,11 +50,11 @@ from .polycore import (
     _deflate,
 )
 
-SOURCE_MATCH_RADIUS = 1e-6
 HANDOFF_RADIUS = 1e8
 POLE_RTOL = 1e-12
 FIXED_RTOL = 1e-6
 LOCAL_DEGREE_RTOL = 1e-7
+SUPERATTRACTING_TOL = 1e-8
 
 
 class Infinity:
@@ -145,6 +151,14 @@ def make_reduced(num: Polynomial, den: Polynomial, cancel=()) -> RationalMap:
     return RationalMap(Polynomial.make(nw), Polynomial.make(dw), reduced=True)
 
 
+def matching_point(z: complex, points):
+    """The first of points (complex numbers or RootClusters) within
+    CLUSTER_RADIUS of z, or None: the one rule identifying a computed
+    point with a known one."""
+    return next((h for h in points
+                 if abs(z - complex(getattr(h, "location", h))) <= CLUSTER_RADIUS), None)
+
+
 def source_of(p: Polynomial, R: RationalMap | None = None, seed: int = 0) -> Source:
     """R's source when R was built from p; else p with its roots and its
     non-root critical points, from one find_roots on p and one on p'."""
@@ -154,8 +168,7 @@ def source_of(p: Polynomial, R: RationalMap | None = None, seed: int = 0) -> Sou
     critical: tuple = ()
     if p.degree >= 2:
         critical = tuple(c for c in find_roots(p.deriv(), seed=seed)
-                         if all(abs(c.location - r.location) > SOURCE_MATCH_RADIUS
-                                for r in roots))
+                         if matching_point(c.location, roots) is None)
     return Source(p, roots, critical)
 
 
@@ -248,10 +261,9 @@ def konig_of(p: Polynomial, n: int, seed: int = 0) -> RationalMap:
         rest = Polynomial.make(w)
         if rest.degree < 2:
             return []
-        known = [c.location for c in src.roots + src.critical]
         return [(c.location, c.multiplicity - 1) for c in find_roots(rest, seed=seed)
                 if c.multiplicity >= 2
-                and all(abs(c.location - h) > SOURCE_MATCH_RADIUS for h in known)]
+                and matching_point(c.location, src.roots + src.critical) is None]
 
     return _reduced_map(p, seed, f"konig({n})", terms,
                         extra_points if n >= 4 else None)
@@ -369,13 +381,13 @@ def fixed_points(R: RationalMap) -> list:
 def multiplier_at(R: RationalMap, z, tol: float = FIXED_RTOL) -> complex:
     """Derivative of R at a fixed point z (complex or INF).
 
-    At infinity the multiplier is the derivative at 0 of w -> 1/R(1/w),
-    estimated at w = 1e-6 with one Richardson extrapolation step.
+    At infinity it is the derivative at 0 of w -> 1/R(1/w), which is
+    w**k den.lead / num.lead to leading order for k = deg num - deg den:
+    den.lead / num.lead when k = 1 and 0 when k >= 2.
     """
     if is_infinity(z):
-        if not is_infinity(eval_sphere(R, INF)):
-            raise NotFixed("INF is not fixed")
-        return _inf_multiplier(R)
+        k = local_degree_at(R, INF)
+        return R.den.lead / R.num.lead if k == 1 else 0j
     z = complex(z)
     img = eval_sphere(R, z)
     if is_infinity(img) or abs(img - z) > tol * max(1.0, abs(z)):
@@ -383,39 +395,27 @@ def multiplier_at(R: RationalMap, z, tol: float = FIXED_RTOL) -> complex:
     return R.derivative_at(z)
 
 
-def _inf_multiplier(R: RationalMap, h: float = 1e-6) -> complex:
-    def g_over_w(w: complex) -> complex:
-        v = eval_sphere(R, 1.0 / w)
-        if is_infinity(v):
-            raise NotFixed("orbit of the probe point left the chart")
-        return 1.0 / (w * v)
-
-    d1 = g_over_w(complex(h))
-    d2 = g_over_w(complex(h / 2.0))
-    return 2.0 * d2 - d1
+def _critical_numerator(R: RationalMap) -> Polynomial:
+    """num' den - num den', whose zeros are R's finite critical points."""
+    return R.num.deriv() * R.den - R.num * R.den.deriv()
 
 
 def critical_points(R: RationalMap, seed: int = 0) -> list[RootCluster]:
     """Finite critical points of R with multiplicities (zeros of the
     derivative numerator num' den - num den')."""
-    c = R.num.deriv() * R.den - R.num * R.den.deriv()
+    c = _critical_numerator(R)
     if c.degree < 1:
         return []
     return find_roots(c, seed=seed)
 
 
-def free_critical_points(R: RationalMap, roots,
-                         match_radius: float = 1e-6) -> list[RootCluster]:
-    """Critical points of R that do not coincide with any supplied root.
+def free_critical_points(R: RationalMap, roots) -> list[RootCluster]:
+    """Critical points of R that do not coincide with any supplied root
+    (see matching_point).
 
     roots may hold complex numbers or RootCluster entries.
     """
-    locs = [complex(getattr(r, "location", r)) for r in roots]
-    out = []
-    for cluster in critical_points(R):
-        if all(abs(cluster.location - r) > match_radius for r in locs):
-            out.append(cluster)
-    return out
+    return [c for c in critical_points(R) if matching_point(c.location, roots) is None]
 
 
 def poles(R: RationalMap, seed: int = 0) -> list[RootCluster]:
@@ -425,33 +425,29 @@ def poles(R: RationalMap, seed: int = 0) -> list[RootCluster]:
 
 
 def local_degree_at(R: RationalMap, z0) -> int:
-    """Local mapping degree at a fixed point: 1 + multiplicity of z0 as a
-    zero of the derivative numerator."""
+    """Local mapping degree at a fixed point.
+
+    At INF it is deg num - deg den (NotFixed unless that is >= 1).  At a
+    finite point it is 1 unless the multiplier is below SUPERATTRACTING_TOL,
+    the bound classify uses; then it is 1 plus the multiplicity of z0 as a
+    zero of the derivative numerator.
+    """
     if is_infinity(z0):
-        return local_degree_at(_conjugate_to_origin(R), 0j)
+        k = R.num.degree - R.den.degree
+        if k < 1:
+            raise NotFixed("INF is not fixed")
+        return k
     z0 = complex(z0)
-    img = eval_sphere(R, z0)
-    if is_infinity(img) or abs(img - z0) > FIXED_RTOL * max(1.0, abs(z0)):
-        raise NotFixed(f"{z0} is not fixed")
-    c = R.num.deriv() * R.den - R.num * R.den.deriv()
+    if abs(multiplier_at(R, z0)) >= SUPERATTRACTING_TOL:
+        return 1
     mult = 0
-    q = c
+    q = _critical_numerator(R)
     while q.degree >= 0 and not q.is_zero:
         if abs(q(z0)) > LOCAL_DEGREE_RTOL * max(q.eval_scale(z0), 1e-300):
             break
         q = q.deriv()
         mult += 1
     return mult + 1
-
-
-def _conjugate_to_origin(R: RationalMap) -> RationalMap:
-    """The map w -> 1/R(1/w), sending a neighborhood of INF to one of 0."""
-    dn, dd = R.num.degree, R.den.degree
-    if dn <= dd:
-        raise NotFixed("INF is not fixed")
-    nr = Polynomial.make(tuple(reversed(R.num.coeffs)))
-    dr = Polynomial.make(tuple(reversed(R.den.coeffs)))
-    return RationalMap(dr.shifted_up(dn - dd), nr, reduced=R.reduced)
 
 
 def degree_census(p: Polynomial, R: RationalMap | None = None,

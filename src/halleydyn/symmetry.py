@@ -1,10 +1,10 @@
 """Rotation-symmetry estimation for polynomials, maps, and basin grids.
 
 The symmetry order of a normalized polynomial is the beta exponent of
-its maximal z**alpha * p0(z**beta) form.  For the induced Halley map the
-order is probed two independent ways: as a coefficient identity at
-random sample points, and as a label permutation on a computed basin
-grid.  The polynomial's rotation group always embeds in the map's, so
+its maximal z**alpha * p0(z**beta) form.  For a map built from it
+(Halley, Koenig or Chebyshev-Halley) the order is probed two independent
+ways: as a coefficient identity at random sample points, and as a label
+permutation on a computed basin grid.  The polynomial's rotation group always embeds in the map's, so
 the polynomial order must divide both probe results.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContainmentError, WindowNotCentered
 from .polycore import Polynomial, normalized_form
-from .ratmap import RationalMap, eval_sphere, halley_of
+from .ratmap import RationalMap, eval_sphere
 from .dynamics import UNDECIDED, BasinGrid, Window, classify_grid
 
 MAP_PROBE_POINTS = 64
@@ -150,20 +150,19 @@ def _rotation_consistent(grid, labels, centers, source, n, agreement) -> bool:
     return float((mapped == dst).mean()) >= agreement
 
 
-def symmetry_report(p: Polynomial, n_max: int = DEFAULT_N_MAX,
+def symmetry_report(R: RationalMap, n_max: int = DEFAULT_N_MAX,
                     resolution: int = 400, max_iter: int = 200,
                     window_half: float = 2.0, seed: int = 0) -> SymmetryReport:
-    """Cross-checked symmetry orders of p and its Halley map.
+    """Cross-checked symmetry orders of a constructed map R and of the
+    polynomial p it was built from, read with p's roots from R.source.
 
-    Requires a normalized polynomial with at least three distinct roots
-    (two-root inputs have straight-line basin boundaries, where rotation
-    order is not the right invariant): ValueError otherwise, or
-    DegenerateMap from halley_of for a single distinct root.  Raises
+    Requires a normalized p with at least three distinct roots (two-root
+    inputs have straight-line basin boundaries, where rotation order is
+    not the right invariant): ValueError otherwise.  Raises
     ContainmentError when the polynomial order fails to divide either
     map-side estimate.
     """
-    R = halley_of(p, seed=seed)
-    roots = R.source.roots
+    p, roots = R.source.p, R.source.roots
     if len(roots) < 3:
         raise ValueError("need at least three distinct roots")
     sigma_p = polynomial_symmetry_order(p)

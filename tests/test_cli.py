@@ -241,6 +241,29 @@ def test_unknown_key_exits_two(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("command, lines, flags", [
+    ("render", "shading = 2\n", []),
+    ("render", "shading = nan\n", []),
+    ("render", "window = 0, 0, nan, 1\n", []),
+    ("render", "window = 0, 0, inf, 1\n", []),
+    ("render", "window = nan, 0, 1, 1\n", []),
+    ("render", "", ["--window", "0,0,nan,1"]),
+    ("render", "capture_radius = nan\n", []),
+    ("render", "capture_radius = inf\n", []),
+    ("profile", "x_min = 1\nx_max = 0\n", []),
+    ("profile", "x_max = nan\n", []),
+    ("profile", "x_min = -inf\n", []),
+    ("analyze", "coeff = nan\n", []),
+])
+def test_out_of_range_values_exit_two(tmp_path, capsys, command, lines, flags):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(CUBIC_CFG + lines)
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x.out")]
+              + flags)
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_degenerate_map_exits_three(tmp_path, capsys):
     cfg_path = tmp_path / "degen.cfg"
     cfg_path.write_text("coeff = 1\ncoeff = 2\ncoeff = 1\n")  # (z+1)**2

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from halleydyn.acceptance import CORPUS_SEED, random_corpus
 from halleydyn.errors import DegenerateMap, Indeterminate, NotFixed
-from halleydyn.polycore import AffineMap, Polynomial, find_roots
+from halleydyn.polycore import ONE, AffineMap, Polynomial, find_roots
 from halleydyn.ratmap import (
     INF,
     RationalMap,
@@ -143,12 +144,43 @@ def test_extraneous_weighted_mean_two_roots():
     assert abs(extr[0] - target) < 1e-9
 
 
+def test_multiplier_at_infinity_is_exact():
+    # den.lead / num.lead = (d+1)/(d-1) to the last bit, where a
+    # difference quotient near w = 0 is off in the twelfth digit
+    h = halley_of(Polynomial.make([62.5144395981942, 6, 0, 1]))
+    assert abs(multiplier_at(h, INF) - 2.0) <= 1e-15
+    for p in random_corpus(50, seed=CORPUS_SEED):
+        d = p.degree
+        assert abs(multiplier_at(halley_of(p), INF) - (d + 1) / (d - 1)) <= 1e-15
+    assert multiplier_at(RationalMap(Polynomial.make([0, 0, 0, 1]), ONE), INF) == 0
+
+
 def test_local_degrees_on_sphere():
     h = halley_of(CUBIC_ODD)
     assert local_degree_at(h, 0.0) == 3
     assert local_degree_at(h, 1.0) == 3
     assert local_degree_at(h, 1 / math.sqrt(3)) == 1
     assert local_degree_at(h, INF) == 1
+    assert local_degree_at(RationalMap(Polynomial.make([0, 0, 0, 1]), ONE), INF) == 3
+    for bare in (RationalMap(ONE, Polynomial.make([0, 1])),
+                 RationalMap(Polynomial.make([1, 2]), Polynomial.make([3, 1]))):
+        with pytest.raises(NotFixed):
+            local_degree_at(bare, INF)
+        with pytest.raises(NotFixed):
+            multiplier_at(bare, INF)
+
+
+def test_local_degree_is_one_at_a_repelling_fixed_point():
+    # pool entry 29 of the benchmark corpus: the derivative numerator is
+    # small against its envelope at this critical-origin fixed point, yet
+    # the multiplier is 3
+    p = Polynomial.from_roots([1.308 + 0.372j] + [0.614 - 0.161j] * 3
+                              + [-1.15 - 1.434j] * 2 + [1.193 + 1.116j, 0.438 + 0.863j])
+    h = halley_of(p)
+    z = min((z for z in fixed_points(h) if not is_infinity(z)),
+            key=lambda z: abs(z - (1.1002 + 0.9403j)))
+    assert abs(multiplier_at(h, z) - 3.0) < 1e-6
+    assert local_degree_at(h, z) == 1
 
 
 def test_real_coefficients_commute_with_conjugation():

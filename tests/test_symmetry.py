@@ -70,7 +70,7 @@ def test_containment_divisibility():
 
 
 def test_symmetry_report_full_agreement():
-    rep = symmetry_report(odd_family(3), resolution=201, max_iter=150)
+    rep = symmetry_report(halley_of(odd_family(3)), resolution=201, max_iter=150)
     assert rep.sigma_p_order == 3
     assert rep.map_rotation_order == 3
     assert rep.grid_order == 3
@@ -82,4 +82,4 @@ def test_symmetry_report_full_agreement():
 
 def test_symmetry_report_needs_three_roots():
     with pytest.raises(ValueError):
-        symmetry_report(Polynomial.make([0, 1, -2, 1]))
+        symmetry_report(halley_of(Polynomial.make([0, 1, -2, 1])))
