@@ -14,7 +14,6 @@ from .errors import (
     ExcludedParameter,
     HalleyDynError,
     Indeterminate,
-    InterpolationInconsistent,
     IOFailure,
     NoCycle,
     NonConvergence,
@@ -31,7 +30,6 @@ from .polycore import (
     Polynomial,
     RootCluster,
     compose_affine,
-    eval_with_derivatives,
     find_roots,
     normalized_form,
 )
@@ -40,7 +38,7 @@ from .ratmap import (
     DegreeCensus,
     RationalMap,
     chebyshev_halley_of,
-    conjugate_rotation,
+    conjugate,
     critical_points,
     degree_census,
     eval_sphere,
@@ -53,6 +51,7 @@ from .ratmap import (
     make_reduced,
     multiplier_at,
     poles,
+    same_map,
     scaling_check,
 )
 from .classify import (

@@ -263,7 +263,7 @@ def e7(seed: int = 0) -> tuple[bool, str]:
     for n in (2, 3, 7, 9):
         p = Polynomial.make([0, -1] + [0] * (n - 1) + [1])
         R = halley_of(p, seed=seed)
-        mo = map_rotation_order(R, n_max=12, seed=seed)
+        mo = map_rotation_order(R, n_max=12)
         roots = [c.location for c in R.source.roots]
         grid = classify_grid(R, roots, Window(0j, 2.0, 2.0), 400, max_iter=200)
         go = grid_symmetry_order(grid, n_max=12)

@@ -32,6 +32,7 @@ from .ratmap import (
 )
 from .classify import classify_fixed_points, extraneous_fixed_points
 from .dynamics import (
+    MAX_ITER_LIMIT,
     Window,
     _orbit_outcomes,
     classify_grid,
@@ -162,8 +163,14 @@ def parse_config(text: str) -> JobConfig:
             raise
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}")
-    if cfg.max_iter < 1:
-        raise ConfigError("max_iter must be positive")
+    return _checked(cfg)
+
+
+def _checked(cfg: JobConfig) -> JobConfig:
+    """cfg, once its values are in range; every config and every
+    command-line override passes through here."""
+    if not 1 <= cfg.max_iter <= MAX_ITER_LIMIT:
+        raise ConfigError(f"max_iter must lie in [1, {MAX_ITER_LIMIT}]")
     if not 0.0 < cfg.capture_radius < math.inf:
         raise ConfigError("capture_radius must be positive and finite")
     if not 0.0 <= cfg.shading <= 1.0:
@@ -217,14 +224,12 @@ def _apply_overrides(cfg: JobConfig, args) -> JobConfig:
     if getattr(args, "res", None):
         cfg.res = _parse_res(args.res)
     if getattr(args, "max_iter", None) is not None:
-        if args.max_iter < 1:
-            raise ConfigError("max_iter must be positive")
         cfg.max_iter = args.max_iter
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "out", None):
         cfg.out = args.out
-    return cfg
+    return _checked(cfg)
 
 
 def _fmt(z: complex, nd: int = 10) -> str:
@@ -335,7 +340,7 @@ def cmd_analyze(args) -> int:
     order = map_rotation_order(R)
     out.write(f"map_rotation_order,{order}\n")
     try:
-        rep = symmetry_report(R, seed=cfg.seed)
+        rep = symmetry_report(R)
     except (HalleyDynError, ValueError) as exc:
         out.write(f"group_comparison,skipped ({exc})\n")
     else:

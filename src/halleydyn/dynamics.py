@@ -52,6 +52,7 @@ DEFAULT_MAX_ITER = 200
 CYCLE_TOL = 1e-9
 PERIOD_CAP = 32
 UNDECIDED = int(np.iinfo(np.int32).min)
+MAX_ITER_LIMIT = int(np.iinfo(np.int32).max)  # iteration counts are int32
 REAL_COEFF_RTOL = 1e-9
 _TILE = 32  # side of the tiles _seed_component classifies on demand
 # points per kernel block: a block's step temporaries stay in L2, and the

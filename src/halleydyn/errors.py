@@ -10,7 +10,8 @@ class NonConvergence(HalleyDynError):
 
 
 class DegenerateMap(HalleyDynError):
-    """The requested iteration map collapses to an affine map (single distinct root)."""
+    """The requested iteration map cannot be built: it collapses to an affine
+    map (single distinct root), or its coefficients overflow double precision."""
 
 
 class NotNormalized(HalleyDynError):
@@ -50,10 +51,6 @@ class PoleAtTwenty(HalleyDynError):
 
 class NoCycle(HalleyDynError):
     """Orbit verification found no two-cycle at the requested parameter."""
-
-
-class InterpolationInconsistent(HalleyDynError):
-    """Held-out samples disagree with the interpolated polynomial."""
 
 
 class ContainmentError(HalleyDynError):

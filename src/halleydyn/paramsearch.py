@@ -3,25 +3,30 @@
 The family keeps the free critical points of the Halley map pinned at
 +-1 for every admissible b, so a two-cycle through +1 is superattracting
 automatically.  The cycle condition H_b(H_b(1)) = 1 clears to a degree-6
-polynomial in b; its (b+7) factor belongs to a degenerate parameter and
-the quintic cofactor carries the five parameters with a genuine cycle.
+polynomial in b, expanded exactly from the map's coefficient table; its
+(b+7) factor belongs to a degenerate parameter and the quintic cofactor
+carries the five parameters with a genuine cycle.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from .errors import (
-    ExcludedParameter,
-    InterpolationInconsistent,
-    NoCycle,
-    PoleAtTwenty,
+from .errors import ExcludedParameter, NoCycle, PoleAtTwenty
+from .polycore import (
+    X,
+    AffineMap,
+    Polynomial,
+    RootCluster,
+    find_roots,
+    horner,
+    _deflate,
 )
-from .polycore import Polynomial, RootCluster, find_roots, horner, _deflate
-from .ratmap import RationalMap
+from .ratmap import RationalMap, conjugate, same_map
 
 # roots of the discriminant of z**3 + 6z + b: the polynomial degenerates
 _EXCLUDED_B = (0j, 4j * cmath.sqrt(2), -4j * cmath.sqrt(2))
@@ -52,6 +57,13 @@ def family_polynomial(b: complex) -> Polynomial:
     return Polynomial.make((b, 6.0, 0.0, 1.0))
 
 
+def _halley_table(b):
+    """Ascending z-coefficients (num, den) of the family's Halley map,
+    written once for b a number (halley_b) or a Polynomial in b (the
+    cycle condition's expansion)."""
+    return (-2.0 * b, 0.0, -2.0 * b, -2.0, 0.0, 1.0), (12.0, -b, 6.0, 0.0, 2.0)
+
+
 def halley_b(b: complex) -> RationalMap:
     """Halley map of z**3 + 6z + b in closed form.
 
@@ -60,9 +72,9 @@ def halley_b(b: complex) -> RationalMap:
     """
     b = complex(b)
     _check_admissible(b)
-    num = Polynomial.make((-2.0 * b, 0.0, -2.0 * b, -2.0, 0.0, 1.0))
-    den = Polynomial.make((12.0, -b, 6.0, 0.0, 2.0))
-    return RationalMap(num, den, reduced=True, method="halley")
+    num, den = _halley_table(b)
+    return RationalMap(Polynomial.make(num), Polynomial.make(den),
+                       reduced=True, method="halley")
 
 
 def xi_of(b: complex) -> complex:
@@ -74,34 +86,32 @@ def xi_of(b: complex) -> complex:
     return (1.0 + 4.0 * b) / (b - 20.0)
 
 
-def cycle_condition_polynomial(sample_offset: int = 0) -> Polynomial:
+def cycle_condition_polynomial() -> Polynomial:
     """Degree-6 polynomial in b vanishing exactly when H_b(H_b(1)) = 1.
 
-    Built numerically: the rational condition is evaluated at 9 sample
-    parameters, cleared by its known denominator (b - 20)**5 times the
-    map denominator at the partner point, and interpolated through 7 of
-    the samples.  The remaining 2 act as held-out consistency probes.
-    The result is scaled to leading coefficient 10.
+    H_b(xi) = 1 at xi = (1 + 4b) / (b - 20) means (num - den)(xi) = 0.
+    Multiplied by (b - 20)**5 this is sum_k c_k(b) (1 + 4b)**k
+    (b - 20)**(5 - k) over the coefficients c_k of num - den, expanded in
+    b with integer coefficients far below 2**53, so exactly.  The result
+    is scaled to leading coefficient 10.
     """
-    bs = np.array([1, 2, 3, 4, 5, 6, 8, 9, 11], dtype=np.float64) + sample_offset
-    vals = np.array([_cleared_condition(float(b)) for b in bs])
-    fit_b, fit_v = bs[:7], vals[:7]
-    vander = np.vander(fit_b, 7, increasing=True)
-    coeffs = np.linalg.solve(vander, fit_v)
-    for b_hold, v_hold in zip(bs[7:], vals[7:]):
-        approx = horner(coeffs, b_hold)
-        if abs(approx - v_hold) > 1e-6 * max(abs(v_hold), 1.0):
-            raise InterpolationInconsistent(
-                f"held-out sample at b = {b_hold} off by {abs(approx - v_hold)}")
-    scaled = coeffs * (10.0 / coeffs[-1])
-    return Polynomial.make(scaled)
+    num, den = _halley_table(X)
+    diff = [_as_polynomial(n) - _as_polynomial(d)
+            for n, d in zip_longest(num, den, fillvalue=0.0)]
+    top = len(diff) - 1
+    xi_num, xi_den = Polynomial.make((1.0, 4.0)), Polynomial.make((-20.0, 1.0))
+    cond = Polynomial(())
+    for k, c in enumerate(diff):
+        for _ in range(k):
+            c = c * xi_num
+        for _ in range(top - k):
+            c = c * xi_den
+        cond = cond + c
+    return cond.scale(10.0 / cond.lead)
 
 
-def _cleared_condition(b: float) -> float:
-    h = halley_b(b)
-    xi = xi_of(b)
-    residual = h.num(xi) - h.den(xi)  # (H_b(xi) - 1) * den(xi)
-    return (residual * (b - 20.0) ** 5).real
+def _as_polynomial(c) -> Polynomial:
+    return c if isinstance(c, Polynomial) else Polynomial.make((c,))
 
 
 def divide_out_root(p: Polynomial, r: complex) -> tuple[Polynomial, float]:
@@ -140,29 +150,6 @@ def verify_cycle(b: complex, start: complex = 1.0 + 0j,
                           multiplier=multiplier, residual=residual)
 
 
-def conjugacy_check(b: complex, samples: int = 32, seed: int = 0,
-                    tol: float = 1e-9) -> bool:
-    """Probe the odd symmetry H_b(-z) = -H_{-b}(z) at random points."""
-    b = complex(b)
-    _check_admissible(b)
-    _check_admissible(-b)
-    h_plus = halley_b(b)
-    h_minus = halley_b(-b)
-    rng = np.random.default_rng(seed)
-    checked = 0
-    attempts = 0
-    while checked < samples:
-        attempts += 1
-        if attempts > 200 * samples:
-            raise ValueError("could not sample points away from the poles")
-        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        if abs(h_plus.den(-z)) <= 1e-9 * h_plus.den.eval_scale(z):
-            continue
-        if abs(h_minus.den(z)) <= 1e-9 * h_minus.den.eval_scale(z):
-            continue
-        lhs = h_plus(-z)
-        rhs = -h_minus(z)
-        if abs(lhs - rhs) > tol * max(1.0, abs(rhs)):
-            return False
-        checked += 1
-    return checked == samples
+def conjugacy_check(b: complex) -> bool:
+    """The odd symmetry H_b(-z) = -H_{-b}(z), as an identity of maps."""
+    return same_map(conjugate(halley_b(b), AffineMap(-1.0)), halley_b(-b))

@@ -11,6 +11,7 @@ defeat a fixed merging radius for m >= 3.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,15 +114,17 @@ class Polynomial:
             return self
         return Polynomial(((0j,) * k) + self.coeffs)
 
-    def valuation(self, rtol: float = TRIM_RTOL) -> int:
-        """Order of vanishing at the origin."""
+    def valuation(self) -> int:
+        """Order of vanishing at the origin: the number of leading zero
+        coefficients, counting only exact zeros."""
         if self.is_zero:
             raise ValueError("zero polynomial has no valuation")
-        scale = max(abs(c) for c in self.coeffs)
-        for k, c in enumerate(self.coeffs):
-            if abs(c) > rtol * scale:
-                return k
-        return self.degree
+        return next(k for k, c in enumerate(self.coeffs) if c != 0)
+
+    def support(self, rtol: float) -> list[int]:
+        """Exponents whose coefficients exceed rtol times the largest."""
+        scale = max((abs(c) for c in self.coeffs), default=0.0)
+        return [k for k, c in enumerate(self.coeffs) if abs(c) > rtol * scale]
 
     def eval_scale(self, z) -> float:
         """Sum of |c_k| |z|**k, the rounding-error envelope of __call__."""
@@ -200,18 +203,6 @@ def envelope(coeffs, z):
     return acc
 
 
-def eval_with_derivatives(p: Polynomial, z: complex) -> tuple[complex, complex, complex]:
-    """Evaluate p, p', p'' at z in one fused Horner pass."""
-    pv = 0j
-    dv = 0j
-    hv = 0j
-    for c in reversed(p.coeffs):
-        hv = hv * z + dv
-        dv = dv * z + pv
-        pv = pv * z + c
-    return pv, dv, 2.0 * hv
-
-
 def compose_affine(p: Polynomial, T: AffineMap, c: complex = 1.0) -> Polynomial:
     """Coefficients of c * p(T(z)), built by iterated multiplication."""
     lin = Polynomial((complex(T.b), complex(T.a)))
@@ -237,24 +228,16 @@ def normalized_form(p: Polynomial, tol: float = 1e-9) -> NormalizedForm:
         raise NotNormalized("leading coefficient must be 1")
     if p.degree >= 1 and abs(p.coeffs[p.degree - 1]) > tol * scale:
         raise NotNormalized("second-leading coefficient must vanish")
-    alpha = p.valuation(rtol=tol)
-    support = [k - alpha for k in range(alpha, p.degree + 1)
-               if abs(p.coeffs[k]) > tol * scale]
-    gaps = [g for g in support if g > 0]
-    if not gaps:
+    support = p.support(tol)
+    alpha = support[0]
+    if len(support) == 1:
         return NormalizedForm(alpha=alpha, beta=1, p0=ONE)
-    beta = gaps[0]
-    for g in gaps[1:]:
-        beta = _gcd(beta, g)
+    beta = 0
+    for k in support[1:]:
+        beta = math.gcd(beta, k - alpha)
     p0 = Polynomial.make(tuple(p.coeffs[alpha + beta * j]
                                for j in range((p.degree - alpha) // beta + 1)))
     return NormalizedForm(alpha=alpha, beta=beta, p0=p0)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ----------------------------------------------------------------------

@@ -2,26 +2,26 @@
 
 The symmetry order of a normalized polynomial is the beta exponent of
 its maximal z**alpha * p0(z**beta) form.  For a map built from it
-(Halley, Koenig or Chebyshev-Halley) the order is probed two independent
-ways: as a coefficient identity at random sample points, and as a label
-permutation on a computed basin grid.  The polynomial's rotation group always embeds in the map's, so
-the polynomial order must divide both probe results.
+(Halley, Koenig or Chebyshev-Halley) the order is read two independent
+ways: exactly, from the exponents of the map's coefficients, and as a
+label permutation on a computed basin grid.  The polynomial's rotation
+group always embeds in the map's, so the polynomial order must divide
+both results.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContainmentError, WindowNotCentered
 from .polycore import Polynomial, normalized_form
-from .ratmap import RationalMap, eval_sphere
+from .ratmap import IDENTITY_RTOL, RationalMap
 from .dynamics import UNDECIDED, BasinGrid, Window, classify_grid
 
-MAP_PROBE_POINTS = 64
-MAP_PROBE_RTOL = 1e-9
 GRID_AGREEMENT = 0.99
 DEFAULT_N_MAX = 12
 
@@ -47,48 +47,19 @@ def polynomial_symmetry_order(p: Polynomial) -> int:
     return normalized_form(p).beta
 
 
-def map_rotation_order(R: RationalMap, n_max: int = DEFAULT_N_MAX,
-                       points: int = MAP_PROBE_POINTS,
-                       rtol: float = MAP_PROBE_RTOL,
-                       seed: int = 0) -> int:
+def map_rotation_order(R: RationalMap, n_max: int = DEFAULT_N_MAX) -> int:
     """Largest n <= n_max with R(lam z) = lam R(z) for lam = exp(2 pi i / n).
 
-    Checked at random sample points away from the poles; falls back to 1
-    when no larger order verifies.
+    For a reduced R that holds exactly when every exponent of den, and
+    every exponent of num minus one, agree mod n: n divides the gcd of
+    their differences.  A coefficient counts when it exceeds IDENTITY_RTOL
+    of its polynomial's largest, the rule normalized_form applies to p.
     """
-    rng = np.random.default_rng(seed)
-    zs = []
-    attempts = 0
-    while len(zs) < points:
-        attempts += 1
-        if attempts > 200 * points:
-            raise ValueError("could not sample points away from the poles")
-        z = complex(rng.uniform(-1.7, 1.7), rng.uniform(-1.7, 1.7))
-        if abs(z) < 0.2:
-            continue
-        # a margin for conditioning, not a pole test: R is evaluated to
-        # about eps * envelope / |den| relative error, which must stay
-        # well below rtol for the equivariance comparison
-        if abs(R.den(z)) <= 1e-6 * R.den.eval_scale(z):
-            continue
-        zs.append(z)
-    zs = np.array(zs)
-    values = eval_sphere(R, zs)
-    for n in range(n_max, 1, -1):
-        lam = cmath.exp(2j * cmath.pi / n)
-        if _equivariant(R, zs, values, lam, rtol):
-            return n
-    return 1
-
-
-def _equivariant(R, zs, values, lam, rtol) -> bool:
-    rot = eval_sphere(R, lam * zs)
-    at_inf = ~np.isfinite(values)
-    if np.any(at_inf != ~np.isfinite(rot)):
-        return False
-    with np.errstate(invalid="ignore"):
-        close = np.abs(rot - lam * values) <= rtol * np.maximum(1.0, np.abs(values))
-    return bool(np.all(close | at_inf))
+    exps = [k - 1 for k in R.num.support(IDENTITY_RTOL)] + R.den.support(IDENTITY_RTOL)
+    g = 0
+    for k in exps:
+        g = math.gcd(g, k - exps[0])
+    return next((n for n in range(n_max, 1, -1) if g % n == 0), 1)
 
 
 def grid_symmetry_order(grid: BasinGrid, n_max: int = DEFAULT_N_MAX,
@@ -152,7 +123,7 @@ def _rotation_consistent(grid, labels, centers, source, n, agreement) -> bool:
 
 def symmetry_report(R: RationalMap, n_max: int = DEFAULT_N_MAX,
                     resolution: int = 400, max_iter: int = 200,
-                    window_half: float = 2.0, seed: int = 0) -> SymmetryReport:
+                    window_half: float = 2.0) -> SymmetryReport:
     """Cross-checked symmetry orders of a constructed map R and of the
     polynomial p it was built from, read with p's roots from R.source.
 
@@ -166,7 +137,7 @@ def symmetry_report(R: RationalMap, n_max: int = DEFAULT_N_MAX,
     if len(roots) < 3:
         raise ValueError("need at least three distinct roots")
     sigma_p = polynomial_symmetry_order(p)
-    map_order = map_rotation_order(R, n_max=n_max, seed=seed)
+    map_order = map_rotation_order(R, n_max=n_max)
     grid = classify_grid(R, [c.location for c in roots],
                          Window(0j, window_half, window_half),
                          resolution, max_iter=max_iter)

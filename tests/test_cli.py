@@ -254,6 +254,8 @@ def test_unknown_key_exits_two(tmp_path, capsys):
     ("profile", "x_max = nan\n", []),
     ("profile", "x_min = -inf\n", []),
     ("analyze", "coeff = nan\n", []),
+    ("render", "max_iter = 3000000000\n", []),
+    ("render", "", ["--max-iter", "3000000000"]),
 ])
 def test_out_of_range_values_exit_two(tmp_path, capsys, command, lines, flags):
     cfg_path = tmp_path / "bad.cfg"
@@ -271,6 +273,12 @@ def test_degenerate_map_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("numeric failure: DegenerateMap")
+    # Koenig's derivative tower overflows double precision at high order
+    cfg_path.write_text("coeff = 0\ncoeff = -1\ncoeff = 0\ncoeff = 1\nmethod = konig(140)\n")
+    rc = main(["analyze", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numeric failure: DegenerateMap") and "overflow" in err
 
 
 def test_analyze_reports_symmetry(tmp_path, capsys):

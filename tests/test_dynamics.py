@@ -377,11 +377,12 @@ def test_real_axis_profile_poles():
 def test_imaginary_axis_profile_via_rotation():
     # z^2(z^2-1) maps the imaginary axis to itself; conjugating by i gives
     # a real map whose graph is the imaginary-axis profile
-    from halleydyn.ratmap import conjugate_rotation
+    from halleydyn.polycore import AffineMap
+    from halleydyn.ratmap import conjugate
 
     p = Polynomial.make([0, 0, -1, 0, 1])
     h = halley_of(p)
-    s = conjugate_rotation(h, 1j)
+    s = conjugate(h, AffineMap(1j))
     rows = real_axis_profile(s, -1.5, 1.5, samples=31)
     for r in rows:
         if r.value is None:

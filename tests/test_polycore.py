@@ -10,7 +10,6 @@ from halleydyn.polycore import (
     AffineMap,
     Polynomial,
     compose_affine,
-    eval_with_derivatives,
     find_roots,
     normalized_form,
 )
@@ -18,41 +17,6 @@ from halleydyn.polycore import (
 
 def poly(*coeffs):
     return Polynomial.make(list(coeffs))
-
-
-def test_eval_with_derivatives_quadratic():
-    p = poly(-1, 0, 1)  # z^2 - 1
-    assert eval_with_derivatives(p, 2.0) == (3, 4, 2)
-
-
-def test_eval_with_derivatives_cubic_family():
-    for b in (0.0, 3.5, -2 + 1j):
-        p = poly(b, 6, 0, 1)  # z^3 + 6z + b
-        v, d1, d2 = eval_with_derivatives(p, 1.0)
-        assert v == 7 + b
-        assert d1 == 9
-        assert d2 == 6
-
-
-def test_eval_with_derivatives_double_root_pair():
-    p = poly(-1, 0, 1) * poly(-1, 0, 1)  # (z^2-1)^2
-    assert eval_with_derivatives(p, 0.0) == (1, 0, -4)
-
-
-def test_eval_matches_central_differences():
-    rng = np.random.default_rng(11)
-    h = 1e-5
-    for _ in range(25):
-        deg = int(rng.integers(2, 7))
-        p = Polynomial.make(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if abs(p(z)) < 1e-3:
-            continue  # derivative ratios are ill scaled right at a root
-        _, d1, d2 = eval_with_derivatives(p, z)
-        fd1 = (p(z + h) - p(z - h)) / (2 * h)
-        fd2 = (p(z + h) - 2 * p(z) + p(z - h)) / (h * h)
-        assert abs(fd1 - d1) <= 1e-6 * max(1.0, abs(d1))
-        assert abs(fd2 - d2) <= 1e-4 * max(1.0, abs(d2))
 
 
 def test_find_roots_simple_pair():

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from halleydyn.acceptance import CORPUS_SEED, random_corpus
+from halleydyn.classify import classify_fixed_points
 from halleydyn.errors import DegenerateMap, Indeterminate, NotFixed
 from halleydyn.polycore import ONE, AffineMap, Polynomial, find_roots
 from halleydyn.ratmap import (
     INF,
     RationalMap,
     chebyshev_halley_of,
-    conjugate_rotation,
+    conjugate,
     degree_census,
     eval_sphere,
     fixed_points,
@@ -24,6 +25,7 @@ from halleydyn.ratmap import (
     make_reduced,
     multiplier_at,
     poles,
+    same_map,
     scaling_check,
 )
 
@@ -216,7 +218,7 @@ def test_conjugate_rotation_fixes_symmetric_map():
     p = Polynomial.make([0, -1] + [0] * (n - 1) + [1])
     h = halley_of(p)
     lam = complex(math.cos(2 * math.pi / n), math.sin(2 * math.pi / n))
-    g = conjugate_rotation(h, lam)
+    g = conjugate(h, AffineMap(lam))
     assert np.allclose(normalized(g.num.coeffs), normalized(h.num.coeffs))
     assert np.allclose(normalized(g.den.coeffs), normalized(h.den.coeffs))
 
@@ -225,6 +227,36 @@ def test_scaling_covariance():
     p = Polynomial.make([-1, 0, 1])
     assert scaling_check(p, AffineMap(2.0), 0.25)
     assert scaling_check(CUBIC_ODD, AffineMap(1j, 0.5), 2.0 - 1j)
+    corpus = random_corpus(50, seed=CORPUS_SEED)
+    for T, c in ((AffineMap(2.0), 1.0), (AffineMap(1j, 0.5), 2.0 - 1j),
+                 (AffineMap(-1.3 + 0.4j, 0.2 - 0.7j), 0.5), (AffineMap(1 / 0.3), 1.0)):
+        assert all(scaling_check(q, T, c) for q in corpus)
+
+
+def test_conjugate_is_affine_change_of_variable():
+    T = AffineMap(-1.3 + 0.4j, 0.2 - 0.7j)
+    h = halley_of(CUBIC_ODD)
+    g = conjugate(h, T)
+    for z in (0.3 + 0.2j, -1.1 + 0.9j, 2.0 - 0.5j):
+        assert abs(g(z) - T.inverse()(h(T(z)))) <= 1e-12 * max(1.0, abs(g(z)))
+    assert same_map(conjugate(g, T.inverse()), h)
+    assert not same_map(g, h)
+
+
+def test_reduction_keeps_a_tiny_constant_coefficient():
+    # den's constant is about 1e-13 of its largest coefficient, but the
+    # origin is no pole: no power of z may be shifted out
+    p = Polynomial.from_roots([0.01] * 3 + [0.3] * 2 + [-0.3] * 2)
+    h = halley_of(p)
+    assert h.degree == degree_census(p, h).predicted_degree == 5
+    classify_fixed_points(p, h)
+    p1 = Polynomial.from_roots([1 / 30] * 3 + [1.0] * 2 + [-1.0] * 2)
+    assert scaling_check(p1, AffineMap(1 / 0.3), 1.0)
+
+
+def test_konig_overflow_is_a_degenerate_map():
+    with pytest.raises(DegenerateMap, match="overflow"):
+        konig_of(CUBIC_ODD, 140)
 
 
 def test_eval_sphere_at_infinity_and_pole():

@@ -11,7 +11,7 @@ from halleydyn.symmetry import (
     polynomial_symmetry_order,
     symmetry_report,
 )
-from halleydyn.ratmap import halley_of
+from halleydyn.ratmap import chebyshev_halley_of, halley_of, konig_of
 
 
 def odd_family(n):
@@ -30,9 +30,11 @@ def test_polynomial_order_requires_normalized():
         polynomial_symmetry_order(Polynomial.make([1, 1, 1]))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 10))
 def test_map_rotation_order_matches_family(n):
-    assert map_rotation_order(halley_of(odd_family(n))) == n
+    p = odd_family(n)
+    for R in (halley_of(p), konig_of(p, 4), chebyshev_halley_of(p, 0)):
+        assert map_rotation_order(R) == n
 
 
 def test_map_rotation_order_asymmetric_case():
