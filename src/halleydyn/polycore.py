@@ -21,6 +21,7 @@ from .errors import NonConvergence, NotNormalized
 TRIM_RTOL = 1e-12
 CLUSTER_RADIUS = 1e-6
 MULTIPLE_ROOT_RTOL = 1e-10
+RESIDUAL_RTOL = 1e-6
 DEFAULT_SEED = 0
 MAX_SWEEPS = 200
 
@@ -283,13 +284,19 @@ def _gated_clusters(degree: int, c: np.ndarray, raw,
     if total != degree:
         raise NonConvergence(f"found multiplicity total {total} for degree {degree}")
     for loc, mult in merged:
-        # coefficients below TRIM_RTOL*scale count as zero, so the residual
-        # envelope is not meaningful below that floor (c is scaled to 1)
-        env = max(envelope(c, loc), TRIM_RTOL)
-        if abs(horner(c, loc)) > 1e-6 * env:
+        if not residual_ok(c, loc):
             raise NonConvergence(f"residual too large at {loc}")
     merged.sort(key=lambda t: (t[0].real, t[0].imag))
     return [RootCluster(loc, m) for loc, m in merged]
+
+
+def residual_ok(c: np.ndarray, z: complex) -> bool:
+    """find_roots's exit gate: |c(z)| <= RESIDUAL_RTOL * envelope(c, z), for
+    coefficients c scaled to a largest modulus of 1."""
+    # coefficients below TRIM_RTOL*scale count as zero, so the residual
+    # envelope is not meaningful below that floor
+    env = max(envelope(c, z), TRIM_RTOL)
+    return abs(horner(c, z)) <= RESIDUAL_RTOL * env
 
 
 def _companion_clusters(c: np.ndarray, cluster_radius: float):

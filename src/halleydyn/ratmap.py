@@ -27,6 +27,15 @@ matching_point identifies a computed point with a given one.  INF is fixed
 when k = deg num - deg den >= 1, with local degree k and multiplier
 den.lead / num.lead for k = 1, 0 for k >= 2, both exact.
 
+A Halley map with a source reads two of those sets off p instead of
+root-finding its own polynomials: fixed_points lists p's roots and
+non-root critical points (the paper's fixed-point proposition), and
+free_critical_points the zeros of E = 3p''^2 - 2p'p''' (degree 2d - 4)
+that are neither.  Each checks its points against the map with
+find_roots's residual gate (on num - z*den, or on the derivative
+numerator) and falls back to root-finding the map's own polynomial when
+a check fails.
+
 Identities between maps are decided from coefficients, never from
 sample points: same_map(R, S) compares num_R den_S with num_S den_R
 within IDENTITY_RTOL of their largest coefficient, and conjugate(R, T)
@@ -40,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateMap, Indeterminate, NotFixed
+from .errors import DegenerateMap, Indeterminate, NonConvergence, NotFixed
 from .polycore import (
     CLUSTER_RADIUS,
     ONE,
@@ -52,6 +61,7 @@ from .polycore import (
     envelope,
     find_roots,
     horner,
+    residual_ok,
     _deflate,
 )
 
@@ -373,14 +383,44 @@ def _vanishes(coeffs, x: np.ndarray, ax: np.ndarray, v: np.ndarray) -> np.ndarra
     return hit
 
 
+def _halley_source(R: RationalMap) -> Source | None:
+    """R's source when R is a Halley map built from one, else None."""
+    return R.source if R.method == "halley" else None
+
+
+def _all_pass_gate(f: Polynomial, points) -> bool:
+    """Whether every point passes find_roots's residual gate on f."""
+    c = np.array(f.coeffs, dtype=np.complex128)
+    c /= np.abs(c).max()
+    return all(residual_ok(c, z) for z in points)
+
+
+def _halley_fixed_points(src: Source, g: Polynomial) -> list | None:
+    """Finite fixed points of a Halley map from its source, or None when
+    a check against g = num - z*den fails (see fixed_points)."""
+    finite = sorted((c.location for c in src.roots + src.critical),
+                    key=lambda z: (z.real, z.imag))
+    if len(finite) != g.degree or not _all_pass_gate(g, finite):
+        return None
+    return finite
+
+
 def fixed_points(R: RationalMap) -> list:
-    """Sphere fixed points: roots of num - z*den, plus INF when R fixes it."""
+    """Sphere fixed points: roots of num - z*den, plus INF when R fixes it.
+
+    A Halley map with a source takes its finite fixed points from it, by
+    the paper's proposition: they are p's roots and its non-root critical
+    points, listed in find_roots order.  If their count differs from the
+    degree of num - z*den, or one fails find_roots's residual gate on it,
+    the roots of num - z*den are found instead.
+    """
     g = R.num - R.den.shifted_up(1)
-    out: list = []
-    if g.degree >= 1:
-        out.extend(c.location for c in find_roots(g))
-    elif g.is_zero:
-        raise Indeterminate("identity map has no isolated fixed points")
+    src = _halley_source(R)
+    out = None if src is None else _halley_fixed_points(src, g)
+    if out is None:
+        if g.is_zero:
+            raise Indeterminate("identity map has no isolated fixed points")
+        out = [c.location for c in find_roots(g)] if g.degree >= 1 else []
     if R.num.degree > R.den.degree:
         out.append(INF)
     return out
@@ -417,13 +457,54 @@ def critical_points(R: RationalMap, seed: int = 0) -> list[RootCluster]:
     return find_roots(c, seed=seed)
 
 
+def _halley_free_critical_points(R: RationalMap, src: Source) -> list[RootCluster] | None:
+    """Free critical points of a Halley map from its source, or None when
+    a check against R fails (see free_critical_points)."""
+    p = src.p
+    d2 = p.deriv(2)
+    e = (d2 * d2).scale(3.0) - (p.deriv() * p.deriv(3)).scale(2.0)
+    w = np.array(e.coeffs, dtype=np.complex128)
+    orders = ([(r, 2 * r.multiplicity - 4) for r in src.roots]
+              + [(c, 2 * c.multiplicity - 2) for c in src.critical])
+    for h, count in orders:
+        for _ in range(count):
+            w = _deflate(w, h.location)
+    rest = Polynomial.make(w)
+    found: list[RootCluster] = []
+    if rest.degree >= 1:
+        try:
+            found = find_roots(rest)
+        except NonConvergence:
+            return None
+    found = [c for c in found
+             if matching_point(c.location, src.roots + src.critical) is None]
+    if found and not _all_pass_gate(_critical_numerator(R), [c.location for c in found]):
+        return None
+    return found
+
+
 def free_critical_points(R: RationalMap, roots) -> list[RootCluster]:
     """Critical points of R that do not coincide with any supplied root
     (see matching_point).
 
     roots may hold complex numbers or RootCluster entries.
+
+    A Halley map with a source reads them off p.  H' = p^2 E / (2p'^2 - pp'')^2
+    with E = 3p''^2 - 2p'p''', so they are the zeros of E (degree 2d - 4)
+    that are neither roots nor critical points of p.  E vanishes to order
+    exactly 2k - 4 at a k-fold root (k >= 3) and 2l - 2 at an l-fold
+    non-root critical point (l >= 2), where H is not critical (its
+    multiplier there is 1 + 2/l); those factors are deflated from E before
+    root finding, so they cannot split into spurious nearby zeros.  If the
+    root search on E fails, or a zero left fails find_roots's residual gate
+    on R's own derivative numerator, the zeros of that numerator are found
+    instead, as for every other map.
     """
-    return [c for c in critical_points(R) if matching_point(c.location, roots) is None]
+    src = _halley_source(R)
+    found = None if src is None else _halley_free_critical_points(R, src)
+    if found is None:
+        found = critical_points(R)
+    return [c for c in found if matching_point(c.location, roots) is None]
 
 
 def poles(R: RationalMap, seed: int = 0) -> list[RootCluster]:

@@ -8,7 +8,7 @@ from halleydyn.classify import (
     classify_multiplier,
     extraneous_fixed_points,
 )
-from halleydyn.polycore import Polynomial
+from halleydyn.polycore import AffineMap, Polynomial, compose_affine
 from halleydyn.ratmap import halley_of, is_infinity
 
 
@@ -131,3 +131,16 @@ def test_corpus_count_and_prediction_consistency():
         records = classify_fixed_points(p, h)
         assert len(records) == h.degree + 1
         done += 1
+
+
+def test_affine_image_of_two_triples_matches_the_proposition():
+    # two triple roots under an affine change of variable: the fixed points
+    # found from num - z*den once put a critical-origin multiplier
+    # 1.4e-6 from its predicted 3
+    p = Polynomial.from_roots([1.354 + 0.532j] * 3 + [0.402 + 1.404j]
+                              + [1.123 + 0.987j] * 3 + [-0.481 - 0.775j])
+    T = AffineMap(-2.0866846928572085 + 0.022709569358355552j,
+                  -0.4894711185263749 - 0.8563650214866148j)
+    q = compose_affine(p, T, 1.0748473803520242 + 1.7694055114416058j)
+    records = classify_fixed_points(q, halley_of(q))
+    assert [r.origin.kind for r in records].count("critical") == 3

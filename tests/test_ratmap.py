@@ -1,10 +1,12 @@
 """Construction and sphere evaluation of the iteration maps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from halleydyn import ratmap
 from halleydyn.acceptance import CORPUS_SEED, random_corpus
 from halleydyn.classify import classify_fixed_points
 from halleydyn.errors import DegenerateMap, Indeterminate, NotFixed
@@ -12,6 +14,7 @@ from halleydyn.polycore import ONE, AffineMap, Polynomial, find_roots
 from halleydyn.ratmap import (
     INF,
     RationalMap,
+    Source,
     chebyshev_halley_of,
     conjugate,
     degree_census,
@@ -383,3 +386,80 @@ def test_reduced_degree_matches_exact_gcd(poly, method):
     num, den = _exact_terms(spec, exact)
     g = num.gcd(den).degree()
     assert build(approx).degree == max(num.degree(), den.degree()) - g
+
+
+def test_halley_free_critical_points_keep_off_the_roots():
+    # E2's seed-3 entry 6: the derivative numerator's double zero at the
+    # simple root near 0.0765-0.0068j once split into two "free" critical
+    # points 2.1e-6 from it
+    p = random_corpus(50, seed=CORPUS_SEED + 3)[6]
+    h = halley_of(p)
+    for c in free_critical_points(h, h.source.roots):
+        assert min(abs(c.location - r.location) for r in h.source.roots) > 1e-4
+
+
+def test_halley_special_points_come_from_the_source(monkeypatch):
+    p = Polynomial.make([0, -1, 0, 0, 0, 0, 0, 0, 1])  # z^8 - z
+    h = halley_of(p)
+    bare = replace(h, method=None)
+    want_fixed, want_free = fixed_points(bare), free_critical_points(bare, h.source.roots)
+    degrees = []
+    monkeypatch.setattr(ratmap, "find_roots",
+                        lambda f, **kw: degrees.append(f.degree) or find_roots(f, **kw))
+    # no root finding for fixed points; for critical points only
+    # 3p''^2 - 2p'p''' = 672 z^5 (6z^7 + 1), of degree 2d - 4
+    got_fixed, got_free = fixed_points(h), free_critical_points(h, h.source.roots)
+    assert degrees == [12]
+    assert len(got_fixed) == len(want_fixed) and len(got_free) == len(want_free) == 7
+    assert max(abs(a - b) for a, b in zip(got_fixed[:-1], want_fixed[:-1])) < 1e-9
+    # a source that does not fit the map fails the residual gates, and the
+    # map's own polynomials are root-found instead
+    moved = Source(p + Polynomial.make([0, 0, 1e-3]), h.source.roots,
+                   tuple(replace(c, location=c.location + 1e-3) for c in h.source.critical))
+    off = replace(h, source=moved)
+    assert fixed_points(off) == want_fixed
+    assert free_critical_points(off, h.source.roots) == want_free
+
+
+# exact oracle for the Halley source rule: each polynomial exercises one
+# case of the deflation and exclusion, checked against the reduced map's
+# own polynomials in exact arithmetic
+SOURCE_RULE_POLYNOMIALS = {
+    "(z^2 - 1)^3": [-1, 0, 3, 0, -3, 0, 1],    # 3-fold roots
+    "z^3 - 1": [-1, 0, 0, 1],                   # a 2-fold critical point
+    "z^4 - z": [0, -1, 0, 0, 1],                # a simple root where E vanishes
+    "z^8 - z": [0, -1, 0, 0, 0, 0, 0, 0, 1],    # double poles at 6z^7 + 1 = 0
+    "z(z - 1)^2(z + 2)^3": [0, 8, -4, -10, 1, 4, 1],  # mixed multiplicities
+}
+
+
+def _exact_zeros(f, exclude=None):
+    """(location, multiplicity) for the zeros of the sympy Poly f, leaving
+    out the irreducible factors that divide exclude."""
+    return [(complex(r), m) for fac, m in f.factor_list()[1]
+            if exclude is None or not exclude.rem(fac).is_zero
+            for r in fac.nroots(n=30)]
+
+
+def _assert_same_zeros(got, want, tol=1e-9):
+    assert sorted(m for _, m in got) == sorted(m for _, m in want)
+    for z, m in want:
+        assert any(abs(w - z) <= tol and k == m for w, k in got), (z, m)
+
+
+@pytest.mark.parametrize("poly", sorted(SOURCE_RULE_POLYNOMIALS))
+def test_halley_special_points_match_exact_oracle(poly):
+    sp = pytest.importorskip("sympy")
+    coeffs = SOURCE_RULE_POLYNOMIALS[poly]
+    z = sp.Symbol("z")
+    P = sp.Poly(list(reversed(coeffs)), z, domain="QQ")
+    num, den = _exact_terms(("halley", None), P)
+    g = num.gcd(den)
+    num, den = num.quo(g), den.quo(g)
+    h = halley_of(Polynomial.make(coeffs))
+    free = free_critical_points(h, h.source.roots)
+    _assert_same_zeros([(c.location, c.multiplicity) for c in free],
+                       _exact_zeros(num.diff() * den - num * den.diff(), exclude=P))
+    finite = [w for w in fixed_points(h) if not is_infinity(w)]
+    _assert_same_zeros([(w, 1) for w in finite],
+                       _exact_zeros(num - sp.Poly(z, z, domain="QQ") * den))
