@@ -408,67 +408,88 @@ def _component(labels: np.ndarray, row: int, col: int, seed_point) -> np.ndarray
     return comp_ids == comp_ids[row, col]
 
 
-def _seed_component(R: RationalMap, roots, window: Window, size: tuple,
-                    seed_point: complex, max_iter: int, capture_radius: float):
-    """immediate_basin_component of the window's grid, classifying only tiles it reaches.
+def _lattice(window: Window, size: tuple) -> tuple[float, float, float, float]:
+    """(x0, y0, pw, ph) of the window's pixel grid at size (width, height):
+    pixel (i, j) is centred at x0 + (j + 0.5) pw, y0 - (i + 0.5) ph."""
+    width, height = size
+    return (window.center.real - window.half_width,
+            window.center.imag + window.half_height,
+            2.0 * window.half_width / width,
+            2.0 * window.half_height / height)
 
-    size is (width, height).  Pixels are classified in _TILE x _TILE tiles,
-    starting from the seed's tile; each round classifies every pending tile
-    in one call, takes the seed's component, and queues the unclassified
-    tiles holding a 4-neighbour of it.  Once none is left, no neighbour of
-    the component can carry its label, so it is the component of the full
-    grid: every pixel is classified from the same centre by the same
-    elementwise kernel as in classify_grid.  Unclassified pixels are
-    undecided, so the component lies in the bounding box of the classified
-    tiles, and only that box is labelled.
+
+def _seed_component(R: RationalMap, roots, window: Window, size: tuple,
+                    seed_point: complex, rect: tuple, tiles: dict,
+                    max_iter: int, capture_radius: float):
+    """The seed's 4-connected component within one rectangle of a pixel lattice.
+
+    The lattice is the pixel grid of window at size (width, height),
+    extended outward: pixel (i, j) is centred at x0 + (j + 0.5) pw,
+    y0 - (i + 0.5) ph, the BasinGrid.pixel_axes formula with i and j any
+    integers.  rect = (r0, r1, c0, c1) is the lattice rectangle of rows
+    r0:r1 and columns c0:c1; it must hold the pixel of window containing
+    the seed.  Pixels are classified in _TILE x _TILE lattice tiles, and
+    tiles maps a tile index (ty, tx) to its labels; calls on one lattice
+    share it and add to it, so no tile is classified twice.  Each round
+    classifies every pending tile in one call, takes the seed's component
+    over the classified pixels of rect, and queues the unclassified tiles
+    holding a 4-neighbour of it in rect.  Once none is left, no neighbour
+    of the component can carry its label, so it is the component of rect's
+    full grid: every pixel is classified from its lattice centre by the
+    same elementwise kernel as in classify_grid.  Unclassified pixels are
+    undecided, so the component lies in the box of the classified tiles,
+    clipped to rect, and only that box is labelled.
+
+    Returns (comp, (row, col), touches): the component's mask over that
+    box, the lattice pixel at the box's top-left, and whether the
+    component reaches a border row or column of rect.
     """
     width, height = size
+    x0, y0, pw, ph = _lattice(window, size)
     root_tuple = tuple(complex(r) for r in roots)
-    grid = BasinGrid(window, width, height,
-                     labels=np.full((height, width), UNDECIDED, dtype=np.int32),
-                     iterations=np.full((height, width), max_iter, dtype=np.int32),
-                     max_iter=max_iter,
-                     roots=root_tuple)
-    xs, ys = grid.pixel_axes()
-    tiles_y, tiles_x = -(-height // _TILE), -(-width // _TILE)
-    classified = np.zeros((tiles_y, tiles_x), dtype=bool)
-    pending = np.zeros((tiles_y, tiles_x), dtype=bool)
-    row, col = grid.locate(complex(seed_point))
-    pending[row // _TILE, col // _TILE] = True
-    while pending.any():
-        classified |= pending
-        blocks = [(slice(ty * _TILE, (ty + 1) * _TILE), slice(tx * _TILE, (tx + 1) * _TILE))
-                  for ty, tx in np.argwhere(pending)]
-        z = np.concatenate([(xs[cols][None, :] + 1j * ys[rows][:, None]).ravel()
-                            for rows, cols in blocks])
-        labels, iters, _ = _classify_points(R, z, root_tuple, (), max_iter, capture_radius)
-        start = 0
-        for rows, cols in blocks:
-            shape = grid.labels[rows, cols].shape
-            stop = start + shape[0] * shape[1]
-            grid.labels[rows, cols] = labels[start:stop].reshape(shape)
-            grid.iterations[rows, cols] = iters[start:stop].reshape(shape)
-            start = stop
-        # the box of classified tiles, in tiles (t0:t1, s0:s1) and pixels
-        ty, tx = np.nonzero(classified.any(axis=1))[0], np.nonzero(classified.any(axis=0))[0]
-        t0, t1, s0, s1 = ty[0], ty[-1] + 1, tx[0], tx[-1] + 1
-        r0, r1 = t0 * _TILE, min(t1 * _TILE, height)
-        c0, c1 = s0 * _TILE, min(s1 * _TILE, width)
-        comp = _component(grid.labels[r0:r1, c0:c1], row - r0, col - c0, seed_point)
-        # 4-neighbours of the component, in the box grown by one tile
-        e0, e1 = max(t0 - 1, 0), min(t1 + 1, tiles_y)
-        f0, f1 = max(s0 - 1, 0), min(s1 + 1, tiles_x)
-        near = np.zeros(((e1 - e0) * _TILE, (f1 - f0) * _TILE), dtype=bool)
-        near[r0 - e0 * _TILE:r1 - e0 * _TILE, c0 - f0 * _TILE:c1 - f0 * _TILE] = comp
-        near = ndimage.binary_dilation(near)
-        pending[:] = False
-        pending[e0:e1, f0:f1] = near.reshape(e1 - e0, _TILE, f1 - f0, _TILE).any(axis=(1, 3))
-        pending &= ~classified
-    mask = np.zeros((height, width), dtype=bool)
-    mask[r0:r1, c0:c1] = comp
-    touches = bool((r0 == 0 and comp[0].any()) or (r1 == height and comp[-1].any())
-                   or (c0 == 0 and comp[:, 0].any()) or (c1 == width and comp[:, -1].any()))
-    return mask, touches
+    r0, r1, c0, c1 = rect
+    # the seed's pixel as BasinGrid.locate finds it in window's grid
+    col = min(max(int((seed_point.real - x0) / pw), 0), width - 1)
+    row = min(max(int((y0 - seed_point.imag) / ph), 0), height - 1)
+    offsets = np.arange(_TILE) + 0.5
+    pending = sorted({(row // _TILE, col // _TILE)} - tiles.keys())
+    while True:
+        if pending:
+            z = np.concatenate([((x0 + (tx * _TILE + offsets) * pw)[None, :]
+                                 + 1j * (y0 - (ty * _TILE + offsets) * ph)[:, None]).ravel()
+                                for ty, tx in pending])
+            labels, _, _ = _classify_points(R, z, root_tuple, (), max_iter,
+                                            capture_radius)
+            for k, key in enumerate(pending):
+                tiles[key] = labels[k * _TILE ** 2:(k + 1) * _TILE ** 2].reshape(_TILE, _TILE)
+        # the box of classified tiles within rect: rows b0:b1, columns d0:d1
+        keys = np.array(list(tiles))
+        b0 = max(int(keys[:, 0].min()) * _TILE, r0)
+        b1 = min((int(keys[:, 0].max()) + 1) * _TILE, r1)
+        d0 = max(int(keys[:, 1].min()) * _TILE, c0)
+        d1 = min((int(keys[:, 1].max()) + 1) * _TILE, c1)
+        box = np.full((b1 - b0, d1 - d0), UNDECIDED, dtype=np.int32)
+        for (ty, tx), tile in tiles.items():
+            i0, i1 = max(ty * _TILE, b0), min((ty + 1) * _TILE, b1)
+            j0, j1 = max(tx * _TILE, d0), min((tx + 1) * _TILE, d1)
+            if i0 < i1 and j0 < j1:
+                box[i0 - b0:i1 - b0, j0 - d0:j1 - d0] = \
+                    tile[i0 - ty * _TILE:i1 - ty * _TILE, j0 - tx * _TILE:j1 - tx * _TILE]
+        comp = _component(box, row - b0, col - d0, seed_point)
+        # 4-neighbours of the component in rect, and the tiles holding them
+        near = np.zeros((b1 - b0 + 2, d1 - d0 + 2), dtype=bool)
+        near[1:-1, 1:-1] = comp
+        ii, jj = np.nonzero(ndimage.binary_dilation(near) & ~near)
+        ii += b0 - 1
+        jj += d0 - 1
+        inside = (ii >= r0) & (ii < r1) & (jj >= c0) & (jj < c1)
+        pending = sorted(set(zip((ii[inside] // _TILE).tolist(),
+                                 (jj[inside] // _TILE).tolist())) - tiles.keys())
+        if not pending:
+            break
+    touches = bool((b0 == r0 and comp[0].any()) or (b1 == r1 and comp[-1].any())
+                   or (d0 == c0 and comp[:, 0].any()) or (d1 == c1 and comp[:, -1].any()))
+    return comp, (b0, d0), touches
 
 
 def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
@@ -479,17 +500,23 @@ def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
 
     Classifies the same seed component over a window sequence whose half
     extents strictly increase and where each window contains the previous
-    one.  Evidence of boundedness requires the final component to avoid
-    the border while its area settles to within 1 percent of the previous
-    window's.
+    one; seed_point must lie in the first window.  Evidence of
+    boundedness requires the final component to avoid the border while
+    its area settles to within 1 percent of the previous window's.
 
-    resolution sets the pixel count of the first window; later windows
-    scale it by their extent ratio, keeping the pixel pitch constant so
-    that area estimates are comparable across windows.  Sample centres of
-    nested windows agree only up to rounding (a few ulps off dyadic
-    centres).  Only the tiles of each window that the seed's component
-    reaches are classified; the component, and so the report, is the one
-    the window's full classify_grid would give.
+    Every window is sampled on one pixel lattice: the first window's grid
+    of resolution x resolution pixels, extended outward, so pixel (i, j)
+    is centred at x0 + (j + 0.5) pw, y0 - (i + 0.5) ph as in
+    BasinGrid.pixel_axes, with i and j allowed to be negative.  The pixel
+    pitch is therefore exactly constant, and areas are comparable across
+    windows.  Each window is the lattice rectangle whose edges are the
+    lattice lines nearest to its own edges.  Only the 32x32 lattice tiles
+    that the seed's component reaches are classified, each once for the
+    whole call, and a window's component is the one a full grid of its
+    rectangle would give.  Once a window's component avoids that window's
+    border rows and columns, all its 4-neighbours lie inside the window,
+    so it cannot grow: every later window reports the same area with
+    touches False, and nothing more is classified.
     """
     if len(windows) < 2:
         raise ValueError("need a strictly increasing window sequence")
@@ -501,17 +528,32 @@ def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
                 or b.center.imag - b.half_height > a.center.imag - a.half_height
                 or b.center.imag + b.half_height < a.center.imag + a.half_height):
             raise ValueError("each window must contain the previous one")
+    first = windows[0]
+    seed_point = complex(seed_point)
+    if not (first.center.real - first.half_width <= seed_point.real
+            <= first.center.real + first.half_width
+            and first.center.imag - first.half_height <= seed_point.imag
+            <= first.center.imag + first.half_height):
+        raise ValueError(f"seed_point {seed_point} lies outside the first window")
+    size = max(2, round(resolution))
+    x0, y0, pw, ph = _lattice(first, (size, size))
+    tiles = {}
     areas = []
     touches = []
     for win in windows:
-        ratio = win.half_width / windows[0].half_width
-        res_w = max(2, round(resolution * ratio))
-        ratio_h = win.half_height / windows[0].half_height
-        res_h = max(2, round(resolution * ratio_h))
-        mask, touch = _seed_component(R, roots, win, (res_w, res_h), seed_point,
-                                      max_iter, capture_radius)
-        areas.append(float(mask.sum()) * (2.0 * win.half_width / res_w)
-                     * (2.0 * win.half_height / res_h))
+        if touches and not touches[-1]:
+            # all 4-neighbours of the component lie inside the previous
+            # window, so it cannot grow
+            areas.append(areas[-1])
+            touches.append(False)
+            continue
+        rect = (round((y0 - (win.center.imag + win.half_height)) / ph),
+                round((y0 - (win.center.imag - win.half_height)) / ph),
+                round((win.center.real - win.half_width - x0) / pw),
+                round((win.center.real + win.half_width - x0) / pw))
+        comp, _, touch = _seed_component(R, roots, first, (size, size), seed_point,
+                                         rect, tiles, max_iter, capture_radius)
+        areas.append(float(comp.sum()) * pw * ph)
         touches.append(touch)
     stable = areas[-2] > 0 and abs(areas[-1] - areas[-2]) < 0.01 * areas[-2]
     verdict = "bounded-evidence" if (stable and not touches[-1]) else "unbounded-evidence"

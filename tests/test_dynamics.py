@@ -258,37 +258,63 @@ def test_boundedness_evidence_two_ways():
     assert rep2.verdict == "unbounded-evidence"
 
 
+def _nested(scales, half=2.0):
+    return [Window(0j, s * half, s * half) for s in scales]
+
+
+# name: (polynomial, windows, first window's (width, height)); later windows
+# have a dyadic centre and pitch, so their full grids sample the lattice
 SEED_COMPONENT_CASES = {
-    "off-dyadic-octic": (OCTIC, Window(0.0025 + 0.0075j, 2.0, 2.0), (160, 160)),
-    "border-touching": (CUBIC_ODD, Window(0j, 2.0, 2.0), (100, 100)),
-    "non-square-odd": (OCTIC, Window(0.1 + 0.05j, 1.5, 1.0), (75, 53)),
-    "several-tiles": (OCTIC, Window(0j, 2.0, 2.0), (256, 256)),
+    "off-dyadic-octic": (OCTIC, [Window(0.0025 + 0.0075j, 2.0, 2.0)], (160, 160)),
+    "border-touching": (CUBIC_ODD, [Window(0j, 2.0, 2.0)], (100, 100)),
+    "non-square-odd": (OCTIC, [Window(0.1 + 0.05j, 1.5, 1.0)], (75, 53)),
+    "several-tiles": (OCTIC, [Window(0j, 2.0, 2.0)], (256, 256)),
+    "nested-octic": (OCTIC, _nested((1, 2, 4)), (128, 128)),
+    # the component reaches every window's border and grows with it
+    "nested-cubic": (CUBIC_ODD, _nested((1, 2, 4), half=1.0), (64, 64)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SEED_COMPONENT_CASES))
 def test_seed_component_equals_full_grid_component(name):
-    p, win, res = SEED_COMPONENT_CASES[name]
+    p, windows, res = SEED_COMPONENT_CASES[name]
     h = halley_of(p)
     roots = roots_of(p)
+    win = windows[0]
     grid = classify_grid(h, roots, win, res)
     mask, touches = immediate_basin_component(grid, 0j)
-    got_mask, got_touches = dynamics._seed_component(h, roots, win, res, 0j,
-                                                     200, CAPTURE_RADIUS)
+    comp, (row, col), got_touches = dynamics._seed_component(
+        h, roots, win, res, 0j, (0, res[1], 0, res[0]), {}, 200, CAPTURE_RADIUS)
+    got_mask = np.zeros_like(mask)
+    got_mask[row:row + comp.shape[0], col:col + comp.shape[1]] = comp
     assert np.array_equal(got_mask, mask)
     assert got_touches == touches
-    assert touches == (name == "border-touching")
+    assert touches == (name in ("border-touching", "nested-cubic"))
     if name == "several-tiles":
         rows = np.nonzero(mask.any(axis=1))[0] // dynamics._TILE
         cols = np.nonzero(mask.any(axis=0))[0] // dynamics._TILE
         assert rows[-1] - rows[0] >= 2 and cols[-1] - cols[0] >= 2
+    if len(windows) == 1:
+        return
+    rep = boundedness_evidence(h, roots, 0j, windows, resolution=res[0])
+    expected = []
+    for w in windows:
+        size = round(res[0] * w.half_width / win.half_width)
+        full = classify_grid(h, roots, w, size)
+        full_mask, full_touches = immediate_basin_component(full, 0j)
+        expected.append((float(full_mask.sum()) * full.pixel_width * full.pixel_height,
+                         full_touches))
+    assert list(zip(rep.areas, rep.touches)) == expected
+    if name == "nested-cubic":
+        assert rep.areas[0] < rep.areas[1] < rep.areas[2]
 
 
 def test_seed_component_rejects_unlabeled_seed():
     h = halley_of(CUBIC_ODD)
     with pytest.raises(SeedUnlabeled):
         dynamics._seed_component(h, roots_of(CUBIC_ODD), Window(0j, 1.0, 1.0),
-                                 (21, 21), 0.57 + 0.57j, 1, CAPTURE_RADIUS)
+                                 (21, 21), 0.57 + 0.57j, (0, 21, 0, 21), {},
+                                 1, CAPTURE_RADIUS)
 
 
 def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
@@ -298,15 +324,23 @@ def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
     classify_points = dynamics._classify_points
 
     def counting(R, z, *args):
-        counted.append(len(z))
+        counted.append(np.array(z))
         return classify_points(R, z, *args)
 
     monkeypatch.setattr(dynamics, "_classify_points", counting)
+    h, roots = halley_of(OCTIC), roots_of(OCTIC)
     wins = [Window(0j, s, s) for s in (2.0, 4.0, 8.0)]
-    rep = boundedness_evidence(halley_of(OCTIC), roots_of(OCTIC), 0j, wins,
-                               resolution=128)
+    rep = boundedness_evidence(h, roots, 0j, wins, resolution=128)
     assert rep.verdict == "bounded-evidence"
-    assert 0 < sum(counted) < 0.1 * (128 ** 2 + 256 ** 2 + 512 ** 2)
+    z = np.concatenate(counted)
+    assert 0 < z.size < 0.1 * (128 ** 2 + 256 ** 2 + 512 ** 2)
+    # no pixel centre is classified twice within one probe
+    assert np.unique(z).size == z.size
+    # the larger windows classify nothing beyond the first window's probe
+    counted.clear()
+    dynamics._seed_component(h, roots, wins[0], (128, 128), 0j, (0, 128, 0, 128), {},
+                             200, CAPTURE_RADIUS)
+    assert sum(c.size for c in counted) == z.size
 
 
 @pytest.mark.parametrize("windows, message", [
@@ -319,6 +353,14 @@ def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
 def test_boundedness_evidence_rejects_windows_that_do_not_nest(windows, message):
     with pytest.raises(ValueError, match=message):
         boundedness_evidence(halley_of(OCTIC), roots_of(OCTIC), 0j, windows,
+                             resolution=16)
+
+
+@pytest.mark.parametrize("seed", [2.5 + 0j, -0.1 - 2.01j, complex("nan")])
+def test_boundedness_evidence_rejects_seed_outside_first_window(seed):
+    with pytest.raises(ValueError, match="outside the first window"):
+        boundedness_evidence(halley_of(OCTIC), roots_of(OCTIC), seed,
+                             [Window(0j, 2.0, 2.0), Window(0j, 4.0, 4.0)],
                              resolution=16)
 
 
