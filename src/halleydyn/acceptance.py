@@ -7,10 +7,13 @@ convergence of free critical orbits, bounded central basins for
 z(z**n - 1) with large n, rotation symmetry matching, the cubic-family
 2-cycle parameters, real-interval convergence, and closed-form map
 equality.  Every function returns (ok, detail) and raises nothing in
-normal operation; run() folds exceptions into failures.
+normal operation; run() folds exceptions into failures.  Each takes the
+run's seed, which picks the random corpus and sample points of E2, E3,
+E4 and E10; the other experiments have no random input.
 
 The grids in E1, E5 and E6 run at 800x800 and dominate the runtime:
-about 4.3 of the 5.9 seconds a full run took on a 2-core Xeon.
+3.2-3.6 of the 4.2-4.8 seconds a full run took in two runs on a 2-core
+Xeon (E7's 400x400 grids take another 0.6 s).
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from .symmetry import map_rotation_order, grid_symmetry_order
 from . import paramsearch
 
 CORPUS_SEED = 20240817
+CORPUS_DEGREES = (3, 6)  # lowest and highest degree in random_corpus
+CORPUS_MIN_SEP = 0.7
 
 # degree-6 cycle condition, ascending; equals the quintic cofactor times
 # (b + 7), frozen from the verified expansion
@@ -50,19 +55,18 @@ CONDITION_COEFFS = (-12815747.0, 885354.0, -256962.0, -24766.0,
                     4326.0, -687.0, 10.0)
 
 
-def random_corpus(count: int, seed: int = CORPUS_SEED,
-                  deg_lo: int = 3, deg_hi: int = 6,
-                  min_sep: float = 0.7) -> list[Polynomial]:
-    """Random polynomials with mixed root multiplicities (1 to 3).
+def random_corpus(count: int, seed: int = CORPUS_SEED) -> list[Polynomial]:
+    """Random polynomials of degree CORPUS_DEGREES with mixed root
+    multiplicities (1 to 3).
 
     Roots are drawn in [-1.5, 1.5]^2 with pairwise separation at least
-    min_sep, so every multiplicity is recoverable by the root finder.
-    Deterministic for a fixed seed.
+    CORPUS_MIN_SEP, so every multiplicity is recoverable by the root
+    finder.  Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     out: list[Polynomial] = []
     while len(out) < count:
-        deg = int(rng.integers(deg_lo, deg_hi + 1))
+        deg = int(rng.integers(CORPUS_DEGREES[0], CORPUS_DEGREES[1] + 1))
         rem = deg
         mults = []
         while rem > 0:
@@ -76,7 +80,7 @@ def random_corpus(count: int, seed: int = CORPUS_SEED,
         for _ in mults:
             for _attempt in range(60):
                 z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-                if all(abs(z - r) >= min_sep for r in roots):
+                if all(abs(z - r) >= CORPUS_MIN_SEP for r in roots):
                     roots.append(z)
                     break
             else:
@@ -102,7 +106,7 @@ def e1(seed: int = 0) -> tuple[bool, str]:
     worst_agree = 1.0
     for k in (1, 2, 3):
         p = _two_root_power(k)
-        R = halley_of(p, seed=seed)
+        R = halley_of(p)
         roots = [c.location for c in R.source.roots]
         grid = classify_grid(R, roots, Window(0j, 2.0, 2.0), 800, max_iter=200)
         xs = grid.pixel_centers().real
@@ -125,8 +129,8 @@ def e2(seed: int = 0) -> tuple[bool, str]:
     corpus = random_corpus(50, seed=CORPUS_SEED + seed)
     worst = 0.0
     for p in corpus:
-        R = halley_of(p, seed=seed)
-        records = classify_fixed_points(p, R, seed=seed)
+        R = halley_of(p)
+        records = classify_fixed_points(p, R)
         if len(records) != R.degree + 1:
             return False, (f"fixed-point count {len(records)} != degree+1 "
                            f"= {R.degree + 1} for coeffs {p.coeffs}")
@@ -144,15 +148,15 @@ def e3(seed: int = 0) -> tuple[bool, str]:
         (Polynomial.make([0, 0, -1, 0, 1]), 5),
     ]
     for p, want in named:
-        R = halley_of(p, seed=seed)
-        census = degree_census(p, R, seed=seed)
+        R = halley_of(p)
+        census = degree_census(p, R)
         if R.degree != want or census.predicted_degree != want:
             return False, (f"named example degree {R.degree}, predicted "
                            f"{census.predicted_degree}, expected {want}")
     corpus = random_corpus(50, seed=CORPUS_SEED + seed)
     for p in corpus:
-        R = halley_of(p, seed=seed)
-        census = degree_census(p, R, seed=seed)
+        R = halley_of(p)
+        census = degree_census(p, R)
         if R.degree != census.predicted_degree:
             return False, (f"degree {R.degree} != predicted "
                            f"{census.predicted_degree} for coeffs {p.coeffs}")
@@ -178,9 +182,9 @@ def e4(seed: int = 0) -> tuple[bool, str]:
     corpus = random_corpus(10, seed=CORPUS_SEED + 2 + seed)
     worst = 0.0
     for p in corpus:
-        h = halley_of(p, seed=seed)
-        k = konig_of(p, 3, seed=seed)
-        g = chebyshev_halley_of(p, 0.5, seed=seed)
+        h = halley_of(p)
+        k = konig_of(p, 3)
+        g = chebyshev_halley_of(p, 0.5)
         if not (is_infinity(eval_sphere(k, INF)) == is_infinity(eval_sphere(h, INF))
                 and is_infinity(eval_sphere(g, INF)) == is_infinity(eval_sphere(h, INF))):
             return False, "sphere limits at infinity disagree"
@@ -214,9 +218,9 @@ def e5(seed: int = 0) -> tuple[bool, str]:
     ]
     worst_label = 1.0
     for p, central_target in cases:
-        R = halley_of(p, seed=seed)
+        R = halley_of(p)
         roots = [c.location for c in R.source.roots]
-        fates = free_critical_fates(p, R, seed=seed)
+        fates = free_critical_fates(p, R)
         for f in fates:
             if f.kind != "root":
                 return False, f"free critical fate {f.kind} for coeffs {p.coeffs}"
@@ -237,7 +241,7 @@ def e6(seed: int = 0) -> tuple[bool, str]:
     details = []
     for n in (7, 9):
         p = Polynomial.make([0, -1] + [0] * (n - 1) + [1])
-        R = halley_of(p, seed=seed)
+        R = halley_of(p)
         roots = [c.location for c in R.source.roots]
         grid = classify_grid(R, roots, Window(0j, 2.0, 2.0), 800, max_iter=200)
         _, touches0 = immediate_basin_component(grid, 0j)
@@ -262,11 +266,11 @@ def e7(seed: int = 0) -> tuple[bool, str]:
     got = []
     for n in (2, 3, 7, 9):
         p = Polynomial.make([0, -1] + [0] * (n - 1) + [1])
-        R = halley_of(p, seed=seed)
-        mo = map_rotation_order(R, n_max=12)
+        R = halley_of(p)
+        mo = map_rotation_order(R)
         roots = [c.location for c in R.source.roots]
         grid = classify_grid(R, roots, Window(0j, 2.0, 2.0), 400, max_iter=200)
-        go = grid_symmetry_order(grid, n_max=12)
+        go = grid_symmetry_order(grid)
         if mo != n or go != n:
             return False, f"n={n}: map order {mo}, grid order {go}"
         got.append(n)
@@ -288,7 +292,7 @@ def e8(seed: int = 0) -> tuple[bool, str]:
     for got, want in zip(quotient.coeffs, paramsearch.F_COEFFS):
         if abs(got - want) > 1e-8 * max(1.0, abs(want)):
             return False, f"quintic coefficient {got} != {want}"
-    clusters = paramsearch.roots_of_F(seed=seed)
+    clusters = paramsearch.roots_of_F()
     if sum(c.multiplicity for c in clusters) != 5:
         return False, f"expected five quintic roots, got {clusters}"
     real = [c.location for c in clusters if abs(c.location.imag) < 1e-6]
@@ -307,7 +311,7 @@ def e8(seed: int = 0) -> tuple[bool, str]:
 def e9(seed: int = 0) -> tuple[bool, str]:
     """Real-interval convergence and the obstruction fault injection."""
     p = Polynomial.make([0, -1, 0, 1])
-    R = halley_of(p, seed=seed)
+    R = halley_of(p)
     s = 1.0 / math.sqrt(3.0)
     rep1 = interval_convergence_check(R, s, 1.0)
     if rep1.obstruction or rep1.predicted_limit != 1.0 or not rep1.verified:
@@ -319,7 +323,7 @@ def e9(seed: int = 0) -> tuple[bool, str]:
     if rep3.obstruction or rep3.predicted_limit != 1.0 or not rep3.verified:
         return False, f"ray (1, inf): {rep3}"
     p7 = Polynomial.make([0, -1] + [0] * 6 + [1])
-    R7 = halley_of(p7, seed=seed)
+    R7 = halley_of(p7)
     rep4 = interval_convergence_check(R7, -1.0, 0.0)
     if rep4.obstruction is None or rep4.verified:
         return False, f"fault injection missed the pole: {rep4}"
@@ -372,10 +376,10 @@ def e10(seed: int = 0) -> tuple[bool, str]:
 
     worst = 0.0
     for p, num, den in _closed_form_cases():
-        R = halley_of(p, seed=seed)
+        R = halley_of(p)
         worst = max(worst, check(R, num, den))
     for b in (2.0, -1.0 + 2.0j):
-        R = halley_of(paramsearch.family_polynomial(b), seed=seed)
+        R = halley_of(paramsearch.family_polynomial(b))
         hb = paramsearch.halley_b(b)
         worst = max(worst, check(R, hb.num, hb.den))
     ok = worst < 1e-9

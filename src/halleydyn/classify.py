@@ -46,13 +46,14 @@ class FixedPointRecord:
     predicted: complex | None
 
 
-def classify_multiplier(lam: complex,
-                        superattracting_tol: float = SUPERATTRACTING_TOL,
-                        indifference_band: float = INDIFFERENCE_BAND) -> str:
+def classify_multiplier(lam: complex) -> str:
+    """Class of a fixed point with multiplier lam: superattracting below
+    SUPERATTRACTING_TOL, indifferent within INDIFFERENCE_BAND of the unit
+    circle, else attracting or repelling."""
     mag = abs(lam)
-    if mag < superattracting_tol:
+    if mag < SUPERATTRACTING_TOL:
         return SUPERATTRACTING
-    if abs(mag - 1.0) <= indifference_band:
+    if abs(mag - 1.0) <= INDIFFERENCE_BAND:
         # rational rotation number shows up as lam**q near 1 for small q
         power = lam / mag  # project onto the unit circle first
         acc = power
@@ -66,19 +67,17 @@ def classify_multiplier(lam: complex,
     return REPELLING
 
 
-def classify_fixed_points(p: Polynomial, R: RationalMap,
-                          tol: float = PREDICTION_TOL,
-                          seed: int = 0) -> list[FixedPointRecord]:
+def classify_fixed_points(p: Polynomial, R: RationalMap) -> list[FixedPointRecord]:
     """Records for every sphere fixed point of R, a map built from p.
 
     Origins are read from R's source (found from p for a bare map) through
-    ratmap.matching_point.  When
-    R.method is 'halley', PropositionMismatch is raised if a measured
-    multiplier strays more than tol from the value its origin predicts,
-    or if a fixed point has no identifiable origin; other maps get
-    predicted=None and may have origin 'other'.
+    ratmap.matching_point.  When R.method is 'halley', PropositionMismatch
+    is raised if a measured multiplier strays more than PREDICTION_TOL
+    from the value its origin predicts, or if a fixed point has no
+    identifiable origin; other maps get predicted=None and may have
+    origin 'other'.
     """
-    src = source_of(p, R, seed=seed)
+    src = source_of(p, R)
     halley = R.method == "halley"
     d = p.degree
     records = []
@@ -108,7 +107,7 @@ def classify_fixed_points(p: Polynomial, R: RationalMap,
         )
         if halley and origin.kind == "other":
             raise PropositionMismatch("fixed point with no identifiable origin", record)
-        if predicted is not None and abs(lam - predicted) > tol:
+        if predicted is not None and abs(lam - predicted) > PREDICTION_TOL:
             raise PropositionMismatch(
                 f"multiplier {lam} disagrees with predicted {predicted}", record)
         records.append(record)

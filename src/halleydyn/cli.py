@@ -55,6 +55,10 @@ from .paramsearch import (
 
 @dataclass
 class JobConfig:
+    """A job's settings, one field per config key (coeff lines collect
+    into coeffs).  seed is only echoed in the summaries: no computation
+    reads it."""
+
     coeffs: list = field(default_factory=list)
     method: str = "halley"
     window: Window | None = None
@@ -67,12 +71,6 @@ class JobConfig:
     x_max: float = 2.0
     samples: int = 401
     shading: float = 0.55
-
-
-_KNOWN_KEYS = {
-    "coeff", "method", "window", "res", "max_iter", "capture_radius",
-    "seed", "out", "x_min", "x_max", "samples", "shading",
-}
 
 
 def _parse_complex(text: str) -> complex:
@@ -116,6 +114,24 @@ def _parse_res(text: str) -> tuple:
     return (w, h)
 
 
+# config key -> parser of its value; the field of JobConfig it sets has
+# the key's name, except that coeff lines append to coeffs
+_PARSERS = {
+    "coeff": _parse_complex,
+    "method": str,
+    "window": _parse_window,
+    "res": _parse_res,
+    "max_iter": int,
+    "capture_radius": float,
+    "seed": int,
+    "out": str,
+    "x_min": float,
+    "x_max": float,
+    "samples": int,
+    "shading": float,
+}
+
+
 def parse_config(text: str) -> JobConfig:
     """Parse the flat key=value format.
 
@@ -132,37 +148,16 @@ def parse_config(text: str) -> JobConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key == "coeff":
-                cfg.coeffs.append(_parse_complex(value))
-            elif key == "method":
-                cfg.method = value
-            elif key == "window":
-                cfg.window = _parse_window(value)
-            elif key == "res":
-                cfg.res = _parse_res(value)
-            elif key == "max_iter":
-                cfg.max_iter = int(value)
-            elif key == "capture_radius":
-                cfg.capture_radius = float(value)
-            elif key == "seed":
-                cfg.seed = int(value)
-            elif key == "out":
-                cfg.out = value
-            elif key == "x_min":
-                cfg.x_min = float(value)
-            elif key == "x_max":
-                cfg.x_max = float(value)
-            elif key == "samples":
-                cfg.samples = int(value)
-            elif key == "shading":
-                cfg.shading = float(value)
-        except ConfigError:
-            raise
+            parsed = _PARSERS[key](value)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}")
+        if key == "coeff":
+            cfg.coeffs.append(parsed)
+        else:
+            setattr(cfg, key, parsed)
     return _checked(cfg)
 
 
@@ -200,44 +195,44 @@ def build_polynomial(cfg: JobConfig) -> Polynomial:
     return p
 
 
-def build_map(p: Polynomial, method: str, seed: int = 0) -> RationalMap:
+def build_map(p: Polynomial, method: str) -> RationalMap:
     """method is 'halley', 'konig(n)', or 'chebyshev(sigma)'."""
     m = method.strip().lower()
     if m == "halley":
-        return halley_of(p, seed=seed)
+        return halley_of(p)
     km = re.fullmatch(r"konig\((\d+)\)", m)
     if km:
         n = int(km.group(1))
         if n < 2:
             raise ConfigError("konig order must be >= 2")
-        return konig_of(p, n, seed=seed)
+        return konig_of(p, n)
     cm = re.fullmatch(r"chebyshev\(([^)]*)\)", m)
     if cm:
         sigma = _parse_complex(cm.group(1))
-        return chebyshev_halley_of(p, sigma, seed=seed)
+        return chebyshev_halley_of(p, sigma)
     raise ConfigError(f"unknown method {method!r}")
 
 
 def _apply_overrides(cfg: JobConfig, args) -> JobConfig:
-    if getattr(args, "window", None):
+    """cfg with the flags add_common defines applied over it."""
+    if args.window:
         cfg.window = _parse_window(args.window)
-    if getattr(args, "res", None):
+    if args.res:
         cfg.res = _parse_res(args.res)
-    if getattr(args, "max_iter", None) is not None:
+    if args.max_iter is not None:
         cfg.max_iter = args.max_iter
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None):
+    if args.out:
         cfg.out = args.out
     return _checked(cfg)
 
 
-def _fmt(z: complex, nd: int = 10) -> str:
-    """One CSV field per value; complex() can parse every form emitted."""
+def _fmt(z: complex) -> str:
+    """One CSV field per value, to 10 significant digits; complex() can
+    parse every form emitted."""
     z = complex(z)
     if z.imag == 0.0:
-        return f"{z.real:.{nd}g}"
-    return f"{z.real:.{nd}g}{z.imag:+.{nd}g}j"
+        return f"{z.real:.10g}"
+    return f"{z.real:.10g}{z.imag:+.10g}j"
 
 
 def _summary_fixed_points(p, R, out):
@@ -260,7 +255,7 @@ def cmd_render(args) -> int:
     if not cfg.out:
         raise ConfigError("render needs an output path (out= or --out)")
     p = build_polynomial(cfg)
-    R = build_map(p, cfg.method, seed=cfg.seed)
+    R = build_map(p, cfg.method)
     window = cfg.window or Window(0j, 2.0, 2.0)
     roots = [c.location for c in R.source.roots]
     # every attracting cycle attracts a critical point, so the free
@@ -329,7 +324,7 @@ def cmd_render(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     p = build_polynomial(cfg)
-    R = build_map(p, cfg.method, seed=cfg.seed)
+    R = build_map(p, cfg.method)
     out = sys.stdout
     out.write("# analyze\n")
     out.write(f"seed,{cfg.seed}\n")
@@ -351,7 +346,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     out = sys.stdout
     cond = cycle_condition_polynomial()
     quotient, remainder = divide_out_root(cond, -7.0)
@@ -365,7 +359,7 @@ def cmd_cycles(args) -> int:
     out.write(f"factor_check,{'PASS' if factor_ok and quintic_ok else 'FAIL'}\n")
     out.write("[candidates]\n")
     out.write("b,xi,residual,multiplier_magnitude\n")
-    for cl in roots_of_F(seed=seed):
+    for cl in roots_of_F():
         cand = verify_cycle(cl.location)
         out.write(f"{_fmt(cand.b)},{_fmt(xi_of(cand.b))},"
                   f"{cand.residual:.3e},{abs(cand.multiplier):.3e}\n")
@@ -377,7 +371,7 @@ def cmd_cycles(args) -> int:
 def cmd_profile(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     p = build_polynomial(cfg)
-    R = build_map(p, cfg.method, seed=cfg.seed)
+    R = build_map(p, cfg.method)
     rows = real_axis_profile(R, cfg.x_min, cfg.x_max, cfg.samples)
     if cfg.out:
         profile_to_csv(rows, cfg.out)
@@ -395,8 +389,7 @@ def cmd_paperlab(args) -> int:
     from . import acceptance
 
     only = set(args.only) if args.only else None
-    seed = args.seed if args.seed is not None else 0
-    results = acceptance.run(only=only, seed=seed)
+    results = acceptance.run(only=only, seed=args.seed)
     failed = []
     for name, ok, detail in results:
         sys.stdout.write(f"{name}: {'PASS' if ok else 'FAIL'} - {detail}\n")
@@ -416,24 +409,22 @@ def main(argv=None) -> int:
                     "symmetry, and the cubic 2-cycle family.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, config_required=True):
-        if config_required:
-            sp.add_argument("--config", required=True, help="key=value config file")
+    def add_common(sp):
+        sp.add_argument("--config", required=True, help="key=value config file")
         sp.add_argument("--out", help="output path")
         sp.add_argument("--window", help="cx,cy,hw,hh")
         sp.add_argument("--res", help="WxH or single integer")
         sp.add_argument("--max-iter", dest="max_iter", type=int)
-        sp.add_argument("--seed", type=int)
 
     add_common(sub.add_parser("render", help="basin image + summary"))
     add_common(sub.add_parser("analyze", help="fixed points and symmetry"))
-    sp = sub.add_parser("cycles", help="cubic-family 2-cycle table")
-    sp.add_argument("--seed", type=int)
+    sub.add_parser("cycles", help="cubic-family 2-cycle table")
     add_common(sub.add_parser("profile", help="real-axis CSV"))
     sp = sub.add_parser("paperlab", help="run acceptance experiments")
     sp.add_argument("--only", action="append", metavar="EID",
                     help="run a subset (repeatable), e.g. --only E3")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="picks the experiments' random corpus and sample points")
 
     args = parser.parse_args(argv)
     handlers = {

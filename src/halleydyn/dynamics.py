@@ -42,6 +42,7 @@ from .ratmap import (
     fixed_points,
     free_critical_points,
     halley_of,
+    is_fixed_point,
     is_infinity,
     poles,
     source_of,
@@ -54,6 +55,9 @@ PERIOD_CAP = 32
 UNDECIDED = int(np.iinfo(np.int32).min)
 MAX_ITER_LIMIT = int(np.iinfo(np.int32).max)  # iteration counts are int32
 REAL_COEFF_RTOL = 1e-9
+REAL_POINT_RTOL = 1e-7  # a point is real when |im| <= this * max(1, |re|)
+INTERVAL_SAMPLES = 7
+INTERVAL_MAX_ITER = 500
 _TILE = 32  # side of the tiles _seed_component classifies on demand
 # points per kernel block: a block's step temporaries stay in L2, and the
 # blocks of one call run on _pool's threads (numpy releases the GIL)
@@ -167,25 +171,20 @@ class ProfileRow:
 
 
 def iterate_orbit(R: RationalMap, z0, roots,
-                  max_iter: int = DEFAULT_MAX_ITER,
-                  capture_radius: float = CAPTURE_RADIUS,
-                  cycle_tol: float = CYCLE_TOL,
-                  period_cap: int = PERIOD_CAP) -> OrbitOutcome:
+                  max_iter: int = DEFAULT_MAX_ITER) -> OrbitOutcome:
     """Iterate a single sphere point and report where the orbit settles.
 
     The orbit is captured by a root under the grid's rule (see the module
     docstring), so it gets the label and iteration count of a pixel
     centred at z0.  If the budget runs out, Brent's tortoise-and-hare
     detection runs on the orbit tail to look for an attracting cycle of
-    period at most period_cap.
+    period at most PERIOD_CAP.
     """
-    return _orbit_outcomes(R, [z0], roots, max_iter, capture_radius,
-                           cycle_tol, period_cap)[0]
+    return _orbit_outcomes(R, [z0], roots, max_iter, CAPTURE_RADIUS)[0]
 
 
 def _orbit_outcomes(R: RationalMap, points, roots, max_iter: int,
-                    capture_radius: float, cycle_tol: float = CYCLE_TOL,
-                    period_cap: int = PERIOD_CAP) -> list[OrbitOutcome]:
+                    capture_radius: float) -> list[OrbitOutcome]:
     """OrbitOutcome of each sphere point: root capture in one _classify_points
     call, then Brent's cycle detection for the points left undecided."""
     root_locs = tuple(complex(r) for r in roots)
@@ -197,16 +196,14 @@ def _orbit_outcomes(R: RationalMap, points, roots, max_iter: int,
     for label, it, w in zip(labels.tolist(), iters.tolist(), last.tolist()):
         w = w if cmath.isfinite(w) else INF
         if label == UNDECIDED:
-            out.append(_detect_cycle(R, w, root_locs, max_iter, capture_radius,
-                                     cycle_tol, period_cap))
+            out.append(_detect_cycle(R, w, root_locs, max_iter, capture_radius))
         else:
             out.append(OrbitOutcome(kind="root", root_index=label,
                                     iterations=it, last=w))
     return out
 
 
-def _detect_cycle(R, z, root_locs, max_iter, capture_radius,
-                  cycle_tol, period_cap) -> OrbitOutcome:
+def _detect_cycle(R, z, root_locs, max_iter, capture_radius) -> OrbitOutcome:
     if is_infinity(z):
         return OrbitOutcome(kind="undecided", last=INF, iterations=max_iter)
     tortoise = z
@@ -216,18 +213,18 @@ def _detect_cycle(R, z, root_locs, max_iter, capture_radius,
     while True:
         if is_infinity(hare):
             return OrbitOutcome(kind="undecided", last=INF, iterations=max_iter)
-        if abs(tortoise - hare) <= cycle_tol:
+        if abs(tortoise - hare) <= CYCLE_TOL:
             break
         if power == lam:
             tortoise = hare
             power *= 2
             lam = 0
-            if power > 2 * period_cap:
+            if power > 2 * PERIOD_CAP:
                 return OrbitOutcome(kind="undecided", last=hare, iterations=max_iter)
         hare = eval_sphere(R, hare)
         lam += 1
     period = lam
-    if period > period_cap:
+    if period > PERIOD_CAP:
         return OrbitOutcome(kind="undecided", last=hare, iterations=max_iter)
     pts = [hare]
     w = hare
@@ -237,7 +234,7 @@ def _detect_cycle(R, z, root_locs, max_iter, capture_radius,
             return OrbitOutcome(kind="undecided", last=INF, iterations=max_iter)
         pts.append(w)
     for d in range(1, period):
-        if period % d == 0 and abs(pts[d] - pts[0]) <= cycle_tol:
+        if period % d == 0 and abs(pts[d] - pts[0]) <= CYCLE_TOL:
             period = d
             pts = pts[:d]
             break
@@ -365,21 +362,19 @@ def _pool() -> ThreadPoolExecutor:
         return _POOL
 
 
-def free_critical_fates(p: Polynomial, R: RationalMap | None = None,
-                        max_iter: int = DEFAULT_MAX_ITER,
-                        capture_radius: float = CAPTURE_RADIUS,
-                        seed: int = 0) -> list[OrbitOutcome]:
+def free_critical_fates(p: Polynomial, R: RationalMap | None = None) -> list[OrbitOutcome]:
     """Orbit outcome for each free critical point of the Halley map of p.
 
-    Outcomes follow the order of free_critical_points.  Any cycle outcome
+    Outcomes follow the order of free_critical_points, each orbit run for
+    DEFAULT_MAX_ITER steps at CAPTURE_RADIUS.  Any cycle outcome
     flags a polynomial whose iteration traps an open set away from the
     roots.
     """
     if R is None:
-        R = halley_of(p, seed=seed)
-    roots = [c.location for c in source_of(p, R, seed=seed).roots]
+        R = halley_of(p)
+    roots = [c.location for c in source_of(p, R).roots]
     crits = [c.location for c in free_critical_points(R, roots)]
-    return _orbit_outcomes(R, crits, roots, max_iter, capture_radius)
+    return _orbit_outcomes(R, crits, roots, DEFAULT_MAX_ITER, CAPTURE_RADIUS)
 
 
 def has_trapped_cycle(fates: list[OrbitOutcome]) -> bool:
@@ -567,27 +562,27 @@ def _require_real(R: RationalMap):
             raise ValueError("map must have real coefficients")
 
 
+def _is_real(z: complex) -> bool:
+    return abs(z.imag) <= REAL_POINT_RTOL * max(1.0, abs(z.real))
+
+
 def _real_points_between(points, lo: float, hi: float, margin: float) -> list[float]:
     """Sorted real parts of the real points in (lo + margin, hi - margin);
     points may be complex numbers, RootClusters or INF."""
     zs = [complex(getattr(pt, "location", pt)) for pt in points if not is_infinity(pt)]
-    return sorted(z.real for z in zs if abs(z.imag) <= 1e-7 * max(1.0, abs(z.real))
-                  and lo + margin < z.real < hi - margin)
+    return sorted(z.real for z in zs if _is_real(z) and lo + margin < z.real < hi - margin)
 
 
-def interval_convergence_check(R: RationalMap, x1: float, x2: float,
-                               samples: int = 7,
-                               capture_radius: float = CAPTURE_RADIUS,
-                               max_iter: int = 500) -> IntervalReport:
+def interval_convergence_check(R: RationalMap, x1: float, x2: float) -> IntervalReport:
     """Monotone-convergence check on a real interval between fixed points.
 
     Scans the open interval for poles, critical points, and fixed points
     of R; any hit is reported as an obstruction (not raised).  On a clean
-    interval the sign of R(x) - x picks the limiting endpoint, and every
-    sample orbit must be captured by it, the only target, under the grid's
-    capture rule within max_iter steps (all samples run in one kernel
-    call).  Pass x2 = inf for the ray variant, which instead requires
-    R(x) < x and predicts the left endpoint.
+    interval the sign of R(x) - x picks the limiting endpoint, and each of
+    INTERVAL_SAMPLES sample orbits must be captured by it, the only target,
+    under the grid's capture rule within INTERVAL_MAX_ITER steps (all
+    samples run in one kernel call).  Pass x2 = inf for the ray variant,
+    which instead requires R(x) < x and predicts the left endpoint.
     The obstruction scan runs first, so hypothesis failures are reported
     even when an endpoint is not fixed.
     """
@@ -605,8 +600,7 @@ def interval_convergence_check(R: RationalMap, x1: float, x2: float,
             return IntervalReport(x1, x2, Obstruction(kind, hits[0]), None, False)
 
     for x in (x1,) if ray else (x1, x2):
-        img = eval_sphere(R, complex(x))
-        if is_infinity(img) or abs(img - x) > 1e-6 * max(1.0, abs(x)):
+        if not is_fixed_point(R, complex(x)):
             raise ValueError(f"endpoint {x} is not fixed")
 
     if ray:
@@ -614,16 +608,16 @@ def interval_convergence_check(R: RationalMap, x1: float, x2: float,
         if eval_sphere(R, complex(probe)).real >= probe:
             return IntervalReport(x1, x2, None, None, False)
         predicted = x1
-        offsets = np.geomspace(0.05, 50.0, samples) * max(1.0, abs(x1))
+        offsets = np.geomspace(0.05, 50.0, INTERVAL_SAMPLES) * max(1.0, abs(x1))
         test_points = [x1 + o for o in offsets]
     else:
         mid = 0.5 * (x1 + x2)
         predicted = x1 if eval_sphere(R, complex(mid)).real < mid else x2
-        test_points = list(np.linspace(x1, x2, samples + 2)[1:-1])
+        test_points = list(np.linspace(x1, x2, INTERVAL_SAMPLES + 2)[1:-1])
 
     labels, _, _ = _classify_points(R, np.array(test_points, dtype=np.complex128),
-                                    (complex(predicted),), (), max_iter,
-                                    capture_radius)
+                                    (complex(predicted),), (), INTERVAL_MAX_ITER,
+                                    CAPTURE_RADIUS)
     verified = bool((labels == 0).all())
     return IntervalReport(x1, x2, None, predicted, verified)
 
@@ -649,7 +643,7 @@ def real_axis_profile(R: RationalMap, x_min: float, x_max: float,
         rows.append(ProfileRow(x, v.real, v.real - x, 0))
     for c in poles(R):
         r = c.location
-        if abs(r.imag) <= 1e-7 * max(1.0, abs(r.real)) and x_min <= r.real <= x_max:
+        if _is_real(r) and x_min <= r.real <= x_max:
             rows.append(ProfileRow(float(r.real), None, None, 1))
     rows.sort(key=lambda row: (row.x, row.pole_flag))
     return rows

@@ -73,8 +73,7 @@ def halley_b(b: complex) -> RationalMap:
     b = complex(b)
     _check_admissible(b)
     num, den = _halley_table(b)
-    return RationalMap(Polynomial.make(num), Polynomial.make(den),
-                       reduced=True, method="halley")
+    return RationalMap(Polynomial.make(num), Polynomial.make(den), method="halley")
 
 
 def xi_of(b: complex) -> complex:
@@ -124,29 +123,28 @@ def divide_out_root(p: Polynomial, r: complex) -> tuple[Polynomial, float]:
     return Polynomial.make(quotient), abs(horner(p.coeffs, r))
 
 
-def roots_of_F(seed: int = 0) -> list[RootCluster]:
+def roots_of_F() -> list[RootCluster]:
     """The five roots of the quintic cofactor of the cycle condition."""
-    return find_roots(Polynomial.make(F_COEFFS), seed=seed)
+    return find_roots(Polynomial.make(F_COEFFS))
 
 
-def verify_cycle(b: complex, start: complex = 1.0 + 0j,
-                 tol: float = CYCLE_RESIDUAL_TOL) -> CycleCandidate:
-    """Confirm a two-cycle of halley_b(b) through the start point.
+def verify_cycle(b: complex) -> CycleCandidate:
+    """Confirm a two-cycle of halley_b(b) through the free critical point 1.
 
-    Raises NoCycle when the second image misses the start beyond tol.
-    The reported multiplier is the product of derivatives around the
-    cycle; it vanishes identically when the start is a free critical
-    point of the family (+1 or -1).
+    Raises NoCycle when the second image misses 1 by more than
+    CYCLE_RESIDUAL_TOL.  The reported multiplier is the product of
+    derivatives around the cycle, which vanishes identically because the
+    cycle passes through a critical point.
     """
     b = complex(b)
     h = halley_b(b)
-    z1 = h(complex(start))
+    z1 = h(1.0 + 0j)
     z2 = h(z1)
-    residual = abs(z2 - start)
-    if residual > tol * max(1.0, abs(start)):
-        raise NoCycle(f"orbit of {start} returns to {z2}, not {start}")
-    multiplier = h.derivative_at(complex(start)) * h.derivative_at(z1)
-    return CycleCandidate(b=b, cycle=(complex(start), z1),
+    residual = abs(z2 - 1.0)
+    if residual > CYCLE_RESIDUAL_TOL:
+        raise NoCycle(f"orbit of 1 returns to {z2}, not 1")
+    multiplier = h.derivative_at(1.0 + 0j) * h.derivative_at(z1)
+    return CycleCandidate(b=b, cycle=(1.0 + 0j, z1),
                           multiplier=multiplier, residual=residual)
 
 

@@ -22,8 +22,8 @@ TRIM_RTOL = 1e-12
 CLUSTER_RADIUS = 1e-6
 MULTIPLE_ROOT_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-6
-DEFAULT_SEED = 0
 MAX_SWEEPS = 200
+NORMAL_FORM_RTOL = 1e-9
 
 
 def _trim(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -54,8 +54,9 @@ class Polynomial:
         return cls(_trim(tuple(complex(c) for c in coeffs)))
 
     @classmethod
-    def from_roots(cls, roots, lead: complex = 1.0) -> "Polynomial":
-        acc = np.array([complex(lead)])
+    def from_roots(cls, roots) -> "Polynomial":
+        """The monic polynomial with the given roots, repeated by multiplicity."""
+        acc = np.array([1.0 + 0j])
         for r in roots:
             acc = np.convolve(acc, np.array([-complex(r), 1.0]))
         return cls.make(acc)
@@ -215,21 +216,22 @@ def compose_affine(p: Polynomial, T: AffineMap, c: complex = 1.0) -> Polynomial:
     return acc.scale(c)
 
 
-def normalized_form(p: Polynomial, tol: float = 1e-9) -> NormalizedForm:
+def normalized_form(p: Polynomial) -> NormalizedForm:
     """Split a normalized polynomial into z**alpha * p0(z**beta), beta maximal.
 
     Raises NotNormalized unless p is monic with (numerically) vanishing
     second-leading coefficient.  A monomial z**alpha reports beta = 1 and
-    constant p0 = 1.
+    constant p0 = 1.  Both tests, and the support that fixes beta, use
+    NORMAL_FORM_RTOL.
     """
     if p.degree < 1:
         raise NotNormalized("degree must be positive")
     scale = max(abs(c) for c in p.coeffs)
-    if abs(p.lead - 1.0) > tol:
+    if abs(p.lead - 1.0) > NORMAL_FORM_RTOL:
         raise NotNormalized("leading coefficient must be 1")
-    if p.degree >= 1 and abs(p.coeffs[p.degree - 1]) > tol * scale:
+    if abs(p.coeffs[p.degree - 1]) > NORMAL_FORM_RTOL * scale:
         raise NotNormalized("second-leading coefficient must vanish")
-    support = p.support(tol)
+    support = p.support(NORMAL_FORM_RTOL)
     alpha = support[0]
     if len(support) == 1:
         return NormalizedForm(alpha=alpha, beta=1, p0=ONE)
@@ -245,41 +247,36 @@ def normalized_form(p: Polynomial, tol: float = 1e-9) -> NormalizedForm:
 # root finding
 
 
-def find_roots(p: Polynomial,
-               cluster_radius: float = CLUSTER_RADIUS,
-               seed: int = DEFAULT_SEED,
-               max_sweeps: int = MAX_SWEEPS) -> list[RootCluster]:
+def find_roots(p: Polynomial) -> list[RootCluster]:
     """All complex roots of p, merged into clusters with multiplicities.
 
     Simple roots come from the Aberth-Ehrlich simultaneous iteration
-    started on a perturbed circle (deterministic for a fixed seed) and are
-    polished by Newton steps on the input polynomial.  Multiple roots are
-    located through the derivative recursion: a root of p with
-    multiplicity m+1 appears as a multiplicity-m root of p', where it is
-    eventually simple and therefore accurately computable.  Surviving
-    locations closer than cluster_radius are merged, summing multiplicity.
+    started on a circle with a fixed perturbation, so the result depends
+    on p alone, and are polished by Newton steps on the input polynomial.
+    Multiple roots are located through the derivative recursion: a root of
+    p with multiplicity m+1 appears as a multiplicity-m root of p', where
+    it is eventually simple and therefore accurately computable.
+    Surviving locations closer than CLUSTER_RADIUS are merged, summing
+    multiplicity.
 
-    Raises NonConvergence when residuals stay above tolerance after the
-    sweep budget, and ValueError for constant input.
+    Raises NonConvergence when residuals stay above tolerance after
+    MAX_SWEEPS sweeps, and ValueError for constant input.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     scale = max(abs(c) for c in p.coeffs)
     c = np.array(p.coeffs, dtype=np.complex128) / scale
     try:
-        raw = _roots_rec(c, seed, max_sweeps, cluster_radius)
-        return _gated_clusters(p.degree, c, raw, cluster_radius)
+        return _gated_clusters(p.degree, c, _roots_rec(c))
     except NonConvergence:
         # heavy root clustering can stall the simultaneous iteration at
         # pseudo-equilibria; fall back to the companion-matrix cloud
-        raw = _companion_clusters(c, cluster_radius)
-        return _gated_clusters(p.degree, c, raw, cluster_radius)
+        return _gated_clusters(p.degree, c, _companion_clusters(c))
 
 
-def _gated_clusters(degree: int, c: np.ndarray, raw,
-                    cluster_radius: float) -> list[RootCluster]:
+def _gated_clusters(degree: int, c: np.ndarray, raw) -> list[RootCluster]:
     """Merge raw (location, multiplicity) pairs and enforce the exit gates."""
-    merged = _merge(raw, cluster_radius)
+    merged = _merge(raw, CLUSTER_RADIUS)
     total = sum(m for _, m in merged)
     if total != degree:
         raise NonConvergence(f"found multiplicity total {total} for degree {degree}")
@@ -299,7 +296,7 @@ def residual_ok(c: np.ndarray, z: complex) -> bool:
     return abs(horner(c, z)) <= RESIDUAL_RTOL * env
 
 
-def _companion_clusters(c: np.ndarray, cluster_radius: float):
+def _companion_clusters(c: np.ndarray):
     """Root cloud from the companion matrix, re-clustered and sharpened.
 
     A multiplicity-m root of a floating-point polynomial surfaces as m
@@ -311,7 +308,7 @@ def _companion_clusters(c: np.ndarray, cluster_radius: float):
     cloud = np.roots(c[::-1])
     if len(cloud) == 0:
         return []
-    r = max(cluster_radius, 1e-3 * (1.0 + float(np.abs(cloud).max())))
+    r = max(CLUSTER_RADIUS, 1e-3 * (1.0 + float(np.abs(cloud).max())))
     merged = _merge([(complex(z), 1) for z in cloud], r)
     out = []
     for loc, m in merged:
@@ -335,8 +332,7 @@ def _deflate(c: np.ndarray, r: complex) -> np.ndarray:
     return out
 
 
-def _roots_rec(c: np.ndarray, seed: int, max_sweeps: int,
-               cluster_radius: float) -> list[tuple[complex, int]]:
+def _roots_rec(c: np.ndarray) -> list[tuple[complex, int]]:
     """Roots with multiplicities of the (trimmed, scaled) coefficient array."""
     scale = np.abs(c).max()
     k = len(c)
@@ -362,8 +358,7 @@ def _roots_rec(c: np.ndarray, seed: int, max_sweeps: int,
         out.extend((r, 1) for r in _quadratic(c))
         return out
     dc = np.arange(1, n + 1) * c[1:]
-    dclusters = _merge(_roots_rec(dc, seed, max_sweeps, cluster_radius),
-                       cluster_radius)
+    dclusters = _merge(_roots_rec(dc), CLUSTER_RADIUS)
     work = c
     for loc, m in dclusters:
         if loc == 0j:
@@ -376,7 +371,7 @@ def _roots_rec(c: np.ndarray, seed: int, max_sweeps: int,
             for _ in range(m + 1):
                 work = _deflate(work, loc)
     if len(work) - 1 >= 1:
-        simple = _aberth(work, seed, max_sweeps)
+        simple = _aberth(work)
         dcf = np.arange(1, len(c)) * c[1:]
         simple = [_newton_polish(c, dcf, z) for z in simple]
         out.extend((z, 1) for z in simple)
@@ -396,7 +391,7 @@ def _quadratic(c: np.ndarray) -> list[complex]:
     return [0j, -a1 / a2]
 
 
-def _aberth(c: np.ndarray, seed: int, max_sweeps: int) -> list[complex]:
+def _aberth(c: np.ndarray) -> list[complex]:
     """Aberth-Ehrlich sweep for a polynomial with (assumed) simple roots."""
     n = len(c) - 1
     if n == 1:
@@ -408,13 +403,14 @@ def _aberth(c: np.ndarray, seed: int, max_sweeps: int) -> list[complex]:
         radius = min(cauchy, 1.0 + abs(c[0] / c[-1]) ** (1.0 / n))
     else:
         radius = min(cauchy, 2.0)
-    rng = np.random.default_rng(seed)
+    # the same jitter on every call, so roots depend on the polynomial alone
+    rng = np.random.default_rng(0)
     angles = 2.0 * np.pi * (np.arange(n) + 0.35) / n
     jitter = 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     z = radius * np.exp(1j * angles) * (1.0 + jitter)
     dc = np.arange(1, n + 1) * c[1:]
     ok = False
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         pv = horner(c, z)
         dv = horner(dc, z)
         with np.errstate(all="ignore"):

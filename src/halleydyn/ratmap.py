@@ -112,7 +112,6 @@ class RationalMap:
 
     num: Polynomial
     den: Polynomial
-    reduced: bool = False
     method: str | None = None
     source: Source | None = None
 
@@ -153,7 +152,7 @@ def make_reduced(num: Polynomial, den: Polynomial, cancel=()) -> RationalMap:
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
-        return RationalMap(Polynomial(()), Polynomial((1.0 + 0j,)), reduced=True)
+        return RationalMap(Polynomial(()), ONE)
     t = min(num.valuation(), den.valuation())
     if t:
         num = Polynomial.make(num.coeffs[t:])
@@ -164,7 +163,7 @@ def make_reduced(num: Polynomial, den: Polynomial, cancel=()) -> RationalMap:
         for _ in range(count - t if h == 0 else count):
             nw = _deflate(nw, h)
             dw = _deflate(dw, h)
-    return RationalMap(Polynomial.make(nw), Polynomial.make(dw), reduced=True)
+    return RationalMap(Polynomial.make(nw), Polynomial.make(dw))
 
 
 def matching_point(z: complex, points):
@@ -175,15 +174,15 @@ def matching_point(z: complex, points):
                  if abs(z - complex(getattr(h, "location", h))) <= CLUSTER_RADIUS), None)
 
 
-def source_of(p: Polynomial, R: RationalMap | None = None, seed: int = 0) -> Source:
+def source_of(p: Polynomial, R: RationalMap | None = None) -> Source:
     """R's source when R was built from p; else p with its roots and its
     non-root critical points, from one find_roots on p and one on p'."""
     if R is not None and R.source is not None and R.source.p == p:
         return R.source
-    roots = tuple(find_roots(p, seed=seed))
+    roots = tuple(find_roots(p))
     critical: tuple = ()
     if p.degree >= 2:
-        critical = tuple(c for c in find_roots(p.deriv(), seed=seed)
+        critical = tuple(c for c in find_roots(p.deriv())
                          if matching_point(c.location, roots) is None)
     return Source(p, roots, critical)
 
@@ -204,14 +203,14 @@ def _vanishing_order(terms, p: Polynomial, h: complex, known_zeros) -> int:
     return min(next(j for j, c in enumerate(f.coeffs) if c != 0) for f in (num, den))
 
 
-def _reduced_map(p: Polynomial, seed: int, method: str, terms,
+def _reduced_map(p: Polynomial, method: str, terms,
                  extra_points=None) -> RationalMap:
     """The map terms(p, z) builds, cancelled at the roots and the non-root
     critical points of p (and, through extra_points(source), wherever
     else a method can make num and den share a factor)."""
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    src = source_of(p, seed=seed)
+    src = source_of(p)
     if len(src.roots) < 2:
         raise DegenerateMap("single distinct root gives an affine iteration")
     cancel = [(c.location, _vanishing_order(terms, p, c.location, range(c.multiplicity)))
@@ -232,13 +231,13 @@ def _halley_terms(p: Polynomial, x: Polynomial):
     return x * den - (p * dp).scale(2.0), den
 
 
-def halley_of(p: Polynomial, seed: int = 0) -> RationalMap:
+def halley_of(p: Polynomial) -> RationalMap:
     """Halley iteration z - 2 p p' / (2 p'^2 - p p'') as a reduced rational map.
 
     DegenerateMap is raised when p has a single distinct root; the
     iteration then collapses to an affine contraction onto that root.
     """
-    return _reduced_map(p, seed, "halley", _halley_terms)
+    return _reduced_map(p, "halley", _halley_terms)
 
 
 def _derivative_tower(p: Polynomial, n: int) -> list[Polynomial]:
@@ -251,7 +250,7 @@ def _derivative_tower(p: Polynomial, n: int) -> list[Polynomial]:
     return tower
 
 
-def konig_of(p: Polynomial, n: int, seed: int = 0) -> RationalMap:
+def konig_of(p: Polynomial, n: int) -> RationalMap:
     """Koenig iteration of order n (n=2 is Newton, n=3 is Halley).
 
     Uses the derivative tower of 1/p: with q_0 = 1 and
@@ -279,15 +278,15 @@ def konig_of(p: Polynomial, n: int, seed: int = 0) -> RationalMap:
         rest = Polynomial.make(w)
         if rest.degree < 2:
             return []
-        return [(c.location, c.multiplicity - 1) for c in find_roots(rest, seed=seed)
+        return [(c.location, c.multiplicity - 1) for c in find_roots(rest)
                 if c.multiplicity >= 2
                 and matching_point(c.location, src.roots + src.critical) is None]
 
-    return _reduced_map(p, seed, f"konig({n})", terms,
+    return _reduced_map(p, f"konig({n})", terms,
                         extra_points if n >= 4 else None)
 
 
-def chebyshev_halley_of(p: Polynomial, sigma: complex, seed: int = 0) -> RationalMap:
+def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
     """One-parameter family z - (1 + (p p'' / 2) / (p'^2 - sigma p p'')) p / p'.
 
     sigma = 0 is Chebyshev's method, sigma = 1/2 recovers Halley.
@@ -299,7 +298,7 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex, seed: int = 0) -> Rationa
         den = dq * bracket
         return x * den - q * (bracket + qddq.scale(0.5)), den
 
-    return _reduced_map(p, seed, f"chebyshev({sigma})", terms)
+    return _reduced_map(p, f"chebyshev({sigma})", terms)
 
 
 def eval_sphere(R: RationalMap, z):
@@ -426,8 +425,15 @@ def fixed_points(R: RationalMap) -> list:
     return out
 
 
-def multiplier_at(R: RationalMap, z, tol: float = FIXED_RTOL) -> complex:
-    """Derivative of R at a fixed point z (complex or INF).
+def is_fixed_point(R: RationalMap, z: complex) -> bool:
+    """Whether R fixes the finite point z: |R(z) - z| <= FIXED_RTOL * max(1, |z|)."""
+    img = eval_sphere(R, z)
+    return not is_infinity(img) and abs(img - z) <= FIXED_RTOL * max(1.0, abs(z))
+
+
+def multiplier_at(R: RationalMap, z) -> complex:
+    """Derivative of R at a fixed point z (complex or INF); NotFixed when
+    a finite z fails is_fixed_point.
 
     At infinity it is the derivative at 0 of w -> 1/R(1/w), which is
     w**k den.lead / num.lead to leading order for k = deg num - deg den:
@@ -437,8 +443,7 @@ def multiplier_at(R: RationalMap, z, tol: float = FIXED_RTOL) -> complex:
         k = local_degree_at(R, INF)
         return R.den.lead / R.num.lead if k == 1 else 0j
     z = complex(z)
-    img = eval_sphere(R, z)
-    if is_infinity(img) or abs(img - z) > tol * max(1.0, abs(z)):
+    if not is_fixed_point(R, z):
         raise NotFixed(f"{z} is not fixed")
     return R.derivative_at(z)
 
@@ -448,13 +453,13 @@ def _critical_numerator(R: RationalMap) -> Polynomial:
     return R.num.deriv() * R.den - R.num * R.den.deriv()
 
 
-def critical_points(R: RationalMap, seed: int = 0) -> list[RootCluster]:
+def critical_points(R: RationalMap) -> list[RootCluster]:
     """Finite critical points of R with multiplicities (zeros of the
     derivative numerator num' den - num den')."""
     c = _critical_numerator(R)
     if c.degree < 1:
         return []
-    return find_roots(c, seed=seed)
+    return find_roots(c)
 
 
 def _halley_free_critical_points(R: RationalMap, src: Source) -> list[RootCluster] | None:
@@ -507,10 +512,10 @@ def free_critical_points(R: RationalMap, roots) -> list[RootCluster]:
     return [c for c in found if matching_point(c.location, roots) is None]
 
 
-def poles(R: RationalMap, seed: int = 0) -> list[RootCluster]:
+def poles(R: RationalMap) -> list[RootCluster]:
     if R.den.degree < 1:
         return []
-    return find_roots(R.den, seed=seed)
+    return find_roots(R.den)
 
 
 def local_degree_at(R: RationalMap, z0) -> int:
@@ -539,16 +544,15 @@ def local_degree_at(R: RationalMap, z0) -> int:
     return mult + 1
 
 
-def degree_census(p: Polynomial, R: RationalMap | None = None,
-                  seed: int = 0) -> DegreeCensus:
+def degree_census(p: Polynomial, R: RationalMap | None = None) -> DegreeCensus:
     """Count data predicting deg(halley_of(p)) = 2N + s - B - 1.
 
     N is the number of distinct roots; s counts critical points of p of
     multiplicity >= 2 that are not roots of p, and B is their cumulative
-    multiplicity.  The counts come from source_of(p, R, seed), so a map
+    multiplicity.  The counts come from source_of(p, R), so a map
     built from p lends its source.
     """
-    src = source_of(p, R, seed=seed)
+    src = source_of(p, R)
     special = [c.multiplicity for c in src.critical if c.multiplicity >= 2]
     return DegreeCensus(
         distinct_roots=len(src.roots),
@@ -572,7 +576,7 @@ def conjugate(R: RationalMap, T: AffineMap) -> RationalMap:
     num = compose_affine(R.num, T)
     den = compose_affine(R.den, T)
     num = (num - den.scale(T.b)).scale(1.0 / complex(T.a))
-    return RationalMap(num, den, reduced=R.reduced)
+    return RationalMap(num, den)
 
 
 def scaling_check(p: Polynomial, T: AffineMap, c: complex) -> bool:

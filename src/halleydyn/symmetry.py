@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContainmentError, WindowNotCentered
-from .polycore import Polynomial, normalized_form
-from .ratmap import IDENTITY_RTOL, RationalMap
+from .polycore import NORMAL_FORM_RTOL, Polynomial, normalized_form
+from .ratmap import RationalMap
 from .dynamics import UNDECIDED, BasinGrid, Window, classify_grid
 
 GRID_AGREEMENT = 0.99
-DEFAULT_N_MAX = 12
+N_MAX = 12  # the largest rotation order any probe reports
+REPORT_WINDOW = Window(0j, 2.0, 2.0)  # symmetry_report's grid window
 
 
 @dataclass(frozen=True)
@@ -47,30 +48,31 @@ def polynomial_symmetry_order(p: Polynomial) -> int:
     return normalized_form(p).beta
 
 
-def map_rotation_order(R: RationalMap, n_max: int = DEFAULT_N_MAX) -> int:
-    """Largest n <= n_max with R(lam z) = lam R(z) for lam = exp(2 pi i / n).
+def map_rotation_order(R: RationalMap) -> int:
+    """Largest n <= N_MAX with R(lam z) = lam R(z) for lam = exp(2 pi i / n).
 
     For a reduced R that holds exactly when every exponent of den, and
     every exponent of num minus one, agree mod n: n divides the gcd of
-    their differences.  A coefficient counts when it exceeds IDENTITY_RTOL
-    of its polynomial's largest, the rule normalized_form applies to p.
+    their differences.  A coefficient counts when it exceeds
+    NORMAL_FORM_RTOL of its polynomial's largest, the rule
+    normalized_form applies to p.
     """
-    exps = [k - 1 for k in R.num.support(IDENTITY_RTOL)] + R.den.support(IDENTITY_RTOL)
+    exps = ([k - 1 for k in R.num.support(NORMAL_FORM_RTOL)]
+            + R.den.support(NORMAL_FORM_RTOL))
     g = 0
     for k in exps:
         g = math.gcd(g, k - exps[0])
-    return next((n for n in range(n_max, 1, -1) if g % n == 0), 1)
+    return next((n for n in range(N_MAX, 1, -1) if g % n == 0), 1)
 
 
-def grid_symmetry_order(grid: BasinGrid, n_max: int = DEFAULT_N_MAX,
-                        agreement: float = GRID_AGREEMENT) -> int:
-    """Largest n <= n_max whose rotation permutes the grid labels.
+def grid_symmetry_order(grid: BasinGrid) -> int:
+    """Largest n <= N_MAX whose rotation permutes the grid labels.
 
     Rotates pixel centers by 2 pi / n and samples the label at the
     nearest pixel.  Pixels on label boundaries or without a label are
     excluded; the remaining pairs must follow a single label permutation
-    on at least the agreement fraction.  Needs a square window centered
-    at the origin.
+    on at least the GRID_AGREEMENT fraction.  Needs a square window
+    centered at the origin.
     """
     w = grid.window
     if abs(w.center) > 1e-12 or abs(w.half_width - w.half_height) > 1e-12 \
@@ -88,13 +90,13 @@ def grid_symmetry_order(grid: BasinGrid, n_max: int = DEFAULT_N_MAX,
     same[:, 0] = same[:, -1] = False
     source = interior & same
     centers = grid.pixel_centers()
-    for n in range(n_max, 1, -1):
-        if _rotation_consistent(grid, labels, centers, source, n, agreement):
+    for n in range(N_MAX, 1, -1):
+        if _rotation_consistent(grid, labels, centers, source, n):
             return n
     return 1
 
 
-def _rotation_consistent(grid, labels, centers, source, n, agreement) -> bool:
+def _rotation_consistent(grid, labels, centers, source, n) -> bool:
     w = grid.window
     rot = centers * cmath.exp(2j * cmath.pi / n)
     col = np.rint((rot.real - (w.center.real - w.half_width)) / grid.pixel_width - 0.5)
@@ -118,14 +120,14 @@ def _rotation_consistent(grid, labels, centers, source, n, agreement) -> bool:
     if np.unique(images).size != images.size:
         return False
     mapped = images[np.searchsorted(keys, src)]
-    return float((mapped == dst).mean()) >= agreement
+    return float((mapped == dst).mean()) >= GRID_AGREEMENT
 
 
-def symmetry_report(R: RationalMap, n_max: int = DEFAULT_N_MAX,
-                    resolution: int = 400, max_iter: int = 200,
-                    window_half: float = 2.0) -> SymmetryReport:
+def symmetry_report(R: RationalMap, resolution: int = 400,
+                    max_iter: int = 200) -> SymmetryReport:
     """Cross-checked symmetry orders of a constructed map R and of the
     polynomial p it was built from, read with p's roots from R.source.
+    The grid covers REPORT_WINDOW at resolution x resolution pixels.
 
     Requires a normalized p with at least three distinct roots (two-root
     inputs have straight-line basin boundaries, where rotation order is
@@ -137,11 +139,10 @@ def symmetry_report(R: RationalMap, n_max: int = DEFAULT_N_MAX,
     if len(roots) < 3:
         raise ValueError("need at least three distinct roots")
     sigma_p = polynomial_symmetry_order(p)
-    map_order = map_rotation_order(R, n_max=n_max)
-    grid = classify_grid(R, [c.location for c in roots],
-                         Window(0j, window_half, window_half),
+    map_order = map_rotation_order(R)
+    grid = classify_grid(R, [c.location for c in roots], REPORT_WINDOW,
                          resolution, max_iter=max_iter)
-    grid_order = grid_symmetry_order(grid, n_max=n_max)
+    grid_order = grid_symmetry_order(grid)
     if map_order % sigma_p or grid_order % sigma_p:
         raise ContainmentError(
             f"polynomial order {sigma_p} does not divide probes "

@@ -41,8 +41,17 @@ def test_run_reports_every_criterion(monkeypatch):
                                                          ("E3", False, "ValueError: boom")]
 
 
-def test_run_subset_filter():
+def test_run_subset_filter(monkeypatch):
+    ran = []
+
+    def criterion(name):
+        def fn(seed):
+            ran.append(name)
+            return True, "fine"
+        return fn
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [(name, criterion(name)) for name in ("E1", "E2", "E3")])
     results = acceptance.run(only={"E3"}, seed=0)
-    assert len(results) == 1
-    assert results[0][0] == "E3"
-    assert results[0][1]
+    assert results == [("E3", True, "fine")]
+    assert ran == ["E3"]

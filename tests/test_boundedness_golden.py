@@ -22,25 +22,25 @@ def _nested(center, half, scales):
     return [Window(center, s * half, s * half) for s in scales]
 
 
-# name: (polynomial, seed, windows, resolution, areas, touches, verdict)
+# name: (polynomial, windows, resolution, areas, touches, verdict)
 CASES = {
     # E6: z(z^n - 1) over [-2,2]^2, [-4,4]^2, [-8,8]^2 at resolution 200
-    "e6-n7": (_z_zn(7), 0, _nested(0j, 2.0, (1, 2, 4)), 200,
+    "e6-n7": (_z_zn(7), _nested(0j, 2.0, (1, 2, 4)), 200,
               (1.3903999999999999, 1.3903999999999999, 1.3903999999999999),
               (False, False, False), "bounded-evidence"),
-    "e6-n9": (_z_zn(9), 0, _nested(0j, 2.0, (1, 2, 4)), 200,
+    "e6-n9": (_z_zn(9), _nested(0j, 2.0, (1, 2, 4)), 200,
               (1.524, 1.524, 1.524),
               (False, False, False), "bounded-evidence"),
     # z^8 - z on the render command's three windows at an off-dyadic centre
-    "render-octic": (_z_zn(7), 1, _nested(0.0025 + 0.0075j, 2.0, (1, 2, 4)), 128,
+    "render-octic": (_z_zn(7), _nested(0.0025 + 0.0075j, 2.0, (1, 2, 4)), 128,
                      (1.3984375, 1.3984375, 1.3984375),
                      (False, False, False), "bounded-evidence"),
     # the central component of z^3 - z reaches the border of every window
-    "cubic-odd": (Polynomial.make([0, -1, 0, 1]), 0, _nested(0j, 2.0, (1, 2)), 140,
+    "cubic-odd": (Polynomial.make([0, -1, 0, 1]), _nested(0j, 2.0, (1, 2)), 140,
                   (7.157551020408163, 23.22285714285714),
                   (True, True), "unbounded-evidence"),
     # non-square windows on one lattice of pitch 3/101 x 2/101
-    "non-square": (_z_zn(7), 0,
+    "non-square": (_z_zn(7),
                    [Window(0.1 + 0.05j, 1.5, 1.0), Window(0.1 + 0.05j, 3.0, 2.5)], 101,
                    (1.3904519164787768, 1.3904519164787768),
                    (False, False), "bounded-evidence"),
@@ -49,9 +49,9 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_boundedness_report_matches_golden(name):
-    p, seed, windows, res, areas, touches, verdict = CASES[name]
-    R = halley_of(p, seed=seed)
-    roots = [c.location for c in find_roots(p, seed=seed)]
+    p, windows, res, areas, touches, verdict = CASES[name]
+    R = halley_of(p)
+    roots = [c.location for c in find_roots(p)]
     rep = boundedness_evidence(R, roots, 0j, windows, resolution=res)
     assert rep.areas == areas
     assert rep.touches == touches

@@ -165,8 +165,7 @@ def test_multi_block_grid_of_unreduced_map_raises():
     c = dynamics.BasinGrid(win, *res, labels=None, iterations=None,
                            max_iter=200).pixel_centers()[200, 100]
     shared = Polynomial.make([-c, 1])
-    r = RationalMap(Polynomial.make([1, 0, 1]) * shared, shared.scale(2.0),
-                    reduced=False)
+    r = RationalMap(Polynomial.make([1, 0, 1]) * shared, shared.scale(2.0))
     with pytest.raises(Indeterminate):
         classify_grid(r, [1j, -1j], win, res)
 

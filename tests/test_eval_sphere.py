@@ -23,10 +23,10 @@ MAPS = {
     "halley-complex-quartic": halley_of(Polynomial.make([1 + 2j, -0.5, 0.3j, 0.7, 1])),
     # deg num < deg den: Newton's map for z^3 - 1 conjugated by 1/z
     "low-numerator": RationalMap(Polynomial.make([0, 3]),
-                                 Polynomial.make([2, 0, 0, 1]), reduced=True),
+                                 Polynomial.make([2, 0, 0, 1])),
     # deg num == deg den
     "equal-degrees": RationalMap(Polynomial.make([1, -2j, 0.5]),
-                                 Polynomial.make([-3, 1, 2]), reduced=True),
+                                 Polynomial.make([-3, 1, 2])),
 }
 
 
@@ -71,7 +71,7 @@ def test_array_equals_scalar_calls(name):
 
 def test_poles_map_to_infinity():
     # (z + 1) / (z^2 - 4): den vanishes exactly at +-2 in floating point
-    R = RationalMap(Polynomial.make([1, 1]), Polynomial.make([-4, 0, 1]), reduced=True)
+    R = RationalMap(Polynomial.make([1, 1]), Polynomial.make([-4, 0, 1]))
     got = eval_sphere(R, np.array([2.0, -2.0, 0.5]))
     assert np.isinf(got[0]) and np.isinf(got[1])
     assert got[2] == pytest.approx(1.5 / -3.75)
@@ -100,7 +100,7 @@ def test_value_at_infinity(name, at_infinity):
 
 def test_unreduced_map_raises_on_arrays():
     shared = Polynomial.make([-1, 1])  # z - 1
-    r = RationalMap(Polynomial.make([0, 1]) * shared, shared, reduced=False)
+    r = RationalMap(Polynomial.make([0, 1]) * shared, shared)
     with pytest.raises(Indeterminate):
         eval_sphere(r, np.array([0.5, 1.0, 2.0]))
     assert eval_sphere(r, np.array([0.5, 2.0])) == pytest.approx([0.5, 2.0])

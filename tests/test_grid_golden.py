@@ -41,8 +41,7 @@ def _halley_case(coeffs):
 def _inverted_newton():
     # Newton's map for z^3 - 1 conjugated by 1/z: 3w / (w^3 + 2), so
     # deg num < deg den and infinity maps to the repelling fixed point 0
-    R = RationalMap(Polynomial.make([0, 3]), Polynomial.make([2, 0, 0, 1]),
-                    reduced=True)
+    R = RationalMap(Polynomial.make([0, 3]), Polynomial.make([2, 0, 0, 1]))
     return R, [cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
 
 

@@ -281,7 +281,7 @@ def test_eval_sphere_huge_argument():
 
 def test_eval_sphere_unreduced_raises():
     shared = Polynomial.make([-1, 1])  # z - 1
-    r = RationalMap(Polynomial.make([0, 1]) * shared, shared, reduced=False)
+    r = RationalMap(Polynomial.make([0, 1]) * shared, shared)
     with pytest.raises(Indeterminate):
         eval_sphere(r, 1.0)
 
