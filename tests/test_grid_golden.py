@@ -106,6 +106,14 @@ CASES = {
                      "b36a638d288279a6d98d0ec252d6d1883cd566c8677efdfd994606bd0ec4a675"),
 }
 
+# labels alone of the cycle grids, recorded before capture on first entry
+# replaced the three-step rule: that change lowered the counts of some
+# cycle-basin pixels by 2 and must move no label
+CYCLE_LABELS = {
+    "cycle": "4da015d57346fa8db40004d0603453f0947609c5cfce65b5f08d475f0f31b662",
+    "cycle-blocks": "5b11bb8e25570e66aafa848fb38bdca23be1085b61ef4ce0d9d4f7331027bb89",
+}
+
 # free_critical_fates, field by field, exact floats included
 FATES = {
     "z^3 - z": (
@@ -137,6 +145,15 @@ def test_grid_matches_golden_hash(name):
     R, roots = build()
     grid = classify_grid(R, roots, window, res, cycles=cycles)
     assert grid_digest(grid) == digest
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_LABELS))
+def test_cycle_grid_labels_match_golden_hash(name):
+    build, window, res, cycles, _ = CASES[name]
+    R, roots = build()
+    grid = classify_grid(R, roots, window, res, cycles=cycles)
+    labels = np.ascontiguousarray(grid.labels, dtype=np.int32).tobytes()
+    assert hashlib.sha256(labels).hexdigest() == CYCLE_LABELS[name]
 
 
 def test_two_cycle_basin_is_labelled():
