@@ -55,7 +55,7 @@ CONDITION_COEFFS = (-12815747.0, 885354.0, -256962.0, -24766.0,
                     4326.0, -687.0, 10.0)
 
 
-def random_corpus(count: int, seed: int = CORPUS_SEED) -> list[Polynomial]:
+def random_corpus(count: int, seed: int) -> list[Polynomial]:
     """Random polynomials of degree CORPUS_DEGREES with mixed root
     multiplicities (1 to 3).
 
@@ -100,7 +100,7 @@ def _two_root_power(k: int) -> Polynomial:
     return Polynomial.make(c)
 
 
-def e1(seed: int = 0) -> tuple[bool, str]:
+def e1(seed: int) -> tuple[bool, str]:
     """Straight-line basin boundary for (z**2 - 1)**k, k = 1, 2, 3."""
     worst_labeled = 1.0
     worst_agree = 1.0
@@ -124,7 +124,7 @@ def e1(seed: int = 0) -> tuple[bool, str]:
                 f"sign agreement {worst_agree * 100:.4f}% (worst of k=1,2,3)")
 
 
-def e2(seed: int = 0) -> tuple[bool, str]:
+def e2(seed: int) -> tuple[bool, str]:
     """Multiplier predictions over 50 random mixed-multiplicity polynomials."""
     corpus = random_corpus(50, seed=CORPUS_SEED + seed)
     worst = 0.0
@@ -140,7 +140,7 @@ def e2(seed: int = 0) -> tuple[bool, str]:
     return ok, f"50 polynomials, max |multiplier - predicted| = {worst:.2e}"
 
 
-def e3(seed: int = 0) -> tuple[bool, str]:
+def e3(seed: int) -> tuple[bool, str]:
     """Degree formula 2N + s - B - 1 over the corpus and named examples."""
     named = [
         (Polynomial.make([-1, 0, 0, 1]), 4),
@@ -176,7 +176,7 @@ def _sphere_samples(rng, count: int) -> list[complex]:
     return out
 
 
-def e4(seed: int = 0) -> tuple[bool, str]:
+def e4(seed: int) -> tuple[bool, str]:
     """konig(3) and chebyshev(1/2) agree with the Halley map pointwise."""
     rng = np.random.default_rng(CORPUS_SEED + 1 + seed)
     corpus = random_corpus(10, seed=CORPUS_SEED + 2 + seed)
@@ -208,7 +208,7 @@ def e4(seed: int = 0) -> tuple[bool, str]:
     return ok, f"10 polynomials x 100 sphere points, max rel err = {worst:.2e}"
 
 
-def e5(seed: int = 0) -> tuple[bool, str]:
+def e5(seed: int) -> tuple[bool, str]:
     """Free critical orbits land on roots; grids nearly fully labeled."""
     cases = [
         (Polynomial.make([-1, 0, 0, 1]), None),
@@ -236,7 +236,7 @@ def e5(seed: int = 0) -> tuple[bool, str]:
                 f"{worst_label * 100:.4f}%")
 
 
-def e6(seed: int = 0) -> tuple[bool, str]:
+def e6(seed: int) -> tuple[bool, str]:
     """Central basin bounded, outer basins unbounded, for z(z**n - 1)."""
     details = []
     for n in (7, 9):
@@ -261,7 +261,7 @@ def e6(seed: int = 0) -> tuple[bool, str]:
     return True, "; ".join(details) + "; all nonzero-root components reach the border"
 
 
-def e7(seed: int = 0) -> tuple[bool, str]:
+def e7(seed: int) -> tuple[bool, str]:
     """Rotation order of map and grid equals n for z(z**n - 1)."""
     got = []
     for n in (2, 3, 7, 9):
@@ -277,7 +277,7 @@ def e7(seed: int = 0) -> tuple[bool, str]:
     return True, f"map order == grid order == n for n in {got}"
 
 
-def e8(seed: int = 0) -> tuple[bool, str]:
+def e8(seed: int) -> tuple[bool, str]:
     """Cycle condition coefficients, quintic roots, and the real 2-cycle."""
     cond = paramsearch.cycle_condition_polynomial()
     if cond.degree != 6:
@@ -308,7 +308,7 @@ def e8(seed: int = 0) -> tuple[bool, str]:
                   f"cycle (1, {xi.real:.6f}), multiplier {abs(cand.multiplier):.1e}")
 
 
-def e9(seed: int = 0) -> tuple[bool, str]:
+def e9(seed: int) -> tuple[bool, str]:
     """Real-interval convergence and the obstruction fault injection."""
     p = Polynomial.make([0, -1, 0, 1])
     R = halley_of(p)
@@ -354,7 +354,7 @@ def _closed_form_cases() -> list[tuple[Polynomial, Polynomial, Polynomial]]:
     return cases
 
 
-def e10(seed: int = 0) -> tuple[bool, str]:
+def e10(seed: int) -> tuple[bool, str]:
     """Constructed maps match the closed forms at random points."""
     rng = np.random.default_rng(CORPUS_SEED + 3 + seed)
 

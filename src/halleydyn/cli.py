@@ -32,6 +32,7 @@ from .ratmap import (
 )
 from .classify import classify_fixed_points, extraneous_fixed_points
 from .dynamics import (
+    CAPTURE_RADIUS,
     MAX_ITER_LIMIT,
     Window,
     _orbit_outcomes,
@@ -64,7 +65,6 @@ class JobConfig:
     window: Window | None = None
     res: tuple = (400, 400)
     max_iter: int = 200
-    capture_radius: float = 1e-8
     seed: int = 0
     out: str | None = None
     x_min: float = -2.0
@@ -122,7 +122,6 @@ _PARSERS = {
     "window": _parse_window,
     "res": _parse_res,
     "max_iter": int,
-    "capture_radius": float,
     "seed": int,
     "out": str,
     "x_min": float,
@@ -166,8 +165,6 @@ def _checked(cfg: JobConfig) -> JobConfig:
     command-line override passes through here."""
     if not 1 <= cfg.max_iter <= MAX_ITER_LIMIT:
         raise ConfigError(f"max_iter must lie in [1, {MAX_ITER_LIMIT}]")
-    if not 0.0 < cfg.capture_radius < math.inf:
-        raise ConfigError("capture_radius must be positive and finite")
     if not 0.0 <= cfg.shading <= 1.0:
         raise ConfigError("shading must lie in [0, 1]")
     if not -math.inf < cfg.x_min < cfg.x_max < math.inf:
@@ -262,17 +259,14 @@ def cmd_render(args) -> int:
     # critical orbits find the cycles whose basins the grid labels; a
     # cycle several of them reach is passed once
     crits = free_critical_points(R, roots)
-    fates = _orbit_outcomes(R, [c.location for c in crits], roots,
-                            cfg.max_iter, cfg.capture_radius)
+    fates = _orbit_outcomes(R, [c.location for c in crits], roots, cfg.max_iter)
     cycles: list = []
     for f in fates:
         if f.kind == "cycle" and not any(
-                min(abs(z - f.cycle[0]) for z in cyc) <= cfg.capture_radius
+                min(abs(z - f.cycle[0]) for z in cyc) <= CAPTURE_RADIUS
                 for cyc in cycles):
             cycles.append(f.cycle)
-    grid = classify_grid(R, roots, window, cfg.res,
-                         max_iter=cfg.max_iter,
-                         capture_radius=cfg.capture_radius,
+    grid = classify_grid(R, roots, window, cfg.res, max_iter=cfg.max_iter,
                          cycles=tuple(cycles))
     cmap = ColorMap(palette=default_palette(max(8, len(roots))),
                     shading=cfg.shading)
@@ -315,8 +309,7 @@ def cmd_render(args) -> int:
                 Window(window.center, 4 * window.half_width, 4 * window.half_height)]
         base = min(cfg.res[0], 256)
         rep = boundedness_evidence(R, roots, r, wins, resolution=base,
-                                   max_iter=cfg.max_iter,
-                                   capture_radius=cfg.capture_radius)
+                                   max_iter=cfg.max_iter)
         out.write(f"{_fmt(r)},false,{rep.verdict}\n")
     return 0
 

@@ -8,11 +8,14 @@ state only for points not yet retired.  Every step is elementwise, so a
 point's outcome does not depend on its block.  A call of several blocks
 runs them on one module-level thread pool, created on first use with a
 thread per CPU the process may use; numpy releases the GIL inside its
-ufuncs.  Its one capture rule: a point is captured when it lies within
-the capture radius of targets with the same label on three consecutive
-steps, the last of them at most max_iter, and its iteration count is the
-first of those steps.  This filters out flybys near repelling fixed
-points.
+ufuncs.  Its one capture rule: a point is captured at the first step, at
+most max_iter, at which it lies within CAPTURE_RADIUS of a target; it
+takes the label of the nearest such target (the first one on a tie), and
+its iteration count is that step.  Targets are attracting: roots, and the
+points of attracting cycles.  On every map the grid goldens pin, the
+CAPTURE_RADIUS disk about a root maps into itself, and the one about a
+cycle point maps into itself under the cycle's period, so an orbit that
+enters a disk never leaves its basin.
 
 Every map application goes through ratmap.eval_sphere, the one sphere
 evaluator, so poles follow its one rule: z is a pole when
@@ -174,36 +177,34 @@ def iterate_orbit(R: RationalMap, z0, roots,
                   max_iter: int = DEFAULT_MAX_ITER) -> OrbitOutcome:
     """Iterate a single sphere point and report where the orbit settles.
 
-    The orbit is captured by a root under the grid's rule (see the module
+    The orbit is captured by the first root disk it enters (see the module
     docstring), so it gets the label and iteration count of a pixel
     centred at z0.  If the budget runs out, Brent's tortoise-and-hare
     detection runs on the orbit tail to look for an attracting cycle of
     period at most PERIOD_CAP.
     """
-    return _orbit_outcomes(R, [z0], roots, max_iter, CAPTURE_RADIUS)[0]
+    return _orbit_outcomes(R, [z0], roots, max_iter)[0]
 
 
-def _orbit_outcomes(R: RationalMap, points, roots, max_iter: int,
-                    capture_radius: float) -> list[OrbitOutcome]:
+def _orbit_outcomes(R: RationalMap, points, roots, max_iter: int) -> list[OrbitOutcome]:
     """OrbitOutcome of each sphere point: root capture in one _classify_points
     call, then Brent's cycle detection for the points left undecided."""
     root_locs = tuple(complex(r) for r in roots)
     z = np.array([np.inf if is_infinity(p) else complex(p) for p in points],
                  dtype=np.complex128)
-    labels, iters, last = _classify_points(R, z, root_locs, (), max_iter,
-                                           capture_radius)
+    labels, iters, last = _classify_points(R, z, root_locs, (), max_iter)
     out = []
     for label, it, w in zip(labels.tolist(), iters.tolist(), last.tolist()):
         w = w if cmath.isfinite(w) else INF
         if label == UNDECIDED:
-            out.append(_detect_cycle(R, w, root_locs, max_iter, capture_radius))
+            out.append(_detect_cycle(R, w, root_locs, max_iter))
         else:
             out.append(OrbitOutcome(kind="root", root_index=label,
                                     iterations=it, last=w))
     return out
 
 
-def _detect_cycle(R, z, root_locs, max_iter, capture_radius) -> OrbitOutcome:
+def _detect_cycle(R, z, root_locs, max_iter) -> OrbitOutcome:
     if is_infinity(z):
         return OrbitOutcome(kind="undecided", last=INF, iterations=max_iter)
     tortoise = z
@@ -238,7 +239,7 @@ def _detect_cycle(R, z, root_locs, max_iter, capture_radius) -> OrbitOutcome:
             period = d
             pts = pts[:d]
             break
-    if any(abs(pt - r) < capture_radius for pt in pts for r in root_locs):
+    if any(abs(pt - r) < CAPTURE_RADIUS for pt in pts for r in root_locs):
         # converging tail misread as a cycle; stay honest and undecided
         return OrbitOutcome(kind="undecided", last=pts[-1], iterations=max_iter)
     return OrbitOutcome(kind="cycle", cycle=tuple(pts), period=period,
@@ -247,7 +248,6 @@ def _detect_cycle(R, z, root_locs, max_iter, capture_radius) -> OrbitOutcome:
 
 def classify_grid(R: RationalMap, roots, window: Window, resolution,
                   max_iter: int = DEFAULT_MAX_ITER,
-                  capture_radius: float = CAPTURE_RADIUS,
                   cycles: tuple = ()) -> BasinGrid:
     """Label every pixel of the window by the target capturing its orbit.
 
@@ -269,23 +269,23 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
                      roots=root_tuple,
                      cycles=cycle_tuple)
     labels, iters, _ = _classify_points(R, grid.pixel_centers().ravel(), root_tuple,
-                                        cycle_tuple, max_iter, capture_radius)
+                                        cycle_tuple, max_iter)
     grid.labels[:] = labels.reshape(height, width)
     grid.iterations[:] = iters.reshape(height, width)
     return grid
 
 
 def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
-                     max_iter: int, capture_radius: float):
+                     max_iter: int):
     """(labels, iterations, last) of each initial value in the 1-D array z.
 
     Every step is elementwise over the points, so a point's outcome does
     not depend on which other points share the call or its block.  A
-    point is captured once it lies within capture_radius of a target with
-    the same label on three consecutive steps; the points of one cycle
-    share a label, so an orbit alternating between them counts as staying
-    captured.  last is where a point was at capture, at step max_iter, or
-    (np.inf) when it was parked at infinity by a map that fixes infinity.
+    point is captured at the first step at which it lies within
+    CAPTURE_RADIUS of a target, with the label of the nearest one; the
+    points of one cycle share a label.  last is where a point was at
+    capture, at step max_iter, or (np.inf) when it was parked at infinity
+    by a map that fixes infinity.
     The first exception of a block (in block order) is raised once every
     block has finished.
     """
@@ -297,8 +297,7 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
                                         for p in cyc]
 
     def follow(block: slice):
-        _classify_block(R, targets, max_iter, capture_radius,
-                        labels[block], iters[block], last[block])
+        _classify_block(R, targets, max_iter, labels[block], iters[block], last[block])
 
     blocks = [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
     if len(blocks) == 1:
@@ -313,36 +312,31 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
 
 
 def _classify_block(R: RationalMap, targets: list, max_iter: int,
-                    capture_radius: float, labels: np.ndarray, iters: np.ndarray,
-                    last: np.ndarray):
+                    labels: np.ndarray, iters: np.ndarray, last: np.ndarray):
     """The capture loop of _classify_points on one block, written into its views."""
     fixes_infinity = R.num.degree > R.den.degree
     # state of the points not yet retired
     w = last.copy()
     index = np.arange(w.size)
-    cand = np.full(w.size, UNDECIDED, dtype=np.int32)
-    run = np.zeros(w.size, dtype=np.int32)
     for it in range(max_iter + 1):
-        # label of the nearest target within capture_radius (the first one
+        # label of the nearest target within CAPTURE_RADIUS (the first one
         # on a tie), one target at a time to keep memory O(points)
         t = np.full(w.size, UNDECIDED, dtype=np.int32)
-        best = np.full(w.size, capture_radius)
+        best = np.full(w.size, CAPTURE_RADIUS)
         for label, target in targets:
             d = np.abs(w - target)
             closer = d < best
             best[closer] = d[closer]
             t[closer] = label
-        run = np.where((t == cand) & (t != UNDECIDED), run + 1, 0)
-        cand = t
-        done = run >= 2
-        labels[index[done]] = cand[done]
-        iters[index[done]] = it - 2
+        done = t != UNDECIDED
+        labels[index[done]] = t[done]
+        iters[index[done]] = it
         # points parked at the point at infinity never converge to a root
         retire = done | ~np.isfinite(w) if fixes_infinity else done
         if retire.any():
             last[index[retire]] = w[retire]
             keep = ~retire
-            w, index, cand, run = w[keep], index[keep], cand[keep], run[keep]
+            w, index = w[keep], index[keep]
         if it == max_iter or index.size == 0:
             break
         w = eval_sphere(R, w)
@@ -374,7 +368,7 @@ def free_critical_fates(p: Polynomial, R: RationalMap | None = None) -> list[Orb
         R = halley_of(p)
     roots = [c.location for c in source_of(p, R).roots]
     crits = [c.location for c in free_critical_points(R, roots)]
-    return _orbit_outcomes(R, crits, roots, DEFAULT_MAX_ITER, CAPTURE_RADIUS)
+    return _orbit_outcomes(R, crits, roots, DEFAULT_MAX_ITER)
 
 
 def has_trapped_cycle(fates: list[OrbitOutcome]) -> bool:
@@ -414,8 +408,7 @@ def _lattice(window: Window, size: tuple) -> tuple[float, float, float, float]:
 
 
 def _seed_component(R: RationalMap, roots, window: Window, size: tuple,
-                    seed_point: complex, rect: tuple, tiles: dict,
-                    max_iter: int, capture_radius: float):
+                    seed_point: complex, rect: tuple, tiles: dict, max_iter: int):
     """The seed's 4-connected component within one rectangle of a pixel lattice.
 
     The lattice is the pixel grid of window at size (width, height),
@@ -453,8 +446,7 @@ def _seed_component(R: RationalMap, roots, window: Window, size: tuple,
             z = np.concatenate([((x0 + (tx * _TILE + offsets) * pw)[None, :]
                                  + 1j * (y0 - (ty * _TILE + offsets) * ph)[:, None]).ravel()
                                 for ty, tx in pending])
-            labels, _, _ = _classify_points(R, z, root_tuple, (), max_iter,
-                                            capture_radius)
+            labels, _, _ = _classify_points(R, z, root_tuple, (), max_iter)
             for k, key in enumerate(pending):
                 tiles[key] = labels[k * _TILE ** 2:(k + 1) * _TILE ** 2].reshape(_TILE, _TILE)
         # the box of classified tiles within rect: rows b0:b1, columns d0:d1
@@ -489,8 +481,7 @@ def _seed_component(R: RationalMap, roots, window: Window, size: tuple,
 
 def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
                          windows, resolution: int = 400,
-                         max_iter: int = DEFAULT_MAX_ITER,
-                         capture_radius: float = CAPTURE_RADIUS) -> BoundednessReport:
+                         max_iter: int = DEFAULT_MAX_ITER) -> BoundednessReport:
     """Area-stabilization evidence that a basin component is bounded.
 
     Classifies the same seed component over a window sequence whose half
@@ -547,7 +538,7 @@ def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
                 round((win.center.real - win.half_width - x0) / pw),
                 round((win.center.real + win.half_width - x0) / pw))
         comp, _, touch = _seed_component(R, roots, first, (size, size), seed_point,
-                                         rect, tiles, max_iter, capture_radius)
+                                         rect, tiles, max_iter)
         areas.append(float(comp.sum()) * pw * ph)
         touches.append(touch)
     stable = areas[-2] > 0 and abs(areas[-1] - areas[-2]) < 0.01 * areas[-2]
@@ -579,9 +570,9 @@ def interval_convergence_check(R: RationalMap, x1: float, x2: float) -> Interval
     Scans the open interval for poles, critical points, and fixed points
     of R; any hit is reported as an obstruction (not raised).  On a clean
     interval the sign of R(x) - x picks the limiting endpoint, and each of
-    INTERVAL_SAMPLES sample orbits must be captured by it, the only target,
-    under the grid's capture rule within INTERVAL_MAX_ITER steps (all
-    samples run in one kernel call).  Pass x2 = inf for the ray variant,
+    INTERVAL_SAMPLES sample orbits must enter its CAPTURE_RADIUS disk, the
+    only target, within INTERVAL_MAX_ITER steps (all samples run in one
+    kernel call).  Pass x2 = inf for the ray variant,
     which instead requires R(x) < x and predicts the left endpoint.
     The obstruction scan runs first, so hypothesis failures are reported
     even when an endpoint is not fixed.
@@ -616,14 +607,13 @@ def interval_convergence_check(R: RationalMap, x1: float, x2: float) -> Interval
         test_points = list(np.linspace(x1, x2, INTERVAL_SAMPLES + 2)[1:-1])
 
     labels, _, _ = _classify_points(R, np.array(test_points, dtype=np.complex128),
-                                    (complex(predicted),), (), INTERVAL_MAX_ITER,
-                                    CAPTURE_RADIUS)
+                                    (complex(predicted),), (), INTERVAL_MAX_ITER)
     verified = bool((labels == 0).all())
     return IntervalReport(x1, x2, None, predicted, verified)
 
 
 def real_axis_profile(R: RationalMap, x_min: float, x_max: float,
-                      samples: int = 400) -> list[ProfileRow]:
+                      samples: int) -> list[ProfileRow]:
     """Sampled graph of R along a real segment with poles marked.
 
     Regular rows carry (x, R(x), R(x) - x, 0); samples falling on a pole

@@ -1,5 +1,8 @@
 """End-to-end tests for the command line interface."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,24 @@ def test_parse_config_full():
     assert cfg.res == (60, 60)
     assert cfg.max_iter == 80
     assert cfg.seed == 3
+
+
+def test_readme_lists_every_config_key():
+    # the README's key table names exactly the keys parse_config accepts,
+    # each with JobConfig's default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (none|`[^`]*`) \|", readme, flags=re.MULTILINE)
+    keys = [key for key, _ in rows]
+    assert sorted(keys) == sorted(cli._PARSERS)
+    assert len(keys) == len(set(keys))
+    defaults = JobConfig()
+    for key, default in rows:
+        field = "coeffs" if key == "coeff" else key
+        want = getattr(defaults, field)
+        if default == "none":
+            assert not want, key
+        else:
+            assert cli._PARSERS[key](default.strip("`")) == want, key
 
 
 def test_parse_config_complex_coeff_and_defaults():
@@ -251,13 +272,15 @@ def test_render_requires_out(tmp_path, capsys):
     assert err.startswith("config error:")
 
 
-def test_unknown_key_exits_two(tmp_path, capsys):
+# capture_radius is no key: the radius is the constant dynamics.CAPTURE_RADIUS
+@pytest.mark.parametrize("key", ["bogus", "capture_radius"])
+def test_unknown_key_exits_two(tmp_path, capsys, key):
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("bogus = 1\n")
+    cfg_path.write_text(CUBIC_CFG + f"{key} = 1\n")
     rc = main(["analyze", "--config", str(cfg_path)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "unknown key" in err
+    assert f"unknown key {key!r}" in err
 
 
 @pytest.mark.parametrize("command, lines, flags", [
@@ -267,8 +290,6 @@ def test_unknown_key_exits_two(tmp_path, capsys):
     ("render", "window = 0, 0, inf, 1\n", []),
     ("render", "window = nan, 0, 1, 1\n", []),
     ("render", "", ["--window", "0,0,nan,1"]),
-    ("render", "capture_radius = nan\n", []),
-    ("render", "capture_radius = inf\n", []),
     ("profile", "x_min = 1\nx_max = 0\n", []),
     ("profile", "x_max = nan\n", []),
     ("profile", "x_min = -inf\n", []),

@@ -10,7 +10,6 @@ import pytest
 
 from halleydyn import dynamics
 from halleydyn.dynamics import (
-    CAPTURE_RADIUS,
     UNDECIDED,
     Window,
     boundedness_evidence,
@@ -78,14 +77,14 @@ def test_orbit_follows_the_grid_capture_rule():
 
 
 def test_orbit_capture_must_complete_within_the_budget():
-    # capture at step k is confirmed at step k + 2, which must fit in max_iter
+    # an orbit first entering a root's disk at step k needs max_iter >= k
     p = Polynomial.make([-1, 0, 1])
     h = halley_of(p)
     roots = roots_of(p)
     k = iterate_orbit(h, 2.0, roots).iterations
     assert k >= 1
-    assert iterate_orbit(h, 2.0, roots, max_iter=k + 1).kind == "undecided"
-    out = iterate_orbit(h, 2.0, roots, max_iter=k + 2)
+    assert iterate_orbit(h, 2.0, roots, max_iter=k - 1).kind == "undecided"
+    out = iterate_orbit(h, 2.0, roots, max_iter=k)
     assert (out.kind, out.iterations) == ("root", k)
 
 
@@ -123,11 +122,11 @@ def test_classify_points_is_split_invariant():
     z = rng.uniform(-2, 2, 70_000) + 1j * rng.uniform(-2, 2, 70_000)
     z[::9_999] = np.inf  # parked at infinity, which this map fixes
     assert z.size > 2 * dynamics._BLOCK
-    whole = dynamics._classify_points(h, z, roots, (), 60, CAPTURE_RADIUS)
+    whole = dynamics._classify_points(h, z, roots, (), 60)
     assert (whole[0] == UNDECIDED).any() and (whole[0] != UNDECIDED).any()
     for k in (1, 32_769, 50_000):
-        head = dynamics._classify_points(h, z[:k], roots, (), 60, CAPTURE_RADIUS)
-        tail = dynamics._classify_points(h, z[k:], roots, (), 60, CAPTURE_RADIUS)
+        head = dynamics._classify_points(h, z[:k], roots, (), 60)
+        tail = dynamics._classify_points(h, z[k:], roots, (), 60)
         for got, a, b in zip(whole, head, tail):
             assert np.array_equal(got, np.concatenate([a, b]))
 
@@ -140,14 +139,14 @@ def test_concurrent_callers_share_the_block_pool(monkeypatch):
     rng = np.random.default_rng(8)
     n = 2 * dynamics._BLOCK + 5
     z = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
-    want = dynamics._classify_points(h, z, roots, (), 20, CAPTURE_RADIUS)
+    want = dynamics._classify_points(h, z, roots, (), 20)
     monkeypatch.setattr(dynamics, "_POOL", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as callers:
             got = list(callers.map(
-                lambda _: dynamics._classify_points(h, z, roots, (), 20, CAPTURE_RADIUS),
+                lambda _: dynamics._classify_points(h, z, roots, (), 20),
                 range(4), timeout=120))
     finally:
         sys.setswitchinterval(interval)
@@ -283,7 +282,7 @@ def test_seed_component_equals_full_grid_component(name):
     grid = classify_grid(h, roots, win, res)
     mask, touches = immediate_basin_component(grid, 0j)
     comp, (row, col), got_touches = dynamics._seed_component(
-        h, roots, win, res, 0j, (0, res[1], 0, res[0]), {}, 200, CAPTURE_RADIUS)
+        h, roots, win, res, 0j, (0, res[1], 0, res[0]), {}, 200)
     got_mask = np.zeros_like(mask)
     got_mask[row:row + comp.shape[0], col:col + comp.shape[1]] = comp
     assert np.array_equal(got_mask, mask)
@@ -313,7 +312,7 @@ def test_seed_component_rejects_unlabeled_seed():
     with pytest.raises(SeedUnlabeled):
         dynamics._seed_component(h, roots_of(CUBIC_ODD), Window(0j, 1.0, 1.0),
                                  (21, 21), 0.57 + 0.57j, (0, 21, 0, 21), {},
-                                 1, CAPTURE_RADIUS)
+                                 1)
 
 
 def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
@@ -338,7 +337,7 @@ def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
     # the larger windows classify nothing beyond the first window's probe
     counted.clear()
     dynamics._seed_component(h, roots, wins[0], (128, 128), 0j, (0, 128, 0, 128), {},
-                             200, CAPTURE_RADIUS)
+                             200)
     assert sum(c.size for c in counted) == z.size
 
 

@@ -4,7 +4,13 @@ The first four digests were recorded before the grid step was routed
 through the shared sphere evaluator, the acceptance grids and the fates
 before single orbits and grids shared one capture loop; any change to the
 per-pixel arithmetic, the capture test or the treatment of poles and
-infinity shows up here.
+infinity shows up here.  When capture on first entry into a target's
+disk replaced capture after three consecutive steps near one label, only
+the two cycle digests (some cycle-basin counts fell by 2) and the `last`
+of the root fates moved; the labels of the cycle grids are pinned on
+their own, and were recorded before that change.  The rule gives the old
+labels because every target's disk is a trap on these maps, which
+test_capture_disks_are_traps checks.
 """
 
 import cmath
@@ -14,6 +20,7 @@ import numpy as np
 import pytest
 
 from halleydyn.dynamics import (
+    CAPTURE_RADIUS,
     UNDECIDED,
     OrbitOutcome,
     Window,
@@ -22,13 +29,13 @@ from halleydyn.dynamics import (
 )
 from halleydyn.paramsearch import family_polynomial, halley_b
 from halleydyn.polycore import Polynomial, find_roots
-from halleydyn.ratmap import RationalMap, halley_of
+from halleydyn.ratmap import RationalMap, eval_sphere, halley_of
 
 # the real quintic parameter of z^3 + 6z + b with a superattracting
 # two-cycle through 1; its partner (1 + 4b) / (b - 20) in closed form.
-# The capture test compares target labels, which both points of the cycle
-# share, so every pixel of this window is labelled -1 (the latest capture
-# is at step 39).
+# Both points of the cycle share a label.  Every pixel of this window is
+# captured, 4,484 of its 9,216 by the cycle (label -1); the latest capture
+# is at step 39.
 CYCLE_B = 62.5144396
 CYCLE = (1.0 + 0j, complex((1.0 + 4.0 * CYCLE_B) / (CYCLE_B - 20.0)))
 
@@ -60,7 +67,7 @@ CASES = {
                      "e665d68da89750dc083c4cad421b59103c92e8caae41e65d2d6c2d08bd3e739f"),
     "cycle": (lambda: _halley_case([CYCLE_B, 6, 0, 1]),
               Window(1 + 0j, 0.2, 0.2), 96, (CYCLE,),
-              "68c6429f61a00ddb2c6563dd75b4ae82f0555c58c36156d6aeafe8903f8882e1"),
+              "0d4dad711e6757dbb97d77af26afc9c48d8e6d6ff11cabfeb6dadd3936efd329"),
     "low-numerator": (_inverted_newton,
                       Window(0j, 2.0, 2.0), 96, (),
                       "ee3382686dc12ff6d0f625a61c4d315deb05cdd8070d4fc8ba4b9801376896c9"),
@@ -103,7 +110,7 @@ CASES = {
                      "b73da7470cd06aa28f1fe8bb26cf700876a1d540f0143696641a6c04decbc1c8"),
     "cycle-blocks": (lambda: _halley_case([CYCLE_B, 6, 0, 1]),
                      Window(1 + 0j, 0.2, 0.2), (257, 255), (CYCLE,),
-                     "b36a638d288279a6d98d0ec252d6d1883cd566c8677efdfd994606bd0ec4a675"),
+                     "c8d3e8cc0f93d4fc3cb75bffe322e867748defd3b3d1dc454646cb6e3b31b1dd"),
 }
 
 # labels alone of the cycle grids, recorded before capture on first entry
@@ -119,13 +126,13 @@ FATES = {
     "z^3 - z": (
         lambda: (Polynomial.make([0, -1, 0, 1]), None),
         [OrbitOutcome("root", root_index=1, iterations=3,
-                      last=1.1806403368729746e-137j),
+                      last=6.106478696464279e-16j),
          OrbitOutcome("root", root_index=1, iterations=3,
-                      last=-1.180640336872956e-137j)]),
+                      last=-6.106478696464268e-16j)]),
     "z^3 + 6z + b": (
         lambda: (family_polynomial(62.5144395981942), halley_b(62.5144395981942)),
         [OrbitOutcome("root", root_index=0, iterations=3,
-                      last=-3.4679220624179443 + 0j),
+                      last=-3.4679220603808507 - 9.154467687500336e-53j),
          OrbitOutcome("cycle", iterations=200,
                       cycle=(5.905235039330978 + 0j, 1.000000000000001 + 0j),
                       period=2, last=1.000000000000001 + 0j)]),
@@ -169,3 +176,20 @@ def test_free_critical_fates_match_golden(name):
     build, want = FATES[name]
     p, R = build()
     assert free_critical_fates(p, R) == want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_capture_disks_are_traps(name):
+    # 256 points on the boundary of each target's CAPTURE_RADIUS disk land
+    # inside it: after one step about a root (worst ratio 0.5, at E1's
+    # triple roots), after the period about a cycle point (0.015 for the
+    # 2-cycle).  So an orbit captured on first entry stays in its basin.
+    build, _, _, cycles, _ = CASES[name]
+    R, roots = build()
+    ring = CAPTURE_RADIUS * np.exp(2j * np.pi * np.arange(256) / 256)
+    for target, period in ([(complex(r), 1) for r in roots]
+                           + [(complex(p), len(cyc)) for cyc in cycles for p in cyc]):
+        w = target + ring
+        for _ in range(period):
+            w = eval_sphere(R, w)
+        assert (np.abs(w - target) < CAPTURE_RADIUS).all()
