@@ -311,8 +311,7 @@ def test_seed_component_rejects_unlabeled_seed():
     h = halley_of(CUBIC_ODD)
     with pytest.raises(SeedUnlabeled):
         dynamics._seed_component(h, roots_of(CUBIC_ODD), Window(0j, 1.0, 1.0),
-                                 (21, 21), 0.57 + 0.57j, (0, 21, 0, 21), {},
-                                 1)
+                                 (21, 21), 0.57 + 0.57j, (0, 21, 0, 21), {}, 1)
 
 
 def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
@@ -336,8 +335,7 @@ def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
     assert np.unique(z).size == z.size
     # the larger windows classify nothing beyond the first window's probe
     counted.clear()
-    dynamics._seed_component(h, roots, wins[0], (128, 128), 0j, (0, 128, 0, 128), {},
-                             200)
+    dynamics._seed_component(h, roots, wins[0], (128, 128), 0j, (0, 128, 0, 128), {}, 200)
     assert sum(c.size for c in counted) == z.size
 
 
