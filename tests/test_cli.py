@@ -272,15 +272,15 @@ def test_render_requires_out(tmp_path, capsys):
     assert err.startswith("config error:")
 
 
-# capture_radius is no key: the radius is the constant dynamics.CAPTURE_RADIUS
-@pytest.mark.parametrize("key", ["bogus", "capture_radius"])
-def test_unknown_key_exits_two(tmp_path, capsys, key):
+def test_unknown_key_exits_two(tmp_path, capsys):
+    # capture_radius is no key: the radius is the constant dynamics.CAPTURE_RADIUS
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(CUBIC_CFG + f"{key} = 1\n")
-    rc = main(["analyze", "--config", str(cfg_path)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert f"unknown key {key!r}" in err
+    for key in ["bogus", "capture_radius"]:
+        cfg_path.write_text(CUBIC_CFG + f"{key} = 1\n")
+        rc = main(["analyze", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"unknown key {key!r}" in err
 
 
 @pytest.mark.parametrize("command, lines, flags", [
@@ -290,6 +290,9 @@ def test_unknown_key_exits_two(tmp_path, capsys, key):
     ("render", "window = 0, 0, inf, 1\n", []),
     ("render", "window = nan, 0, 1, 1\n", []),
     ("render", "", ["--window", "0,0,nan,1"]),
+    # removed keys: these now fail as unknown keys, not by a range check
+    ("render", "capture_radius = nan\n", []),
+    ("render", "capture_radius = inf\n", []),
     ("profile", "x_min = 1\nx_max = 0\n", []),
     ("profile", "x_max = nan\n", []),
     ("profile", "x_min = -inf\n", []),
