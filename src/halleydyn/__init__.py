@@ -75,11 +75,11 @@ from .dynamics import (
     immediate_basin_component,
     interval_convergence_check,
     iterate_orbit,
+    orbit_outcomes,
     profile_to_csv,
     real_axis_profile,
 )
 from .symmetry import (
-    SymmetryGroupEstimate,
     SymmetryReport,
     grid_symmetry_order,
     map_rotation_order,

@@ -285,13 +285,9 @@ def e8(seed: int) -> tuple[bool, str]:
     for got, want in zip(cond.coeffs, CONDITION_COEFFS):
         if abs(got - want) > 1e-8 * max(1.0, abs(want)):
             return False, f"condition coefficient {got} != {want}"
-    quotient, remainder = paramsearch.divide_out_root(cond, -7.0)
-    lead = max(abs(c) for c in cond.coeffs)
-    if remainder > 1e-6 * lead:
-        return False, f"remainder {remainder:.2e} after dividing out (b+7)"
-    for got, want in zip(quotient.coeffs, paramsearch.F_COEFFS):
-        if abs(got - want) > 1e-8 * max(1.0, abs(want)):
-            return False, f"quintic coefficient {got} != {want}"
+    problem = paramsearch.quintic_factor_problem(cond)
+    if problem:
+        return False, problem
     clusters = paramsearch.roots_of_F()
     if sum(c.multiplicity for c in clusters) != 5:
         return False, f"expected five quintic roots, got {clusters}"

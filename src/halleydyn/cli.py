@@ -32,22 +32,20 @@ from .ratmap import (
 )
 from .classify import classify_fixed_points, extraneous_fixed_points
 from .dynamics import (
-    CAPTURE_RADIUS,
     MAX_ITER_LIMIT,
     Window,
-    _orbit_outcomes,
     classify_grid,
     immediate_basin_component,
     boundedness_evidence,
     real_axis_profile,
+    orbit_outcomes,
     profile_to_csv,
 )
 from .symmetry import map_rotation_order, symmetry_report
 from .render import ColorMap, default_palette, write_image
 from .paramsearch import (
     cycle_condition_polynomial,
-    divide_out_root,
-    F_COEFFS,
+    quintic_factor_problem,
     roots_of_F,
     verify_cycle,
     xi_of,
@@ -232,19 +230,33 @@ def _fmt(z: complex) -> str:
     return f"{z.real:.10g}{z.imag:+.10g}j"
 
 
+def _by_location(items, location):
+    """items in the order of their locations: real part, then imaginary
+    part, each rounded to the tenth significant digit of |z| (what _fmt
+    prints), and infinity last.  A conjugate pair then comes in one order
+    whatever the noise in its last bits, also where its real parts are
+    noise about 0, which _fmt prints as such."""
+    def key(item):
+        z = location(item)
+        if is_infinity(z):
+            return (1, 0, 0)
+        z = complex(z)
+        unit = 10.0 ** (math.floor(math.log10(abs(z))) - 9) if z else 1.0
+        return (0, round(z.real / unit) * unit, round(z.imag / unit) * unit)
+    return sorted(items, key=key)
+
+
 def _summary_fixed_points(p, R, out):
-    records = classify_fixed_points(p, R)
+    records = _by_location(classify_fixed_points(p, R), lambda r: r.location)
     out.write("[fixed_points]\n")
     out.write("location,multiplier,class,origin\n")
     for r in records:
         loc = "inf" if is_infinity(r.location) else _fmt(r.location)
         out.write(f"{loc},{_fmt(r.multiplier)},{r.klass},{r.origin.kind}\n")
-    extr = extraneous_fixed_points(records)
     out.write("[extraneous]\n")
     out.write("location,multiplier\n")
-    for r in extr:
+    for r in extraneous_fixed_points(records):
         out.write(f"{_fmt(r.location)},{_fmt(r.multiplier)}\n")
-    return records
 
 
 def cmd_render(args) -> int:
@@ -256,18 +268,13 @@ def cmd_render(args) -> int:
     window = cfg.window or Window(0j, 2.0, 2.0)
     roots = [c.location for c in R.source.roots]
     # every attracting cycle attracts a critical point, so the free
-    # critical orbits find the cycles whose basins the grid labels; a
-    # cycle several of them reach is passed once
+    # critical orbits find the cycles whose basins the grid labels; the
+    # orbits that reach one cycle carry one tuple, passed once
     crits = free_critical_points(R, roots)
-    fates = _orbit_outcomes(R, [c.location for c in crits], roots, cfg.max_iter)
-    cycles: list = []
-    for f in fates:
-        if f.kind == "cycle" and not any(
-                min(abs(z - f.cycle[0]) for z in cyc) <= CAPTURE_RADIUS
-                for cyc in cycles):
-            cycles.append(f.cycle)
+    fates = orbit_outcomes(R, [c.location for c in crits], roots, cfg.max_iter)
+    cycles = tuple(dict.fromkeys(f.cycle for f in fates if f.kind == "cycle"))
     grid = classify_grid(R, roots, window, cfg.res, max_iter=cfg.max_iter,
-                         cycles=tuple(cycles))
+                         cycles=cycles)
     cmap = ColorMap(palette=default_palette(max(8, len(roots))),
                     shading=cfg.shading)
     write_image(grid, cmap, cfg.out)
@@ -282,7 +289,7 @@ def cmd_render(args) -> int:
 
     out.write("[free_critical_fates]\n")
     out.write("location,outcome,target\n")
-    for c, f in zip(crits, fates):
+    for c, f in _by_location(zip(crits, fates), lambda cf: cf[0].location):
         if f.kind == "root":
             tgt = _fmt(roots[f.root_index])
         elif f.kind == "cycle":
@@ -295,7 +302,7 @@ def cmd_render(args) -> int:
     # component stays clear of the border get the escalating-window check
     out.write("[components]\n")
     out.write("root,touches_border,verdict\n")
-    for i, r in enumerate(roots):
+    for r in _by_location(roots, complex):
         try:
             _, touches = immediate_basin_component(grid, r)
         except HalleyDynError:
@@ -340,25 +347,16 @@ def cmd_analyze(args) -> int:
 
 def cmd_cycles(args) -> int:
     out = sys.stdout
-    cond = cycle_condition_polynomial()
-    quotient, remainder = divide_out_root(cond, -7.0)
-    lead = max(abs(c) for c in cond.coeffs)
-    factor_ok = remainder <= 1e-6 * lead
-    quintic_ok = all(
-        abs(a - b) <= 1e-8 * max(1.0, abs(b))
-        for a, b in zip(quotient.coeffs, F_COEFFS)
-    )
+    factor_ok = quintic_factor_problem(cycle_condition_polynomial()) is None
     out.write("# cubic family z^3 + 6z + b: parameters with a 2-cycle through 1\n")
-    out.write(f"factor_check,{'PASS' if factor_ok and quintic_ok else 'FAIL'}\n")
+    out.write(f"factor_check,{'PASS' if factor_ok else 'FAIL'}\n")
     out.write("[candidates]\n")
     out.write("b,xi,residual,multiplier_magnitude\n")
     for cl in roots_of_F():
         cand = verify_cycle(cl.location)
         out.write(f"{_fmt(cand.b)},{_fmt(xi_of(cand.b))},"
                   f"{cand.residual:.3e},{abs(cand.multiplier):.3e}\n")
-    if not (factor_ok and quintic_ok):
-        return 3
-    return 0
+    return 0 if factor_ok else 3
 
 
 def cmd_profile(args) -> int:

@@ -17,6 +17,12 @@ CAPTURE_RADIUS disk about a root maps into itself, and the one about a
 cycle point maps into itself under the cycle's period, so an orbit that
 enters a disk never leaves its basin.
 
+orbit_outcomes finds the cycles: the kernel follows its orbits to the
+roots, and one vectorised continuation reads cycles off the points it
+leaves undecided, applying the map to all of them at once for at most
+PERIOD_CAP steps.  An orbit's first return within CYCLE_TOL of its
+step-max_iter point gives its period.
+
 Every map application goes through ratmap.eval_sphere, the one sphere
 evaluator, so poles follow its one rule: z is a pole when
 |den(z)| <= POLE_RTOL * sum_k |d_k| |z|**k.
@@ -96,8 +102,6 @@ class BasinGrid:
     labels: np.ndarray
     iterations: np.ndarray
     max_iter: int
-    roots: tuple = ()
-    cycles: tuple = ()
 
     @property
     def pixel_width(self) -> float:
@@ -138,8 +142,11 @@ class OrbitOutcome:
     root_index: int | None = None
     iterations: int | None = None
     cycle: tuple | None = None
-    period: int | None = None
     last: object = None
+
+    @property
+    def period(self) -> int | None:
+        return None if self.cycle is None else len(self.cycle)
 
 
 @dataclass(frozen=True)
@@ -175,75 +182,64 @@ class ProfileRow:
 
 def iterate_orbit(R: RationalMap, z0, roots,
                   max_iter: int = DEFAULT_MAX_ITER) -> OrbitOutcome:
-    """Iterate a single sphere point and report where the orbit settles.
+    """Iterate a single sphere point and report where the orbit settles:
+    orbit_outcomes for one point.
 
     The orbit is captured by the first root disk it enters (see the module
     docstring), so it gets the label and iteration count of a pixel
-    centred at z0.  If the budget runs out, Brent's tortoise-and-hare
-    detection runs on the orbit tail to look for an attracting cycle of
-    period at most PERIOD_CAP.
+    centred at z0.
     """
-    return _orbit_outcomes(R, [z0], roots, max_iter)[0]
+    return orbit_outcomes(R, [z0], roots, max_iter)[0]
 
 
-def _orbit_outcomes(R: RationalMap, points, roots, max_iter: int) -> list[OrbitOutcome]:
-    """OrbitOutcome of each sphere point: root capture in one _classify_points
-    call, then Brent's cycle detection for the points left undecided."""
+def orbit_outcomes(R: RationalMap, points, roots, max_iter: int) -> list[OrbitOutcome]:
+    """OrbitOutcome of each sphere point.
+
+    One _classify_points call captures the orbits that reach a root.  The
+    finite points w it leaves undecided are then mapped together, one
+    eval_sphere call per step, for at most PERIOD_CAP steps.  An orbit
+    that first comes back within CYCLE_TOL of w after k steps is on a
+    cycle of period k, listed from R(w), and last is its point of return.
+    One that reaches infinity or does not come back stays undecided, and
+    so does a cycle with a point within CAPTURE_RADIUS of a root (a
+    converging tail).  A cycle whose first point lies within
+    CAPTURE_RADIUS of a point of an earlier outcome's cycle is that cycle,
+    and its outcome carries the earlier tuple.
+    """
     root_locs = tuple(complex(r) for r in roots)
     z = np.array([np.inf if is_infinity(p) else complex(p) for p in points],
                  dtype=np.complex128)
     labels, iters, last = _classify_points(R, z, root_locs, (), max_iter)
-    out = []
-    for label, it, w in zip(labels.tolist(), iters.tolist(), last.tolist()):
-        w = w if cmath.isfinite(w) else INF
-        if label == UNDECIDED:
-            out.append(_detect_cycle(R, w, root_locs, max_iter))
-        else:
-            out.append(OrbitOutcome(kind="root", root_index=label,
-                                    iterations=it, last=w))
-    return out
-
-
-def _detect_cycle(R, z, root_locs, max_iter) -> OrbitOutcome:
-    if is_infinity(z):
-        return OrbitOutcome(kind="undecided", last=INF, iterations=max_iter)
-    tortoise = z
-    hare = eval_sphere(R, z)
-    power = 1
-    lam = 1
-    while True:
-        if is_infinity(hare):
-            return OrbitOutcome(kind="undecided", last=INF, iterations=max_iter)
-        if abs(tortoise - hare) <= CYCLE_TOL:
-            break
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-            if power > 2 * PERIOD_CAP:
-                return OrbitOutcome(kind="undecided", last=hare, iterations=max_iter)
-        hare = eval_sphere(R, hare)
-        lam += 1
-    period = lam
-    if period > PERIOD_CAP:
-        return OrbitOutcome(kind="undecided", last=hare, iterations=max_iter)
-    pts = [hare]
-    w = hare
-    for _ in range(period - 1):
+    open_ = np.flatnonzero((labels == UNDECIDED) & np.isfinite(last))
+    w = start = last[open_]
+    steps = []  # steps[k - 1] holds the open points' images after k steps
+    period = np.zeros(open_.size, dtype=np.int64)  # 0 searching, -1 lost to infinity
+    while len(steps) < PERIOD_CAP and (period == 0).any():
         w = eval_sphere(R, w)
-        if is_infinity(w):
-            return OrbitOutcome(kind="undecided", last=INF, iterations=max_iter)
-        pts.append(w)
-    for d in range(1, period):
-        if period % d == 0 and abs(pts[d] - pts[0]) <= CYCLE_TOL:
-            period = d
-            pts = pts[:d]
-            break
-    if any(abs(pt - r) < CAPTURE_RADIUS for pt in pts for r in root_locs):
-        # converging tail misread as a cycle; stay honest and undecided
-        return OrbitOutcome(kind="undecided", last=pts[-1], iterations=max_iter)
-    return OrbitOutcome(kind="cycle", cycle=tuple(pts), period=period,
-                        iterations=max_iter, last=pts[-1])
+        steps.append(w)
+        searching = period == 0
+        period[searching & ~np.isfinite(w)] = -1
+        period[searching & (np.abs(w - start) <= CYCLE_TOL)] = len(steps)
+
+    found = [()] * z.size
+    for j, i in enumerate(open_.tolist()):
+        found[i] = tuple(complex(steps[k][j]) for k in range(period[j]))
+    out = []
+    cycles = []
+    for label, it, w, cyc in zip(labels.tolist(), iters.tolist(), last.tolist(), found):
+        if label != UNDECIDED:
+            out.append(OrbitOutcome(kind="root", root_index=label, iterations=it, last=w))
+        elif not cyc or any(abs(c - r) < CAPTURE_RADIUS for c in cyc for r in root_locs):
+            out.append(OrbitOutcome(kind="undecided", iterations=it,
+                                    last=w if cmath.isfinite(w) else INF))
+        else:
+            known = next((c for c in cycles
+                          if min(abs(p - cyc[0]) for p in c) <= CAPTURE_RADIUS), None)
+            if known is None:
+                cycles.append(cyc)
+            out.append(OrbitOutcome(kind="cycle", iterations=it, cycle=known or cyc,
+                                    last=cyc[-1]))
+    return out
 
 
 def classify_grid(R: RationalMap, roots, window: Window, resolution,
@@ -265,9 +261,7 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
     grid = BasinGrid(window, width, height,
                      labels=np.empty((height, width), dtype=np.int32),
                      iterations=np.empty((height, width), dtype=np.int32),
-                     max_iter=max_iter,
-                     roots=root_tuple,
-                     cycles=cycle_tuple)
+                     max_iter=max_iter)
     labels, iters, _ = _classify_points(R, grid.pixel_centers().ravel(), root_tuple,
                                         cycle_tuple, max_iter)
     grid.labels[:] = labels.reshape(height, width)
@@ -368,7 +362,7 @@ def free_critical_fates(p: Polynomial, R: RationalMap | None = None) -> list[Orb
         R = halley_of(p)
     roots = [c.location for c in source_of(p, R).roots]
     crits = [c.location for c in free_critical_points(R, roots)]
-    return _orbit_outcomes(R, crits, roots, DEFAULT_MAX_ITER)
+    return orbit_outcomes(R, crits, roots, DEFAULT_MAX_ITER)
 
 
 def has_trapped_cycle(fates: list[OrbitOutcome]) -> bool:

@@ -22,9 +22,9 @@ from .polycore import (
     AffineMap,
     Polynomial,
     RootCluster,
+    deflate,
     find_roots,
     horner,
-    _deflate,
 )
 from .ratmap import RationalMap, conjugate, same_map
 
@@ -119,8 +119,24 @@ def divide_out_root(p: Polynomial, r: complex) -> tuple[Polynomial, float]:
     The remainder of the division is p(r)."""
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    quotient = _deflate(np.array(p.coeffs, dtype=np.complex128), r)
+    quotient = deflate(np.array(p.coeffs, dtype=np.complex128), r)
     return Polynomial.make(quotient), abs(horner(p.coeffs, r))
+
+
+def quintic_factor_problem(cond: Polynomial) -> str | None:
+    """None when the cycle condition cond is (b + 7) times the quintic
+    F_COEFFS, else what fails first: dividing out b = -7 must leave a
+    remainder of at most 1e-6 of cond's largest coefficient, and each
+    quotient coefficient must lie within 1e-8 of F_COEFFS (relative, with
+    a floor of 1)."""
+    quotient, remainder = divide_out_root(cond, -7.0)
+    lead = max(abs(c) for c in cond.coeffs)
+    if not remainder <= 1e-6 * lead:
+        return f"remainder {remainder:.2e} after dividing out (b+7)"
+    for got, want in zip(quotient.coeffs, F_COEFFS):
+        if not abs(got - want) <= 1e-8 * max(1.0, abs(want)):
+            return f"quintic coefficient {got} != {want}"
+    return None
 
 
 def roots_of_F() -> list[RootCluster]:

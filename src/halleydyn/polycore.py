@@ -321,7 +321,7 @@ def _companion_clusters(c: np.ndarray):
     return out
 
 
-def _deflate(c: np.ndarray, r: complex) -> np.ndarray:
+def deflate(c: np.ndarray, r: complex) -> np.ndarray:
     """Synthetic division of c (ascending) by (z - r); remainder discarded."""
     n = len(c) - 1
     out = np.empty(n, dtype=np.complex128)
@@ -369,7 +369,7 @@ def _roots_rec(c: np.ndarray) -> list[tuple[complex, int]]:
                 raise NonConvergence("derivative clusters claim more roots than remain")
             out.append((loc, m + 1))
             for _ in range(m + 1):
-                work = _deflate(work, loc)
+                work = deflate(work, loc)
     if len(work) - 1 >= 1:
         simple = _aberth(work)
         dcf = np.arange(1, len(c)) * c[1:]

@@ -58,11 +58,11 @@ from .polycore import (
     Polynomial,
     RootCluster,
     compose_affine,
+    deflate,
     envelope,
     find_roots,
     horner,
     residual_ok,
-    _deflate,
 )
 
 HANDOFF_RADIUS = 1e8
@@ -161,8 +161,8 @@ def make_reduced(num: Polynomial, den: Polynomial, cancel=()) -> RationalMap:
     dw = np.array(den.coeffs, dtype=np.complex128)
     for h, count in cancel:
         for _ in range(count - t if h == 0 else count):
-            nw = _deflate(nw, h)
-            dw = _deflate(dw, h)
+            nw = deflate(nw, h)
+            dw = deflate(dw, h)
     return RationalMap(Polynomial.make(nw), Polynomial.make(dw))
 
 
@@ -274,7 +274,7 @@ def konig_of(p: Polynomial, n: int) -> RationalMap:
         w = np.array(_derivative_tower(p, n - 2)[-1].coeffs, dtype=np.complex128)
         for r in src.roots:
             for _ in range((n - 2) * (r.multiplicity - 1)):
-                w = _deflate(w, r.location)
+                w = deflate(w, r.location)
         rest = Polynomial.make(w)
         if rest.degree < 2:
             return []
@@ -473,7 +473,7 @@ def _halley_free_critical_points(R: RationalMap, src: Source) -> list[RootCluste
               + [(c, 2 * c.multiplicity - 2) for c in src.critical])
     for h, count in orders:
         for _ in range(count):
-            w = _deflate(w, h.location)
+            w = deflate(w, h.location)
     rest = Polynomial.make(w)
     found: list[RootCluster] = []
     if rest.degree >= 1:

@@ -28,19 +28,11 @@ REPORT_WINDOW = Window(0j, 2.0, 2.0)  # symmetry_report's grid window
 
 
 @dataclass(frozen=True)
-class SymmetryGroupEstimate:
-    order: int
-    evidence: str  # 'coefficient_identity' | 'grid_invariance' | 'both'
-    containment_checked: bool
-
-
-@dataclass(frozen=True)
 class SymmetryReport:
     sigma_p_order: int
     map_rotation_order: int
     grid_order: int
     equality: bool
-    estimate: SymmetryGroupEstimate
 
 
 def polynomial_symmetry_order(p: Polynomial) -> int:
@@ -147,10 +139,5 @@ def symmetry_report(R: RationalMap, resolution: int = 400,
         raise ContainmentError(
             f"polynomial order {sigma_p} does not divide probes "
             f"({map_order}, {grid_order})")
-    equality = sigma_p == map_order == grid_order
-    estimate = SymmetryGroupEstimate(
-        order=map_order if map_order == grid_order else sigma_p,
-        evidence="both" if map_order == grid_order else "coefficient_identity",
-        containment_checked=True,
-    )
-    return SymmetryReport(sigma_p, map_order, grid_order, equality, estimate)
+    return SymmetryReport(sigma_p, map_order, grid_order,
+                          sigma_p == map_order == grid_order)

@@ -1,6 +1,8 @@
 """End-to-end tests for the command line interface."""
 
+import io
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,8 @@ from halleydyn.cli import (
 )
 from halleydyn.dynamics import classify_grid
 from halleydyn.errors import ConfigError
+from halleydyn.polycore import Polynomial
+from halleydyn.ratmap import INF, halley_of, is_infinity
 from halleydyn.render import ColorMap, read_image
 
 CUBIC_CFG = """\
@@ -240,6 +244,43 @@ def test_non_halley_methods_are_classified(tmp_path, capsys, command, method):
     rows = _fixed_point_rows(out)
     assert len(rows) == degree + 1
     assert {row[3] for row in rows} >= {"root", "infinity"}
+
+
+def test_conjugate_pairs_print_in_one_order(monkeypatch):
+    # render-cycle's cubic: its roots 1.734 +- 3.876j are a conjugate pair.
+    # Whichever of them carries the larger real part by one unit in the
+    # last place, and so comes first in find_roots' exact (real, imag)
+    # order, the rows come out the same.
+    p = Polynomial.make([62.5144396, 6, 0, 1])
+    R = halley_of(p)
+    records = cli.classify_fixed_points(p, R)
+
+    def noisy(upper_first):
+        out = []
+        for r in records:
+            z = r.location
+            if not is_infinity(z) and z.real > 1:
+                toward = -np.inf if (z.imag > 0) == upper_first else np.inf
+                z = complex(np.nextafter(z.real, toward), z.imag)
+            out.append(replace(r, location=z))
+        return sorted(out, key=lambda r: (1, 0.0, 0.0) if is_infinity(r.location)
+                      else (0, r.location.real, r.location.imag))
+
+    csv = []
+    for upper_first in (True, False):
+        recs = noisy(upper_first)
+        assert (recs[3].location.imag > 0) == upper_first
+        monkeypatch.setattr(cli, "classify_fixed_points", lambda p, R, recs=recs: recs)
+        out = io.StringIO()
+        cli._summary_fixed_points(p, R, out)
+        csv.append(out.getvalue())
+    assert csv[0] == csv[1]
+    assert csv[0].index("\n1.733961031-3.8755") < csv[0].index("\n1.733961031+3.8755")
+    # points of several magnitudes, with noise about the real axis
+    points = [INF, 1 - 1e-31j, 0.743, -1e-17 + 0.5j, -0.669 + 0.322j, 1e-17 - 0.5j,
+              -0.901 - 0.434j]
+    assert cli._by_location(points, lambda z: z) == [
+        -0.901 - 0.434j, -0.669 + 0.322j, 1e-17 - 0.5j, -1e-17 + 0.5j, 0.743, 1 - 1e-31j, INF]
 
 
 def test_render_passes_each_cycle_once(tmp_path, capsys, monkeypatch):

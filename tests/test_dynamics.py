@@ -19,12 +19,13 @@ from halleydyn.dynamics import (
     immediate_basin_component,
     interval_convergence_check,
     iterate_orbit,
+    orbit_outcomes,
     profile_to_csv,
     real_axis_profile,
 )
 from halleydyn.errors import Indeterminate, SeedUnlabeled
 from halleydyn.polycore import Polynomial, find_roots
-from halleydyn.ratmap import RationalMap, eval_sphere, halley_of
+from halleydyn.ratmap import INF, RationalMap, eval_sphere, halley_of
 
 CUBIC_ODD = Polynomial.make([0, -1, 0, 1])           # z(z^2-1)
 OCTIC = Polynomial.make([0, -1] + [0] * 6 + [1])      # z(z^7-1)
@@ -215,6 +216,62 @@ def test_trapped_cycle_is_reported():
     assert has_trapped_cycle(fates)
     kinds = sorted(f.kind for f in fates)
     assert "cycle" in kinds
+
+
+def test_orbit_at_infinity_is_undecided():
+    # z^2 parks the orbit of 2 at infinity, which it fixes; 1/z swaps
+    # infinity and 0.  Orbits at or through infinity are not cycles, while
+    # 0.5 <-> 2 under 1/z is one.
+    square = RationalMap(Polynomial.make([0, 0, 1]), Polynomial.make([1]))
+    out = iterate_orbit(square, 2.0, [0.0], max_iter=20)
+    assert (out.kind, out.last, out.cycle, out.period) == ("undecided", INF, None, None)
+    inverse = RationalMap(Polynomial.make([1]), Polynomial.make([0, 1]))
+    at_inf, at_zero, finite = orbit_outcomes(inverse, [INF, 0.0, 0.5], [], 4)
+    assert (at_inf.kind, at_inf.last, at_inf.cycle) == ("undecided", INF, None)
+    assert (at_zero.kind, at_zero.last, at_zero.cycle) == ("undecided", 0j, None)
+    assert (finite.kind, finite.cycle, finite.period) == ("cycle", (2 + 0j, 0.5 + 0j), 2)
+
+
+@pytest.mark.parametrize("period", [dynamics.PERIOD_CAP, dynamics.PERIOD_CAP + 1])
+def test_cycle_search_stops_at_the_period_cap(period):
+    # a rotation by 2 pi / period puts every orbit on the unit circle on a
+    # cycle of that period
+    turn = RationalMap(Polynomial.make([0, np.exp(2j * np.pi / period)]),
+                       Polynomial.make([1]))
+    out = iterate_orbit(turn, 1.0, [], max_iter=5)
+    if period <= dynamics.PERIOD_CAP:
+        assert (out.kind, out.period) == ("cycle", period)
+        assert out.last == out.cycle[-1]
+    else:
+        assert (out.kind, out.cycle, out.period) == ("undecided", None, None)
+
+
+def test_attracting_fixed_point_off_the_roots_is_a_period_one_cycle():
+    # z/2 + 1 attracts every finite orbit to 2; passed a root elsewhere,
+    # the orbit of 0 is on a period-1 cycle, as Brent's detection had it
+    half = RationalMap(Polynomial.make([1, 0.5]), Polynomial.make([1]))
+    out = iterate_orbit(half, 0.0, [-5.0])
+    assert (out.kind, out.cycle, out.period, out.last) == ("cycle", (2 + 0j,), 1, 2 + 0j)
+    assert iterate_orbit(half, 0.0, [2.0]).kind == "root"
+
+
+def test_converging_tail_is_not_a_cycle():
+    # 0.95 z creeps toward its root 0: the orbit ends just outside the
+    # root's capture disk and moves 5.1e-10, within CYCLE_TOL, in one
+    # step, but its returning point lies in the disk
+    creep = RationalMap(Polynomial.make([0, 0.95]), Polynomial.make([1]))
+    out = iterate_orbit(creep, 1.02e-8 / 0.95, [0.0], max_iter=1)
+    assert (out.kind, out.cycle) == ("undecided", None)
+    assert 1e-8 < abs(out.last) < 1.1e-8
+
+
+def test_orbits_reaching_one_cycle_share_its_tuple():
+    # two free critical orbits of this quintic's Halley map reach one
+    # attracting 3-cycle, at different points of it
+    p = Polynomial.make([-1.94, 3.26, -1.74, 0.72, -1.73, 1])
+    cycles = [f.cycle for f in free_critical_fates(p) if f.kind == "cycle"]
+    assert len(cycles) == 2 and len(cycles[0]) == 3
+    assert cycles[0] == cycles[1]
 
 
 def test_immediate_basin_component_bounds():

@@ -135,7 +135,7 @@ FATES = {
                       last=-3.4679220603808507 - 9.154467687500336e-53j),
          OrbitOutcome("cycle", iterations=200,
                       cycle=(5.905235039330978 + 0j, 1.000000000000001 + 0j),
-                      period=2, last=1.000000000000001 + 0j)]),
+                      last=1.000000000000001 + 0j)]),
 }
 
 

@@ -77,9 +77,6 @@ def test_symmetry_report_full_agreement():
     assert rep.map_rotation_order == 3
     assert rep.grid_order == 3
     assert rep.equality
-    assert rep.estimate.order == 3
-    assert rep.estimate.evidence == "both"
-    assert rep.estimate.containment_checked
 
 
 def test_symmetry_report_needs_three_roots():
