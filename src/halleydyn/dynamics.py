@@ -1,18 +1,19 @@
 """Orbit iteration, basin grids, and real-axis convergence diagnostics.
 
 One kernel, _classify_points, follows every orbit to a root or cycle:
-grid pixels, single orbits, free critical points and the sample points
-of interval checks.  It splits the points of a call into blocks of
-_BLOCK, applies the map to all live points of a block at once and keeps
-state only for points not yet retired.  Every step is elementwise, so a
-point's outcome does not depend on its block.  A call of several blocks
-runs them on one module-level thread pool, created on first use with a
-thread per CPU the process may use; numpy releases the GIL inside its
-ufuncs.  Its one capture rule: a point is captured at the first step, at
-most max_iter, at which it lies within CAPTURE_RADIUS of a target; it
-takes the label of the nearest such target (the first one on a tie), and
-its iteration count is that step.  Targets are attracting: roots, and the
-points of attracting cycles.  On every map the grid goldens pin, the
+grid pixels, the windows of boundedness probes, single orbits, free
+critical points and the sample points of interval checks.  It splits
+the points of a call into blocks of _BLOCK, applies the map to all live
+points of a block at once and keeps state only for points not yet
+retired.  Every step is elementwise, so a point's outcome does not
+depend on its block.  A call of several blocks runs them on one
+module-level thread pool, created on first use with a thread per CPU
+the process may use; numpy releases the GIL inside its ufuncs.  Its one
+capture rule: a point is captured at the first step, at most max_iter,
+at which it lies within CAPTURE_RADIUS of a target; it takes the label
+of the nearest such target (the first one on a tie), and its iteration
+count is that step.  Targets are attracting: roots, and the points of
+attracting cycles.  On every map the grid goldens pin, the
 CAPTURE_RADIUS disk about a root maps into itself, and the one about a
 cycle point maps into itself under the cycle's period, so an orbit that
 enters a disk never leaves its basin.
@@ -67,7 +68,6 @@ REAL_COEFF_RTOL = 1e-9
 REAL_POINT_RTOL = 1e-7  # a point is real when |im| <= this * max(1, |re|)
 INTERVAL_SAMPLES = 7
 INTERVAL_MAX_ITER = 500
-_TILE = 32  # side of the tiles _seed_component classifies on demand
 # points per kernel block: a block's step temporaries stay in L2, and the
 # blocks of one call run on _pool's threads (numpy releases the GIL)
 _BLOCK = 32_768
@@ -376,105 +376,23 @@ def immediate_basin_component(grid: BasinGrid, seed_point: complex):
     pixel is undecided.
     """
     row, col = grid.locate(complex(seed_point))
-    comp_mask = _component(grid.labels, row, col, seed_point)
-    touches = bool(comp_mask[0].any() or comp_mask[-1].any()
-                   or comp_mask[:, 0].any() or comp_mask[:, -1].any())
-    return comp_mask, touches
+    return _component(grid.labels, row, col, seed_point)
 
 
-def _component(labels: np.ndarray, row: int, col: int, seed_point) -> np.ndarray:
-    """Mask of the 4-connected same-label component of labels through (row, col)."""
+def _component(labels: np.ndarray, row: int, col: int, seed_point):
+    """(mask, touches_border) of the 4-connected same-label component of
+    labels through (row, col)."""
     label = int(labels[row, col])
     if label == UNDECIDED:
         raise SeedUnlabeled(f"pixel at {seed_point} has no label")
     comp_ids, _ = ndimage.label(labels == label)
-    return comp_ids == comp_ids[row, col]
-
-
-def _lattice(window: Window, size: tuple) -> tuple[float, float, float, float]:
-    """(x0, y0, pw, ph) of the window's pixel grid at size (width, height):
-    pixel (i, j) is centred at x0 + (j + 0.5) pw, y0 - (i + 0.5) ph."""
-    width, height = size
-    return (window.center.real - window.half_width,
-            window.center.imag + window.half_height,
-            2.0 * window.half_width / width,
-            2.0 * window.half_height / height)
-
-
-def _seed_component(R: RationalMap, roots, window: Window, size: tuple,
-                    seed_point: complex, rect: tuple, tiles: dict, max_iter: int):
-    """The seed's 4-connected component within one rectangle of a pixel lattice.
-
-    The lattice is the pixel grid of window at size (width, height),
-    extended outward: pixel (i, j) is centred at x0 + (j + 0.5) pw,
-    y0 - (i + 0.5) ph, the BasinGrid.pixel_axes formula with i and j any
-    integers.  rect = (r0, r1, c0, c1) is the lattice rectangle of rows
-    r0:r1 and columns c0:c1; it must hold the pixel of window containing
-    the seed.  Pixels are classified in _TILE x _TILE lattice tiles, and
-    tiles maps a tile index (ty, tx) to its labels; calls on one lattice
-    share it and add to it, so no tile is classified twice.  Each round
-    classifies every pending tile in one call, takes the seed's component
-    over the classified pixels of rect, and queues the unclassified tiles
-    holding a 4-neighbour of it in rect.  Once none is left, no neighbour
-    of the component can carry its label, so it is the component of rect's
-    full grid: every pixel is classified from its lattice centre by the
-    same elementwise kernel as in classify_grid.  Unclassified pixels are
-    undecided, so the component lies in the box of the classified tiles,
-    clipped to rect, and only that box is labelled.
-
-    Returns (comp, (row, col), touches): the component's mask over that
-    box, the lattice pixel at the box's top-left, and whether the
-    component reaches a border row or column of rect.
-    """
-    width, height = size
-    x0, y0, pw, ph = _lattice(window, size)
-    root_tuple = tuple(complex(r) for r in roots)
-    r0, r1, c0, c1 = rect
-    # the seed's pixel as BasinGrid.locate finds it in window's grid
-    col = min(max(int((seed_point.real - x0) / pw), 0), width - 1)
-    row = min(max(int((y0 - seed_point.imag) / ph), 0), height - 1)
-    offsets = np.arange(_TILE) + 0.5
-    pending = sorted({(row // _TILE, col // _TILE)} - tiles.keys())
-    while True:
-        if pending:
-            z = np.concatenate([((x0 + (tx * _TILE + offsets) * pw)[None, :]
-                                 + 1j * (y0 - (ty * _TILE + offsets) * ph)[:, None]).ravel()
-                                for ty, tx in pending])
-            labels, _, _ = _classify_points(R, z, root_tuple, (), max_iter)
-            for k, key in enumerate(pending):
-                tiles[key] = labels[k * _TILE ** 2:(k + 1) * _TILE ** 2].reshape(_TILE, _TILE)
-        # the box of classified tiles within rect: rows b0:b1, columns d0:d1
-        keys = np.array(list(tiles))
-        b0 = max(int(keys[:, 0].min()) * _TILE, r0)
-        b1 = min((int(keys[:, 0].max()) + 1) * _TILE, r1)
-        d0 = max(int(keys[:, 1].min()) * _TILE, c0)
-        d1 = min((int(keys[:, 1].max()) + 1) * _TILE, c1)
-        box = np.full((b1 - b0, d1 - d0), UNDECIDED, dtype=np.int32)
-        for (ty, tx), tile in tiles.items():
-            i0, i1 = max(ty * _TILE, b0), min((ty + 1) * _TILE, b1)
-            j0, j1 = max(tx * _TILE, d0), min((tx + 1) * _TILE, d1)
-            if i0 < i1 and j0 < j1:
-                box[i0 - b0:i1 - b0, j0 - d0:j1 - d0] = \
-                    tile[i0 - ty * _TILE:i1 - ty * _TILE, j0 - tx * _TILE:j1 - tx * _TILE]
-        comp = _component(box, row - b0, col - d0, seed_point)
-        # 4-neighbours of the component in rect, and the tiles holding them
-        near = np.zeros((b1 - b0 + 2, d1 - d0 + 2), dtype=bool)
-        near[1:-1, 1:-1] = comp
-        ii, jj = np.nonzero(ndimage.binary_dilation(near) & ~near)
-        ii += b0 - 1
-        jj += d0 - 1
-        inside = (ii >= r0) & (ii < r1) & (jj >= c0) & (jj < c1)
-        pending = sorted(set(zip((ii[inside] // _TILE).tolist(),
-                                 (jj[inside] // _TILE).tolist())) - tiles.keys())
-        if not pending:
-            break
-    touches = bool((b0 == r0 and comp[0].any()) or (b1 == r1 and comp[-1].any())
-                   or (d0 == c0 and comp[:, 0].any()) or (d1 == c1 and comp[:, -1].any()))
-    return comp, (b0, d0), touches
+    mask = comp_ids == comp_ids[row, col]
+    touches = bool(mask[0].any() or mask[-1].any() or mask[:, 0].any() or mask[:, -1].any())
+    return mask, touches
 
 
 def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
-                         windows, resolution: int = 400,
+                         windows, resolution: int,
                          max_iter: int = DEFAULT_MAX_ITER) -> BoundednessReport:
     """Area-stabilization evidence that a basin component is bounded.
 
@@ -488,15 +406,14 @@ def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
     of resolution x resolution pixels, extended outward, so pixel (i, j)
     is centred at x0 + (j + 0.5) pw, y0 - (i + 0.5) ph as in
     BasinGrid.pixel_axes, with i and j allowed to be negative.  The pixel
-    pitch is therefore exactly constant, and areas are comparable across
-    windows.  Each window is the lattice rectangle whose edges are the
-    lattice lines nearest to its own edges.  Only the 32x32 lattice tiles
-    that the seed's component reaches are classified, each once for the
-    whole call, and a window's component is the one a full grid of its
-    rectangle would give.  Once a window's component avoids that window's
-    border rows and columns, all its 4-neighbours lie inside the window,
-    so it cannot grow: every later window reports the same area with
-    touches False, and nothing more is classified.
+    pitch is therefore exactly constant, areas are comparable across
+    windows, and the first window's labels are those of classify_grid at
+    that resolution.  Each window is the lattice rectangle whose edges are
+    the lattice lines nearest to its own, classified in one kernel call.
+    Once a window's component avoids that window's border rows and
+    columns, all its 4-neighbours lie inside the window, so it cannot
+    grow: every later window reports the same area with touches False,
+    and nothing more is classified.
     """
     if len(windows) < 2:
         raise ValueError("need a strictly increasing window sequence")
@@ -516,8 +433,14 @@ def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
             <= first.center.imag + first.half_height):
         raise ValueError(f"seed_point {seed_point} lies outside the first window")
     size = max(2, round(resolution))
-    x0, y0, pw, ph = _lattice(first, (size, size))
-    tiles = {}
+    x0 = first.center.real - first.half_width
+    y0 = first.center.imag + first.half_height
+    pw = 2.0 * first.half_width / size
+    ph = 2.0 * first.half_height / size
+    # the seed's pixel as BasinGrid.locate finds it in the first window's grid
+    col = min(max(int((seed_point.real - x0) / pw), 0), size - 1)
+    row = min(max(int((y0 - seed_point.imag) / ph), 0), size - 1)
+    root_tuple = tuple(complex(r) for r in roots)
     areas = []
     touches = []
     for win in windows:
@@ -527,12 +450,15 @@ def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
             areas.append(areas[-1])
             touches.append(False)
             continue
-        rect = (round((y0 - (win.center.imag + win.half_height)) / ph),
-                round((y0 - (win.center.imag - win.half_height)) / ph),
-                round((win.center.real - win.half_width - x0) / pw),
-                round((win.center.real + win.half_width - x0) / pw))
-        comp, _, touch = _seed_component(R, roots, first, (size, size), seed_point,
-                                         rect, tiles, max_iter)
+        # the window's lattice rectangle: rows r0:r1, columns c0:c1
+        r0 = round((y0 - (win.center.imag + win.half_height)) / ph)
+        r1 = round((y0 - (win.center.imag - win.half_height)) / ph)
+        c0 = round((win.center.real - win.half_width - x0) / pw)
+        c1 = round((win.center.real + win.half_width - x0) / pw)
+        z = ((x0 + (np.arange(c0, c1) + 0.5) * pw)[None, :]
+             + 1j * (y0 - (np.arange(r0, r1) + 0.5) * ph)[:, None])
+        labels, _, _ = _classify_points(R, z.ravel(), root_tuple, (), max_iter)
+        comp, touch = _component(labels.reshape(z.shape), row - r0, col - c0, seed_point)
         areas.append(float(comp.sum()) * pw * ph)
         touches.append(touch)
     stable = areas[-2] > 0 and abs(areas[-1] - areas[-2]) < 0.01 * areas[-2]

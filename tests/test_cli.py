@@ -16,7 +16,7 @@ from halleydyn.cli import (
     main,
     parse_config,
 )
-from halleydyn.dynamics import classify_grid
+from halleydyn.dynamics import Window, boundedness_evidence, classify_grid
 from halleydyn.errors import ConfigError
 from halleydyn.polycore import Polynomial
 from halleydyn.ratmap import INF, halley_of, is_infinity
@@ -203,6 +203,31 @@ def test_render_draws_cycle_basins_in_the_cycle_colour(tmp_path, capsys):
     assert (pixels[23:25, 23:25] == cycle_color).all()
 
 
+@pytest.mark.parametrize("coeffs, center", [
+    ((0, -1, 0, 0, 0, 0, 0, 0, 1), (0.0025, 0.0075)),   # z^8 - z, off-dyadic centre
+    ((0, -1, 0, 1), (0, 0)),                             # z^3 - z: every component
+])                                                       # reaches the border
+def test_components_match_boundedness_evidence_on_the_image_lattice(
+        tmp_path, capsys, coeffs, center):
+    cfg_path = tmp_path / "job.cfg"
+    cfg_path.write_text("".join(f"coeff = {c}\n" for c in coeffs)
+                        + f"window = {center[0]}, {center[1]}, 2, 2\nres = 64\n"
+                          "max_iter = 80\n")
+    rc = main(["render", "--config", str(cfg_path), "--out", str(tmp_path / "c.ppm")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    rows = lines[lines.index("[components]") + 2:]
+    R = halley_of(Polynomial.make(coeffs))
+    roots = [c.location for c in R.source.roots]
+    assert len(rows) == len(roots)
+    c = complex(*center)
+    wins = [Window(c, s, s) for s in (2.0, 4.0, 8.0)]
+    for row, r in zip(rows, cli._by_location(roots, complex)):
+        rep = boundedness_evidence(R, roots, r, wins, resolution=64, max_iter=80)
+        assert row == f"{cli._fmt(r)},{str(rep.touches[0]).lower()},{rep.verdict}"
+    assert any(row.endswith(",false,bounded-evidence") for row in rows) == (len(coeffs) == 9)
+
+
 def test_render_does_not_depend_on_config_seed(tmp_path, capsys):
     # render-cycle's polynomial and window: the roots 1.734 +- 3.876j are a
     # conjugate pair whose order, and so whose colours, once followed the
@@ -281,6 +306,22 @@ def test_conjugate_pairs_print_in_one_order(monkeypatch):
               -0.901 - 0.434j]
     assert cli._by_location(points, lambda z: z) == [
         -0.901 - 0.434j, -0.669 + 0.322j, 1e-17 - 0.5j, -1e-17 + 0.5j, 0.743, 1 - 1e-31j, INF]
+
+
+@pytest.mark.parametrize("z, text", [
+    (1 - 9.860761315e-32j, "1"),                          # render-sparse's root 1
+    (-3.467922062 - 2.242077543e-44j, "-3.467922062"),    # render-cycle's real root
+    (3 + 1.01e-15j, "3"),
+    (complex(-0.0, -1.414213562), "0-1.414213562j"),
+    (complex(-1e-17, 0.5), "0+0.5j"),
+    (-0.0, "0"),
+    (1 + 4.9e-10j, "1"),                                  # below half a unit of 1e-9
+    (1 + 5.1e-10j, "1+5.1e-10j"),                         # above it, in .10g form
+    (-2.25 + 1e-3j, "-2.25+0.001j"),
+    (1.5e-20 - 2e-30j, "1.5e-20"),
+])
+def test_fmt_prints_parts_below_the_tenth_digit_of_the_modulus_as_zero(z, text):
+    assert cli._fmt(z) == text
 
 
 def test_render_passes_each_cycle_once(tmp_path, capsys, monkeypatch):

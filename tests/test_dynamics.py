@@ -317,16 +317,17 @@ def _nested(scales, half=2.0):
     return [Window(0j, s * half, s * half) for s in scales]
 
 
-# name: (polynomial, windows, first window's (width, height)); later windows
-# have a dyadic centre and pitch, so their full grids sample the lattice
+# name: (polynomial, windows, square resolution of the first window);
+# later windows have a dyadic centre and pitch, so their full grids sample
+# the lattice
 SEED_COMPONENT_CASES = {
-    "off-dyadic-octic": (OCTIC, [Window(0.0025 + 0.0075j, 2.0, 2.0)], (160, 160)),
-    "border-touching": (CUBIC_ODD, [Window(0j, 2.0, 2.0)], (100, 100)),
-    "non-square-odd": (OCTIC, [Window(0.1 + 0.05j, 1.5, 1.0)], (75, 53)),
-    "several-tiles": (OCTIC, [Window(0j, 2.0, 2.0)], (256, 256)),
-    "nested-octic": (OCTIC, _nested((1, 2, 4)), (128, 128)),
+    "off-dyadic-octic": (OCTIC, [Window(0.0025 + 0.0075j, 2.0, 2.0)], 160),
+    "border-touching": (CUBIC_ODD, [Window(0j, 2.0, 2.0)], 100),
+    "non-square-odd": (OCTIC, [Window(0.1 + 0.05j, 1.5, 1.0)], 75),
+    "several-tiles": (OCTIC, [Window(0j, 2.0, 2.0)], 256),
+    "nested-octic": (OCTIC, _nested((1, 2, 4)), 128),
     # the component reaches every window's border and grows with it
-    "nested-cubic": (CUBIC_ODD, _nested((1, 2, 4), half=1.0), (64, 64)),
+    "nested-cubic": (CUBIC_ODD, _nested((1, 2, 4), half=1.0), 64),
 }
 
 
@@ -336,25 +337,21 @@ def test_seed_component_equals_full_grid_component(name):
     h = halley_of(p)
     roots = roots_of(p)
     win = windows[0]
-    grid = classify_grid(h, roots, win, res)
+    grid = classify_grid(h, roots, win, (res, res))
     mask, touches = immediate_basin_component(grid, 0j)
-    comp, (row, col), got_touches = dynamics._seed_component(
-        h, roots, win, res, 0j, (0, res[1], 0, res[0]), {}, 200)
-    got_mask = np.zeros_like(mask)
-    got_mask[row:row + comp.shape[0], col:col + comp.shape[1]] = comp
-    assert np.array_equal(got_mask, mask)
-    assert got_touches == touches
     assert touches == (name in ("border-touching", "nested-cubic"))
-    if name == "several-tiles":
-        rows = np.nonzero(mask.any(axis=1))[0] // dynamics._TILE
-        cols = np.nonzero(mask.any(axis=0))[0] // dynamics._TILE
-        assert rows[-1] - rows[0] >= 2 and cols[-1] - cols[0] >= 2
+    # a one-window case gets the doubled window, which only its first
+    # window's report is read from
+    probe = windows if len(windows) > 1 else \
+        windows + [Window(win.center, 2 * win.half_width, 2 * win.half_height)]
+    rep = boundedness_evidence(h, roots, 0j, probe, resolution=res)
+    assert rep.areas[0] == float(mask.sum()) * grid.pixel_width * grid.pixel_height
+    assert rep.touches[0] == touches
     if len(windows) == 1:
         return
-    rep = boundedness_evidence(h, roots, 0j, windows, resolution=res[0])
     expected = []
     for w in windows:
-        size = round(res[0] * w.half_width / win.half_width)
+        size = round(res * w.half_width / win.half_width)
         full = classify_grid(h, roots, w, size)
         full_mask, full_touches = immediate_basin_component(full, 0j)
         expected.append((float(full_mask.sum()) * full.pixel_width * full.pixel_height,
@@ -367,13 +364,15 @@ def test_seed_component_equals_full_grid_component(name):
 def test_seed_component_rejects_unlabeled_seed():
     h = halley_of(CUBIC_ODD)
     with pytest.raises(SeedUnlabeled):
-        dynamics._seed_component(h, roots_of(CUBIC_ODD), Window(0j, 1.0, 1.0),
-                                 (21, 21), 0.57 + 0.57j, (0, 21, 0, 21), {}, 1)
+        # one iteration decides almost nothing near the Julia set
+        boundedness_evidence(h, roots_of(CUBIC_ODD), 0.57 + 0.57j,
+                             [Window(0j, 1.0, 1.0), Window(0j, 2.0, 2.0)],
+                             resolution=21, max_iter=1)
 
 
 def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
-    # work count, not time: the central component of z^8 - z covers about
-    # 1.4 of the windows' 16, 64 and 256 square units
+    # work count, not time: the central component of z^8 - z stays off the
+    # border of the first of the windows' 16, 64 and 256 square units
     counted = []
     classify_points = dynamics._classify_points
 
@@ -390,10 +389,9 @@ def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
     assert 0 < z.size < 0.1 * (128 ** 2 + 256 ** 2 + 512 ** 2)
     # no pixel centre is classified twice within one probe
     assert np.unique(z).size == z.size
-    # the larger windows classify nothing beyond the first window's probe
-    counted.clear()
-    dynamics._seed_component(h, roots, wins[0], (128, 128), 0j, (0, 128, 0, 128), {}, 200)
-    assert sum(c.size for c in counted) == z.size
+    # exactly the first window's pixel centres are classified
+    first = dynamics.BasinGrid(wins[0], 128, 128, None, None, 200)
+    assert np.array_equal(z, first.pixel_centers().ravel())
 
 
 @pytest.mark.parametrize("windows, message", [

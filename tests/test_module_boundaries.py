@@ -1,17 +1,66 @@
-"""Modules of the package use only each other's public names."""
+"""Modules of the package use only each other's public names, and carry no
+unused import or unreferenced private name."""
 
 import ast
+from functools import cache
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "halleydyn"
 
 
+@cache
+def _trees():
+    """Syntax tree of each module of the package, by file name."""
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_no_module_imports_a_private_name_of_a_sibling():
     private = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").startswith("halleydyn")):
-                private += [f"{path.name}: {node.module}.{alias.name}"
+                private += [f"{name}: {node.module}.{alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _loaded_names(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for name, tree in _trees().items():
+        if name == "__init__.py":
+            continue  # the package's public names are its imports
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = _loaded_names(tree)
+        unused += [f"{name}: {n}" for n in imported if n not in used]
+    assert unused == []
+
+
+def test_every_private_module_level_name_is_referenced():
+    trees = _trees()
+    referenced = set()
+    for tree in trees.values():
+        referenced |= _loaded_names(tree)
+        referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unreferenced = []
+    for name, tree in trees.items():
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+        unreferenced += [f"{name}: {n}" for n in defined
+                         if n.startswith("_") and not n.startswith("__") and n not in referenced]
+    assert unreferenced == []
