@@ -12,8 +12,8 @@ run's seed, which picks the random corpus and sample points of E2, E3,
 E4 and E10; the other experiments have no random input.
 
 The grids in E1, E5 and E6 run at 800x800 and dominate the runtime:
-3.2-3.6 of the 4.2-4.8 seconds a full run took in two runs on a 2-core
-Xeon (E7's 400x400 grids take another 0.6 s).
+2.2 of the 3.1-3.3 seconds a full run took in two runs on a 2-core
+Xeon (E7's 400x400 grids take another 0.5 s).
 """
 
 from __future__ import annotations

@@ -2,21 +2,26 @@
 
 One kernel, _classify_points, follows every orbit to a root or cycle:
 grid pixels, the windows of boundedness probes, single orbits, free
-critical points and the sample points of interval checks.  It splits
-the points of a call into blocks of _BLOCK, applies the map to all live
-points of a block at once and keeps state only for points not yet
-retired.  Every step is elementwise, so a point's outcome does not
-depend on its block.  A call of several blocks runs them on one
-module-level thread pool, created on first use with a thread per CPU
-the process may use; numpy releases the GIL inside its ufuncs.  Its one
+critical points and the sample points of interval checks.  It splits the
+points of a call into blocks of _BLOCK, applies the map to all live
+points of a block at once and keeps state (position, point, step count)
+only for points not yet retired.  A block hands back its live points
+once at most _BLOCK // 8 remain; these tails are pooled and split into
+equal pieces of at most _BLOCK for another round, and a round of one
+piece runs it to the end.  Every step is elementwise, so a point's
+outcome does not depend on its piece.  The pieces of a round run on one
+module-level thread pool, created on first use with a thread per CPU the
+process may use; numpy releases the GIL inside its ufuncs.  Its one
 capture rule: a point is captured at the first step, at most max_iter,
 at which it lies within CAPTURE_RADIUS of a target; it takes the label
 of the nearest such target (the first one on a tie), and its iteration
-count is that step.  Targets are attracting: roots, and the points of
-attracting cycles.  On every map the grid goldens pin, the
-CAPTURE_RADIUS disk about a root maps into itself, and the one about a
-cycle point maps into itself under the cycle's period, so an orbit that
-enters a disk never leaves its basin.
+count is that step.  Since |Re w - Re t| <= |w - t|, only the points
+that pass that test on real parts are measured against the targets.
+Targets are attracting: roots, and the points of attracting cycles.  On
+every map the grid goldens pin, the CAPTURE_RADIUS disk about a root
+maps into itself, and the one about a cycle point maps into itself under
+the cycle's period, so an orbit that enters a disk never leaves its
+basin.
 
 orbit_outcomes finds the cycles: the kernel follows its orbits to the
 roots, and one vectorised continuation reads cycles off the points it
@@ -38,6 +43,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import ndimage
@@ -258,15 +264,11 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
         width, height = resolution
     root_tuple = tuple(complex(r) for r in roots)
     cycle_tuple = tuple(tuple(complex(p) for p in cyc) for cyc in cycles)
-    grid = BasinGrid(window, width, height,
-                     labels=np.empty((height, width), dtype=np.int32),
-                     iterations=np.empty((height, width), dtype=np.int32),
-                     max_iter=max_iter)
-    labels, iters, _ = _classify_points(R, grid.pixel_centers().ravel(), root_tuple,
-                                        cycle_tuple, max_iter)
-    grid.labels[:] = labels.reshape(height, width)
-    grid.iterations[:] = iters.reshape(height, width)
-    return grid
+    centers = BasinGrid(window, width, height, None, None, max_iter).pixel_centers()
+    labels, iters, _ = _classify_points(R, centers.ravel(), root_tuple, cycle_tuple,
+                                        max_iter)
+    return BasinGrid(window, width, height, labels.reshape(height, width),
+                     iters.reshape(height, width), max_iter)
 
 
 def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
@@ -280,61 +282,90 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
     points of one cycle share a label.  last is where a point was at
     capture, at step max_iter, or (np.inf) when it was parked at infinity
     by a map that fixes infinity.
-    The first exception of a block (in block order) is raised once every
-    block has finished.
+    The first exception of a round (in piece order) is raised once every
+    piece of the round has finished.
     """
-    last = np.array(z, dtype=np.complex128)
-    n = last.size
+    z = np.asarray(z, dtype=np.complex128)
+    n = z.size
     labels = np.full(n, UNDECIDED, dtype=np.int32)
     iters = np.full(n, max_iter, dtype=np.int32)
+    last = np.empty(n, dtype=np.complex128)  # every point retires exactly once
     targets = list(enumerate(roots)) + [(-(ci + 1), p) for ci, cyc in enumerate(cycles)
                                         for p in cyc]
+    fixes_infinity = R.num.degree > R.den.degree
+    # the screen's real parts, each once (a conjugate pair shares one)
+    target_reals = sorted({target.real for _, target in targets})
 
-    def follow(block: slice):
-        _classify_block(R, targets, max_iter, labels[block], iters[block], last[block])
+    def follow(pos, w, steps, alone):
+        """Follow the points at positions pos, at w after steps map
+        applications, writing out each as it retires.  Returns None once
+        all have, or (unless alone) the live points' (pos, w, steps) once
+        at most _BLOCK // 8 are live."""
+        buffers = np.empty((2, w.size))
+        while True:
+            # screen: near is each point's distance to the nearest target's
+            # real part; only points with near < CAPTURE_RADIUS can be captured
+            re = w.real.copy()  # contiguous, as it is read once per target
+            near, gap = buffers[:, :re.size]
+            near.fill(np.inf)
+            for target_re in target_reals:
+                np.abs(np.subtract(re, target_re, out=gap), out=gap)
+                np.minimum(near, gap, out=near)
+            cand = np.flatnonzero(near < CAPTURE_RADIUS)
+            # label of the nearest target within CAPTURE_RADIUS (the first
+            # one on a tie), one target at a time to keep memory O(points)
+            t = np.full(cand.size, UNDECIDED, dtype=np.int32)
+            best = np.full(cand.size, CAPTURE_RADIUS)
+            wc = w[cand]
+            for label, target in targets:
+                d = np.abs(wc - target)
+                closer = d < best
+                best[closer] = d[closer]
+                t[closer] = label
+            hit = t != UNDECIDED
+            done = cand[hit]
+            labels[pos[done]] = t[hit]
+            iters[pos[done]] = steps[done]
+            retire = steps >= max_iter
+            retire[done] = True
+            if fixes_infinity:
+                # points parked at the point at infinity never converge to a root
+                retire |= ~np.isfinite(w)
+            if retire.any():
+                last[pos[retire]] = w[retire]
+                keep = np.flatnonzero(~retire)
+                pos, w, steps = pos[keep], w[keep], steps[keep]
+            if not pos.size:
+                return None
+            w = eval_sphere(R, w)
+            steps += 1
+            if not alone and pos.size <= _BLOCK // 8:
+                return pos, w, steps
 
-    blocks = [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
-    if len(blocks) == 1:
-        follow(blocks[0])
-    elif blocks:
-        futures = [_pool().submit(follow, block) for block in blocks]
-        # no block may still be writing once the call returns or raises
-        wait(futures)
-        for future in futures:
-            future.result()
+    def block(start: int):
+        stop = min(start + _BLOCK, n)
+        return follow(np.arange(start, stop), z[start:stop],
+                      np.zeros(stop - start, dtype=np.int32), n <= _BLOCK)
+
+    tasks = [partial(block, start) for start in range(0, n, _BLOCK)]
+    while tails := [tail for tail in _run(tasks) if tail is not None]:
+        # pool the tails and split them into equal pieces of at most _BLOCK
+        pos, w, steps = (np.concatenate(part) for part in zip(*tails))
+        k = -(-pos.size // _BLOCK)
+        tasks = [partial(follow, *piece, k == 1)
+                 for piece in zip(*(np.array_split(a, k) for a in (pos, w, steps)))]
     return labels, iters, last
 
 
-def _classify_block(R: RationalMap, targets: list, max_iter: int,
-                    labels: np.ndarray, iters: np.ndarray, last: np.ndarray):
-    """The capture loop of _classify_points on one block, written into its views."""
-    fixes_infinity = R.num.degree > R.den.degree
-    # state of the points not yet retired
-    w = last.copy()
-    index = np.arange(w.size)
-    for it in range(max_iter + 1):
-        # label of the nearest target within CAPTURE_RADIUS (the first one
-        # on a tie), one target at a time to keep memory O(points)
-        t = np.full(w.size, UNDECIDED, dtype=np.int32)
-        best = np.full(w.size, CAPTURE_RADIUS)
-        for label, target in targets:
-            d = np.abs(w - target)
-            closer = d < best
-            best[closer] = d[closer]
-            t[closer] = label
-        done = t != UNDECIDED
-        labels[index[done]] = t[done]
-        iters[index[done]] = it
-        # points parked at the point at infinity never converge to a root
-        retire = done | ~np.isfinite(w) if fixes_infinity else done
-        if retire.any():
-            last[index[retire]] = w[retire]
-            keep = ~retire
-            w, index = w[keep], index[keep]
-        if it == max_iter or index.size == 0:
-            break
-        w = eval_sphere(R, w)
-    last[index] = w
+def _run(tasks: list) -> list:
+    """Results of the tasks, several on _pool(); the first exception (in
+    task order) is raised once every task has finished."""
+    if len(tasks) <= 1:
+        return [task() for task in tasks]
+    futures = [_pool().submit(task) for task in tasks]
+    # no task may still be writing once the call returns or raises
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def _pool() -> ThreadPoolExecutor:
@@ -409,7 +440,9 @@ def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
     pitch is therefore exactly constant, areas are comparable across
     windows, and the first window's labels are those of classify_grid at
     that resolution.  Each window is the lattice rectangle whose edges are
-    the lattice lines nearest to its own, classified in one kernel call.
+    the lattice lines nearest to its own; it holds the previous window's
+    rectangle, whose labels it copies, and classifies the rest in one
+    kernel call.
     Once a window's component avoids that window's border rows and
     columns, all its 4-neighbours lie inside the window, so it cannot
     grow: every later window reports the same area with touches False,
@@ -457,8 +490,17 @@ def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
         c1 = round((win.center.real + win.half_width - x0) / pw)
         z = ((x0 + (np.arange(c0, c1) + 0.5) * pw)[None, :]
              + 1j * (y0 - (np.arange(r0, r1) + 0.5) * ph)[:, None])
-        labels, _, _ = _classify_points(R, z.ravel(), root_tuple, (), max_iter)
-        comp, touch = _component(labels.reshape(z.shape), row - r0, col - c0, seed_point)
+        labels = np.empty(z.shape, dtype=np.int32)
+        new = np.ones(z.shape, dtype=bool)
+        if areas:
+            # the previous window's rectangle lies inside this one, on the
+            # same pixel centres: copy its labels
+            inner = np.s_[pr0 - r0:pr1 - r0, pc0 - c0:pc1 - c0]
+            labels[inner] = prev
+            new[inner] = False
+        labels[new] = _classify_points(R, z[new], root_tuple, (), max_iter)[0]
+        prev, pr0, pr1, pc0, pc1 = labels, r0, r1, c0, c1
+        comp, touch = _component(labels, row - r0, col - c0, seed_point)
         areas.append(float(comp.sum()) * pw * ph)
         touches.append(touch)
     stable = areas[-2] > 0 and abs(areas[-1] - areas[-2]) < 0.01 * areas[-2]

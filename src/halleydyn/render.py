@@ -53,23 +53,19 @@ def render_rgb(grid: BasinGrid, cmap: ColorMap) -> np.ndarray:
     """(height, width, 3) uint8 image of the grid under the color map."""
     labels = grid.labels
     max_label = int(labels.max(initial=-1))
-    if max_label >= len(cmap.palette):
-        raise ValueError(
-            f"palette has {len(cmap.palette)} colors but label {max_label} occurs")
-    lut_roots = np.array(cmap.palette, dtype=np.float64).reshape(-1, 3)
-    rgb = np.empty(labels.shape + (3,), dtype=np.float64)
-    undecided = labels == UNDECIDED
-    cyc = (labels < 0) & ~undecided
-    rootpix = labels >= 0
-    if rootpix.any():
-        rgb[rootpix] = lut_roots[labels[rootpix]]
-    rgb[cyc] = np.array(cmap.cycle_color, dtype=np.float64)
-    rgb[undecided] = np.array(cmap.undecided_color, dtype=np.float64)
+    n = len(cmap.palette)
+    if max_label >= n:
+        raise ValueError(f"palette has {n} colors but label {max_label} occurs")
+    # row n holds the cycle color, row n + 1 the undecided one
+    table = np.array([*cmap.palette, cmap.cycle_color, cmap.undecided_color], dtype=float)
+    row = np.where(labels >= 0, labels, np.where(labels == UNDECIDED, n + 1, n))
+    rgb = table[row]
     if cmap.shading < 1.0:
         expo = grid.iterations.astype(np.float64) / max(grid.max_iter, 1)
         dim = np.power(cmap.shading, expo)  # 0.0**0.0 == 1.0 by convention
         rgb *= dim[:, :, None]
-    return np.clip(rgb + 0.5, 0.0, 255.0).astype(np.uint8)
+    rgb += 0.5
+    return np.clip(rgb, 0.0, 255.0, out=rgb).astype(np.uint8)
 
 
 def write_image(grid: BasinGrid, cmap: ColorMap, path: str):

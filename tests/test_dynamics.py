@@ -3,6 +3,7 @@
 import csv
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -156,6 +157,86 @@ def test_concurrent_callers_share_the_block_pool(monkeypatch):
     for outcome in got:
         for a, b in zip(outcome, want):
             assert np.array_equal(a, b)
+
+
+def test_pooled_tails_match_points_classified_alone(monkeypatch):
+    # (z - 2)(z + 1)^3: orbits reach the simple root 2 in a few steps and
+    # the triple root -1 only linearly; far points stay undecided at
+    # max_iter and infinity is parked.  Six blocks retire at very
+    # different rates, so pooled pieces mix points at different steps.
+    h = halley_of(Polynomial.make([-2, -5, -3, 1, 1]))
+    roots = (-1 + 0j, 2 + 0j)
+    kinds = {
+        "fast": [2.1, 1.9 + 0.1j, 2.5 - 0.3j, 3 + 1j],
+        "slow": [-1 + 0.01j, -1.05, -0.7 + 0.2j, -1.5 - 0.5j, -1 + 2j],
+        "undecided": [40 + 40j, -300j],
+        "parked": [np.inf],
+    }
+    distinct = np.array([z for pts in kinds.values() for z in pts], dtype=np.complex128)
+    alone = [np.concatenate(a) for a in zip(*(
+        dynamics._classify_points(h, distinct[i:i + 1], roots, (), 30)
+        for i in range(distinct.size)))]
+    first = np.cumsum([0] + [len(pts) for pts in kinds.values()])
+    of_kind = {kind: np.arange(a, b) for kind, a, b in zip(kinds, first, first[1:])}
+    labels, iters, last = alone
+    assert (iters[of_kind["fast"]] <= 4).all() and (labels[of_kind["fast"]] == 1).all()
+    assert (iters[of_kind["slow"]] >= 20).all() and (labels[of_kind["slow"]] == 0).all()
+    assert (labels[of_kind["undecided"]] == UNDECIDED).all()
+    assert np.isfinite(last[of_kind["undecided"]]).all()
+    assert labels[of_kind["parked"]] == UNDECIDED and np.isinf(last[of_kind["parked"]])
+
+    rng = np.random.default_rng(11)
+    everything = np.arange(distinct.size)
+    block = dynamics._BLOCK
+    mostly_fast = np.where(rng.random(block) < 0.95, rng.choice(of_kind["fast"], block),
+                           rng.choice(of_kind["slow"], block))
+    source = np.concatenate([
+        rng.choice(of_kind["fast"], block),
+        rng.choice(of_kind["slow"], block),
+        mostly_fast,
+        rng.choice(np.concatenate([of_kind["undecided"], of_kind["parked"]]), block),
+        rng.choice(everything, block),
+        rng.choice(everything, 1_000),
+    ])
+    rounds = []
+    run = dynamics._run
+
+    def recording(tasks):
+        rounds.append(tasks)
+        return run(tasks)
+
+    monkeypatch.setattr(dynamics, "_run", recording)
+    got = dynamics._classify_points(h, distinct[source], roots, (), 30)
+    for a, b in zip(got, alone):
+        assert np.array_equal(a, b[source])
+    # the tails were pooled, and some pooled piece held points at several steps
+    assert len(rounds) >= 2 and len(rounds[0]) == 6
+    assert any(np.unique(task.args[2]).size > 1 for tasks in rounds[1:] for task in tasks)
+
+
+def test_nearest_of_two_targets_with_equal_real_parts_wins():
+    # both targets pass the real-part screen; the distances decide, and
+    # the first target wins a tie
+    h = halley_of(CUBIC_ODD)
+    z = np.array([1, 1 + 2.5e-9j, 1 + 1e-9j], dtype=np.complex128)
+    labels, iters, _ = dynamics._classify_points(h, z, (1 + 3e-9j, 1 - 1e-9j), (), 0)
+    assert labels.tolist() == [1, 0, 0] and iters.tolist() == [0, 0, 0]
+    labels, _, _ = dynamics._classify_points(h, z[:1], (1 + 1e-9j, 1 - 1e-9j), (), 0)
+    assert labels.tolist() == [0]
+
+
+def test_grid_memory_peak_is_bounded():
+    # kernel state is built per block and pooled only for the slow tails,
+    # so an 800^2 grid peaks well under holding every live point at once
+    h = halley_of(CUBIC_ODD)
+    roots = roots_of(CUBIC_ODD)
+    tracemalloc.start()
+    try:
+        classify_grid(h, roots, Window(0j, 2.0, 2.0), 800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_multi_block_grid_of_unreduced_map_raises():
@@ -392,6 +473,16 @@ def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
     # exactly the first window's pixel centres are classified
     first = dynamics.BasinGrid(wins[0], 128, 128, None, None, 200)
     assert np.array_equal(z, first.pixel_centers().ravel())
+    # the component of the root 1 of z^3 - z reaches every border, so all
+    # three windows are classified, but no centre twice across windows:
+    # the 4w window's 256^2 centres, not 64^2 + 128^2 + 256^2
+    counted.clear()
+    wins = [Window(0j, s, s) for s in (1.0, 2.0, 4.0)]
+    rep = boundedness_evidence(halley_of(CUBIC_ODD), roots_of(CUBIC_ODD), 1 + 0j, wins,
+                               resolution=64)
+    assert rep.touches == (True, True, True)
+    z = np.concatenate(counted)
+    assert np.unique(z).size == z.size == 256 ** 2
 
 
 @pytest.mark.parametrize("windows, message", [
