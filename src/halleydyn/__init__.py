@@ -52,7 +52,6 @@ from .ratmap import (
     multiplier_at,
     poles,
     same_map,
-    scaling_check,
 )
 from .classify import (
     FixedPointRecord,
@@ -71,7 +70,6 @@ from .dynamics import (
     boundedness_evidence,
     classify_grid,
     free_critical_fates,
-    has_trapped_cycle,
     immediate_basin_component,
     interval_convergence_check,
     iterate_orbit,
@@ -88,7 +86,6 @@ from .symmetry import (
 )
 from .paramsearch import (
     CycleCandidate,
-    conjugacy_check,
     cycle_condition_polynomial,
     family_polynomial,
     halley_b,

@@ -11,9 +11,8 @@ normal operation; run() folds exceptions into failures.  Each takes the
 run's seed, which picks the random corpus and sample points of E2, E3,
 E4 and E10; the other experiments have no random input.
 
-The grids in E1, E5 and E6 run at 800x800 and dominate the runtime:
-2.2 of the 3.1-3.3 seconds a full run took in two runs on a 2-core
-Xeon (E7's 400x400 grids take another 0.5 s).
+The 800x800 grids of E1, E5 and E6 dominate the runtime, followed by
+E7's 400x400 grids.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ class Origin:
 
 @dataclass(frozen=True)
 class FixedPointRecord:
-    location: object  # complex or INF
+    location: complex  # INF for the point at infinity
     multiplier: complex
     klass: str
     origin: Origin

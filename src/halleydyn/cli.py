@@ -259,8 +259,7 @@ def _summary_fixed_points(p, R, out):
     out.write("[fixed_points]\n")
     out.write("location,multiplier,class,origin\n")
     for r in records:
-        loc = "inf" if is_infinity(r.location) else _fmt(r.location)
-        out.write(f"{loc},{_fmt(r.multiplier)},{r.klass},{r.origin.kind}\n")
+        out.write(f"{_fmt(r.location)},{_fmt(r.multiplier)},{r.klass},{r.origin.kind}\n")
     out.write("[extraneous]\n")
     out.write("location,multiplier\n")
     for r in extraneous_fixed_points(records):

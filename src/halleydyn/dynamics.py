@@ -148,7 +148,7 @@ class OrbitOutcome:
     root_index: int | None = None
     iterations: int | None = None
     cycle: tuple | None = None
-    last: object = None
+    last: complex | None = None
 
     @property
     def period(self) -> int | None:
@@ -213,8 +213,7 @@ def orbit_outcomes(R: RationalMap, points, roots, max_iter: int) -> list[OrbitOu
     and its outcome carries the earlier tuple.
     """
     root_locs = tuple(complex(r) for r in roots)
-    z = np.array([np.inf if is_infinity(p) else complex(p) for p in points],
-                 dtype=np.complex128)
+    z = np.array([complex(p) for p in points], dtype=np.complex128)
     labels, iters, last = _classify_points(R, z, root_locs, (), max_iter)
     open_ = np.flatnonzero((labels == UNDECIDED) & np.isfinite(last))
     w = start = last[open_]
@@ -280,11 +279,14 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
     point is captured at the first step at which it lies within
     CAPTURE_RADIUS of a target, with the label of the nearest one; the
     points of one cycle share a label.  last is where a point was at
-    capture, at step max_iter, or (np.inf) when it was parked at infinity
-    by a map that fixes infinity.
+    capture, at step max_iter, or (not finite) when it was parked at
+    infinity by a map that fixes infinity.  ValueError is raised unless
+    0 <= max_iter <= MAX_ITER_LIMIT.
     The first exception of a round (in piece order) is raised once every
     piece of the round has finished.
     """
+    if not 0 <= max_iter <= MAX_ITER_LIMIT:
+        raise ValueError(f"max_iter must lie in [0, {MAX_ITER_LIMIT}]")
     z = np.asarray(z, dtype=np.complex128)
     n = z.size
     labels = np.full(n, UNDECIDED, dtype=np.int32)
@@ -394,10 +396,6 @@ def free_critical_fates(p: Polynomial, R: RationalMap | None = None) -> list[Orb
     roots = [c.location for c in source_of(p, R).roots]
     crits = [c.location for c in free_critical_points(R, roots)]
     return orbit_outcomes(R, crits, roots, DEFAULT_MAX_ITER)
-
-
-def has_trapped_cycle(fates: list[OrbitOutcome]) -> bool:
-    return any(f.kind == "cycle" for f in fates)
 
 
 def immediate_basin_component(grid: BasinGrid, seed_point: complex):
@@ -521,9 +519,10 @@ def _is_real(z: complex) -> bool:
 
 def _real_points_between(points, lo: float, hi: float, margin: float) -> list[float]:
     """Sorted real parts of the real points in (lo + margin, hi - margin);
-    points may be complex numbers, RootClusters or INF."""
-    zs = [complex(getattr(pt, "location", pt)) for pt in points if not is_infinity(pt)]
-    return sorted(z.real for z in zs if _is_real(z) and lo + margin < z.real < hi - margin)
+    points may be complex numbers (INF among them) or RootClusters."""
+    zs = (complex(getattr(pt, "location", pt)) for pt in points)
+    return sorted(z.real for z in zs
+                  if not is_infinity(z) and _is_real(z) and lo + margin < z.real < hi - margin)
 
 
 def interval_convergence_check(R: RationalMap, x1: float, x2: float) -> IntervalReport:

@@ -34,7 +34,7 @@ class PropositionMismatch(HalleyDynError):
 
 
 class SeedUnlabeled(HalleyDynError):
-    """Flood-fill seed pixel carries no basin label."""
+    """The seed pixel of a basin component carries no basin label."""
 
 
 class WindowNotCentered(HalleyDynError):

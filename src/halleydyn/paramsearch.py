@@ -19,14 +19,13 @@ import numpy as np
 from .errors import ExcludedParameter, NoCycle, PoleAtTwenty
 from .polycore import (
     X,
-    AffineMap,
     Polynomial,
     RootCluster,
     deflate,
     find_roots,
     horner,
 )
-from .ratmap import RationalMap, conjugate, same_map
+from .ratmap import RationalMap
 
 # roots of the discriminant of z**3 + 6z + b: the polynomial degenerates
 _EXCLUDED_B = (0j, 4j * cmath.sqrt(2), -4j * cmath.sqrt(2))
@@ -162,8 +161,3 @@ def verify_cycle(b: complex) -> CycleCandidate:
     multiplier = h.derivative_at(1.0 + 0j) * h.derivative_at(z1)
     return CycleCandidate(b=b, cycle=(1.0 + 0j, z1),
                           multiplier=multiplier, residual=residual)
-
-
-def conjugacy_check(b: complex) -> bool:
-    """The odd symmetry H_b(-z) = -H_{-b}(z), as an identity of maps."""
-    return same_map(conjugate(halley_b(b), AffineMap(-1.0)), halley_b(-b))

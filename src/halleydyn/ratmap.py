@@ -23,7 +23,9 @@ The same rule decides poles in the 1/z chart (where both sides scale by
 |z|**-deg(den)) and in RationalMap.derivative_at.
 
 poles, critical_points and fixed_points define R's special points, and
-matching_point identifies a computed point with a given one.  INF is fixed
+matching_point identifies a computed point with a given one.  The point
+at infinity is INF = complex(inf, 0), the value eval_sphere writes for
+every non-finite result; any non-finite input stands for it.  INF is fixed
 when k = deg num - deg den >= 1, with local degree k and multiplier
 den.lead / num.lead for k = 1, 0 for k >= 2, both exact.
 
@@ -45,6 +47,7 @@ builds T^-1 o R o T for an affine T.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,25 +76,12 @@ SUPERATTRACTING_TOL = 1e-8
 IDENTITY_RTOL = 1e-9
 
 
-class Infinity:
-    """Point at infinity on the Riemann sphere (module-level singleton INF)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = Infinity()
+INF = complex(math.inf, 0.0)  # the point at infinity, as eval_sphere writes it
 
 
 def is_infinity(z) -> bool:
-    return isinstance(z, Infinity)
+    """Whether the sphere point z is the point at infinity: any non-finite z."""
+    return not cmath.isfinite(z)
 
 
 @dataclass(frozen=True)
@@ -302,22 +292,19 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
 
 
 def eval_sphere(R: RationalMap, z):
-    """Evaluate R at sphere points: INF, a complex number or an ndarray.
+    """Evaluate R at sphere points: a complex number or an ndarray.
 
-    Array entries that are not finite stand for the point at infinity,
-    and so do non-finite entries of the returned array; a scalar input
-    returns a complex or INF.  Points beyond HANDOFF_RADIUS are evaluated
-    in the chart w = 1/z through the reversed coefficients, so huge inputs
-    neither overflow nor lose the leading behaviour.  A pole (see the
-    module docstring) maps to infinity; if num vanishes there by the same
-    rule, Indeterminate is raised (R is not reduced).
+    A non-finite input stands for the point at infinity, and every
+    non-finite value returned is exactly INF; a scalar input returns a
+    complex.  Points beyond HANDOFF_RADIUS are evaluated in the chart
+    w = 1/z through the reversed coefficients, so huge inputs neither
+    overflow nor lose the leading behaviour.  A pole (see the module
+    docstring) maps to infinity; if num vanishes there by the same rule,
+    Indeterminate is raised (R is not reduced).
     """
-    if is_infinity(z):
-        return _value_at_infinity(R)
     if isinstance(z, np.ndarray):
         return _eval_array(R, z)
-    v = _eval_array(R, np.array([complex(z)]))[0]
-    return complex(v) if cmath.isfinite(v) else INF
+    return complex(_eval_array(R, np.array([complex(z)]))[0])
 
 
 def _value_at_infinity(R: RationalMap):
@@ -339,9 +326,7 @@ def _eval_array(R: RationalMap, z: np.ndarray) -> np.ndarray:
         if near.all():
             out = _quotient(num.coeffs, den.coeffs, z, az)
         else:
-            at_inf = _value_at_infinity(R)
-            out = np.full(z.shape, np.inf if is_infinity(at_inf) else at_inf,
-                          dtype=np.complex128)
+            out = np.full(z.shape, _value_at_infinity(R), dtype=np.complex128)
             out[near] = _quotient(num.coeffs, den.coeffs, z[near], az[near])
             far = ~near & np.isfinite(z)
             if far.any():
@@ -427,12 +412,11 @@ def fixed_points(R: RationalMap) -> list:
 
 def is_fixed_point(R: RationalMap, z: complex) -> bool:
     """Whether R fixes the finite point z: |R(z) - z| <= FIXED_RTOL * max(1, |z|)."""
-    img = eval_sphere(R, z)
-    return not is_infinity(img) and abs(img - z) <= FIXED_RTOL * max(1.0, abs(z))
+    return abs(eval_sphere(R, z) - z) <= FIXED_RTOL * max(1.0, abs(z))
 
 
 def multiplier_at(R: RationalMap, z) -> complex:
-    """Derivative of R at a fixed point z (complex or INF); NotFixed when
+    """Derivative of R at a fixed point z, finite or INF; NotFixed when
     a finite z fails is_fixed_point.
 
     At infinity it is the derivative at 0 of w -> 1/R(1/w), which is
@@ -577,8 +561,3 @@ def conjugate(R: RationalMap, T: AffineMap) -> RationalMap:
     den = compose_affine(R.den, T)
     num = (num - den.scale(T.b)).scale(1.0 / complex(T.a))
     return RationalMap(num, den)
-
-
-def scaling_check(p: Polynomial, T: AffineMap, c: complex) -> bool:
-    """Affine covariance: halley_of(c * p(T z)) is T^-1 o halley_of(p) o T."""
-    return same_map(halley_of(compose_affine(p, T, c)), conjugate(halley_of(p), T))

@@ -5,15 +5,20 @@ at 50 significant digits, so the comparison measures only the rounding
 of the double-precision evaluator (and its 1/z chart for huge |z|).
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from halleydyn.dynamics import DEFAULT_MAX_ITER, orbit_outcomes
 from halleydyn.errors import Indeterminate
-from halleydyn.polycore import Polynomial
-from halleydyn.ratmap import INF, RationalMap, eval_sphere, halley_of, is_infinity
+from halleydyn.polycore import Polynomial, find_roots
+from halleydyn.ratmap import (INF, RationalMap, eval_sphere, fixed_points, halley_of,
+                              is_infinity, poles)
 
 mpmath.mp.dps = 50
 
@@ -84,7 +89,8 @@ def test_poles_map_to_infinity():
 
 
 @pytest.mark.parametrize("name,at_infinity", [
-    ("halley-quadratic", INF),          # deg num > deg den
+    pytest.param("halley-quadratic", INF,  # deg num > deg den
+                 id="halley-quadratic-at_infinity0"),
     ("low-numerator", 0j),              # deg num < deg den
     ("equal-degrees", 0.25 + 0j),       # lead ratio 0.5 / 2
 ])
@@ -96,6 +102,37 @@ def test_value_at_infinity(name, at_infinity):
         assert np.all(np.isinf(got))
     else:
         assert np.all(got == at_infinity)
+
+
+def _load(name: str, path: Path, monkeypatch):
+    """The file at path imported as module name, in sys.modules for one test."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("entered", [INF, complex(math.inf, 5.0), complex(math.nan, 0.0)])
+def test_infinity_is_one_value(entered, monkeypatch):
+    # every way the package hands back the point at infinity gives the one
+    # value INF, a plain complex, whatever non-finite value was entered
+    quartic = Polynomial.make([1 + 2j, -0.5, 0.3j, 0.7, 1])
+    R = halley_of(quartic)
+    q = poles(R)[0].location
+    roots = [c.location for c in find_roots(quartic)]
+    fate, = orbit_outcomes(R, [entered], roots, DEFAULT_MAX_ITER)
+    assert fate.kind == "undecided"
+    points = [eval_sphere(R, q), complex(eval_sphere(R, np.array([q, 0.3]))[0]),
+              fixed_points(R)[-1], fate.last, eval_sphere(R, entered)]
+    # the benchmark's reader of fixed-point and fate records, which this
+    # suite must not edit: it writes infinity as None
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    _load("common", perfbench / "common.py", monkeypatch)
+    workloads = _load("perfbench_workloads", perfbench / "workloads.py", monkeypatch)
+    for z in points:
+        assert z == INF and is_infinity(z) and type(z) is complex
+        assert workloads._cplx(z) is None
 
 
 def test_unreduced_map_raises_on_arrays():

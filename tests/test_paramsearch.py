@@ -9,7 +9,6 @@ from halleydyn.errors import ExcludedParameter, NoCycle, PoleAtTwenty
 from halleydyn.paramsearch import (
     CYCLE_RESIDUAL_TOL,
     F_COEFFS,
-    conjugacy_check,
     cycle_condition_polynomial,
     divide_out_root,
     family_polynomial,
@@ -154,8 +153,8 @@ def test_no_cycle_at_generic_parameter():
 
 
 def test_conjugacy_between_opposite_parameters():
-    assert conjugacy_check(3.0)
-    assert conjugacy_check(62.5144395981942)
-    assert conjugacy_check(1.0 - 2.5j)
+    # the odd symmetry H_b(-z) = -H_{-b}(z), as an identity of maps
+    for b in (3.0, 62.5144395981942, 1.0 - 2.5j):
+        assert same_map(conjugate(halley_b(b), AffineMap(-1.0)), halley_b(-b))
     flipped = conjugate(halley_b(3.0), AffineMap(-1.0))
     assert not same_map(flipped, halley_b(-3.0 - 1e-6))

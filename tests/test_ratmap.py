@@ -10,7 +10,7 @@ from halleydyn import ratmap
 from halleydyn.acceptance import CORPUS_SEED, random_corpus
 from halleydyn.classify import classify_fixed_points
 from halleydyn.errors import DegenerateMap, Indeterminate, NotFixed
-from halleydyn.polycore import ONE, AffineMap, Polynomial, find_roots
+from halleydyn.polycore import ONE, AffineMap, Polynomial, compose_affine, find_roots
 from halleydyn.ratmap import (
     INF,
     RationalMap,
@@ -29,7 +29,6 @@ from halleydyn.ratmap import (
     multiplier_at,
     poles,
     same_map,
-    scaling_check,
 )
 
 CUBIC_ODD = Polynomial.make([0, -1, 0, 1])       # z(z^2-1)
@@ -227,13 +226,17 @@ def test_conjugate_rotation_fixes_symmetric_map():
 
 
 def test_scaling_covariance():
-    p = Polynomial.make([-1, 0, 1])
-    assert scaling_check(p, AffineMap(2.0), 0.25)
-    assert scaling_check(CUBIC_ODD, AffineMap(1j, 0.5), 2.0 - 1j)
+    # affine covariance: halley_of(c * p(T z)) is T^-1 o halley_of(p) o T
+    cases = [(Polynomial.make([-1, 0, 1]), AffineMap(2.0), 0.25),
+             (CUBIC_ODD, AffineMap(1j, 0.5), 2.0 - 1j)]
     corpus = random_corpus(50, seed=CORPUS_SEED)
-    for T, c in ((AffineMap(2.0), 1.0), (AffineMap(1j, 0.5), 2.0 - 1j),
-                 (AffineMap(-1.3 + 0.4j, 0.2 - 0.7j), 0.5), (AffineMap(1 / 0.3), 1.0)):
-        assert all(scaling_check(q, T, c) for q in corpus)
+    cases += [(q, T, c)
+              for T, c in ((AffineMap(2.0), 1.0), (AffineMap(1j, 0.5), 2.0 - 1j),
+                           (AffineMap(-1.3 + 0.4j, 0.2 - 0.7j), 0.5),
+                           (AffineMap(1 / 0.3), 1.0))
+              for q in corpus]
+    for q, T, c in cases:
+        assert same_map(halley_of(compose_affine(q, T, c)), conjugate(halley_of(q), T))
 
 
 def test_conjugate_is_affine_change_of_variable():
@@ -254,7 +257,8 @@ def test_reduction_keeps_a_tiny_constant_coefficient():
     assert h.degree == degree_census(p, h).predicted_degree == 5
     classify_fixed_points(p, h)
     p1 = Polynomial.from_roots([1 / 30] * 3 + [1.0] * 2 + [-1.0] * 2)
-    assert scaling_check(p1, AffineMap(1 / 0.3), 1.0)
+    T = AffineMap(1 / 0.3)
+    assert same_map(halley_of(compose_affine(p1, T, 1.0)), conjugate(halley_of(p1), T))
 
 
 def test_konig_overflow_is_a_degenerate_map():
