@@ -243,11 +243,9 @@ def e6(seed: int) -> tuple[bool, str]:
         R = halley_of(p)
         roots = [c.location for c in R.source.roots]
         grid = classify_grid(R, roots, Window(0j, 2.0, 2.0), 800, max_iter=200)
-        _, touches0 = immediate_basin_component(grid, 0j)
-        if touches0:
+        rep = boundedness_evidence(R, roots, grid, 0j)
+        if rep.touches[0]:
             return False, f"n={n}: central component touches the [-2,2]^2 border"
-        wins = [Window(0j, 2.0, 2.0), Window(0j, 4.0, 4.0), Window(0j, 8.0, 8.0)]
-        rep = boundedness_evidence(R, roots, 0j, wins, resolution=200)
         if rep.verdict != "bounded-evidence":
             return False, f"n={n}: verdict {rep.verdict}, areas {rep.areas}"
         for r in roots:

@@ -307,9 +307,8 @@ def cmd_render(args) -> int:
 
     # per-root component report on the rendered window.  A component that
     # avoids the image border has all its 4-neighbours inside the image, so
-    # on the image's lattice it keeps its area in every larger window:
-    # boundedness_evidence over the image window and its 2x and 4x
-    # enlargements at the image's resolution would say bounded-evidence
+    # it keeps its area in every larger window: boundedness_evidence(R,
+    # roots, grid, r) would say bounded-evidence without classifying more
     out.write("[components]\n")
     out.write("root,touches_border,verdict\n")
     for r in _by_location(roots, complex):

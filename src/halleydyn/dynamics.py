@@ -57,7 +57,6 @@ from .ratmap import (
     eval_sphere,
     fixed_points,
     free_critical_points,
-    halley_of,
     is_fixed_point,
     is_infinity,
     poles,
@@ -90,8 +89,10 @@ class Window:
     half_height: float
 
     def __post_init__(self):
-        if self.half_width <= 0 or self.half_height <= 0:
-            raise ValueError("window extents must be positive")
+        if not cmath.isfinite(complex(self.center)):
+            raise ValueError("window centre must be finite")
+        if not (0 < self.half_width < math.inf and 0 < self.half_height < math.inf):
+            raise ValueError("window extents must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,16 +118,9 @@ class BasinGrid:
     def pixel_height(self) -> float:
         return 2.0 * self.window.half_height / self.height
 
-    def pixel_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real parts of the column centres and imaginary parts of the row centres."""
-        w = self.window
-        xs = w.center.real - w.half_width + (np.arange(self.width) + 0.5) * self.pixel_width
-        ys = w.center.imag + w.half_height - (np.arange(self.height) + 0.5) * self.pixel_height
-        return xs, ys
-
     def pixel_centers(self) -> np.ndarray:
-        xs, ys = self.pixel_axes()
-        return xs[None, :] + 1j * ys[:, None]
+        return _centers(self.window, self.width, self.height,
+                        np.arange(self.height), np.arange(self.width))
 
     def locate(self, point: complex) -> tuple[int, int]:
         """(row, col) of the pixel containing a point, clamped to the grid."""
@@ -134,6 +128,18 @@ class BasinGrid:
         col = int((point.real - (w.center.real - w.half_width)) / self.pixel_width)
         row = int(((w.center.imag + w.half_height) - point.imag) / self.pixel_height)
         return (min(max(row, 0), self.height - 1), min(max(col, 0), self.width - 1))
+
+
+def _centers(window: Window, width: int, height: int, rows, cols) -> np.ndarray:
+    """Centres of the given rows and columns of the window's width x height
+    pixel lattice: pixel (i, j) is centred at x0 + (j + 0.5) pw,
+    y0 - (i + 0.5) ph, where (x0, y0) is the window's top-left corner and
+    pw x ph the pixel size; i and j may lie outside the window."""
+    pw = 2.0 * window.half_width / width
+    ph = 2.0 * window.half_height / height
+    x0 = window.center.real - window.half_width
+    y0 = window.center.imag + window.half_height
+    return (x0 + (cols + 0.5) * pw)[None, :] + 1j * (y0 - (rows + 0.5) * ph)[:, None]
 
 
 @dataclass(frozen=True)
@@ -263,7 +269,7 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
         width, height = resolution
     root_tuple = tuple(complex(r) for r in roots)
     cycle_tuple = tuple(tuple(complex(p) for p in cyc) for cyc in cycles)
-    centers = BasinGrid(window, width, height, None, None, max_iter).pixel_centers()
+    centers = _centers(window, width, height, np.arange(height), np.arange(width))
     labels, iters, _ = _classify_points(R, centers.ravel(), root_tuple, cycle_tuple,
                                         max_iter)
     return BasinGrid(window, width, height, labels.reshape(height, width),
@@ -383,16 +389,14 @@ def _pool() -> ThreadPoolExecutor:
         return _POOL
 
 
-def free_critical_fates(p: Polynomial, R: RationalMap | None = None) -> list[OrbitOutcome]:
-    """Orbit outcome for each free critical point of the Halley map of p.
+def free_critical_fates(p: Polynomial, R: RationalMap) -> list[OrbitOutcome]:
+    """Orbit outcome for each free critical point of R, the Halley map of p.
 
     Outcomes follow the order of free_critical_points, each orbit run for
     DEFAULT_MAX_ITER steps at CAPTURE_RADIUS.  Any cycle outcome
     flags a polynomial whose iteration traps an open set away from the
     roots.
     """
-    if R is None:
-        R = halley_of(p)
     roots = [c.location for c in source_of(p, R).roots]
     crits = [c.location for c in free_critical_points(R, roots)]
     return orbit_outcomes(R, crits, roots, DEFAULT_MAX_ITER)
@@ -420,86 +424,68 @@ def _component(labels: np.ndarray, row: int, col: int, seed_point):
     return mask, touches
 
 
-def boundedness_evidence(R: RationalMap, roots, seed_point: complex,
-                         windows, resolution: int,
-                         max_iter: int = DEFAULT_MAX_ITER) -> BoundednessReport:
+def boundedness_evidence(R: RationalMap, roots, grid: BasinGrid,
+                         seed_point: complex) -> BoundednessReport:
     """Area-stabilization evidence that a basin component is bounded.
 
-    Classifies the same seed component over a window sequence whose half
-    extents strictly increase and where each window contains the previous
-    one; seed_point must lie in the first window.  Evidence of
-    boundedness requires the final component to avoid the border while
-    its area settles to within 1 percent of the previous window's.
+    grid holds the labels of classify_grid(R, roots, ...), and seed_point
+    must lie in grid.window, in a root's basin: pixels beyond grid are
+    labelled by roots alone, so a seed that grid labels with a cycle
+    raises ValueError.  The seed's component is measured in
+    grid.window and in that window enlarged 2x and 4x about its centre.
+    Evidence of boundedness requires the final component to avoid the
+    border while its area settles to within 1 percent of the previous
+    window's.
 
-    Every window is sampled on one pixel lattice: the first window's grid
-    of resolution x resolution pixels, extended outward, so pixel (i, j)
-    is centred at x0 + (j + 0.5) pw, y0 - (i + 0.5) ph as in
-    BasinGrid.pixel_axes, with i and j allowed to be negative.  The pixel
-    pitch is therefore exactly constant, areas are comparable across
-    windows, and the first window's labels are those of classify_grid at
-    that resolution.  Each window is the lattice rectangle whose edges are
-    the lattice lines nearest to its own; it holds the previous window's
-    rectangle, whose labels it copies, and classifies the rest in one
-    kernel call.
+    The first window's labels, area and border flag are read from grid.
+    The enlarged windows are sampled on grid's pixel lattice, extended
+    outward as in _centers, so the pitch is exactly constant: each is the
+    lattice rectangle of 2x or 4x grid's width and height about grid (an
+    odd margin puts its extra row below and its extra column to the
+    right).  It holds the previous rectangle, whose labels it copies, and
+    classifies the rest in one kernel call with grid.max_iter.
     Once a window's component avoids that window's border rows and
     columns, all its 4-neighbours lie inside the window, so it cannot
     grow: every later window reports the same area with touches False,
     and nothing more is classified.
     """
-    if len(windows) < 2:
-        raise ValueError("need a strictly increasing window sequence")
-    for a, b in zip(windows, windows[1:]):
-        if b.half_width <= a.half_width or b.half_height <= a.half_height:
-            raise ValueError("need a strictly increasing window sequence")
-        if (b.center.real - b.half_width > a.center.real - a.half_width
-                or b.center.real + b.half_width < a.center.real + a.half_width
-                or b.center.imag - b.half_height > a.center.imag - a.half_height
-                or b.center.imag + b.half_height < a.center.imag + a.half_height):
-            raise ValueError("each window must contain the previous one")
-    first = windows[0]
+    w = grid.window
     seed_point = complex(seed_point)
-    if not (first.center.real - first.half_width <= seed_point.real
-            <= first.center.real + first.half_width
-            and first.center.imag - first.half_height <= seed_point.imag
-            <= first.center.imag + first.half_height):
+    if not (w.center.real - w.half_width <= seed_point.real <= w.center.real + w.half_width
+            and w.center.imag - w.half_height <= seed_point.imag
+            <= w.center.imag + w.half_height):
         raise ValueError(f"seed_point {seed_point} lies outside the first window")
-    size = max(2, round(resolution))
-    x0 = first.center.real - first.half_width
-    y0 = first.center.imag + first.half_height
-    pw = 2.0 * first.half_width / size
-    ph = 2.0 * first.half_height / size
-    # the seed's pixel as BasinGrid.locate finds it in the first window's grid
-    col = min(max(int((seed_point.real - x0) / pw), 0), size - 1)
-    row = min(max(int((y0 - seed_point.imag) / ph), 0), size - 1)
+    row, col = grid.locate(seed_point)
+    if UNDECIDED < grid.labels[row, col] < 0:
+        raise ValueError(f"seed_point {seed_point} lies in a cycle's basin")
     root_tuple = tuple(complex(r) for r in roots)
-    areas = []
-    touches = []
-    for win in windows:
+    windows, areas, touches = [], [], []
+    labels, r0, c0 = grid.labels, 0, 0
+    for scale in (1, 2, 4):
+        windows.append(Window(w.center, scale * w.half_width, scale * w.half_height))
         if touches and not touches[-1]:
             # all 4-neighbours of the component lie inside the previous
             # window, so it cannot grow
             areas.append(areas[-1])
             touches.append(False)
             continue
-        # the window's lattice rectangle: rows r0:r1, columns c0:c1
-        r0 = round((y0 - (win.center.imag + win.half_height)) / ph)
-        r1 = round((y0 - (win.center.imag - win.half_height)) / ph)
-        c0 = round((win.center.real - win.half_width - x0) / pw)
-        c1 = round((win.center.real + win.half_width - x0) / pw)
-        z = ((x0 + (np.arange(c0, c1) + 0.5) * pw)[None, :]
-             + 1j * (y0 - (np.arange(r0, r1) + 0.5) * ph)[:, None])
-        labels = np.empty(z.shape, dtype=np.int32)
-        new = np.ones(z.shape, dtype=bool)
-        if areas:
-            # the previous window's rectangle lies inside this one, on the
-            # same pixel centres: copy its labels
-            inner = np.s_[pr0 - r0:pr1 - r0, pc0 - c0:pc1 - c0]
+        if scale > 1:
+            # rows r0:r0 + scale * height and columns c0:c0 + scale * width
+            # of grid's lattice, holding the previous rectangle
+            prev, pr0, pc0 = labels, r0, c0
+            r0 = -((scale - 1) * grid.height // 2)
+            c0 = -((scale - 1) * grid.width // 2)
+            z = _centers(w, grid.width, grid.height,
+                         np.arange(r0, r0 + scale * grid.height),
+                         np.arange(c0, c0 + scale * grid.width))
+            labels = np.empty(z.shape, dtype=np.int32)
+            new = np.ones(z.shape, dtype=bool)
+            inner = np.s_[pr0 - r0:pr0 - r0 + prev.shape[0], pc0 - c0:pc0 - c0 + prev.shape[1]]
             labels[inner] = prev
             new[inner] = False
-        labels[new] = _classify_points(R, z[new], root_tuple, (), max_iter)[0]
-        prev, pr0, pr1, pc0, pc1 = labels, r0, r1, c0, c1
+            labels[new] = _classify_points(R, z[new], root_tuple, (), grid.max_iter)[0]
         comp, touch = _component(labels, row - r0, col - c0, seed_point)
-        areas.append(float(comp.sum()) * pw * ph)
+        areas.append(float(comp.sum()) * grid.pixel_width * grid.pixel_height)
         touches.append(touch)
     stable = areas[-2] > 0 and abs(areas[-1] - areas[-2]) < 0.01 * areas[-2]
     verdict = "bounded-evidence" if (stable and not touches[-1]) else "unbounded-evidence"

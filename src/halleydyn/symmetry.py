@@ -20,11 +20,14 @@ import numpy as np
 from .errors import ContainmentError, WindowNotCentered
 from .polycore import NORMAL_FORM_RTOL, Polynomial, normalized_form
 from .ratmap import RationalMap
-from .dynamics import UNDECIDED, BasinGrid, Window, classify_grid
+from .dynamics import DEFAULT_MAX_ITER, UNDECIDED, BasinGrid, Window, classify_grid
 
 GRID_AGREEMENT = 0.99
 N_MAX = 12  # the largest rotation order any probe reports
-REPORT_WINDOW = Window(0j, 2.0, 2.0)  # symmetry_report's grid window
+# symmetry_report's grid: REPORT_WINDOW at REPORT_RESOLUTION x
+# REPORT_RESOLUTION pixels, each orbit run for DEFAULT_MAX_ITER steps
+REPORT_WINDOW = Window(0j, 2.0, 2.0)
+REPORT_RESOLUTION = 400
 
 
 @dataclass(frozen=True)
@@ -115,11 +118,11 @@ def _rotation_consistent(grid, labels, centers, source, n) -> bool:
     return float((mapped == dst).mean()) >= GRID_AGREEMENT
 
 
-def symmetry_report(R: RationalMap, resolution: int = 400,
-                    max_iter: int = 200) -> SymmetryReport:
+def symmetry_report(R: RationalMap) -> SymmetryReport:
     """Cross-checked symmetry orders of a constructed map R and of the
     polynomial p it was built from, read with p's roots from R.source.
-    The grid covers REPORT_WINDOW at resolution x resolution pixels.
+    The grid covers REPORT_WINDOW at REPORT_RESOLUTION x REPORT_RESOLUTION
+    pixels.
 
     Requires a normalized p with at least three distinct roots (two-root
     inputs have straight-line basin boundaries, where rotation order is
@@ -133,7 +136,7 @@ def symmetry_report(R: RationalMap, resolution: int = 400,
     sigma_p = polynomial_symmetry_order(p)
     map_order = map_rotation_order(R)
     grid = classify_grid(R, [c.location for c in roots], REPORT_WINDOW,
-                         resolution, max_iter=max_iter)
+                         REPORT_RESOLUTION, max_iter=DEFAULT_MAX_ITER)
     grid_order = grid_symmetry_order(grid)
     if map_order % sigma_p or grid_order % sigma_p:
         raise ContainmentError(

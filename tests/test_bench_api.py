@@ -1,10 +1,14 @@
 """The benchmark's workloads call the package through fixed signatures.
 
-These tests make the same calls as perfbench/workloads.py, at a small size,
-so a change to a signature the benchmark relies on fails here too.
+These tests make the same calls as perfbench/workloads.py, mostly at a
+small size, so a change to a signature the benchmark relies on fails here
+too.  The render workloads' variant 0 and two corpus entries also run at
+full size through the benchmark's own output check against its recorded
+references, so a change the benchmark would call incorrect fails here.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -29,6 +33,13 @@ def _load_workloads():
 
 
 workloads = _load_workloads()
+REFDIR = str(_PERFBENCH / "reference")
+
+
+def _prepare(workload, outdir):
+    with open(Path(REFDIR) / "reference.json") as fh:
+        references = json.load(fh)
+    return workloads.prepare(workload, 0, "full", str(outdir), references, REFDIR)
 
 CORPUS_OPS = {
     "halley_of", "konig_of", "chebyshev_halley_of", "degree_census",
@@ -38,11 +49,15 @@ CORPUS_OPS = {
 
 
 @pytest.mark.parametrize("index", [0, 35])
-def test_corpus_ops_all_succeed(index):
+def test_corpus_ops_all_succeed(tmp_path, index):
     pool = workloads.make_pool(36)
     assert pool[35] == workloads.CORPUS_PINNED
     ops = workloads._corpus_ops(workloads.pool_polynomial(pool[index]))
     assert {op: state for op, (state, _) in ops.items()} == dict.fromkeys(CORPUS_OPS, "ok")
+    inp = _prepare("construct-corpus", tmp_path)
+    assert inp.pool == pool
+    check = workloads.check(inp, {"entry": index, "ops": ops})
+    assert (check.failed, check.failures) == (0, [])
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.RENDERS))
@@ -54,3 +69,12 @@ def test_render_config_with_seed_key_runs(tmp_path, workload):
     result = workloads._render(path, str(tmp_path / "out.ppm"))
     assert result["rc"] == 0
     assert "seed,3" in result["csv"].splitlines()
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.RENDERS))
+def test_render_passes_the_benchmark_check(tmp_path, workload):
+    inp = _prepare(workload, tmp_path)
+    assert inp.variant == 0 and inp.reference
+    check = workloads.check(inp, workloads.job(inp, 0))
+    assert (check.failed, check.failures) == (0, [])
+    assert check.attempted > 0

@@ -220,10 +220,9 @@ def test_components_match_boundedness_evidence_on_the_image_lattice(
     R = halley_of(Polynomial.make(coeffs))
     roots = [c.location for c in R.source.roots]
     assert len(rows) == len(roots)
-    c = complex(*center)
-    wins = [Window(c, s, s) for s in (2.0, 4.0, 8.0)]
+    grid = classify_grid(R, roots, Window(complex(*center), 2.0, 2.0), 64, max_iter=80)
     for row, r in zip(rows, cli._by_location(roots, complex)):
-        rep = boundedness_evidence(R, roots, r, wins, resolution=64, max_iter=80)
+        rep = boundedness_evidence(R, roots, grid, r)
         assert row == f"{cli._fmt(r)},{str(rep.touches[0]).lower()},{rep.verdict}"
     assert any(row.endswith(",false,bounded-evidence") for row in rows) == (len(coeffs) == 9)
 

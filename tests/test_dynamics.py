@@ -277,7 +277,7 @@ def test_grid_rotation_equivariance_quarter_turn():
 
 
 def test_free_critical_fates_of_odd_cubic():
-    fates = free_critical_fates(CUBIC_ODD)
+    fates = free_critical_fates(CUBIC_ODD, halley_of(CUBIC_ODD))
     assert len(fates) == 2
     roots = roots_of(CUBIC_ODD)
     for f in fates:
@@ -357,7 +357,7 @@ def test_orbits_reaching_one_cycle_share_its_tuple():
     # two free critical orbits of this quintic's Halley map reach one
     # attracting 3-cycle, at different points of it
     p = Polynomial.make([-1.94, 3.26, -1.74, 0.72, -1.73, 1])
-    cycles = [f.cycle for f in free_critical_fates(p) if f.kind == "cycle"]
+    cycles = [f.cycle for f in free_critical_fates(p, halley_of(p)) if f.kind == "cycle"]
     assert len(cycles) == 2 and len(cycles[0]) == 3
     assert cycles[0] == cycles[1]
 
@@ -388,16 +388,14 @@ def test_immediate_basin_rejects_unlabeled_seed():
 
 def test_boundedness_evidence_two_ways():
     octic = halley_of(OCTIC)
-    rep = boundedness_evidence(octic, roots_of(OCTIC), 0j,
-                               [Window(0j, 2.0, 2.0), Window(0j, 4.0, 4.0)],
-                               resolution=140)
+    grid = classify_grid(octic, roots_of(OCTIC), Window(0j, 2.0, 2.0), 140)
+    rep = boundedness_evidence(octic, roots_of(OCTIC), grid, 0j)
     assert rep.verdict == "bounded-evidence"
     assert not rep.touches[-1]
 
     cubic = halley_of(CUBIC_ODD)
-    rep2 = boundedness_evidence(cubic, roots_of(CUBIC_ODD), 0j,
-                                [Window(0j, 2.0, 2.0), Window(0j, 4.0, 4.0)],
-                                resolution=140)
+    grid = classify_grid(cubic, roots_of(CUBIC_ODD), Window(0j, 2.0, 2.0), 140)
+    rep2 = boundedness_evidence(cubic, roots_of(CUBIC_ODD), grid, 0j)
     assert rep2.verdict == "unbounded-evidence"
 
 
@@ -405,62 +403,70 @@ def _nested(scales, half=2.0):
     return [Window(0j, s * half, s * half) for s in scales]
 
 
-# name: (polynomial, windows, square resolution of the first window);
-# later windows have a dyadic centre and pitch, so their full grids sample
-# the lattice
+# name: (polynomial, windows, (width, height) of the first window's grid);
+# a case of one window has only its first window's report checked; the
+# others list the probe's three windows, which have a dyadic centre and
+# pitch, so their full grids sample the lattice
 SEED_COMPONENT_CASES = {
-    "off-dyadic-octic": (OCTIC, [Window(0.0025 + 0.0075j, 2.0, 2.0)], 160),
-    "border-touching": (CUBIC_ODD, [Window(0j, 2.0, 2.0)], 100),
-    "non-square-odd": (OCTIC, [Window(0.1 + 0.05j, 1.5, 1.0)], 75),
-    "several-tiles": (OCTIC, [Window(0j, 2.0, 2.0)], 256),
-    "nested-octic": (OCTIC, _nested((1, 2, 4)), 128),
+    "off-dyadic-octic": (OCTIC, [Window(0.0025 + 0.0075j, 2.0, 2.0)], (160, 160)),
+    "border-touching": (CUBIC_ODD, [Window(0j, 2.0, 2.0)], (100, 100)),
+    "non-square-odd": (OCTIC, [Window(0.1 + 0.05j, 1.5, 1.0)], (75, 75)),
+    "several-tiles": (OCTIC, [Window(0j, 2.0, 2.0)], (256, 256)),
+    "nested-octic": (OCTIC, _nested((1, 2, 4)), (128, 128)),
     # the component reaches every window's border and grows with it
-    "nested-cubic": (CUBIC_ODD, _nested((1, 2, 4), half=1.0), 64),
+    "nested-cubic": (CUBIC_ODD, _nested((1, 2, 4), half=1.0), (64, 64)),
+    # non-square pixel grids: the cubic's component reaches every border;
+    # the octic's reaches the first window's and closes in the second
+    "non-square-pixels-cubic": (CUBIC_ODD, [Window(0j, s * 1.0, s * 0.5) for s in (1, 2, 4)],
+                                (64, 32)),
+    "non-square-pixels-octic": (OCTIC, [Window(0j, s * 1.0, s * 0.5) for s in (1, 2, 4)],
+                                (64, 32)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SEED_COMPONENT_CASES))
 def test_seed_component_equals_full_grid_component(name):
-    p, windows, res = SEED_COMPONENT_CASES[name]
+    p, windows, (width, height) = SEED_COMPONENT_CASES[name]
     h = halley_of(p)
     roots = roots_of(p)
     win = windows[0]
-    grid = classify_grid(h, roots, win, (res, res))
+    grid = classify_grid(h, roots, win, (width, height))
     mask, touches = immediate_basin_component(grid, 0j)
-    assert touches == (name in ("border-touching", "nested-cubic"))
-    # a one-window case gets the doubled window, which only its first
-    # window's report is read from
-    probe = windows if len(windows) > 1 else \
-        windows + [Window(win.center, 2 * win.half_width, 2 * win.half_height)]
-    rep = boundedness_evidence(h, roots, 0j, probe, resolution=res)
+    assert touches == (name in ("border-touching", "nested-cubic", "non-square-pixels-cubic",
+                                "non-square-pixels-octic"))
+    rep = boundedness_evidence(h, roots, grid, 0j)
     assert rep.areas[0] == float(mask.sum()) * grid.pixel_width * grid.pixel_height
     assert rep.touches[0] == touches
     if len(windows) == 1:
         return
+    assert rep.windows == tuple(windows)
     expected = []
     for w in windows:
-        size = round(res * w.half_width / win.half_width)
-        full = classify_grid(h, roots, w, size)
+        scale = round(w.half_width / win.half_width)
+        full = classify_grid(h, roots, w, (scale * width, scale * height))
         full_mask, full_touches = immediate_basin_component(full, 0j)
         expected.append((float(full_mask.sum()) * full.pixel_width * full.pixel_height,
                          full_touches))
     assert list(zip(rep.areas, rep.touches)) == expected
     if name == "nested-cubic":
         assert rep.areas[0] < rep.areas[1] < rep.areas[2]
+    if name == "non-square-pixels-octic":
+        assert rep.touches == (True, False, False)
 
 
 def test_seed_component_rejects_unlabeled_seed():
     h = halley_of(CUBIC_ODD)
+    # one iteration decides almost nothing near the Julia set
+    grid = classify_grid(h, roots_of(CUBIC_ODD), Window(0j, 1.0, 1.0), 21, max_iter=1)
     with pytest.raises(SeedUnlabeled):
-        # one iteration decides almost nothing near the Julia set
-        boundedness_evidence(h, roots_of(CUBIC_ODD), 0.57 + 0.57j,
-                             [Window(0j, 1.0, 1.0), Window(0j, 2.0, 2.0)],
-                             resolution=21, max_iter=1)
+        boundedness_evidence(h, roots_of(CUBIC_ODD), grid, 0.57 + 0.57j)
 
 
 def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
-    # work count, not time: the central component of z^8 - z stays off the
-    # border of the first of the windows' 16, 64 and 256 square units
+    octic, octic_roots = halley_of(OCTIC), roots_of(OCTIC)
+    octic_grid = classify_grid(octic, octic_roots, Window(0j, 2.0, 2.0), 128)
+    cubic, cubic_roots = halley_of(CUBIC_ODD), roots_of(CUBIC_ODD)
+    cubic_grid = classify_grid(cubic, cubic_roots, Window(0j, 1.0, 1.0), 64)
     counted = []
     classify_points = dynamics._classify_points
 
@@ -469,48 +475,55 @@ def test_boundedness_evidence_classifies_few_pixels(monkeypatch):
         return classify_points(R, z, *args)
 
     monkeypatch.setattr(dynamics, "_classify_points", counting)
-    h, roots = halley_of(OCTIC), roots_of(OCTIC)
-    wins = [Window(0j, s, s) for s in (2.0, 4.0, 8.0)]
-    rep = boundedness_evidence(h, roots, 0j, wins, resolution=128)
+    # work count, not time: the central component of z^8 - z stays off the
+    # border of the grid's window, so the probe classifies nothing
+    rep = boundedness_evidence(octic, octic_roots, octic_grid, 0j)
     assert rep.verdict == "bounded-evidence"
-    z = np.concatenate(counted)
-    assert 0 < z.size < 0.1 * (128 ** 2 + 256 ** 2 + 512 ** 2)
-    # no pixel centre is classified twice within one probe
-    assert np.unique(z).size == z.size
-    # exactly the first window's pixel centres are classified
-    first = dynamics.BasinGrid(wins[0], 128, 128, None, None, 200)
-    assert np.array_equal(z, first.pixel_centers().ravel())
-    # the component of the root 1 of z^3 - z reaches every border, so all
-    # three windows are classified, but no centre twice across windows:
-    # the 4w window's 256^2 centres, not 64^2 + 128^2 + 256^2
-    counted.clear()
-    wins = [Window(0j, s, s) for s in (1.0, 2.0, 4.0)]
-    rep = boundedness_evidence(halley_of(CUBIC_ODD), roots_of(CUBIC_ODD), 1 + 0j, wins,
-                               resolution=64)
+    assert counted == []
+    # the component of the root 1 of z^3 - z reaches every border, so the
+    # 2x and 4x windows are classified, but no centre twice and none of the
+    # grid's: the 4x window's 256^2 centres less the grid's 64^2
+    rep = boundedness_evidence(cubic, cubic_roots, cubic_grid, 1 + 0j)
     assert rep.touches == (True, True, True)
     z = np.concatenate(counted)
-    assert np.unique(z).size == z.size == 256 ** 2
-
-
-@pytest.mark.parametrize("windows, message", [
-    ([Window(0j, 2.0, 2.0)], "increasing"),
-    ([Window(0j, 2.0, 2.0), Window(0j, 2.0, 4.0)], "increasing"),
-    ([Window(0j, 2.0, 2.0), Window(0j, 4.0, 2.0)], "increasing"),
-    ([Window(0j, 2.0, 2.0), Window(3.0 + 0j, 4.0, 4.0)], "contain"),
-    ([Window(0j, 2.0, 2.0), Window(0j, 4.0, 4.0), Window(0.5j, 6.0, 4.2)], "contain"),
-])
-def test_boundedness_evidence_rejects_windows_that_do_not_nest(windows, message):
-    with pytest.raises(ValueError, match=message):
-        boundedness_evidence(halley_of(OCTIC), roots_of(OCTIC), 0j, windows,
-                             resolution=16)
+    assert np.unique(z).size == z.size == 256 ** 2 - 64 ** 2
+    assert not np.isin(z, cubic_grid.pixel_centers()).any()
 
 
 @pytest.mark.parametrize("seed", [2.5 + 0j, -0.1 - 2.01j, complex("nan")])
 def test_boundedness_evidence_rejects_seed_outside_first_window(seed):
+    h, roots = halley_of(OCTIC), roots_of(OCTIC)
+    grid = classify_grid(h, roots, Window(0j, 2.0, 2.0), 16)
     with pytest.raises(ValueError, match="outside the first window"):
-        boundedness_evidence(halley_of(OCTIC), roots_of(OCTIC), seed,
-                             [Window(0j, 2.0, 2.0), Window(0j, 4.0, 4.0)],
-                             resolution=16)
+        boundedness_evidence(h, roots, grid, seed)
+
+
+def test_boundedness_evidence_rejects_seed_in_a_cycle_basin():
+    # render-cycle's map: the cycle basin about 1 reaches the border of
+    # this window, and beyond it the probe would label it undecided
+    from halleydyn.paramsearch import family_polynomial
+
+    p = family_polynomial(62.5144395981942)
+    h, roots = halley_of(p), roots_of(p)
+    cycles = tuple(dict.fromkeys(f.cycle for f in free_critical_fates(p, h)
+                                 if f.kind == "cycle"))
+    grid = classify_grid(h, roots, Window(1 + 0j, 0.05, 0.05), 32, cycles=cycles)
+    assert immediate_basin_component(grid, 1 + 0j)[1]
+    with pytest.raises(ValueError, match="cycle's basin"):
+        boundedness_evidence(h, roots, grid, 1 + 0j)
+
+
+@pytest.mark.parametrize("center, half_width, half_height", [
+    (0j, 0.0, 1.0),
+    (0j, 1.0, -1.0),
+    (0j, math.nan, 1.0),
+    (0j, 1.0, math.inf),
+    (complex(math.nan, 0.0), 1.0, 1.0),
+    (complex(0.0, math.inf), 1.0, 1.0),
+])
+def test_window_rejects_non_finite_or_non_positive_values(center, half_width, half_height):
+    with pytest.raises(ValueError, match="window"):
+        Window(center, half_width, half_height)
 
 
 def test_interval_convergence_between_fixed_points():

@@ -124,7 +124,7 @@ CYCLE_LABELS = {
 # free_critical_fates, field by field, exact floats included
 FATES = {
     "z^3 - z": (
-        lambda: (Polynomial.make([0, -1, 0, 1]), None),
+        lambda: (Polynomial.make([0, -1, 0, 1]), halley_of(Polynomial.make([0, -1, 0, 1]))),
         [OrbitOutcome("root", root_index=1, iterations=3,
                       last=6.106478696464279e-16j),
          OrbitOutcome("root", root_index=1, iterations=3,

@@ -72,7 +72,7 @@ def test_containment_divisibility():
 
 
 def test_symmetry_report_full_agreement():
-    rep = symmetry_report(halley_of(odd_family(3)), resolution=201, max_iter=150)
+    rep = symmetry_report(halley_of(odd_family(3)))
     assert rep.sigma_p_order == 3
     assert rep.map_rotation_order == 3
     assert rep.grid_order == 3
