@@ -41,7 +41,7 @@ from .dynamics import (
     interval_convergence_check,
     UNDECIDED,
 )
-from .symmetry import map_rotation_order, grid_symmetry_order
+from .symmetry import symmetry_report
 from . import paramsearch
 
 CORPUS_SEED = 20240817
@@ -259,19 +259,14 @@ def e6(seed: int) -> tuple[bool, str]:
 
 
 def e7(seed: int) -> tuple[bool, str]:
-    """Rotation order of map and grid equals n for z(z**n - 1)."""
-    got = []
-    for n in (2, 3, 7, 9):
-        p = Polynomial.make([0, -1] + [0] * (n - 1) + [1])
-        R = halley_of(p)
-        mo = map_rotation_order(R)
-        roots = [c.location for c in R.source.roots]
-        grid = classify_grid(R, roots, Window(0j, 2.0, 2.0), 400, max_iter=200)
-        go = grid_symmetry_order(grid)
-        if mo != n or go != n:
-            return False, f"n={n}: map order {mo}, grid order {go}"
-        got.append(n)
-    return True, f"map order == grid order == n for n in {got}"
+    """Rotation order of polynomial, map and grid equals n for z(z**n - 1)."""
+    ns = [2, 3, 7, 9]
+    for n in ns:
+        rep = symmetry_report(halley_of(Polynomial.make([0, -1] + [0] * (n - 1) + [1])))
+        if not rep.sigma_p_order == rep.map_rotation_order == rep.grid_order == n:
+            return False, (f"n={n}: polynomial order {rep.sigma_p_order}, map order "
+                           f"{rep.map_rotation_order}, grid order {rep.grid_order}")
+    return True, f"map order == grid order == n for n in {ns}"
 
 
 def e8(seed: int) -> tuple[bool, str]:

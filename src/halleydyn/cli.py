@@ -63,7 +63,6 @@ class JobConfig:
     res: tuple = (400, 400)
     max_iter: int = 200
     seed: int = 0
-    out: str | None = None
     x_min: float = -2.0
     x_max: float = 2.0
     samples: int = 401
@@ -91,11 +90,10 @@ def _parse_window(text: str) -> Window:
         cx, cy, hw, hh = (float(t) for t in parts)
     except ValueError:
         raise ConfigError(f"window needs numeric cx,cy,hw,hh, got {text!r}")
-    if not all(map(math.isfinite, (cx, cy, hw, hh))):
-        raise ConfigError(f"window needs finite cx,cy,hw,hh, got {text!r}")
-    if hw <= 0 or hh <= 0:
-        raise ConfigError("window extents must be positive")
-    return Window(complex(cx, cy), hw, hh)
+    try:
+        return Window(complex(cx, cy), hw, hh)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}, got {text!r}")
 
 
 def _parse_res(text: str) -> tuple:
@@ -120,7 +118,6 @@ _PARSERS = {
     "res": _parse_res,
     "max_iter": int,
     "seed": int,
-    "out": str,
     "x_min": float,
     "x_max": float,
     "samples": int,
@@ -158,8 +155,7 @@ def parse_config(text: str) -> JobConfig:
 
 
 def _checked(cfg: JobConfig) -> JobConfig:
-    """cfg, once its values are in range; every config and every
-    command-line override passes through here."""
+    """cfg, once its values are in range."""
     if not 1 <= cfg.max_iter <= MAX_ITER_LIMIT:
         raise ConfigError(f"max_iter must lie in [1, {MAX_ITER_LIMIT}]")
     if not 0.0 <= cfg.shading <= 1.0:
@@ -205,19 +201,6 @@ def build_map(p: Polynomial, method: str) -> RationalMap:
         sigma = _parse_complex(cm.group(1))
         return chebyshev_halley_of(p, sigma)
     raise ConfigError(f"unknown method {method!r}")
-
-
-def _apply_overrides(cfg: JobConfig, args) -> JobConfig:
-    """cfg with the flags add_common defines applied over it."""
-    if args.window:
-        cfg.window = _parse_window(args.window)
-    if args.res:
-        cfg.res = _parse_res(args.res)
-    if args.max_iter is not None:
-        cfg.max_iter = args.max_iter
-    if args.out:
-        cfg.out = args.out
-    return _checked(cfg)
 
 
 def _digit_unit(z: complex) -> float:
@@ -267,9 +250,9 @@ def _summary_fixed_points(p, R, out):
 
 
 def cmd_render(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    if not cfg.out:
-        raise ConfigError("render needs an output path (out= or --out)")
+    cfg = load_config(args.config)
+    if not args.out:
+        raise ConfigError("render needs an output path (--out)")
     p = build_polynomial(cfg)
     R = build_map(p, cfg.method)
     window = cfg.window or Window(0j, 2.0, 2.0)
@@ -284,14 +267,14 @@ def cmd_render(args) -> int:
                          cycles=cycles)
     cmap = ColorMap(palette=default_palette(max(8, len(roots))),
                     shading=cfg.shading)
-    write_image(grid, cmap, cfg.out)
+    write_image(grid, cmap, args.out)
 
     out = sys.stdout
     out.write("# render summary\n")
     out.write(f"seed,{cfg.seed}\n")
     out.write(f"method,{cfg.method}\n")
     out.write(f"degree,{R.degree}\n")
-    out.write(f"image,{cfg.out}\n")
+    out.write(f"image,{args.out}\n")
     _summary_fixed_points(p, R, out)
 
     out.write("[free_critical_fates]\n")
@@ -323,7 +306,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     p = build_polynomial(cfg)
     R = build_map(p, cfg.method)
     out = sys.stdout
@@ -361,13 +344,13 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     p = build_polynomial(cfg)
     R = build_map(p, cfg.method)
     rows = real_axis_profile(R, cfg.x_min, cfg.x_max, cfg.samples)
-    if cfg.out:
-        profile_to_csv(rows, cfg.out)
-        sys.stdout.write(f"wrote {cfg.out} ({len(rows)} rows)\n")
+    if args.out:
+        profile_to_csv(rows, args.out)
+        sys.stdout.write(f"wrote {args.out} ({len(rows)} rows)\n")
     else:
         sys.stdout.write("x,Hx,Hx_minus_x,pole_flag\n")
         for r in rows:
@@ -401,17 +384,14 @@ def main(argv=None) -> int:
                     "symmetry, and the cubic 2-cycle family.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--config", required=True, help="key=value config file")
-        sp.add_argument("--out", help="output path")
-        sp.add_argument("--window", help="cx,cy,hw,hh")
-        sp.add_argument("--res", help="WxH or single integer")
-        sp.add_argument("--max-iter", dest="max_iter", type=int)
-
-    add_common(sub.add_parser("render", help="basin image + summary"))
-    add_common(sub.add_parser("analyze", help="fixed points and symmetry"))
+    render = sub.add_parser("render", help="basin image + summary")
+    analyze = sub.add_parser("analyze", help="fixed points and symmetry")
     sub.add_parser("cycles", help="cubic-family 2-cycle table")
-    add_common(sub.add_parser("profile", help="real-axis CSV"))
+    profile = sub.add_parser("profile", help="real-axis CSV")
+    for sp in (render, analyze, profile):
+        sp.add_argument("--config", required=True, help="key=value config file")
+    for sp in (render, profile):
+        sp.add_argument("--out", help="output path")
     sp = sub.add_parser("paperlab", help="run acceptance experiments")
     sp.add_argument("--only", action="append", metavar="EID",
                     help="run a subset (repeatable), e.g. --only E3")

@@ -285,8 +285,8 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
     point is captured at the first step at which it lies within
     CAPTURE_RADIUS of a target, with the label of the nearest one; the
     points of one cycle share a label.  last is where a point was at
-    capture, at step max_iter, or (not finite) when it was parked at
-    infinity by a map that fixes infinity.  ValueError is raised unless
+    capture, at step max_iter, or INF when it was parked at infinity by a
+    map that fixes infinity.  ValueError is raised unless
     0 <= max_iter <= MAX_ITER_LIMIT.
     The first exception of a round (in piece order) is raised once every
     piece of the round has finished.
@@ -294,15 +294,21 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
     if not 0 <= max_iter <= MAX_ITER_LIMIT:
         raise ValueError(f"max_iter must lie in [0, {MAX_ITER_LIMIT}]")
     z = np.asarray(z, dtype=np.complex128)
+    finite = np.isfinite(z)
+    if not finite.all():
+        # every non-finite input as INF, the value eval_sphere returns there
+        z = np.where(finite, z, INF)
     n = z.size
     labels = np.full(n, UNDECIDED, dtype=np.int32)
     iters = np.full(n, max_iter, dtype=np.int32)
     last = np.empty(n, dtype=np.complex128)  # every point retires exactly once
     targets = list(enumerate(roots)) + [(-(ci + 1), p) for ci, cyc in enumerate(cycles)
                                         for p in cyc]
-    fixes_infinity = R.num.degree > R.den.degree
     # the screen's real parts, each once (a conjugate pair shares one)
     target_reals = sorted({target.real for _, target in targets})
+    # a map that fixes infinity parks orbits at INF, the one point where
+    # the screen's near is inf once some (finite) target exists
+    parks = R.num.degree > R.den.degree and bool(target_reals)
 
     def follow(pos, w, steps, alone):
         """Follow the points at positions pos, at w after steps map
@@ -336,9 +342,9 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
             iters[pos[done]] = steps[done]
             retire = steps >= max_iter
             retire[done] = True
-            if fixes_infinity:
+            if parks:
                 # points parked at the point at infinity never converge to a root
-                retire |= ~np.isfinite(w)
+                retire |= near == np.inf
             if retire.any():
                 last[pos[retire]] = w[retire]
                 keep = np.flatnonzero(~retire)

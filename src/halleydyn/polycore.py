@@ -205,15 +205,15 @@ def envelope(coeffs, z):
     return acc
 
 
-def compose_affine(p: Polynomial, T: AffineMap, c: complex = 1.0) -> Polynomial:
-    """Coefficients of c * p(T(z)), built by iterated multiplication."""
+def compose_affine(p: Polynomial, T: AffineMap) -> Polynomial:
+    """Coefficients of p(T(z)), built by iterated multiplication."""
     lin = Polynomial((complex(T.b), complex(T.a)))
     acc = Polynomial(())
     power = ONE
     for coeff in p.coeffs:
         acc = acc + power.scale(coeff)
         power = power * lin
-    return acc.scale(c)
+    return acc
 
 
 def normalized_form(p: Polynomial) -> NormalizedForm:

@@ -14,6 +14,8 @@ from .errors import IOFailure
 from .dynamics import UNDECIDED, BasinGrid
 
 _GOLDEN_ANGLE = 0.6180339887498949
+CYCLE_COLOR = (230, 40, 160)  # pixels captured by an attracting cycle
+UNDECIDED_COLOR = (0, 0, 0)
 
 
 def _hsv_bytes(h: float, s: float, v: float) -> tuple[int, int, int]:
@@ -32,7 +34,8 @@ def default_palette(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class ColorMap:
-    """Root palette plus colors for cycle pixels and undecided pixels.
+    """Root palette and shading; cycle pixels take CYCLE_COLOR and
+    undecided pixels UNDECIDED_COLOR.
 
     shading in [0, 1] dims each pixel by shading**(iterations/max_iter),
     so late captures fade toward darkness and shading = 1 disables the
@@ -40,8 +43,6 @@ class ColorMap:
     """
 
     palette: tuple = field(default_factory=lambda: default_palette(8))
-    cycle_color: tuple = (230, 40, 160)
-    undecided_color: tuple = (0, 0, 0)
     shading: float = 0.55
 
     def __post_init__(self):
@@ -57,7 +58,7 @@ def render_rgb(grid: BasinGrid, cmap: ColorMap) -> np.ndarray:
     if max_label >= n:
         raise ValueError(f"palette has {n} colors but label {max_label} occurs")
     # row n holds the cycle color, row n + 1 the undecided one
-    table = np.array([*cmap.palette, cmap.cycle_color, cmap.undecided_color], dtype=float)
+    table = np.array([*cmap.palette, CYCLE_COLOR, UNDECIDED_COLOR], dtype=float)
     row = np.where(labels >= 0, labels, np.where(labels == UNDECIDED, n + 1, n))
     rgb = table[row]
     if cmap.shading < 1.0:

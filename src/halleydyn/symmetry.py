@@ -23,7 +23,7 @@ from .ratmap import RationalMap
 from .dynamics import DEFAULT_MAX_ITER, UNDECIDED, BasinGrid, Window, classify_grid
 
 GRID_AGREEMENT = 0.99
-N_MAX = 12  # the largest rotation order any probe reports
+N_MAX = 12  # the largest rotation order the grid probe tests
 # symmetry_report's grid: REPORT_WINDOW at REPORT_RESOLUTION x
 # REPORT_RESOLUTION pixels, each orbit run for DEFAULT_MAX_ITER steps
 REPORT_WINDOW = Window(0j, 2.0, 2.0)
@@ -44,12 +44,13 @@ def polynomial_symmetry_order(p: Polynomial) -> int:
 
 
 def map_rotation_order(R: RationalMap) -> int:
-    """Largest n <= N_MAX with R(lam z) = lam R(z) for lam = exp(2 pi i / n).
+    """Largest n with R(lam z) = lam R(z) for lam = exp(2 pi i / n).
 
     For a reduced R that holds exactly when every exponent of den, and
-    every exponent of num minus one, agree mod n: n divides the gcd of
-    their differences.  A coefficient counts when it exceeds
-    NORMAL_FORM_RTOL of its polynomial's largest, the rule
+    every exponent of num minus one, agree mod n: n divides the gcd g of
+    their differences, so the order is g.  When g = 0 (R(z) = c z, which
+    commutes with every rotation) it is N_MAX.  A coefficient counts when
+    it exceeds NORMAL_FORM_RTOL of its polynomial's largest, the rule
     normalized_form applies to p.
     """
     exps = ([k - 1 for k in R.num.support(NORMAL_FORM_RTOL)]
@@ -57,7 +58,7 @@ def map_rotation_order(R: RationalMap) -> int:
     g = 0
     for k in exps:
         g = math.gcd(g, k - exps[0])
-    return next((n for n in range(N_MAX, 1, -1) if g % n == 0), 1)
+    return g or N_MAX
 
 
 def grid_symmetry_order(grid: BasinGrid) -> int:
@@ -126,7 +127,8 @@ def symmetry_report(R: RationalMap) -> SymmetryReport:
 
     Requires a normalized p with at least three distinct roots (two-root
     inputs have straight-line basin boundaries, where rotation order is
-    not the right invariant): ValueError otherwise.  Raises
+    not the right invariant) and an order of p at most N_MAX, the largest
+    the grid probe tests: ValueError otherwise.  Raises
     ContainmentError when the polynomial order fails to divide either
     map-side estimate.
     """
@@ -134,6 +136,9 @@ def symmetry_report(R: RationalMap) -> SymmetryReport:
     if len(roots) < 3:
         raise ValueError("need at least three distinct roots")
     sigma_p = polynomial_symmetry_order(p)
+    if sigma_p > N_MAX:
+        raise ValueError(f"polynomial order {sigma_p} exceeds the grid probe's "
+                         f"N_MAX = {N_MAX}")
     map_order = map_rotation_order(R)
     grid = classify_grid(R, [c.location for c in roots], REPORT_WINDOW,
                          REPORT_RESOLUTION, max_iter=DEFAULT_MAX_ITER)

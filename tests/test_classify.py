@@ -141,6 +141,6 @@ def test_affine_image_of_two_triples_matches_the_proposition():
                               + [1.123 + 0.987j] * 3 + [-0.481 - 0.775j])
     T = AffineMap(-2.0866846928572085 + 0.022709569358355552j,
                   -0.4894711185263749 - 0.8563650214866148j)
-    q = compose_affine(p, T, 1.0748473803520242 + 1.7694055114416058j)
+    q = compose_affine(p, T).scale(1.0748473803520242 + 1.7694055114416058j)
     records = classify_fixed_points(q, halley_of(q))
     assert [r.origin.kind for r in records].count("critical") == 3

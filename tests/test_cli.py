@@ -20,7 +20,7 @@ from halleydyn.dynamics import Window, boundedness_evidence, classify_grid
 from halleydyn.errors import ConfigError
 from halleydyn.polycore import Polynomial
 from halleydyn.ratmap import INF, halley_of, is_infinity
-from halleydyn.render import ColorMap, read_image
+from halleydyn.render import CYCLE_COLOR, read_image
 
 CUBIC_CFG = """\
 # odd cubic with roots 0, 1, -1
@@ -79,6 +79,20 @@ def test_readme_lists_every_config_key():
             assert not want, key
         else:
             assert cli._PARSERS[key](default.strip("`")) == want, key
+
+
+def test_readme_lists_every_option_of_each_subcommand(capsys):
+    # each "- `halleydyn <command> ...`" usage line of the README names
+    # exactly the options of that subcommand's --help usage
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.findall(r"^- `halleydyn (\w+)([^`]*)`", readme, flags=re.MULTILINE)
+    assert sorted(command for command, _ in lines) == [
+        "analyze", "cycles", "paperlab", "profile", "render"]
+    for command, usage in lines:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = set(re.findall(r"--[\w-]+", capsys.readouterr().out.split("\n\n")[0]))
+        assert set(re.findall(r"--[\w-]+", usage)) == options, command
 
 
 def test_parse_config_complex_coeff_and_defaults():
@@ -197,7 +211,7 @@ def test_render_draws_cycle_basins_in_the_cycle_colour(tmp_path, capsys):
     assert rc == 0
     assert ",cycle,period-2\n" in out
     _, _, pixels = read_image(str(img))
-    cycle_color = np.array(ColorMap().cycle_color, dtype=np.uint8)
+    cycle_color = np.array(CYCLE_COLOR, dtype=np.uint8)
     assert not (pixels == 0).all(axis=2).any()
     # the four pixels with a corner at z = 1
     assert (pixels[23:25, 23:25] == cycle_color).all()
@@ -260,7 +274,8 @@ def test_non_halley_methods_are_classified(tmp_path, capsys, command, method):
     cfg_path = tmp_path / "job.cfg"
     cfg_path.write_text(CUBIC_CFG.replace("method = halley", f"method = {method}")
                         .replace("res = 60x60", "res = 24x24"))
-    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "m.ppm")])
+    out_flag = ["--out", str(tmp_path / "m.ppm")] if command == "render" else []
+    rc = main([command, "--config", str(cfg_path)] + out_flag)
     out = capsys.readouterr().out
     assert rc == 0
     degree = int(next(line for line in out.splitlines()
@@ -354,9 +369,10 @@ def test_render_requires_out(tmp_path, capsys):
 
 
 def test_unknown_key_exits_two(tmp_path, capsys):
-    # capture_radius is no key: the radius is the constant dynamics.CAPTURE_RADIUS
+    # capture_radius is no key: the radius is the constant dynamics.CAPTURE_RADIUS;
+    # nor is out: --out alone names the output
     cfg_path = tmp_path / "bad.cfg"
-    for key in ["bogus", "capture_radius"]:
+    for key in ["bogus", "capture_radius", "out"]:
         cfg_path.write_text(CUBIC_CFG + f"{key} = 1\n")
         rc = main(["analyze", "--config", str(cfg_path)])
         err = capsys.readouterr().err
@@ -364,28 +380,49 @@ def test_unknown_key_exits_two(tmp_path, capsys):
         assert f"unknown key {key!r}" in err
 
 
-@pytest.mark.parametrize("command, lines, flags", [
-    ("render", "shading = 2\n", []),
-    ("render", "shading = nan\n", []),
-    ("render", "window = 0, 0, nan, 1\n", []),
-    ("render", "window = 0, 0, inf, 1\n", []),
-    ("render", "window = nan, 0, 1, 1\n", []),
-    ("render", "", ["--window", "0,0,nan,1"]),
-    # removed keys: these now fail as unknown keys, not by a range check
-    ("render", "capture_radius = nan\n", []),
-    ("render", "capture_radius = inf\n", []),
-    ("profile", "x_min = 1\nx_max = 0\n", []),
-    ("profile", "x_max = nan\n", []),
-    ("profile", "x_min = -inf\n", []),
-    ("analyze", "coeff = nan\n", []),
-    ("render", "max_iter = 3000000000\n", []),
-    ("render", "", ["--max-iter", "3000000000"]),
+@pytest.mark.parametrize("command, flag, value", [
+    ("render", "--window", "0,0,1,1"),
+    ("render", "--res", "8"),
+    ("render", "--max-iter", "10"),
+    ("profile", "--window", "0,0,1,1"),
+    ("analyze", "--out", "x.ppm"),
 ])
-def test_out_of_range_values_exit_two(tmp_path, capsys, command, lines, flags):
+def test_flags_the_config_owns_exit_two(tmp_path, capsys, command, flag, value):
+    # the job comes from the config alone; analyze writes no file
+    cfg_path = tmp_path / "job.cfg"
+    cfg_path.write_text(CUBIC_CFG)
+    out = ["--out", str(tmp_path / "x.out")] if command != "analyze" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path)] + out + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+OUT = ["--out", "x.out"]
+
+
+@pytest.mark.parametrize("command, lines, flags", [
+    ("render", "shading = 2\n", OUT),
+    ("render", "shading = nan\n", OUT),
+    ("render", "window = 0, 0, nan, 1\n", OUT),
+    ("render", "window = 0, 0, inf, 1\n", OUT),
+    ("render", "window = nan, 0, 1, 1\n", OUT),
+    ("render", "window = 0, 0, 1, 0\n", OUT),
+    # removed keys: these now fail as unknown keys, not by a range check
+    ("render", "capture_radius = nan\n", OUT),
+    ("render", "capture_radius = inf\n", OUT),
+    ("profile", "x_min = 1\nx_max = 0\n", OUT),
+    ("profile", "x_max = nan\n", OUT),
+    ("profile", "x_min = -inf\n", OUT),
+    ("analyze", "coeff = nan\n", []),
+    ("render", "max_iter = 3000000000\n", OUT),
+])
+def test_out_of_range_values_exit_two(tmp_path, capsys, monkeypatch, command, lines, flags):
+    # flags: the arguments after --config, where x.out lands in tmp_path
+    monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(CUBIC_CFG + lines)
-    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x.out")]
-              + flags)
+    rc = main([command, "--config", str(cfg_path)] + flags)
     assert rc == 2
     assert "config error" in capsys.readouterr().err
 

@@ -95,14 +95,14 @@ def test_find_roots_over_deflation_is_non_convergence():
 
 def test_compose_affine_identity():
     p = poly(-1, 0, 1)
-    q = compose_affine(p, AffineMap(1.0), 1.0)
+    q = compose_affine(p, AffineMap(1.0))
     assert q.coeffs == p.coeffs
 
 
 def test_compose_affine_rescales_roots():
     a = 2.5
     p = poly(-a * a, 0, 1)  # z^2 - a^2
-    q = compose_affine(p, AffineMap(a), 1.0 / (a * a))
+    q = compose_affine(p, AffineMap(a)).scale(1.0 / (a * a))
     assert np.allclose(q.coeffs, (-1, 0, 1))
 
 

@@ -236,7 +236,7 @@ def test_scaling_covariance():
                            (AffineMap(1 / 0.3), 1.0))
               for q in corpus]
     for q, T, c in cases:
-        assert same_map(halley_of(compose_affine(q, T, c)), conjugate(halley_of(q), T))
+        assert same_map(halley_of(compose_affine(q, T).scale(c)), conjugate(halley_of(q), T))
 
 
 def test_conjugate_is_affine_change_of_variable():
@@ -258,7 +258,7 @@ def test_reduction_keeps_a_tiny_constant_coefficient():
     classify_fixed_points(p, h)
     p1 = Polynomial.from_roots([1 / 30] * 3 + [1.0] * 2 + [-1.0] * 2)
     T = AffineMap(1 / 0.3)
-    assert same_map(halley_of(compose_affine(p1, T, 1.0)), conjugate(halley_of(p1), T))
+    assert same_map(halley_of(compose_affine(p1, T)), conjugate(halley_of(p1), T))
 
 
 def test_konig_overflow_is_a_degenerate_map():

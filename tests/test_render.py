@@ -7,6 +7,8 @@ from halleydyn.dynamics import UNDECIDED, BasinGrid, Window, classify_grid
 from halleydyn.polycore import Polynomial, find_roots
 from halleydyn.ratmap import halley_of
 from halleydyn.render import (
+    CYCLE_COLOR,
+    UNDECIDED_COLOR,
     ColorMap,
     default_palette,
     read_image,
@@ -49,8 +51,8 @@ def test_render_rgb_pixel_classes():
     assert rgb.shape == (2, 2, 3)
     assert tuple(rgb[0, 0]) == cmap.palette[0]
     assert tuple(rgb[0, 1]) == cmap.palette[1]
-    assert tuple(rgb[1, 0]) == cmap.undecided_color
-    assert tuple(rgb[1, 1]) == cmap.cycle_color
+    assert tuple(rgb[1, 0]) == UNDECIDED_COLOR
+    assert tuple(rgb[1, 1]) == CYCLE_COLOR
 
 
 def test_render_rgb_shading_dims_late_capture():

@@ -6,6 +6,7 @@ from halleydyn.dynamics import Window, classify_grid
 from halleydyn.errors import NotNormalized, WindowNotCentered
 from halleydyn.polycore import Polynomial, find_roots
 from halleydyn.symmetry import (
+    N_MAX,
     grid_symmetry_order,
     map_rotation_order,
     polynomial_symmetry_order,
@@ -35,6 +36,17 @@ def test_map_rotation_order_matches_family(n):
     p = odd_family(n)
     for R in (halley_of(p), konig_of(p, 4), chebyshev_halley_of(p, 0)):
         assert map_rotation_order(R) == n
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_orders_above_the_grid_probe_bound(n):
+    # z^n - 1: the map's order is exact at any n, while the grid probe
+    # tests orders up to N_MAX only, so the report declines to compare
+    R = halley_of(Polynomial.make([-1] + [0] * (n - 1) + [1]))
+    assert n > N_MAX
+    assert map_rotation_order(R) == n
+    with pytest.raises(ValueError, match="N_MAX"):
+        symmetry_report(R)
 
 
 def test_map_rotation_order_asymmetric_case():
