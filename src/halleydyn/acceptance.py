@@ -11,8 +11,10 @@ normal operation; run() folds exceptions into failures.  Each takes the
 run's seed, which picks the random corpus and sample points of E2, E3,
 E4 and E10; the other experiments have no random input.
 
-The 800x800 grids of E1, E5 and E6 dominate the runtime, followed by
-E7's 400x400 grids.
+The basin grids (E1, E5 and E6 at 800x800, E7 at 400x400) take a
+little over half the runtime on a 2-core host.  Each is of a real map
+over a window centred on the real axis, so classify_grid classifies
+only its top half.
 """
 
 from __future__ import annotations

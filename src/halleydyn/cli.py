@@ -154,8 +154,22 @@ def parse_config(text: str) -> JobConfig:
     return _checked(cfg)
 
 
+# a window's pixel pitch must span this many units in the last place of
+# the centre's largest coordinate, so that neighbouring pixel centres stay
+# distinct doubles (coordinates just past a power of 2 have twice the ulp)
+MIN_PITCH_ULPS = 4
+
+
 def _checked(cfg: JobConfig) -> JobConfig:
     """cfg, once its values are in range."""
+    if cfg.window is not None:
+        w, (width, height) = cfg.window, cfg.res
+        pitch = min(2.0 * w.half_width / width, 2.0 * w.half_height / height)
+        floor = MIN_PITCH_ULPS * math.ulp(max(abs(w.center.real), abs(w.center.imag)))
+        if pitch < floor:
+            raise ConfigError(
+                f"window too small for res {width}x{height}: pixel pitch {pitch:.3g} "
+                f"is below {MIN_PITCH_ULPS} ulps ({floor:.3g}) of the window centre")
     if not 1 <= cfg.max_iter <= MAX_ITER_LIMIT:
         raise ConfigError(f"max_iter must lie in [1, {MAX_ITER_LIMIT}]")
     if not 0.0 <= cfg.shading <= 1.0:

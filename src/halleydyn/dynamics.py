@@ -23,6 +23,16 @@ maps into itself, and the one about a cycle point maps into itself under
 the cycle's period, so an orbit that enters a disk never leaves its
 basin.
 
+classify_grid classifies half the grid of a real map.  When every
+coefficient of R has imaginary part exactly 0, the targets are closed
+under exact conjugation and the window is centred on the real axis, the
+kernel runs on the top ceil(H/2) rows only; each row below is its mirror
+row conjugated, with the same counts and each label sent to that of the
+conjugate target.  This is exact: the lattice of such a window is
+mirror-exact (see _centers), and with real coefficients Horner's loop,
+complex division, abs and the real-part screen commute with conjugation
+bit for bit, so the conjugate of an orbit is an orbit, step for step.
+
 orbit_outcomes finds the cycles: the kernel follows its orbits to the
 roots, and one vectorised continuation reads cycles off the points it
 leaves undecided, applying the map to all of them at once for at most
@@ -134,12 +144,19 @@ def _centers(window: Window, width: int, height: int, rows, cols) -> np.ndarray:
     """Centres of the given rows and columns of the window's width x height
     pixel lattice: pixel (i, j) is centred at x0 + (j + 0.5) pw,
     y0 - (i + 0.5) ph, where (x0, y0) is the window's top-left corner and
-    pw x ph the pixel size; i and j may lie outside the window."""
+    pw x ph the pixel size; i and j may lie outside the window.  In a
+    window centred on the real axis, a row i >= height / 2 lies at exactly
+    minus the imaginary part of row height - 1 - i, so the lattice is
+    symmetric under conjugation bit for bit."""
     pw = 2.0 * window.half_width / width
     ph = 2.0 * window.half_height / height
     x0 = window.center.real - window.half_width
     y0 = window.center.imag + window.half_height
-    return (x0 + (cols + 0.5) * pw)[None, :] + 1j * (y0 - (rows + 0.5) * ph)[:, None]
+    rows = np.asarray(rows)
+    ys = y0 - (rows + 0.5) * ph
+    if window.center.imag == 0:
+        ys = np.where(2 * rows >= height, -(y0 - (height - 1 - rows + 0.5) * ph), ys)
+    return (x0 + (cols + 0.5) * pw)[None, :] + 1j * ys[:, None]
 
 
 @dataclass(frozen=True)
@@ -262,6 +279,15 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
     optional tuple of attracting cycles (tuples of points); pixels caught
     by cycle j get label -(j+1).  Identical inputs give identical grids;
     the iteration is plain dense float arithmetic with no randomness.
+
+    When every coefficient of R.num and R.den has imaginary part exactly
+    0, the window is centred on the real axis and the targets are closed
+    under exact conjugation (see _conjugation), only the top
+    ceil(height / 2) rows are classified.  Row i below them is row
+    height - 1 - i conjugated: the same iteration counts, and each label
+    sent to the label of its conjugate target.  Either way each pixel
+    holds, bit for bit, what the kernel gives at its pixel_centers()
+    entry (the module docstring says why).
     """
     if isinstance(resolution, int):
         width = height = resolution
@@ -269,11 +295,62 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
         width, height = resolution
     root_tuple = tuple(complex(r) for r in roots)
     cycle_tuple = tuple(tuple(complex(p) for p in cyc) for cyc in cycles)
-    centers = _centers(window, width, height, np.arange(height), np.arange(width))
+    sigma = _conjugation(R, root_tuple, cycle_tuple) if window.center.imag == 0 else None
+    rows = height if sigma is None else -(-height // 2)
+    centers = _centers(window, width, height, np.arange(rows), np.arange(width))
     labels, iters, _ = _classify_points(R, centers.ravel(), root_tuple, cycle_tuple,
                                         max_iter)
-    return BasinGrid(window, width, height, labels.reshape(height, width),
-                     iters.reshape(height, width), max_iter)
+    labels, iters = labels.reshape(rows, width), iters.reshape(rows, width)
+    if sigma is not None:
+        # row i >= rows is row height - 1 - i conjugated
+        labels = np.concatenate([labels, sigma(labels[:height - rows][::-1])])
+        iters = np.concatenate([iters, iters[:height - rows][::-1]])
+    return BasinGrid(window, width, height, labels, iters, max_iter)
+
+
+def _conjugation(R: RationalMap, roots: tuple, cycles: tuple):
+    """The label permutation that conjugation induces, as a function on
+    label arrays, or None where the kernel may not commute with it.
+
+    It exists when every coefficient of R.num and R.den has imaginary part
+    exactly 0, the conjugate of each root is exactly a root, and the
+    conjugates of each cycle's points are exactly the points of a cycle.
+    Targets of different labels (duplicates among them) within
+    3 CAPTURE_RADIUS of each other give None too: only targets within
+    2 CAPTURE_RADIUS can tie for the nearest, where the first one wins
+    whatever the conjugation does.  UNDECIDED maps to itself.
+    """
+    if any(c.imag != 0 for poly in (R.num, R.den) for c in poly.coeffs):
+        return None
+    targets = _targets(roots, cycles)
+    for k, (label, t) in enumerate(targets):
+        if any(other != label and abs(t - u) < 3 * CAPTURE_RADIUS
+               for other, u in targets[k + 1:]):
+            return None
+    root_of = {r: i for i, r in enumerate(roots)}
+    cycle_of = {frozenset(cyc): i for i, cyc in enumerate(cycles)}
+    try:
+        root_map = [root_of[r.conjugate()] for r in roots]
+        cycle_map = [cycle_of[frozenset(p.conjugate() for p in cyc)] for cyc in cycles]
+    except KeyError:
+        return None
+    # table[label + len(cycles)] is the label of the conjugate target
+    table = np.array([-(j + 1) for j in reversed(cycle_map)] + root_map, dtype=np.int32)
+
+    def sigma(labels: np.ndarray) -> np.ndarray:
+        out = np.full_like(labels, UNDECIDED)
+        known = labels != UNDECIDED
+        out[known] = table[labels[known] + len(cycles)]
+        return out
+
+    return sigma
+
+
+def _targets(roots: tuple, cycles: tuple) -> list:
+    """(label, point) of each target: root i has label i, and the points
+    of cycle j share label -(j + 1)."""
+    return list(enumerate(roots)) + [(-(ci + 1), p) for ci, cyc in enumerate(cycles)
+                                     for p in cyc]
 
 
 def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
@@ -302,8 +379,7 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
     labels = np.full(n, UNDECIDED, dtype=np.int32)
     iters = np.full(n, max_iter, dtype=np.int32)
     last = np.empty(n, dtype=np.complex128)  # every point retires exactly once
-    targets = list(enumerate(roots)) + [(-(ci + 1), p) for ci, cyc in enumerate(cycles)
-                                        for p in cyc]
+    targets = _targets(roots, cycles)
     # the screen's real parts, each once (a conjugate pair shares one)
     target_reals = sorted({target.real for _, target in targets})
     # a map that fixes infinity parks orbits at INF, the one point where

@@ -257,7 +257,12 @@ def find_roots(p: Polynomial) -> list[RootCluster]:
     p with multiplicity m+1 appears as a multiplicity-m root of p', where
     it is eventually simple and therefore accurately computable.
     Surviving locations closer than CLUSTER_RADIUS are merged, summing
-    multiplicity.
+    multiplicity.  When every coefficient's imaginary part is exactly 0,
+    the clusters are paired by conjugation (see _conjugate_paired): a real
+    root has imaginary part exactly 0, and a non-real root of imaginary
+    part > 0 has its partner at exactly its .conjugate(), with the same
+    multiplicity.  Polynomials with non-real coefficients are left as found.
+    Clusters come sorted by real part, then imaginary part.
 
     Raises NonConvergence when residuals stay above tolerance after
     MAX_SWEEPS sweeps, and ValueError for constant input.
@@ -283,8 +288,38 @@ def _gated_clusters(degree: int, c: np.ndarray, raw) -> list[RootCluster]:
     for loc, mult in merged:
         if not residual_ok(c, loc):
             raise NonConvergence(f"residual too large at {loc}")
+    if not c.imag.any():
+        merged = _conjugate_paired(merged)
     merged.sort(key=lambda t: (t[0].real, t[0].imag))
     return [RootCluster(loc, m) for loc, m in merged]
+
+
+def _conjugate_paired(merged: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
+    """The clusters of a polynomial with real coefficients, made exactly
+    symmetric under conjugation.
+
+    Each cluster's partner is the cluster nearest to its conjugate.  A
+    cluster that is its own partner is real: its imaginary part becomes
+    exactly 0.  Two clusters that are each other's partners, with the same
+    multiplicity, are a conjugate pair: the one of larger imaginary part
+    keeps its value and the other becomes its .conjugate().  Any other
+    pattern (which the true roots, being symmetric, never show) leaves
+    the clusters as found.
+    """
+    locs = np.array([loc for loc, _ in merged], dtype=np.complex128)
+    partner = np.abs(locs[None, :] - locs.conj()[:, None]).argmin(axis=1).tolist()
+    out = []
+    for k, (loc, mult) in enumerate(merged):
+        j = partner[k]
+        if j == k:
+            out.append((complex(loc.real, 0.0), mult))
+            continue
+        other, other_mult = merged[j]
+        if partner[j] != k or other_mult != mult or other.imag == loc.imag:
+            return merged
+        out.append((complex(loc) if loc.imag > other.imag else complex(other).conjugate(),
+                    mult))
+    return out
 
 
 def residual_ok(c: np.ndarray, z: complex) -> bool:

@@ -427,6 +427,27 @@ def test_out_of_range_values_exit_two(tmp_path, capsys, monkeypatch, command, li
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window, res, ok", [
+    # pitch 3.1e-17 under ulp(0.5) = 1.1e-16: 28 distinct centres in 64 columns
+    ("0.5, 0, 1e-15, 1e-15", "64x64", False),
+    ("0, 0.5, 1e-15, 1e-15", "64x64", False),
+    ("1, 0, 1e-15, 0.5", "64x64", False),  # the narrower axis decides
+    ("1, 0, 1e-12, 1e-12", "64x64", True),  # pitch 3.1e-14, 141 ulps of 1
+    ("0, 0, 1e-300, 1e-300", "64x64", True),  # doubles are dense about 0
+])
+def test_window_below_float_resolution_exits_two(tmp_path, capsys, window, res, ok):
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(CUBIC_CFG + f"window = {window}\nres = {res}\n")
+    if ok:
+        assert parse_config(cfg_path.read_text()).window is not None
+        return
+    rc = main(["render", "--config", str(cfg_path), "--out", str(tmp_path / "x.ppm")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: window too small for res 64x64")
+    assert not (tmp_path / "x.ppm").exists()
+
+
 def test_degenerate_map_exits_three(tmp_path, capsys):
     cfg_path = tmp_path / "degen.cfg"
     cfg_path.write_text("coeff = 1\ncoeff = 2\ncoeff = 1\n")  # (z+1)**2

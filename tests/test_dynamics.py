@@ -25,7 +25,13 @@ from halleydyn.dynamics import (
 )
 from halleydyn.errors import Indeterminate, SeedUnlabeled
 from halleydyn.polycore import Polynomial, find_roots
-from halleydyn.ratmap import INF, RationalMap, eval_sphere, halley_of
+from halleydyn.ratmap import (
+    INF,
+    RationalMap,
+    eval_sphere,
+    free_critical_points,
+    halley_of,
+)
 
 CUBIC_ODD = Polynomial.make([0, -1, 0, 1])           # z(z^2-1)
 OCTIC = Polynomial.make([0, -1] + [0] * 6 + [1])      # z(z^7-1)
@@ -274,6 +280,88 @@ def test_grid_rotation_equivariance_quarter_turn():
     decided = (grid.labels != UNDECIDED) & (rotated != UNDECIDED)
     assert decided.mean() > 0.98
     assert np.array_equal(mapped[decided], rotated[decided])
+
+
+def _render_cycle_case():
+    # render-cycle's map, with the 2-cycle its free critical orbits find
+    p = Polynomial.make([62.5144396, 6, 0, 1])
+    h = halley_of(p)
+    roots = roots_of(p)
+    crits = [c.location for c in free_critical_points(h, roots)]
+    cycles = tuple(dict.fromkeys(f.cycle for f in orbit_outcomes(h, crits, roots, 200)
+                                 if f.kind == "cycle"))
+    assert [len(c) for c in cycles] == [2]
+    return h, roots, cycles
+
+
+def _octic_with_pairs_as_cycles():
+    # z^8 - z with its non-real roots passed as six 1-cycles: conjugation
+    # swaps cycle labels pairwise, and the real roots keep theirs
+    roots = roots_of(OCTIC)
+    real = [r for r in roots if r.imag == 0]
+    return halley_of(OCTIC), real, tuple((r,) for r in roots if r.imag != 0)
+
+
+@pytest.mark.parametrize("case, window, res", [
+    (lambda: (halley_of(OCTIC), roots_of(OCTIC), ()), Window(0j, 1.3, 1.3), (96, 96)),
+    (_render_cycle_case, Window(1 + 0j, 0.2, 0.2), (257, 255)),
+    (_octic_with_pairs_as_cycles, Window(0.25 + 0j, 1.5, 1.2), (90, 77)),
+])
+def test_half_grid_of_real_map_equals_kernel_on_every_centre(case, window, res):
+    # the lattice of an axis-centred window is mirror-exact, and the grid
+    # built from its top rows holds, pixel for pixel, what the kernel gives
+    # at every centre
+    h, roots, cycles = case()
+    grid = classify_grid(h, roots, window, res, cycles=cycles)
+    centers = grid.pixel_centers()
+    k = grid.height // 2
+    assert np.array_equal(centers[-k:][::-1], centers[:k].conj())
+    labels, iters, _ = dynamics._classify_points(
+        h, centers.ravel(), tuple(roots), cycles, grid.max_iter)
+    assert np.array_equal(grid.labels.ravel(), labels)
+    assert np.array_equal(grid.iterations.ravel(), iters)
+    assert len(np.unique(labels)) >= 3
+
+
+def _counting_kernel(monkeypatch) -> list:
+    """The sizes of the point arrays passed to the kernel from now on."""
+    counted = []
+    classify_points = dynamics._classify_points
+
+    def counting(R, z, *args):
+        counted.append(np.size(z))
+        return classify_points(R, z, *args)
+
+    monkeypatch.setattr(dynamics, "_classify_points", counting)
+    return counted
+
+
+@pytest.mark.parametrize("coeffs, center, half", [
+    ([0, -1, 0, 1], 0j, True),                  # real map, axis-centred window
+    ([62.5144396, 6, 0, 1], 1 + 0j, True),
+    ([0, -1, 0, 1], 0.01j, False),              # off-axis window
+    ([0, -1, 0, 1j], 0j, False),                # a non-real coefficient
+])
+def test_half_grid_classifies_the_top_rows_alone(monkeypatch, coeffs, center, half):
+    p = Polynomial.make(coeffs)
+    h, roots = halley_of(p), roots_of(p)
+    counted = _counting_kernel(monkeypatch)
+    width, height = 40, 33
+    classify_grid(h, roots, Window(center, 0.5, 0.5), (width, height))
+    assert counted == [(height + 1) // 2 * width if half else height * width]
+
+
+def test_targets_not_closed_under_conjugation_classify_every_row(monkeypatch):
+    # a root off its conjugate, a repeated root, or targets of different
+    # labels close enough that the first could win a tie
+    h = halley_of(CUBIC_ODD)
+    counted = _counting_kernel(monkeypatch)
+    win = Window(0j, 1.5, 1.5)
+    classify_grid(h, [-1, 0, 1 + 1e-300j], win, 16)
+    classify_grid(h, [-1, 0, 1, 1], win, 16)
+    classify_grid(h, [-1, 0, 1], win, 16, cycles=((1 + 1e-8j, 1 - 1e-8j),))
+    classify_grid(h, [-1, 0, 1], win, 16, cycles=((1 + 4e-8j, 1 - 4e-8j),))
+    assert counted == [256, 256, 256, 128]
 
 
 def test_free_critical_fates_of_odd_cubic():

@@ -41,6 +41,42 @@ def test_find_roots_conjugate_pair():
     assert abs(got[2].location - 1j * s) < 1e-10
 
 
+@pytest.mark.parametrize("p, real_count", [
+    (poly(0, -1, 0, 0, 0, 0, 0, 0, 1), 2),                           # z^8 - z
+    (poly(62.5144396, 6, 0, 1), 1),                                  # z^3 + 6z + b
+    (poly(1, 0, 1) * poly(1, 0, 1) * poly(-2, 1) * poly(-2, 1) * poly(-2, 1), 1),
+    (poly(0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2),                     # z(z^9 - 1)
+])
+def test_real_polynomial_roots_pair_exactly_under_conjugation(p, real_count):
+    # real roots have imaginary part exactly 0; every other cluster's
+    # conjugate is exactly a cluster, of the same multiplicity
+    clusters = find_roots(p)
+    assert sum(c.multiplicity for c in clusters) == p.degree
+    mult = {c.location: c.multiplicity for c in clusters}
+    real = [c for c in clusters if abs(c.location.imag) < 1e-6]
+    assert len(real) == real_count
+    assert all(c.location.imag == 0.0 for c in real)
+    for c in clusters:
+        if c.location.imag != 0.0:
+            partner = c.location.conjugate()
+            assert partner != c.location and mult.get(partner) == c.multiplicity
+
+
+def test_non_real_coefficients_leave_roots_as_found():
+    # no pairing: the roots, noise included, are those found before the
+    # pairing of real polynomials existed
+    got = [(c.location, c.multiplicity) for c in find_roots(poly(0.5j, 1 + 2j, 0, 1))]
+    assert got == [(-0.6928590689970027 + 1.3324541917846833j, 1),
+                   (-0.1955063811040061 - 0.09863642134329398j, 1),
+                   (0.8883654501010089 - 1.2338177704413893j, 1)]
+    p = Polynomial.from_roots([0.3 + 1j, 0.3 - 1j, -1, -1, 2 + 0.5j])
+    got = [(c.location, c.multiplicity) for c in find_roots(p)]
+    assert got == [(-0.9999999999999999 - 1.2757195023576886e-17j, 2),
+                   (0.2999999999999999 + 0.9999999999999998j, 1),
+                   (0.29999999999999993 - 0.9999999999999998j, 1),
+                   (2 + 0.5j, 1)]
+
+
 def _random_factored(rng, max_deg=8):
     """Random polynomial with known, well separated roots."""
     while True:
