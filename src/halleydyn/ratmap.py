@@ -7,11 +7,14 @@ and its Koenig / Chebyshev-Halley relatives directly from a polynomial.
 Each method's formula is written once, as terms(p, x) -> (num, den) with
 x the identity.  The raw num and den can share a factor only at a root or
 a critical point of p (for Koenig with n >= 4 also at a multiple root of
-q_{n-2}), so a constructed map finds its Source once, p's roots and its
-non-root critical points, and cancels only there.  The order at such a
-point h is read from terms(p(h + t), h + t) in exact zeros: the Taylor
-coefficients of p(h + t) known to vanish are set to 0 and the first
-nonzero one to 1, so the orders come out of integer arithmetic.
+q_{n-2}), so a constructed map cancels only at p's Source: its roots and
+its non-root critical points.  source_of finds the Source once per
+Polynomial object and keeps it on that object, so every map and census
+built from one p shares one find_roots on p and one on p'.  The order at
+such a point h is read from terms(q, h + t) in exact zeros, where q holds
+the Taylor coefficients of p at h, found by repeated synthetic division
+by (z - h): those known to vanish are set to 0 and the first nonzero one
+to 1, so the orders come out of integer arithmetic.
 
 eval_sphere is the one evaluator of a map on the sphere, for single
 points and whole arrays alike.  A point z is a pole when den(z) is lost
@@ -74,6 +77,10 @@ FIXED_RTOL = 1e-6
 LOCAL_DEGREE_RTOL = 1e-7
 SUPERATTRACTING_TOL = 1e-8
 IDENTITY_RTOL = 1e-9
+
+# the key of a Polynomial's instance __dict__ that holds its Source; not
+# an identifier, so it never shadows or reads as an attribute
+_SOURCE_KEY = "ratmap.source"
 
 
 INF = complex(math.inf, 0.0)  # the point at infinity, as eval_sphere writes it
@@ -166,22 +173,42 @@ def matching_point(z: complex, points):
 
 def source_of(p: Polynomial, R: RationalMap | None = None) -> Source:
     """R's source when R was built from p; else p with its roots and its
-    non-root critical points, from one find_roots on p and one on p'."""
+    non-root critical points, from one find_roots on p and one on p'.
+
+    The Source is found at most once per Polynomial object: it is kept in
+    p's instance __dict__ (as functools.cached_property does on a frozen
+    dataclass), and every later call on p returns it.  An equal but
+    distinct Polynomial finds its own.
+    """
     if R is not None and R.source is not None and R.source.p == p:
         return R.source
-    roots = tuple(find_roots(p))
-    critical: tuple = ()
-    if p.degree >= 2:
-        critical = tuple(c for c in find_roots(p.deriv())
-                         if matching_point(c.location, roots) is None)
-    return Source(p, roots, critical)
+    src = vars(p).get(_SOURCE_KEY)
+    if src is None:
+        roots = tuple(find_roots(p))
+        critical: tuple = ()
+        if p.degree >= 2:
+            critical = tuple(c for c in find_roots(p.deriv())
+                             if matching_point(c.location, roots) is None)
+        src = vars(p)[_SOURCE_KEY] = Source(p, roots, critical)
+    return src
+
+
+def _taylor_coeffs(p: Polynomial, h: complex) -> list[complex]:
+    """Coefficients of p(h + t) in t, by repeated synthetic division of p
+    by (z - h): each pass is deflate's recurrence, and its remainder is
+    the next coefficient."""
+    q = list(p.coeffs)
+    for i in range(len(q) - 1):
+        for k in range(len(q) - 2, i - 1, -1):
+            q[k] += h * q[k + 1]
+    return q
 
 
 def _vanishing_order(terms, p: Polynomial, h: complex, known_zeros) -> int:
     """Order at h of the common factor of the num and den that terms builds,
     where known_zeros lists the Taylor coefficients of p at h that vanish
     (see the module docstring)."""
-    q = list(compose_affine(p, AffineMap(1.0, h)).coeffs)
+    q = _taylor_coeffs(p, h)
     for j in known_zeros:
         q[j] = 0j
     first = next(j for j, c in enumerate(q) if c != 0)

@@ -350,6 +350,10 @@ ORACLE_POLYNOMIALS = {
     "three-doubles": lambda: _exact_roots([("-1.181", "0.672", 2), ("-0.617", "-0.627", 2),
                                            ("-0.588", "1.042", 2), ("-0.518", "-1.237", 1),
                                            ("0.263", "-0.985", 1)]),
+    # a double non-root critical point: at 0, where make_reduced also
+    # shifts out common powers of z, and at 1
+    "z^3 - 1": lambda: _exact_coeffs([-1, 0, 0, 1]),
+    "(z - 1)^3 + 2": lambda: _exact_coeffs([1, 3, -3, 1]),
 }
 
 
@@ -423,6 +427,20 @@ def test_halley_special_points_come_from_the_source(monkeypatch):
     off = replace(h, source=moved)
     assert fixed_points(off) == want_fixed
     assert free_critical_points(off, h.source.roots) == want_free
+
+
+def test_one_source_per_polynomial_object(monkeypatch):
+    p = Polynomial.from_roots([0, 1, 1, -2, -2, -2])
+    degrees = []
+    monkeypatch.setattr(ratmap, "find_roots",
+                        lambda f, **kw: degrees.append(f.degree) or find_roots(f, **kw))
+    halley_of(p), konig_of(p, 4), chebyshev_halley_of(p, 0), degree_census(p)
+    # p and p' once, and the rest of q_2 that konig_of(p, 4) searches
+    assert degrees == [6, 5, 4]
+    # an equal but distinct object finds its own
+    degrees.clear()
+    halley_of(Polynomial.make(p.coeffs))
+    assert degrees == [6, 5]
 
 
 # exact oracle for the Halley source rule: each polynomial exercises one
