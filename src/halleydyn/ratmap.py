@@ -4,17 +4,18 @@ Maps are quotients of two Polynomials, reduced so numerator and
 denominator share no root.  Construction helpers build the Halley map
 and its Koenig / Chebyshev-Halley relatives directly from a polynomial.
 
-Each method's formula is written once, as terms(p, x) -> (num, den) with
-x the identity.  The raw num and den can share a factor only at a root or
-a critical point of p (for Koenig with n >= 4 also at a multiple root of
-q_{n-2}), so a constructed map cancels only at p's Source: its roots and
-its non-root critical points.  source_of finds the Source once per
-Polynomial object and keeps it on that object, so every map and census
-built from one p shares one find_roots on p and one on p'.  The order at
-such a point h is read from terms(q, h + t) in exact zeros, where q holds
-the Taylor coefficients of p at h, found by repeated synthetic division
-by (z - h): those known to vanish are set to 0 and the first nonzero one
-to 1, so the orders come out of integer arithmetic.
+Each constructor builds its raw num and den once from p and divides out
+their common factors, each to an exact order, at the only points where
+they can share one: p's roots, and p's non-root critical points for
+Halley and Chebyshev-Halley or the multiple zeros of q_{n-2} for
+Koenig(n).  The orders are rules in the multiplicity, stated by each
+constructor: at a k-fold root 2(k-1) for Halley, (n-1)(k-1) for Koenig(n)
+and 3(k-1) or 3k-2 for Chebyshev-Halley; at a critical point of
+multiplicity m, m - 1 (2m - 1 for Chebyshev-Halley at sigma = 1/2); at a
+zero of q_{n-2} of multiplicity mu, mu - 1.  The roots and critical
+points come from p's Source, which source_of finds once per Polynomial
+object and keeps on it, so every map and census built from one p shares
+one find_roots on p and one on p'.
 
 eval_sphere is the one evaluator of a map on the sphere, for single
 points and whole arrays alike.  A point z is a pole when den(z) is lost
@@ -193,68 +194,43 @@ def source_of(p: Polynomial, R: RationalMap | None = None) -> Source:
     return src
 
 
-def _taylor_coeffs(p: Polynomial, h: complex) -> list[complex]:
-    """Coefficients of p(h + t) in t, by repeated synthetic division of p
-    by (z - h): each pass is deflate's recurrence, and its remainder is
-    the next coefficient."""
-    q = list(p.coeffs)
-    for i in range(len(q) - 1):
-        for k in range(len(q) - 2, i - 1, -1):
-            q[k] += h * q[k + 1]
-    return q
-
-
-def _vanishing_order(terms, p: Polynomial, h: complex, known_zeros) -> int:
-    """Order at h of the common factor of the num and den that terms builds,
-    where known_zeros lists the Taylor coefficients of p at h that vanish
-    (see the module docstring)."""
-    q = _taylor_coeffs(p, h)
-    for j in known_zeros:
-        q[j] = 0j
-    first = next(j for j, c in enumerate(q) if c != 0)
-    q = [c / q[first] for c in q]
-    q[first] = 1.0 + 0j
-    num, den = terms(Polynomial(tuple(q)), Polynomial((complex(h), 1.0 + 0j)))
-    if num.is_zero or den.is_zero:  # overflowed coefficients trim to nothing
-        raise DegenerateMap(f"map coefficients overflow double precision at {h}")
-    return min(next(j for j, c in enumerate(f.coeffs) if c != 0) for f in (num, den))
-
-
-def _reduced_map(p: Polynomial, method: str, terms,
-                 extra_points=None) -> RationalMap:
-    """The map terms(p, z) builds, cancelled at the roots and the non-root
-    critical points of p (and, through extra_points(source), wherever
-    else a method can make num and den share a factor)."""
+def _checked_source(p: Polynomial) -> Source:
+    """source_of(p) for a p whose maps iterate: DegenerateMap when p has a
+    single distinct root, as the iteration is then affine."""
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     src = source_of(p)
     if len(src.roots) < 2:
         raise DegenerateMap("single distinct root gives an affine iteration")
-    cancel = [(c.location, _vanishing_order(terms, p, c.location, range(c.multiplicity)))
-              for c in src.roots]
-    cancel += [(c.location,
-                _vanishing_order(terms, p, c.location, range(1, c.multiplicity + 1)))
-               for c in src.critical]
-    if extra_points is not None:
-        cancel += extra_points(src)
-    num, den = terms(p, X)
-    R = make_reduced(num, den, cancel)
-    return replace(R, method=method, source=src)
+    return src
 
 
-def _halley_terms(p: Polynomial, x: Polynomial):
-    dp = p.deriv()
-    den = (dp * dp).scale(2.0) - p * p.deriv(2)
-    return x * den - (p * dp).scale(2.0), den
+def _reduced_map(method: str, src: Source, num: Polynomial, den: Polynomial,
+                 cancel) -> RationalMap:
+    """num / den cancelled at the (point, order) pairs of cancel, carrying
+    method and src; DegenerateMap when num or den left double precision
+    (a zero or non-finite coefficient list)."""
+    if num.is_zero or den.is_zero or not all(
+            cmath.isfinite(c) for c in num.coeffs + den.coeffs):
+        raise DegenerateMap(f"{method} map coefficients overflow or underflow "
+                            "double precision")
+    return replace(make_reduced(num, den, cancel), method=method, source=src)
 
 
 def halley_of(p: Polynomial) -> RationalMap:
     """Halley iteration z - 2 p p' / (2 p'^2 - p p'') as a reduced rational map.
 
-    DegenerateMap is raised when p has a single distinct root; the
-    iteration then collapses to an affine contraction onto that root.
+    num and den share a factor of order 2(k - 1) at a k-fold root of p and
+    m - 1 at a non-root critical point of multiplicity m.  DegenerateMap is
+    raised when p has a single distinct root; the iteration then collapses
+    to an affine contraction onto that root.
     """
-    return _reduced_map(p, "halley", _halley_terms)
+    src = _checked_source(p)
+    dp = p.deriv()
+    den = (dp * dp).scale(2.0) - p * p.deriv(2)
+    cancel = [(r.location, 2 * (r.multiplicity - 1)) for r in src.roots]
+    cancel += [(c.location, c.multiplicity - 1) for c in src.critical]
+    return _reduced_map("halley", src, X * den - (p * dp).scale(2.0), den, cancel)
 
 
 def _derivative_tower(p: Polynomial, n: int) -> list[Polynomial]:
@@ -274,48 +250,66 @@ def konig_of(p: Polynomial, n: int) -> RationalMap:
     q_{k+1} = q_k' p - (k+1) q_k p', the k-th derivative of 1/p equals
     q_k / p**(k+1), and the map is z + (n-1) q_{n-2} p / q_{n-1}.
 
-    For n >= 4, num and den also share a factor of order m - 1 at each
-    root of q_{n-2} of multiplicity m >= 2 that is neither a root nor a
-    critical point of p (for z^8 - z and n = 4, the seven roots of
-    6z^7 + 1).  Those are found on q_{n-2} with the roots of p divided
-    out at their orders (n-2)(k-1).
+    q_j vanishes to order j(k - 1) at a k-fold root of p, so num and den
+    share a factor of order (n-1)(k-1) there.  Anywhere else they share a
+    factor of order mu - 1 at each zero of q_{n-2} of multiplicity mu >= 2
+    (q_{n-1} = q_{n-2}' p - (n-1) q_{n-2} p' vanishes to order mu - 1):
+    for Halley (n = 3) the multiple critical points of p, for z^8 - z and
+    n = 4 the seven roots of 6z^7 + 1.  Those zeros are found on q_{n-2}
+    with the roots of p divided out at their orders (n-2)(k-1).  Their
+    order is not a function of the critical multiplicity alone: on z^3 - 1
+    the double critical point 0 is a double zero of q_4, as 1/p has only
+    every third Taylor term.
+
+    q_{n-1} has degree (n-1)(d-1) and num one more for p of degree d, as
+    their leading coefficients are never zero; DegenerateMap is raised when
+    rounding left either one shorter.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-
-    def terms(q: Polynomial, x: Polynomial):
-        *_, q_prev, q_cur = _derivative_tower(q, n - 1)
-        return x * q_cur + float(n - 1) * (q_prev * q), q_cur
-
-    def extra_points(src: Source) -> list:
-        w = np.array(_derivative_tower(p, n - 2)[-1].coeffs, dtype=np.complex128)
-        for r in src.roots:
-            for _ in range((n - 2) * (r.multiplicity - 1)):
-                w = deflate(w, r.location)
-        rest = Polynomial.make(w)
-        if rest.degree < 2:
-            return []
-        return [(c.location, c.multiplicity - 1) for c in find_roots(rest)
-                if c.multiplicity >= 2
-                and matching_point(c.location, src.roots + src.critical) is None]
-
-    return _reduced_map(p, f"konig({n})", terms,
-                        extra_points if n >= 4 else None)
+    src = _checked_source(p)
+    *_, q_prev, q_cur = _derivative_tower(p, n - 1)
+    num = X * q_cur + float(n - 1) * (q_prev * p)
+    top = (n - 1) * (p.degree - 1)
+    if q_cur.degree != top or num.degree != top + 1:
+        raise DegenerateMap(f"konig({n}) coefficients overflow double precision")
+    cancel = [(r.location, (n - 1) * (r.multiplicity - 1)) for r in src.roots]
+    w = np.array(q_prev.coeffs, dtype=np.complex128)
+    for r in src.roots:
+        for _ in range((n - 2) * (r.multiplicity - 1)):
+            w = deflate(w, r.location)
+    rest = Polynomial.make(w)
+    if rest.degree >= 2:
+        cancel += [(c.location, c.multiplicity - 1) for c in find_roots(rest)
+                   if c.multiplicity >= 2 and matching_point(c.location, src.roots) is None]
+    return _reduced_map(f"konig({n})", src, num, q_cur, cancel)
 
 
 def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
     """One-parameter family z - (1 + (p p'' / 2) / (p'^2 - sigma p p'')) p / p'.
 
     sigma = 0 is Chebyshev's method, sigma = 1/2 recovers Halley.
-    """
-    def terms(q: Polynomial, x: Polynomial):
-        dq = q.deriv()
-        qddq = q * q.deriv(2)
-        bracket = dq * dq - complex(sigma) * qddq
-        den = dq * bracket
-        return x * den - q * (bracket + qddq.scale(0.5)), den
 
-    return _reduced_map(p, f"chebyshev({sigma})", terms)
+    num and den share a factor of order 3(k - 1) at a k-fold root of p,
+    or 3k - 2 when the leading coefficient k^2 - sigma k(k-1) of
+    p'^2 - sigma p p'' there is zero (sigma = 2 at k = 2, 3/2 at k = 3).
+    At a non-root critical point of multiplicity m the order is m - 1,
+    or 2m - 1 for sigma = 1/2, whose den carries the extra factor p'.
+    """
+    src = _checked_source(p)
+    dp = p.deriv()
+    pddp = p * p.deriv(2)
+    bracket = dp * dp - complex(sigma) * pddp
+    den = dp * bracket
+
+    def root_order(k: int) -> int:
+        return 3 * k - 2 if k * k - sigma * (k * (k - 1)) == 0 else 3 * (k - 1)
+
+    cancel = [(r.location, root_order(r.multiplicity)) for r in src.roots]
+    cancel += [(c.location, 2 * c.multiplicity - 1 if sigma == 0.5 else c.multiplicity - 1)
+               for c in src.critical]
+    num = X * den - p * (bracket + pddp.scale(0.5))
+    return _reduced_map(f"chebyshev({sigma})", src, num, den, cancel)
 
 
 def eval_sphere(R: RationalMap, z):

@@ -463,6 +463,17 @@ def test_degenerate_map_exits_three(tmp_path, capsys):
     assert err.startswith("numeric failure: DegenerateMap") and "overflow" in err
 
 
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_map_coefficients_out_of_range_exit_three(tmp_path, capsys, scale):
+    # z^3 - 1 scaled so far that the map's products overflow or underflow
+    cfg_path = tmp_path / "scaled.cfg"
+    cfg_path.write_text(f"coeff = -{scale}\ncoeff = 0\ncoeff = 0\ncoeff = {scale}\n")
+    rc = main(["analyze", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numeric failure: DegenerateMap") and "overflow" in err
+
+
 def test_analyze_reports_symmetry(tmp_path, capsys):
     cfg_path = tmp_path / "job.cfg"
     cfg_path.write_text(CUBIC_CFG)

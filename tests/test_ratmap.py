@@ -1,6 +1,7 @@
 """Construction and sphere evaluation of the iteration maps."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -266,6 +267,15 @@ def test_konig_overflow_is_a_degenerate_map():
         konig_of(CUBIC_ODD, 140)
 
 
+def test_konig_lost_leading_coefficients_are_a_degenerate_map():
+    # q_{n-1} has degree (n-1)(d-1) and num one more; at n = 49 the sum
+    # that forms num spans so many decades that its top coefficients trim
+    R = konig_of(CUBIC_ODD, 48)
+    assert (R.num.degree, R.den.degree) == (95, 94)
+    with pytest.raises(DegenerateMap, match="overflow"):
+        konig_of(CUBIC_ODD, 49)
+
+
 def test_eval_sphere_at_infinity_and_pole():
     h = halley_of(Polynomial.make([-1, 0, 1]))
     assert is_infinity(eval_sphere(h, INF))  # deg num > deg den
@@ -354,21 +364,34 @@ ORACLE_POLYNOMIALS = {
     # shifts out common powers of z, and at 1
     "z^3 - 1": lambda: _exact_coeffs([-1, 0, 0, 1]),
     "(z - 1)^3 + 2": lambda: _exact_coeffs([1, 3, -3, 1]),
+    # Chebyshev's bracket p'^2 - sigma p p'' loses its leading Taylor term
+    # at a k-fold root when k^2 = sigma k(k - 1): sigma = 2 at the double
+    # root 0, whose next Taylor coefficient is 0, and sigma = 4/3 at k = 4
+    "z^4 - z^2": lambda: _exact_coeffs([0, 0, -1, 0, 1]),
+    "(z - 1)^4 (z + 1)": lambda: _exact_roots([("1", "0", 4), ("-1", "0", 1)]),
 }
 
 
-def _exact_terms(method, P):
+def _exact_tower(P, n):
+    """Koenig's q_0 .. q_n of the sympy Poly P."""
     sp = pytest.importorskip("sympy")
-    x = sp.Poly(P.gen, P.gen, domain=P.domain)
+    tower = [sp.Poly(1, P.gen, domain=P.domain)]
+    for k in range(n):
+        tower.append(tower[-1].diff() * P - (k + 1) * tower[-1] * P.diff())
+    return tower
+
+
+def _exact_terms(method, P, h=0):
+    """The raw num and den of method on P, with P in the variable z - h."""
+    sp = pytest.importorskip("sympy")
+    x = sp.Poly(P.gen + h, P.gen, domain=P.domain)
     d1, d2 = P.diff(), P.diff().diff()
     kind, arg = method
     if kind == "halley":
         den = 2 * d1 ** 2 - P * d2
         return x * den - 2 * P * d1, den
     if kind == "konig":
-        tower = [sp.Poly(1, P.gen, domain=P.domain)]
-        for k in range(arg - 1):
-            tower.append(tower[-1].diff() * P - (k + 1) * tower[-1] * d1)
+        tower = _exact_tower(P, arg - 1)
         return x * tower[-1] + (arg - 1) * tower[-2] * P, tower[-1]
     bracket = d1 ** 2 - sp.Rational(arg) * P * d2
     return x * d1 * bracket - P * (bracket + P * d2 * sp.Rational(1, 2)), d1 * bracket
@@ -377,11 +400,14 @@ def _exact_terms(method, P):
 ORACLE_METHODS = {
     "halley": (("halley", None), halley_of),
     "konig(2)": (("konig", 2), lambda p: konig_of(p, 2)),
+    "konig(3)": (("konig", 3), lambda p: konig_of(p, 3)),
     "konig(4)": (("konig", 4), lambda p: konig_of(p, 4)),
     "konig(5)": (("konig", 5), lambda p: konig_of(p, 5)),
+    "konig(6)": (("konig", 6), lambda p: konig_of(p, 6)),
     "chebyshev(0)": (("chebyshev", "0"), lambda p: chebyshev_halley_of(p, 0.0)),
     "chebyshev(1/2)": (("chebyshev", "1/2"), lambda p: chebyshev_halley_of(p, 0.5)),
     "chebyshev(3/2)": (("chebyshev", "3/2"), lambda p: chebyshev_halley_of(p, 1.5)),
+    "chebyshev(4/3)": (("chebyshev", "4/3"), lambda p: chebyshev_halley_of(p, 4 / 3)),
     "chebyshev(2)": (("chebyshev", "2"), lambda p: chebyshev_halley_of(p, 2.0)),
 }
 
@@ -394,6 +420,75 @@ def test_reduced_degree_matches_exact_gcd(poly, method):
     num, den = _exact_terms(spec, exact)
     g = num.gcd(den).degree()
     assert build(approx).degree == max(num.degree(), den.degree()) - g
+
+
+# the cancellation orders the constructors use, derived in exact
+# arithmetic: around a point h, p(h + t) = t^k u(t) at a k-fold root and
+# c + t^(m+1) v(t) at a non-root critical point of multiplicity m, for
+# random nonzero rational u, v and c; the order in t of gcd(num, den)
+# must equal each family's rule
+RULE_METHODS = [("halley", None)] + [("chebyshev", s) for s in ("0", "1/2", "1", "3/2", "2")] \
+    + [("konig", n) for n in range(2, 6)]
+
+
+def _t_order(f):
+    return next(j for j, c in enumerate(reversed(f.all_coeffs())) if c != 0)
+
+
+def _root_rule(method, k):
+    sp = pytest.importorskip("sympy")
+    kind, arg = method
+    if kind == "halley":
+        return 2 * (k - 1)
+    if kind == "konig":
+        return (arg - 1) * (k - 1)
+    return 3 * k - 2 if k * k == sp.Rational(arg) * k * (k - 1) else 3 * (k - 1)
+
+
+def _critical_rule(method, m, P):
+    sp = pytest.importorskip("sympy")
+    kind, arg = method
+    if kind == "halley":
+        return m - 1
+    if kind == "konig":  # mu - 1 at a zero of q_{n-2} of multiplicity mu
+        return max(_t_order(_exact_tower(P, arg - 2)[-1]) - 1, 0)
+    return 2 * m - 1 if sp.Rational(arg) == sp.Rational(1, 2) else m - 1
+
+
+def _random_rational_poly(rng, t, degree):
+    sp = pytest.importorskip("sympy")
+    coeffs = [sp.Rational(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+              for _ in range(degree + 1)]
+    return sp.Poly(list(reversed(coeffs)), t, domain="QQ")
+
+
+@pytest.mark.parametrize("method", RULE_METHODS,
+                         ids=lambda m: m[0] if m[1] is None else f"{m[0]}({m[1]})")
+def test_cancellation_rules_match_exact_gcd(method):
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(0)
+    t = sp.Symbol("t")
+    for h in (0, sp.Rational(-3, 7)):
+        for k in range(1, 5):
+            P = sp.Poly(t ** k, t, domain="QQ") * _random_rational_poly(rng, t, 2)
+            num, den = _exact_terms(method, P, h)
+            assert _t_order(num.gcd(den)) == _root_rule(method, k), (h, k)
+        for m in range(1, 4):
+            c = _random_rational_poly(rng, t, 0)
+            P = c + sp.Poly(t ** (m + 1), t, domain="QQ") * _random_rational_poly(rng, t, 2)
+            num, den = _exact_terms(method, P, h)
+            assert _t_order(num.gcd(den)) == _critical_rule(method, m, P), (h, m)
+
+
+def test_konig_critical_order_is_no_rule_in_the_multiplicity():
+    # z^3 - 1 has a double critical point at 0, and 1/p = -(1 + z^3 + z^6
+    # + ...) has only every third Taylor term: Koenig(6) cancels order 1
+    # there (q_4 has a double zero), where m - n + 2 would give none
+    sp = pytest.importorskip("sympy")
+    t = sp.Symbol("t")
+    P = sp.Poly(t ** 3 - 1, t, domain="QQ")
+    num, den = _exact_terms(("konig", 6), P)
+    assert _t_order(num.gcd(den)) == _critical_rule(("konig", 6), 2, P) == 1
 
 
 def test_halley_free_critical_points_keep_off_the_roots():
