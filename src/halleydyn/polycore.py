@@ -340,6 +340,8 @@ def _companion_clusters(c: np.ndarray):
     is then re-polished on the (m-1)th derivative, where the root is
     simple again and Newton recovers full accuracy.
     """
+    if not np.isfinite(c).all():  # scaling a subnormal p can leave infs or NaNs
+        raise NonConvergence("non-finite coefficients")
     cloud = np.roots(c[::-1])
     if len(cloud) == 0:
         return []

@@ -33,14 +33,12 @@ every non-finite result; any non-finite input stands for it.  INF is fixed
 when k = deg num - deg den >= 1, with local degree k and multiplier
 den.lead / num.lead for k = 1, 0 for k >= 2, both exact.
 
-A Halley map with a source reads two of those sets off p instead of
-root-finding its own polynomials: fixed_points lists p's roots and
-non-root critical points (the paper's fixed-point proposition), and
-free_critical_points the zeros of E = 3p''^2 - 2p'p''' (degree 2d - 4)
-that are neither.  Each checks its points against the map with
-find_roots's residual gate (on num - z*den, or on the derivative
-numerator) and falls back to root-finding the map's own polynomial when
-a check fails.
+Each constructor also lists R's finite fixed points in its family's
+closed form (RationalMap.fixed, read off p as the constructor states),
+which fixed_points returns when they fit R.  free_critical_points of a
+Halley map reads the zeros of E = 3p''^2 - 2p'p''' (degree 2d - 4) that
+are neither roots nor critical points of p.  Each falls back to
+root-finding the map's own polynomial when a check against R fails.
 
 Identities between maps are decided from coefficients, never from
 sample points: same_map(R, S) compares num_R den_S with num_S den_R
@@ -106,12 +104,14 @@ class Source:
 class RationalMap:
     """num / den on the sphere.  Maps built by halley_of, konig_of and
     chebyshev_halley_of carry their method ('halley', 'konig(n)',
-    'chebyshev(sigma)') and their Source; bare quotients carry None."""
+    'chebyshev(sigma)'), their Source and their finite fixed points in
+    find_roots order; bare quotients carry None."""
 
     num: Polynomial
     den: Polynomial
     method: str | None = None
     source: Source | None = None
+    fixed: tuple[complex, ...] | None = None
 
     @property
     def degree(self) -> int:
@@ -126,7 +126,10 @@ class RationalMap:
         dv = self.den(z)
         if abs(dv) <= POLE_RTOL * self.den.eval_scale(z):
             raise ZeroDivisionError("derivative at a pole")
-        return (self.num.deriv()(z) * dv - nv * self.den.deriv()(z)) / (dv * dv)
+        dn, dd = self.num.deriv()(z), self.den.deriv()(z)
+        if dv * dv == 0:  # underflow: divide by dv twice, before multiplying
+            return (dn - nv / dv * dd) / dv
+        return (dn * dv - nv * dd) / (dv * dv)
 
 
 @dataclass(frozen=True)
@@ -206,31 +209,47 @@ def _checked_source(p: Polynomial) -> Source:
 
 
 def _reduced_map(method: str, src: Source, num: Polynomial, den: Polynomial,
-                 cancel) -> RationalMap:
+                 cancel, fixed) -> RationalMap:
     """num / den cancelled at the (point, order) pairs of cancel, carrying
-    method and src; DegenerateMap when num or den left double precision
-    (a zero or non-finite coefficient list)."""
+    method, src and the RootClusters fixed; DegenerateMap when num or den
+    left double precision (a zero or non-finite coefficient list)."""
     if num.is_zero or den.is_zero or not all(
             cmath.isfinite(c) for c in num.coeffs + den.coeffs):
         raise DegenerateMap(f"{method} map coefficients overflow or underflow "
                             "double precision")
-    return replace(make_reduced(num, den, cancel), method=method, source=src)
+    fixed = tuple(sorted((c.location for c in fixed), key=lambda z: (z.real, z.imag)))
+    return replace(make_reduced(num, den, cancel), method=method, source=src, fixed=fixed)
+
+
+def _other_zeros(f: Polynomial, orders, known) -> tuple[RootCluster, ...]:
+    """The zeros of f that match no point of known, with f first deflated
+    count times at each (point, count) of orders so they cannot split."""
+    w = np.array(f.coeffs, dtype=np.complex128)
+    for h, count in orders:
+        for _ in range(count):
+            w = deflate(w, h)
+    rest = Polynomial.make(w)
+    if rest.degree < 1:
+        return ()
+    return tuple(c for c in find_roots(rest) if matching_point(c.location, known) is None)
 
 
 def halley_of(p: Polynomial) -> RationalMap:
     """Halley iteration z - 2 p p' / (2 p'^2 - p p'') as a reduced rational map.
 
     num and den share a factor of order 2(k - 1) at a k-fold root of p and
-    m - 1 at a non-root critical point of multiplicity m.  DegenerateMap is
-    raised when p has a single distinct root; the iteration then collapses
-    to an affine contraction onto that root.
+    m - 1 at a non-root critical point of multiplicity m; those roots and
+    critical points are its finite fixed points.  DegenerateMap is raised
+    when p has a single distinct root; the iteration then collapses to an
+    affine contraction onto that root.
     """
     src = _checked_source(p)
     dp = p.deriv()
     den = (dp * dp).scale(2.0) - p * p.deriv(2)
     cancel = [(r.location, 2 * (r.multiplicity - 1)) for r in src.roots]
     cancel += [(c.location, c.multiplicity - 1) for c in src.critical]
-    return _reduced_map("halley", src, X * den - (p * dp).scale(2.0), den, cancel)
+    return _reduced_map("halley", src, X * den - (p * dp).scale(2.0), den, cancel,
+                        src.roots + src.critical)
 
 
 def _derivative_tower(p: Polynomial, n: int) -> list[Polynomial]:
@@ -252,14 +271,14 @@ def konig_of(p: Polynomial, n: int) -> RationalMap:
 
     q_j vanishes to order j(k - 1) at a k-fold root of p, so num and den
     share a factor of order (n-1)(k-1) there.  Anywhere else they share a
-    factor of order mu - 1 at each zero of q_{n-2} of multiplicity mu >= 2
+    factor of order mu - 1 at each zero of q_{n-2} of multiplicity mu
     (q_{n-1} = q_{n-2}' p - (n-1) q_{n-2} p' vanishes to order mu - 1):
-    for Halley (n = 3) the multiple critical points of p, for z^8 - z and
-    n = 4 the seven roots of 6z^7 + 1.  Those zeros are found on q_{n-2}
-    with the roots of p divided out at their orders (n-2)(k-1).  Their
-    order is not a function of the critical multiplicity alone: on z^3 - 1
-    the double critical point 0 is a double zero of q_4, as 1/p has only
-    every third Taylor term.
+    for Halley (n = 3) the Source's critical points, for z^8 - z and n = 4
+    the seven roots of 6z^7 + 1, found on q_{n-2} with the roots of p
+    divided out at their orders (n-2)(k-1).  Their order is not a function
+    of the critical multiplicity alone: on z^3 - 1 the double critical
+    point 0 is a double zero of q_4, as 1/p has only every third Taylor
+    term.  R's finite fixed points are p's roots and those zeros.
 
     q_{n-1} has degree (n-1)(d-1) and num one more for p of degree d, as
     their leading coefficients are never zero; DegenerateMap is raised when
@@ -273,16 +292,11 @@ def konig_of(p: Polynomial, n: int) -> RationalMap:
     top = (n - 1) * (p.degree - 1)
     if q_cur.degree != top or num.degree != top + 1:
         raise DegenerateMap(f"konig({n}) coefficients overflow double precision")
+    extra = src.critical if n == 3 else _other_zeros(
+        q_prev, [(r.location, (n - 2) * (r.multiplicity - 1)) for r in src.roots], src.roots)
     cancel = [(r.location, (n - 1) * (r.multiplicity - 1)) for r in src.roots]
-    w = np.array(q_prev.coeffs, dtype=np.complex128)
-    for r in src.roots:
-        for _ in range((n - 2) * (r.multiplicity - 1)):
-            w = deflate(w, r.location)
-    rest = Polynomial.make(w)
-    if rest.degree >= 2:
-        cancel += [(c.location, c.multiplicity - 1) for c in find_roots(rest)
-                   if c.multiplicity >= 2 and matching_point(c.location, src.roots) is None]
-    return _reduced_map(f"konig({n})", src, num, q_cur, cancel)
+    cancel += [(c.location, c.multiplicity - 1) for c in extra]
+    return _reduced_map(f"konig({n})", src, num, q_cur, cancel, src.roots + extra)
 
 
 def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
@@ -295,6 +309,12 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
     p'^2 - sigma p p'' there is zero (sigma = 2 at k = 2, 3/2 at k = 3).
     At a non-root critical point of multiplicity m the order is m - 1,
     or 2m - 1 for sigma = 1/2, whose den carries the extra factor p'.
+
+    R's finite fixed points are p's roots, bar those where 3k - 2 applies
+    (R moves them), and for sigma = 1/2 p's critical points, else the zeros
+    of f = 2p'^2 + (1 - 2 sigma) p p'' that are not (R has poles there),
+    found with f's factors divided out 2k - 2 times at a root (2k - 1 when
+    2k^2 + (1 - 2 sigma) k(k-1) = 0) and m - 1 times at a critical point.
     """
     src = _checked_source(p)
     dp = p.deriv()
@@ -305,11 +325,20 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
     def root_order(k: int) -> int:
         return 3 * k - 2 if k * k - sigma * (k * (k - 1)) == 0 else 3 * (k - 1)
 
+    def fixed_order(k: int) -> int:
+        return 2 * k - 1 if 2 * k * k + (1 - 2 * sigma) * (k * (k - 1)) == 0 else 2 * k - 2
+
     cancel = [(r.location, root_order(r.multiplicity)) for r in src.roots]
     cancel += [(c.location, 2 * c.multiplicity - 1 if sigma == 0.5 else c.multiplicity - 1)
                for c in src.critical]
+    # where the bracket lost its leading term, R maps the root elsewhere
+    fixed = tuple(r for r in src.roots if root_order(r.multiplicity) < 3 * r.multiplicity - 2)
+    fixed += src.critical if sigma == 0.5 else _other_zeros(
+        (dp * dp).scale(2.0) + pddp.scale(1 - 2 * complex(sigma)),
+        [(r.location, fixed_order(r.multiplicity)) for r in src.roots]
+        + [(c.location, c.multiplicity - 1) for c in src.critical], src.roots + src.critical)
     num = X * den - p * (bracket + pddp.scale(0.5))
-    return _reduced_map(f"chebyshev({sigma})", src, num, den, cancel)
+    return _reduced_map(f"chebyshev({sigma})", src, num, den, cancel, fixed)
 
 
 def eval_sphere(R: RationalMap, z):
@@ -388,11 +417,6 @@ def _vanishes(coeffs, x: np.ndarray, ax: np.ndarray, v: np.ndarray) -> np.ndarra
     return hit
 
 
-def _halley_source(R: RationalMap) -> Source | None:
-    """R's source when R is a Halley map built from one, else None."""
-    return R.source if R.method == "halley" else None
-
-
 def _all_pass_gate(f: Polynomial, points) -> bool:
     """Whether every point passes find_roots's residual gate on f."""
     c = np.array(f.coeffs, dtype=np.complex128)
@@ -400,31 +424,21 @@ def _all_pass_gate(f: Polynomial, points) -> bool:
     return all(residual_ok(c, z) for z in points)
 
 
-def _halley_fixed_points(src: Source, g: Polynomial) -> list | None:
-    """Finite fixed points of a Halley map from its source, or None when
-    a check against g = num - z*den fails (see fixed_points)."""
-    finite = sorted((c.location for c in src.roots + src.critical),
-                    key=lambda z: (z.real, z.imag))
-    if len(finite) != g.degree or not _all_pass_gate(g, finite):
-        return None
-    return finite
-
-
 def fixed_points(R: RationalMap) -> list:
-    """Sphere fixed points: roots of num - z*den, plus INF when R fixes it.
+    """Sphere fixed points: roots of g = num - z*den, plus INF when R fixes it.
 
-    A Halley map with a source takes its finite fixed points from it, by
-    the paper's proposition: they are p's roots and its non-root critical
-    points, listed in find_roots order.  If their count differs from the
-    degree of num - z*den, or one fails find_roots's residual gate on it,
-    the roots of num - z*den are found instead.
+    R.fixed, the constructor's list, is returned unpolished when it has
+    deg g points, each passing find_roots's residual gate on g and
+    is_fixed_point; else, as for a bare quotient, g's roots are found.  A
+    Koenig or Chebyshev-Halley map may miss p's roots by over FIXED_RTOL.
     """
     g = R.num - R.den.shifted_up(1)
-    src = _halley_source(R)
-    out = None if src is None else _halley_fixed_points(src, g)
-    if out is None:
-        if g.is_zero:
-            raise Indeterminate("identity map has no isolated fixed points")
+    if R.fixed is not None and len(R.fixed) == g.degree and _all_pass_gate(g, R.fixed) \
+            and all(is_fixed_point(R, z) for z in R.fixed):
+        out = list(R.fixed)
+    elif g.is_zero:
+        raise Indeterminate("identity map has no isolated fixed points")
+    else:
         out = [c.location for c in find_roots(g)] if g.degree >= 1 else []
     if R.num.degree > R.den.degree:
         out.append(INF)
@@ -467,32 +481,6 @@ def critical_points(R: RationalMap) -> list[RootCluster]:
     return find_roots(c)
 
 
-def _halley_free_critical_points(R: RationalMap, src: Source) -> list[RootCluster] | None:
-    """Free critical points of a Halley map from its source, or None when
-    a check against R fails (see free_critical_points)."""
-    p = src.p
-    d2 = p.deriv(2)
-    e = (d2 * d2).scale(3.0) - (p.deriv() * p.deriv(3)).scale(2.0)
-    w = np.array(e.coeffs, dtype=np.complex128)
-    orders = ([(r, 2 * r.multiplicity - 4) for r in src.roots]
-              + [(c, 2 * c.multiplicity - 2) for c in src.critical])
-    for h, count in orders:
-        for _ in range(count):
-            w = deflate(w, h.location)
-    rest = Polynomial.make(w)
-    found: list[RootCluster] = []
-    if rest.degree >= 1:
-        try:
-            found = find_roots(rest)
-        except NonConvergence:
-            return None
-    found = [c for c in found
-             if matching_point(c.location, src.roots + src.critical) is None]
-    if found and not _all_pass_gate(_critical_numerator(R), [c.location for c in found]):
-        return None
-    return found
-
-
 def free_critical_points(R: RationalMap, roots) -> list[RootCluster]:
     """Critical points of R that do not coincide with any supplied root
     (see matching_point).
@@ -510,8 +498,18 @@ def free_critical_points(R: RationalMap, roots) -> list[RootCluster]:
     on R's own derivative numerator, the zeros of that numerator are found
     instead, as for every other map.
     """
-    src = _halley_source(R)
-    found = None if src is None else _halley_free_critical_points(R, src)
+    src, found = R.source, None
+    if R.method == "halley" and src is not None:
+        d2 = src.p.deriv(2)
+        e = (d2 * d2).scale(3.0) - (src.p.deriv() * src.p.deriv(3)).scale(2.0)
+        orders = ([(r.location, 2 * r.multiplicity - 4) for r in src.roots]
+                  + [(c.location, 2 * c.multiplicity - 2) for c in src.critical])
+        try:
+            found = list(_other_zeros(e, orders, src.roots + src.critical))
+        except NonConvergence:
+            pass
+        if found and not _all_pass_gate(_critical_numerator(R), [c.location for c in found]):
+            found = None
     if found is None:
         found = critical_points(R)
     return [c for c in found if matching_point(c.location, roots) is None]

@@ -130,6 +130,15 @@ def test_multiplier_predictions():
     assert abs(multiplier_at(h, INF) - 2.0) < 1e-6
 
 
+def test_multiplier_survives_an_underflowing_den_square():
+    # z^3 - 1 scaled by 1e-100: den(0) is about 1e-180, so den(0)**2
+    # underflows to 0, yet the multiplier at the double critical point 0
+    # is 1 + 2/2 as for z^3 - 1
+    h = halley_of(Polynomial.make([-1e-100, 0, 0, 1e-100]))
+    assert h.den(0j) * h.den(0j) == 0
+    assert abs(multiplier_at(h, 0j) - 2.0) < 1e-9
+
+
 def test_multiplier_rejects_non_fixed():
     h = halley_of(Polynomial.make([-1, 0, 1]))
     with pytest.raises(NotFixed):
@@ -480,6 +489,31 @@ def test_cancellation_rules_match_exact_gcd(method):
             assert _t_order(num.gcd(den)) == _critical_rule(method, m, P), (h, m)
 
 
+@pytest.mark.parametrize("sigma", ["0", "1", "3/2", "2", "5/2", "11/6"])
+def test_chebyshev_fixed_point_orders_match_exact_arithmetic(sigma):
+    # chebyshev_halley_of searches f = 2p'^2 + (1 - 2 sigma) p p'' for fixed
+    # points after dividing out (z - h) 2k - 2 times at a k-fold root, or
+    # 2k - 1 times where 2k^2 + (1 - 2 sigma) k(k - 1) is zero (sigma = 5/2
+    # at k = 2, 2 at k = 3, 11/6 at k = 4), and m - 1 times at a non-root
+    # critical point; p(h + t) as in test_cancellation_rules_match_exact_gcd
+    sp = pytest.importorskip("sympy")
+    s = sp.Rational(sigma)
+    rng = random.Random(0)
+    t = sp.Symbol("t")
+
+    def f_order(P):
+        return _t_order(2 * P.diff() ** 2 + (1 - 2 * s) * P * P.diff().diff())
+
+    for k in range(1, 5):
+        P = sp.Poly(t ** k, t, domain="QQ") * _random_rational_poly(rng, t, 2)
+        lost = 2 * k * k + (1 - 2 * s) * k * (k - 1) == 0
+        assert f_order(P) == (2 * k - 1 if lost else 2 * k - 2), k
+    for m in range(1, 4):
+        P = _random_rational_poly(rng, t, 0) \
+            + sp.Poly(t ** (m + 1), t, domain="QQ") * _random_rational_poly(rng, t, 2)
+        assert f_order(P) == m - 1, m
+
+
 def test_konig_critical_order_is_no_rule_in_the_multiplicity():
     # z^3 - 1 has a double critical point at 0, and 1/p = -(1 + z^3 + z^6
     # + ...) has only every third Taylor term: Koenig(6) cancels order 1
@@ -503,25 +537,43 @@ def test_halley_free_critical_points_keep_off_the_roots():
 
 def test_halley_special_points_come_from_the_source(monkeypatch):
     p = Polynomial.make([0, -1, 0, 0, 0, 0, 0, 0, 1])  # z^8 - z
-    h = halley_of(p)
-    bare = replace(h, method=None)
-    want_fixed, want_free = fixed_points(bare), free_critical_points(bare, h.source.roots)
+    q = Polynomial.from_roots([1, 1, -1, 2j, -2j])
+    maps = [halley_of(p), halley_of(q), konig_of(q, 4), chebyshev_halley_of(q, 0)]
+    want_fixed = [fixed_points(RationalMap(R.num, R.den)) for R in maps]
+    h = maps[0]
+    want_free = free_critical_points(RationalMap(h.num, h.den), h.source.roots)
     degrees = []
     monkeypatch.setattr(ratmap, "find_roots",
                         lambda f, **kw: degrees.append(f.degree) or find_roots(f, **kw))
-    # no root finding for fixed points; for critical points only
-    # 3p''^2 - 2p'p''' = 672 z^5 (6z^7 + 1), of degree 2d - 4
-    got_fixed, got_free = fixed_points(h), free_critical_points(h, h.source.roots)
+    # no root finding for fixed points, in any family; for critical points
+    # only 3p''^2 - 2p'p''' = 672 z^5 (6z^7 + 1), of degree 2d - 4
+    got_fixed = [fixed_points(R) for R in maps]
+    got_free = free_critical_points(h, h.source.roots)
     assert degrees == [12]
-    assert len(got_fixed) == len(want_fixed) and len(got_free) == len(want_free) == 7
-    assert max(abs(a - b) for a, b in zip(got_fixed[:-1], want_fixed[:-1])) < 1e-9
+    assert len(got_free) == len(want_free) == 7
+    for got, want in zip(got_fixed, want_fixed):
+        assert len(got) == len(want)
+        assert max(abs(a - b) for a, b in zip(got[:-1], want[:-1])) < 1e-9
     # a source that does not fit the map fails the residual gates, and the
-    # map's own polynomials are root-found instead
+    # map's own polynomials are root-found instead; so does a list of fixed
+    # points with a moved point or a point short
     moved = Source(p + Polynomial.make([0, 0, 1e-3]), h.source.roots,
                    tuple(replace(c, location=c.location + 1e-3) for c in h.source.critical))
-    off = replace(h, source=moved)
-    assert fixed_points(off) == want_fixed
-    assert free_critical_points(off, h.source.roots) == want_free
+    assert free_critical_points(replace(h, source=moved), h.source.roots) == want_free
+    for R, want in zip(maps, want_fixed):
+        assert fixed_points(replace(R, fixed=(R.fixed[0] + 1e-3,) + R.fixed[1:])) == want
+        assert fixed_points(replace(R, fixed=R.fixed[1:])) == want
+
+
+def test_pool_17_fixed_points_off_the_roots_fall_back():
+    # the benchmark corpus's pool entry 17: konig(4) and chebyshev(0) have
+    # fixed points more than FIXED_RTOL from the Source's roots that they
+    # list, so fixed_points root-finds them and classification succeeds
+    p = Polynomial.from_roots([1.354 + 0.532j] * 3 + [0.402 + 1.404j] + [1.123 + 0.987j] * 3
+                              + [-0.481 - 0.775j])
+    for R in (konig_of(p, 4), chebyshev_halley_of(p, 0)):
+        assert not all(ratmap.is_fixed_point(R, z) for z in R.fixed)
+        assert len(classify_fixed_points(p, R)) == R.degree + 1
 
 
 def test_one_source_per_polynomial_object(monkeypatch):
@@ -530,17 +582,19 @@ def test_one_source_per_polynomial_object(monkeypatch):
     monkeypatch.setattr(ratmap, "find_roots",
                         lambda f, **kw: degrees.append(f.degree) or find_roots(f, **kw))
     halley_of(p), konig_of(p, 4), chebyshev_halley_of(p, 0), degree_census(p)
-    # p and p' once, and the rest of q_2 that konig_of(p, 4) searches
-    assert degrees == [6, 5, 4]
+    # p and p' once, the rest of q_2 that konig_of(p, 4) searches, and the
+    # rest of 2p'^2 + p p'' that chebyshev_halley_of(p, 0) searches
+    assert degrees == [6, 5, 4, 4]
     # an equal but distinct object finds its own
     degrees.clear()
     halley_of(Polynomial.make(p.coeffs))
     assert degrees == [6, 5]
 
 
-# exact oracle for the Halley source rule: each polynomial exercises one
-# case of the deflation and exclusion, checked against the reduced map's
-# own polynomials in exact arithmetic
+# exact oracle for the fixed points each constructor lists, and for the
+# Halley source rule of free critical points: each polynomial exercises
+# one case of the deflation and exclusion, checked against the reduced
+# map's own polynomials in exact arithmetic
 SOURCE_RULE_POLYNOMIALS = {
     "(z^2 - 1)^3": [-1, 0, 3, 0, -3, 0, 1],    # 3-fold roots
     "z^3 - 1": [-1, 0, 0, 1],                   # a 2-fold critical point
@@ -548,6 +602,10 @@ SOURCE_RULE_POLYNOMIALS = {
     "z^8 - z": [0, -1, 0, 0, 0, 0, 0, 0, 1],    # double poles at 6z^7 + 1 = 0
     "z(z - 1)^2(z + 2)^3": [0, 8, -4, -10, 1, 4, 1],  # mixed multiplicities
 }
+# chebyshev(2) maps a double root off itself, and has a double fixed point
+# at a triple root
+SOURCE_RULE_METHODS = ("halley", "konig(3)", "konig(4)", "chebyshev(0)", "chebyshev(1/2)",
+                       "chebyshev(2)")
 
 
 def _exact_zeros(f, exclude=None):
@@ -564,19 +622,24 @@ def _assert_same_zeros(got, want, tol=1e-9):
         assert any(abs(w - z) <= tol and k == m for w, k in got), (z, m)
 
 
-@pytest.mark.parametrize("poly", sorted(SOURCE_RULE_POLYNOMIALS))
-def test_halley_special_points_match_exact_oracle(poly):
+@pytest.mark.parametrize("method, poly", [
+    pytest.param(m, poly, id=poly if m == "halley" else f"{m}-{poly}")
+    for m in SOURCE_RULE_METHODS for poly in sorted(SOURCE_RULE_POLYNOMIALS)])
+def test_halley_special_points_match_exact_oracle(method, poly):
     sp = pytest.importorskip("sympy")
     coeffs = SOURCE_RULE_POLYNOMIALS[poly]
     z = sp.Symbol("z")
     P = sp.Poly(list(reversed(coeffs)), z, domain="QQ")
-    num, den = _exact_terms(("halley", None), P)
+    spec, build = ORACLE_METHODS[method]
+    num, den = _exact_terms(spec, P)
     g = num.gcd(den)
     num, den = num.quo(g), den.quo(g)
-    h = halley_of(Polynomial.make(coeffs))
-    free = free_critical_points(h, h.source.roots)
-    _assert_same_zeros([(c.location, c.multiplicity) for c in free],
-                       _exact_zeros(num.diff() * den - num * den.diff(), exclude=P))
-    finite = [w for w in fixed_points(h) if not is_infinity(w)]
-    _assert_same_zeros([(w, 1) for w in finite],
-                       _exact_zeros(num - sp.Poly(z, z, domain="QQ") * den))
+    R = build(Polynomial.make(coeffs))
+    if method == "halley":
+        free = free_critical_points(R, R.source.roots)
+        _assert_same_zeros([(c.location, c.multiplicity) for c in free],
+                           _exact_zeros(num.diff() * den - num * den.diff(), exclude=P))
+    # fixed_points lists each fixed point once, whatever its multiplicity
+    finite = [w for w in fixed_points(R) if not is_infinity(w)]
+    exact = _exact_zeros(num - sp.Poly(z, z, domain="QQ") * den)
+    _assert_same_zeros([(w, 1) for w in finite], [(w, 1) for w, _ in exact])
