@@ -211,13 +211,14 @@ def _checked_source(p: Polynomial) -> Source:
 def _reduced_map(method: str, src: Source, num: Polynomial, den: Polynomial,
                  cancel, fixed) -> RationalMap:
     """num / den cancelled at the (point, order) pairs of cancel, carrying
-    method, src and the RootClusters fixed; DegenerateMap when num or den
-    left double precision (a zero or non-finite coefficient list)."""
+    method, src and the RootClusters fixed (or None); DegenerateMap when num
+    or den left double precision (a zero or non-finite coefficient list)."""
     if num.is_zero or den.is_zero or not all(
             cmath.isfinite(c) for c in num.coeffs + den.coeffs):
         raise DegenerateMap(f"{method} map coefficients overflow or underflow "
                             "double precision")
-    fixed = tuple(sorted((c.location for c in fixed), key=lambda z: (z.real, z.imag)))
+    if fixed is not None:
+        fixed = tuple(sorted((c.location for c in fixed), key=lambda z: (z.real, z.imag)))
     return replace(make_reduced(num, den, cancel), method=method, source=src, fixed=fixed)
 
 
@@ -315,6 +316,7 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
     of f = 2p'^2 + (1 - 2 sigma) p p'' that are not (R has poles there),
     found with f's factors divided out 2k - 2 times at a root (2k - 1 when
     2k^2 + (1 - 2 sigma) k(k-1) = 0) and m - 1 times at a critical point.
+    If that search fails, the map carries no list (fixed_points root-finds).
     """
     src = _checked_source(p)
     dp = p.deriv()
@@ -333,10 +335,13 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
                for c in src.critical]
     # where the bracket lost its leading term, R maps the root elsewhere
     fixed = tuple(r for r in src.roots if root_order(r.multiplicity) < 3 * r.multiplicity - 2)
-    fixed += src.critical if sigma == 0.5 else _other_zeros(
-        (dp * dp).scale(2.0) + pddp.scale(1 - 2 * complex(sigma)),
-        [(r.location, fixed_order(r.multiplicity)) for r in src.roots]
-        + [(c.location, c.multiplicity - 1) for c in src.critical], src.roots + src.critical)
+    try:
+        fixed += src.critical if sigma == 0.5 else _other_zeros(
+            (dp * dp).scale(2.0) + pddp.scale(1 - 2 * complex(sigma)),
+            [(r.location, fixed_order(r.multiplicity)) for r in src.roots]
+            + [(c.location, c.multiplicity - 1) for c in src.critical], src.roots + src.critical)
+    except NonConvergence:
+        fixed = None
     num = X * den - p * (bracket + pddp.scale(0.5))
     return _reduced_map(f"chebyshev({sigma})", src, num, den, cancel, fixed)
 
@@ -417,23 +422,16 @@ def _vanishes(coeffs, x: np.ndarray, ax: np.ndarray, v: np.ndarray) -> np.ndarra
     return hit
 
 
-def _all_pass_gate(f: Polynomial, points) -> bool:
-    """Whether every point passes find_roots's residual gate on f."""
-    c = np.array(f.coeffs, dtype=np.complex128)
-    c /= np.abs(c).max()
-    return all(residual_ok(c, z) for z in points)
-
-
 def fixed_points(R: RationalMap) -> list:
     """Sphere fixed points: roots of g = num - z*den, plus INF when R fixes it.
 
     R.fixed, the constructor's list, is returned unpolished when it has
-    deg g points, each passing find_roots's residual gate on g and
-    is_fixed_point; else, as for a bare quotient, g's roots are found.  A
-    Koenig or Chebyshev-Halley map may miss p's roots by over FIXED_RTOL.
+    deg g points, each passing is_fixed_point; else, as for a bare
+    quotient, g's roots are found.  A Koenig or Chebyshev-Halley map may
+    miss p's roots by over FIXED_RTOL.
     """
     g = R.num - R.den.shifted_up(1)
-    if R.fixed is not None and len(R.fixed) == g.degree and _all_pass_gate(g, R.fixed) \
+    if R.fixed is not None and len(R.fixed) == g.degree \
             and all(is_fixed_point(R, z) for z in R.fixed):
         out = list(R.fixed)
     elif g.is_zero:
@@ -508,7 +506,9 @@ def free_critical_points(R: RationalMap, roots) -> list[RootCluster]:
             found = list(_other_zeros(e, orders, src.roots + src.critical))
         except NonConvergence:
             pass
-        if found and not _all_pass_gate(_critical_numerator(R), [c.location for c in found]):
+        c = np.array(_critical_numerator(R).coeffs, dtype=np.complex128)
+        c /= np.abs(c).max()
+        if found and not all(residual_ok(c, w.location) for w in found):
             found = None
     if found is None:
         found = critical_points(R)
