@@ -472,7 +472,7 @@ def _pool() -> ThreadPoolExecutor:
 
 
 def free_critical_fates(p: Polynomial, R: RationalMap) -> list[OrbitOutcome]:
-    """Orbit outcome for each free critical point of R, the Halley map of p.
+    """Orbit outcome for each free critical point of R, a map built from p.
 
     Outcomes follow the order of free_critical_points, each orbit run for
     DEFAULT_MAX_ITER steps at CAPTURE_RADIUS.  Any cycle outcome

@@ -35,9 +35,9 @@ den.lead / num.lead for k = 1, 0 for k >= 2, both exact.
 
 Each constructor also lists R's finite fixed points in its family's
 closed form (RationalMap.fixed, read off p as the constructor states),
-which fixed_points returns when they fit R.  free_critical_points of a
-Halley map reads the zeros of E = 3p''^2 - 2p'p''' (degree 2d - 4) that
-are neither roots nor critical points of p.  Each falls back to
+which fixed_points returns when they fit R, and R's critical polynomial
+(RationalMap.free_critical; E = 3p''^2 - 2p'p''' for Halley), whose zeros
+off p's roots free_critical_points returns.  Each falls back to
 root-finding the map's own polynomial when a check against R fails.
 
 Identities between maps are decided from coefficients, never from
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,14 +105,16 @@ class Source:
 class RationalMap:
     """num / den on the sphere.  Maps built by halley_of, konig_of and
     chebyshev_halley_of carry their method ('halley', 'konig(n)',
-    'chebyshev(sigma)'), their Source and their finite fixed points in
-    find_roots order; bare quotients carry None."""
+    'chebyshev(sigma)'), their Source, their finite fixed points in
+    find_roots order and free_critical (f, orders, kept: see
+    free_critical_points); bare quotients carry None."""
 
     num: Polynomial
     den: Polynomial
     method: str | None = None
     source: Source | None = None
     fixed: tuple[complex, ...] | None = None
+    free_critical: tuple | None = None
 
     @property
     def degree(self) -> int:
@@ -209,17 +212,20 @@ def _checked_source(p: Polynomial) -> Source:
 
 
 def _reduced_map(method: str, src: Source, num: Polynomial, den: Polynomial,
-                 cancel, fixed) -> RationalMap:
+                 cancel, fixed, critical) -> RationalMap:
     """num / den cancelled at the (point, order) pairs of cancel, carrying
-    method, src and the RootClusters fixed (or None); DegenerateMap when num
-    or den left double precision (a zero or non-finite coefficient list)."""
+    method, src, the RootClusters fixed (or None) and free_critical;
+    DegenerateMap when num or den left double precision (a zero,
+    subnormal or non-finite coefficient)."""
     if num.is_zero or den.is_zero or not all(
-            cmath.isfinite(c) for c in num.coeffs + den.coeffs):
+            cmath.isfinite(c) and not 0 < abs(c) < sys.float_info.min
+            for c in num.coeffs + den.coeffs):
         raise DegenerateMap(f"{method} map coefficients overflow or underflow "
                             "double precision")
     if fixed is not None:
         fixed = tuple(sorted((c.location for c in fixed), key=lambda z: (z.real, z.imag)))
-    return replace(make_reduced(num, den, cancel), method=method, source=src, fixed=fixed)
+    return replace(make_reduced(num, den, cancel), method=method, source=src, fixed=fixed,
+                   free_critical=critical)
 
 
 def _other_zeros(f: Polynomial, orders, known) -> tuple[RootCluster, ...]:
@@ -233,6 +239,16 @@ def _other_zeros(f: Polynomial, orders, known) -> tuple[RootCluster, ...]:
     if rest.degree < 1:
         return ()
     return tuple(c for c in find_roots(rest) if matching_point(c.location, known) is None)
+
+
+def _halley_critical(src: Source):
+    """Halley's free_critical: H' = p^2 E / (2p'^2 - pp'')^2, and E vanishes
+    to order 2k - 4 at a k-fold root (k >= 3) and 2m - 2 at a critical
+    point of multiplicity m, where H is not critical (multiplier 1 + 2/m)."""
+    p, d2 = src.p, src.p.deriv(2)
+    e = (d2 * d2).scale(3.0) - (p.deriv() * p.deriv(3)).scale(2.0)
+    return e, [(r.location, 2 * r.multiplicity - 4) for r in src.roots] \
+        + [(c.location, 2 * c.multiplicity - 2) for c in src.critical], ()
 
 
 def halley_of(p: Polynomial) -> RationalMap:
@@ -250,7 +266,7 @@ def halley_of(p: Polynomial) -> RationalMap:
     cancel = [(r.location, 2 * (r.multiplicity - 1)) for r in src.roots]
     cancel += [(c.location, c.multiplicity - 1) for c in src.critical]
     return _reduced_map("halley", src, X * den - (p * dp).scale(2.0), den, cancel,
-                        src.roots + src.critical)
+                        src.roots + src.critical, _halley_critical(src))
 
 
 def _derivative_tower(p: Polynomial, n: int) -> list[Polynomial]:
@@ -284,6 +300,11 @@ def konig_of(p: Polynomial, n: int) -> RationalMap:
     q_{n-1} has degree (n-1)(d-1) and num one more for p of degree d, as
     their leading coefficients are never zero; DegenerateMap is raised when
     rounding left either one shorter.
+
+    K' = (n q_{n-1}^2 - (n-1) q_{n-2} q_n) / q_{n-1}^2 = p W / q_{n-1}^2 for
+    W = n q_{n-1} q_{n-2}' - (n-1) q_{n-2} q_{n-1}', of order n - 2 at a
+    simple root, 2(n-1)(k-1) - k at a k-fold one and 2(mu - 1) at a zero of
+    q_{n-2}, where K is not critical.  Koenig(3) reads Halley's E = W / p.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -297,7 +318,12 @@ def konig_of(p: Polynomial, n: int) -> RationalMap:
         q_prev, [(r.location, (n - 2) * (r.multiplicity - 1)) for r in src.roots], src.roots)
     cancel = [(r.location, (n - 1) * (r.multiplicity - 1)) for r in src.roots]
     cancel += [(c.location, c.multiplicity - 1) for c in extra]
-    return _reduced_map(f"konig({n})", src, num, q_cur, cancel, src.roots + extra)
+    critical = _halley_critical(src) if n == 3 else (
+        (q_cur * q_prev.deriv()).scale(float(n)) - (q_prev * q_cur.deriv()).scale(n - 1.0),
+        [(r.location, (n - 1) * max(2 * r.multiplicity - 2, 1) - r.multiplicity)
+         for r in src.roots]
+        + [(c.location, 2 * c.multiplicity - 2) for c in extra], ())
+    return _reduced_map(f"konig({n})", src, num, q_cur, cancel, src.roots + extra, critical)
 
 
 def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
@@ -317,11 +343,17 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
     found with f's factors divided out 2k - 2 times at a root (2k - 1 when
     2k^2 + (1 - 2 sigma) k(k-1) = 0) and m - 1 times at a critical point.
     If that search fails, the map carries no list (fixed_points root-finds).
+
+    R' = p^2 E_sigma / (2 den^2), E_sigma = 3(1 - sigma) p'^2 p''^2 - p'^3 p'''
+    + sigma(2 sigma - 1) p p''^3, of order 2r - 2k at a k-fold root (k >= 2)
+    with cancellation order r, one more where 2 sigma (k - 1) = 2k - 1.  An
+    m-fold critical point is a pole of order 2m + 1 (sigma = 0) or m, so a
+    critical point of R of multiplicity 2m or m - 1.  Chebyshev(1/2) reads E.
     """
     src = _checked_source(p)
-    dp = p.deriv()
-    pddp = p * p.deriv(2)
-    bracket = dp * dp - complex(sigma) * pddp
+    dp, d2 = p.deriv(), p.deriv(2)
+    dp2, pddp = dp * dp, p * d2
+    bracket = dp2 - complex(sigma) * pddp
     den = dp * bracket
 
     def root_order(k: int) -> int:
@@ -330,6 +362,12 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
     def fixed_order(k: int) -> int:
         return 2 * k - 1 if 2 * k * k + (1 - 2 * sigma) * (k * (k - 1)) == 0 else 2 * k - 2
 
+    def e_order(k: int) -> int:
+        return 2 * root_order(k) - 2 * k + int(2 * sigma * (k - 1) == 2 * k - 1)
+
+    def kept(m: int) -> int:
+        return 2 * m if sigma == 0 else m - 1
+
     cancel = [(r.location, root_order(r.multiplicity)) for r in src.roots]
     cancel += [(c.location, 2 * c.multiplicity - 1 if sigma == 0.5 else c.multiplicity - 1)
                for c in src.critical]
@@ -337,13 +375,21 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
     fixed = tuple(r for r in src.roots if root_order(r.multiplicity) < 3 * r.multiplicity - 2)
     try:
         fixed += src.critical if sigma == 0.5 else _other_zeros(
-            (dp * dp).scale(2.0) + pddp.scale(1 - 2 * complex(sigma)),
+            dp2.scale(2.0) + pddp.scale(1 - 2 * complex(sigma)),
             [(r.location, fixed_order(r.multiplicity)) for r in src.roots]
             + [(c.location, c.multiplicity - 1) for c in src.critical], src.roots + src.critical)
     except NonConvergence:
         fixed = None
     num = X * den - p * (bracket + pddp.scale(0.5))
-    return _reduced_map(f"chebyshev({sigma})", src, num, den, cancel, fixed)
+    d2sq = d2 * d2
+    critical = _halley_critical(src) if sigma == 0.5 else (
+        dp2 * (d2sq.scale(3 * (1 - sigma)) - dp * p.deriv(3))
+        + (pddp * d2sq).scale(sigma * (2 * sigma - 1)),
+        [(r.location, e_order(r.multiplicity)) for r in src.roots]
+        + [(c.location, 2 * c.multiplicity - 2 + kept(c.multiplicity)) for c in src.critical],
+        tuple(replace(c, multiplicity=kept(c.multiplicity))
+              for c in src.critical if kept(c.multiplicity)))
+    return _reduced_map(f"chebyshev({sigma})", src, num, den, cancel, fixed, critical)
 
 
 def eval_sphere(R: RationalMap, z):
@@ -480,39 +526,44 @@ def critical_points(R: RationalMap) -> list[RootCluster]:
 
 
 def free_critical_points(R: RationalMap, roots) -> list[RootCluster]:
-    """Critical points of R that do not coincide with any supplied root
-    (see matching_point).
+    """Critical points of R, with multiplicities, that do not coincide with
+    any supplied root (see matching_point).
 
     roots may hold complex numbers or RootCluster entries.
 
-    A Halley map with a source reads them off p.  H' = p^2 E / (2p'^2 - pp'')^2
-    with E = 3p''^2 - 2p'p''', so they are the zeros of E (degree 2d - 4)
-    that are neither roots nor critical points of p.  E vanishes to order
-    exactly 2k - 4 at a k-fold root (k >= 3) and 2l - 2 at an l-fold
-    non-root critical point (l >= 2), where H is not critical (its
-    multiplier there is 1 + 2/l); those factors are deflated from E before
-    root finding, so they cannot split into spurious nearby zeros.  If the
-    root search on E fails, or a zero left fails find_roots's residual gate
-    on R's own derivative numerator, the zeros of that numerator are found
-    instead, as for every other map.
+    A constructed map reads them off R.free_critical = (f, orders, kept),
+    as its constructor states: the zeros of f that match no root of p,
+    after deflating f count times at each (point, count) of orders so the
+    factors there cannot split into spurious nearby zeros, and the
+    RootClusters kept.  If that root search fails, or a zero found fails
+    find_roots's residual gate on R's own derivative numerator or moves by
+    over CLUSTER_RADIUS in a Newton step on it, that numerator's zeros are
+    found instead, as for a bare quotient.
     """
-    src, found = R.source, None
-    if R.method == "halley" and src is not None:
-        d2 = src.p.deriv(2)
-        e = (d2 * d2).scale(3.0) - (src.p.deriv() * src.p.deriv(3)).scale(2.0)
-        orders = ([(r.location, 2 * r.multiplicity - 4) for r in src.roots]
-                  + [(c.location, 2 * c.multiplicity - 2) for c in src.critical])
+    found = None
+    if R.free_critical is not None:
+        f, orders, kept = R.free_critical
         try:
-            found = list(_other_zeros(e, orders, src.roots + src.critical))
+            found = list(_other_zeros(f, orders, R.source.roots))
         except NonConvergence:
             pass
         c = np.array(_critical_numerator(R).coeffs, dtype=np.complex128)
         c /= np.abs(c).max()
-        if found and not all(residual_ok(c, w.location) for w in found):
+        if found and not all(residual_ok(c, w.location) and _newton_close(c, w) for w in found):
             found = None
+        found = None if found is None else found + list(kept)
     if found is None:
         found = critical_points(R)
     return [c for c in found if matching_point(c.location, roots) is None]
+
+
+def _newton_close(c: np.ndarray, w: RootCluster) -> bool:
+    """Whether a Newton step on the (m-1)-th derivative of c, for w's
+    multiplicity m, moves w.location by at most CLUSTER_RADIUS."""
+    for _ in range(w.multiplicity - 1):
+        c = c[1:] * np.arange(1, len(c))
+    dc = c[1:] * np.arange(1, len(c))
+    return abs(horner(c, w.location)) <= CLUSTER_RADIUS * abs(horner(dc, w.location))
 
 
 def poles(R: RationalMap) -> list[RootCluster]:

@@ -489,6 +489,90 @@ def test_cancellation_rules_match_exact_gcd(method):
             assert _t_order(num.gcd(den)) == _critical_rule(method, m, P), (h, m)
 
 
+def test_critical_polynomials_are_the_derivative_numerators():
+    # for a generic p: H' = p^2 E / (2p'^2 - pp'')^2 with E = 3p''^2 - 2p'p''';
+    # R' = p^2 E_sigma / (2 (p' b)^2) for Chebyshev-Halley with bracket b;
+    # K' = (n q_{n-1}^2 - (n-1) q_{n-2} q_n) / q_{n-1}^2, whose numerator is
+    # p W with W = n q_{n-1} q_{n-2}' - (n-1) q_{n-2} q_{n-1}' (W = p E at n = 3)
+    sp = pytest.importorskip("sympy")
+    z, s = sp.symbols("z sigma")
+    p = sp.Function("p")(z)
+    d1, d2, d3 = (p.diff(z, i) for i in (1, 2, 3))
+    e = 3 * d2 ** 2 - 2 * d1 * d3
+    halley = z - 2 * p * d1 / (2 * d1 ** 2 - p * d2)
+    assert sp.simplify(halley.diff(z) - p ** 2 * e / (2 * d1 ** 2 - p * d2) ** 2) == 0
+    bracket = d1 ** 2 - s * p * d2
+    e_sigma = 3 * (1 - s) * d1 ** 2 * d2 ** 2 - d1 ** 3 * d3 + s * (2 * s - 1) * p * d2 ** 3
+    cheb = z - (1 + p * d2 / 2 / bracket) * p / d1
+    assert sp.simplify(cheb.diff(z) - p ** 2 * e_sigma / (2 * (d1 * bracket) ** 2)) == 0
+    assert sp.expand(e_sigma.subs(s, sp.Rational(1, 2)) - d1 ** 2 * e / 2) == 0
+    q = [sp.Integer(1)]
+    for k in range(6):
+        q.append(sp.expand(q[-1].diff(z) * p - (k + 1) * q[-1] * d1))
+    for n in range(2, 6):
+        numerator = n * q[n - 1] ** 2 - (n - 1) * q[n - 2] * q[n]
+        w = n * q[n - 1] * q[n - 2].diff(z) - (n - 1) * q[n - 2] * q[n - 1].diff(z)
+        konig = z + (n - 1) * q[n - 2] * p / q[n - 1]
+        assert sp.simplify(konig.diff(z) * q[n - 1] ** 2 - numerator) == 0
+        assert sp.expand(numerator - p * w) == 0
+    assert sp.expand(3 * q[2] * q[1].diff(z) - 2 * q[1] * q[2].diff(z) - p * e) == 0
+
+
+def _exact_critical(method, P):
+    """The critical polynomial a constructor states for method on the sympy
+    Poly P: Halley's E (also for Koenig(3) and Chebyshev(1/2)), Koenig's W
+    or Chebyshev's E_sigma."""
+    sp = pytest.importorskip("sympy")
+    d1 = P.diff()
+    d2 = d1.diff()
+    kind, arg = method
+    if kind == "halley" or method in (("konig", 3), ("chebyshev", "1/2")):
+        return 3 * d2 ** 2 - 2 * d1 * d2.diff()
+    if kind == "konig":
+        q = _exact_tower(P, arg - 1)
+        return arg * q[-1] * q[-2].diff() - (arg - 1) * q[-2] * q[-1].diff()
+    s = sp.Rational(arg)
+    return 3 * (1 - s) * d1 ** 2 * d2 ** 2 - d1 ** 3 * d2.diff() + s * (2 * s - 1) * P * d2 ** 3
+
+
+@pytest.mark.parametrize("method", RULE_METHODS,
+                         ids=lambda m: m[0] if m[1] is None else f"{m[0]}({m[1]})")
+def test_free_critical_orders_match_exact_arithmetic(method):
+    # each constructor's critical polynomial and its deflations, on p with
+    # a k-fold root (k = 1..4) or a non-root critical point of multiplicity
+    # m (m = 1..3) at 0, as in test_cancellation_rules_match_exact_gcd: at
+    # the root f is deflated to its full order in t; at the critical point
+    # what deflation leaves of f, plus the multiplicity kept there, is the
+    # reduced map's own derivative numerator's order
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(0)
+    t = sp.Symbol("t")
+    kind, arg = method
+    build = {"halley": halley_of, "konig": lambda p: konig_of(p, arg),
+             "chebyshev": lambda p: chebyshev_halley_of(p, float(sp.Rational(arg)))}[kind]
+    cases = [(True, sp.Poly(t ** k, t, domain="QQ") * _random_rational_poly(rng, t, 2))
+             for k in range(1, 5)]
+    cases += [(False, _random_rational_poly(rng, t, 0)
+               + sp.Poly(t ** (m + 1), t, domain="QQ") * _random_rational_poly(rng, t, 2))
+              for m in range(1, 4)]
+    for at_root, P in cases:
+        R = build(Polynomial.make([complex(c) for c in reversed(P.all_coeffs())]))
+        f, orders, kept = R.free_critical
+        C = _exact_critical(method, P)
+        want = np.array([complex(c) for c in reversed(C.all_coeffs())])
+        assert np.abs(np.array(f.coeffs) - want).max() <= 1e-12 * np.abs(want).max()
+        order = next((count for h, count in orders if abs(h) <= 1e-6), 0)
+        if at_root:
+            assert max(order, 0) == _t_order(C), P
+            continue
+        num, den = _exact_terms(method, P)
+        g = num.gcd(den)
+        num, den = num.quo(g), den.quo(g)
+        kept_here = next((c.multiplicity for c in kept if abs(c.location) <= 1e-6), 0)
+        assert 0 <= order <= _t_order(C), P
+        assert _t_order(C) - order + kept_here == _t_order(num.diff() * den - num * den.diff()), P
+
+
 @pytest.mark.parametrize("sigma", ["0", "1", "3/2", "2", "5/2", "11/6"])
 def test_chebyshev_fixed_point_orders_match_exact_arithmetic(sigma):
     # chebyshev_halley_of searches f = 2p'^2 + (1 - 2 sigma) p p'' for fixed
@@ -525,14 +609,30 @@ def test_konig_critical_order_is_no_rule_in_the_multiplicity():
     assert _t_order(num.gcd(den)) == _critical_rule(("konig", 6), 2, P) == 1
 
 
-def test_halley_free_critical_points_keep_off_the_roots():
+# the benchmark corpus's pool entry 17, by its roots
+POOL_17 = [1.354 + 0.532j] * 3 + [0.402 + 1.404j] + [1.123 + 0.987j] * 3 + [-0.481 - 0.775j]
+
+
+@pytest.mark.parametrize("method, roots", [
+    pytest.param("halley", None, id="halley"),
+    pytest.param("konig(3)", None, id="konig(3)"),
+    pytest.param("chebyshev(1/2)", None, id="chebyshev(1/2)"),
+    pytest.param("chebyshev(1/2)", POOL_17, id="pool-17-chebyshev(1/2)")])
+def test_halley_free_critical_points_keep_off_the_roots(method, roots):
     # E2's seed-3 entry 6: the derivative numerator's double zero at the
     # simple root near 0.0765-0.0068j once split into two "free" critical
-    # points 2.1e-6 from it
-    p = random_corpus(50, seed=CORPUS_SEED + 3)[6]
-    h = halley_of(p)
-    for c in free_critical_points(h, h.source.roots):
-        assert min(abs(c.location - r.location) for r in h.source.roots) > 1e-4
+    # points 2.1e-6 from it; konig(3) and chebyshev(1/2), Halley's map
+    # built another way, did so there and on pool entry 17 until they read
+    # Halley's E
+    if roots is None:
+        p = random_corpus(50, seed=CORPUS_SEED + 3)[6]
+    else:
+        p = Polynomial.from_roots(roots)
+    R = ORACLE_METHODS[method][1](p)
+    free = free_critical_points(R, R.source.roots)
+    assert len(free) == len(free_critical_points(halley_of(p), R.source.roots))
+    for c in free:
+        assert min(abs(c.location - r.location) for r in R.source.roots) > 1e-4
 
 
 def test_halley_special_points_come_from_the_source(monkeypatch):
@@ -540,29 +640,55 @@ def test_halley_special_points_come_from_the_source(monkeypatch):
     q = Polynomial.from_roots([1, 1, -1, 2j, -2j])
     maps = [halley_of(p), halley_of(q), konig_of(q, 4), chebyshev_halley_of(q, 0)]
     want_fixed = [fixed_points(RationalMap(R.num, R.den)) for R in maps]
-    h = maps[0]
-    want_free = free_critical_points(RationalMap(h.num, h.den), h.source.roots)
+    free_maps = [maps[0], maps[2], maps[3]]
+    want_free = [free_critical_points(RationalMap(R.num, R.den), R.source.roots)
+                 for R in free_maps]
     degrees = []
     monkeypatch.setattr(ratmap, "find_roots",
                         lambda f, **kw: degrees.append(f.degree) or find_roots(f, **kw))
     # no root finding for fixed points, in any family; for critical points
-    # only 3p''^2 - 2p'p''' = 672 z^5 (6z^7 + 1), of degree 2d - 4
+    # only the rest of each map's own critical polynomial: for z^8 - z,
+    # 3p''^2 - 2p'p''' = 672 z^5 (6z^7 + 1) of degree 2d - 4 = 12; for q
+    # (d = 5), Koenig(4)'s W of degree 2(n - 1)(d - 1) - d = 19 less 2 at
+    # each simple root and 4 at the double root 1, and Chebyshev's E_sigma
+    # of degree 4d - 6 = 14 less 2 at the double root and 2 at each of p's
+    # three simple non-root critical points
     got_fixed = [fixed_points(R) for R in maps]
-    got_free = free_critical_points(h, h.source.roots)
-    assert degrees == [12]
-    assert len(got_free) == len(want_free) == 7
+    got_free = [free_critical_points(R, R.source.roots) for R in free_maps]
+    assert degrees == [12, 9, 6]
+    # those critical points are triple poles of the Chebyshev map: double
+    # critical points, kept from the Source
+    assert [sorted(c.multiplicity for c in f) for f in got_free] == \
+        [[1] * 7, [1] * 9, [1] * 6 + [2] * 3]
+    for got, want in zip(got_free, want_free):
+        assert sorted(c.multiplicity for c in got) == sorted(c.multiplicity for c in want)
+        assert all(ratmap.matching_point(c.location, want) for c in got)
     for got, want in zip(got_fixed, want_fixed):
         assert len(got) == len(want)
         assert max(abs(a - b) for a, b in zip(got[:-1], want[:-1])) < 1e-9
-    # a source that does not fit the map fails the residual gate, and the
-    # map's own polynomials are root-found instead; so does a list of fixed
-    # points with a moved point (not fixed) or a point short (miscounted)
-    moved = Source(p + Polynomial.make([0, 0, 1e-3]), h.source.roots,
-                   tuple(replace(c, location=c.location + 1e-3) for c in h.source.critical))
-    assert free_critical_points(replace(h, source=moved), h.source.roots) == want_free
+    # a critical polynomial that does not fit the map fails the gate, and
+    # the map's own polynomials are root-found instead; so does a list of
+    # fixed points with a moved point (not fixed) or a point short
+    # (miscounted).  The change is high in f: deflation drops the low terms
+    for R, want in zip(free_maps[:2], want_free):
+        f, orders, kept = R.free_critical
+        moved = (f + Polynomial.make([0] * f.degree + [1e-3 * f.lead]), orders, kept)
+        assert free_critical_points(replace(R, free_critical=moved), R.source.roots) == want
     for R, want in zip(maps, want_fixed):
         assert fixed_points(replace(R, fixed=(R.fixed[0] + 1e-3,) + R.fixed[1:])) == want
         assert fixed_points(replace(R, fixed=R.fixed[1:])) == want
+
+
+def test_free_critical_points_reject_a_closed_form_that_lost_accuracy():
+    # the benchmark corpus's pool entry 28 at konig(4): dividing W's zeros
+    # of order 4 and 9 at the double and triple roots out of its rounded
+    # coefficients moves the zeros left by up to 0.19, though each passes
+    # the residual gate; the Newton step on R's own numerator rejects them
+    p = Polynomial.from_roots([-0.149 - 0.821j] * 2 + [-1.154 - 0.64j] * 2
+                              + [-0.675 - 0.329j] * 3)
+    R = konig_of(p, 4)
+    got = free_critical_points(R, R.source.roots)
+    assert got == free_critical_points(RationalMap(R.num, R.den), R.source.roots)
 
 
 def test_chebyshev_map_builds_when_its_fixed_point_search_fails(monkeypatch):
@@ -592,8 +718,7 @@ def test_pool_17_fixed_points_off_the_roots_fall_back():
     # the benchmark corpus's pool entry 17: konig(4) and chebyshev(0) have
     # fixed points more than FIXED_RTOL from the Source's roots that they
     # list, so fixed_points root-finds them and classification succeeds
-    p = Polynomial.from_roots([1.354 + 0.532j] * 3 + [0.402 + 1.404j] + [1.123 + 0.987j] * 3
-                              + [-0.481 - 0.775j])
+    p = Polynomial.from_roots(POOL_17)
     for R in (konig_of(p, 4), chebyshev_halley_of(p, 0)):
         assert not all(ratmap.is_fixed_point(R, z) for z in R.fixed)
         assert len(classify_fixed_points(p, R)) == R.degree + 1
@@ -658,10 +783,9 @@ def test_halley_special_points_match_exact_oracle(method, poly):
     g = num.gcd(den)
     num, den = num.quo(g), den.quo(g)
     R = build(Polynomial.make(coeffs))
-    if method == "halley":
-        free = free_critical_points(R, R.source.roots)
-        _assert_same_zeros([(c.location, c.multiplicity) for c in free],
-                           _exact_zeros(num.diff() * den - num * den.diff(), exclude=P))
+    free = free_critical_points(R, R.source.roots)
+    _assert_same_zeros([(c.location, c.multiplicity) for c in free],
+                       _exact_zeros(num.diff() * den - num * den.diff(), exclude=P))
     # fixed_points lists each fixed point once: every exact one is simple,
     # bar chebyshev(2)'s double ones, where only the locations are compared
     finite = [w for w in fixed_points(R) if not is_infinity(w)]
