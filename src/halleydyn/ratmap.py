@@ -224,8 +224,9 @@ def _reduced_map(method: str, src: Source, num: Polynomial, den: Polynomial,
                             "double precision")
     if fixed is not None:
         fixed = tuple(sorted((c.location for c in fixed), key=lambda z: (z.real, z.imag)))
+    f, orders, kept = critical
     return replace(make_reduced(num, den, cancel), method=method, source=src, fixed=fixed,
-                   free_critical=critical)
+                   free_critical=(f, tuple(orders), tuple(kept)))
 
 
 def _other_zeros(f: Polynomial, orders, known) -> tuple[RootCluster, ...]:

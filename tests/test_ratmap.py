@@ -15,7 +15,6 @@ from halleydyn.polycore import ONE, AffineMap, Polynomial, compose_affine, find_
 from halleydyn.ratmap import (
     INF,
     RationalMap,
-    Source,
     chebyshev_halley_of,
     conjugate,
     degree_census,
@@ -639,6 +638,7 @@ def test_halley_special_points_come_from_the_source(monkeypatch):
     p = Polynomial.make([0, -1, 0, 0, 0, 0, 0, 0, 1])  # z^8 - z
     q = Polynomial.from_roots([1, 1, -1, 2j, -2j])
     maps = [halley_of(p), halley_of(q), konig_of(q, 4), chebyshev_halley_of(q, 0)]
+    assert len(set(maps)) == 4  # constructed maps stay hashable
     want_fixed = [fixed_points(RationalMap(R.num, R.den)) for R in maps]
     free_maps = [maps[0], maps[2], maps[3]]
     want_free = [free_critical_points(RationalMap(R.num, R.den), R.source.roots)
