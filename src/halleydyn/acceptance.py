@@ -150,14 +150,14 @@ def e3(seed: int) -> tuple[bool, str]:
     ]
     for p, want in named:
         R = halley_of(p)
-        census = degree_census(p, R)
+        census = degree_census(p)
         if R.degree != want or census.predicted_degree != want:
             return False, (f"named example degree {R.degree}, predicted "
                            f"{census.predicted_degree}, expected {want}")
     corpus = random_corpus(50, seed=CORPUS_SEED + seed)
     for p in corpus:
         R = halley_of(p)
-        census = degree_census(p, R)
+        census = degree_census(p)
         if R.degree != census.predicted_degree:
             return False, (f"degree {R.degree} != predicted "
                            f"{census.predicted_degree} for coeffs {p.coeffs}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import PropositionMismatch
 from .polycore import Polynomial
 from .ratmap import (SUPERATTRACTING_TOL, RationalMap, fixed_points, is_infinity,
-                     matching_point, multiplier_at, source_of)
+                     matching_point, multiplier_at)
 
 INDIFFERENCE_BAND = 1e-6
 PREDICTION_TOL = 1e-6
@@ -70,14 +70,12 @@ def classify_multiplier(lam: complex) -> str:
 def classify_fixed_points(p: Polynomial, R: RationalMap) -> list[FixedPointRecord]:
     """Records for every sphere fixed point of R, a map built from p.
 
-    Origins are read from R's source (found from p for a bare map) through
-    ratmap.matching_point.  When R.method is 'halley', PropositionMismatch
-    is raised if a measured multiplier strays more than PREDICTION_TOL
-    from the value its origin predicts, or if a fixed point has no
-    identifiable origin; other maps get predicted=None and may have
-    origin 'other'.
+    Origins are read from p.roots and p.critical through matching_point.
+    When R.method is 'halley', PropositionMismatch is raised if a measured
+    multiplier strays more than PREDICTION_TOL from the value its origin
+    predicts, or if a fixed point has no identifiable origin; other maps
+    get predicted=None and may have origin 'other'.
     """
-    src = source_of(p, R)
     halley = R.method == "halley"
     d = p.degree
     records = []
@@ -86,11 +84,11 @@ def classify_fixed_points(p: Polynomial, R: RationalMap) -> list[FixedPointRecor
         if is_infinity(fp):
             origin = Origin("infinity")
             predicted = complex((d + 1.0) / (d - 1.0)) if d >= 2 else None
-        elif (rc := matching_point(fp, src.roots)) is not None:
+        elif (rc := matching_point(fp, p.roots)) is not None:
             k = rc.multiplicity
             origin = Origin("root", k)
             predicted = complex((k - 1.0) / (k + 1.0))
-        elif (cc := matching_point(fp, src.critical)) is not None:
+        elif (cc := matching_point(fp, p.critical)) is not None:
             origin = Origin("critical", cc.multiplicity)
             predicted = complex(1.0 + 2.0 / cc.multiplicity)
         else:

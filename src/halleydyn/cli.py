@@ -20,7 +20,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, HalleyDynError
+from .errors import ConfigError, HalleyDynError, IOFailure
 from .polycore import Polynomial
 from .ratmap import (
     RationalMap,
@@ -362,15 +362,15 @@ def cmd_profile(args) -> int:
     p = build_polynomial(cfg)
     R = build_map(p, cfg.method)
     rows = real_axis_profile(R, cfg.x_min, cfg.x_max, cfg.samples)
-    if args.out:
-        profile_to_csv(rows, args.out)
-        sys.stdout.write(f"wrote {args.out} ({len(rows)} rows)\n")
-    else:
-        sys.stdout.write("x,Hx,Hx_minus_x,pole_flag\n")
-        for r in rows:
-            v = "" if r.value is None else f"{r.value:.12g}"
-            d = "" if r.delta is None else f"{r.delta:.12g}"
-            sys.stdout.write(f"{r.x:.12g},{v},{d},{r.pole_flag}\n")
+    if not args.out:
+        profile_to_csv(rows, sys.stdout)
+        return 0
+    try:
+        with open(args.out, "w", newline="") as fh:
+            profile_to_csv(rows, fh)
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc
+    sys.stdout.write(f"wrote {args.out} ({len(rows)} rows)\n")
     return 0
 
 

@@ -47,7 +47,6 @@ evaluator, so poles follow its one rule: z is a pole when
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 import os
 import threading
@@ -70,7 +69,6 @@ from .ratmap import (
     is_fixed_point,
     is_infinity,
     poles,
-    source_of,
 )
 
 CAPTURE_RADIUS = 1e-8
@@ -472,14 +470,15 @@ def _pool() -> ThreadPoolExecutor:
 
 
 def free_critical_fates(p: Polynomial, R: RationalMap) -> list[OrbitOutcome]:
-    """Orbit outcome for each free critical point of R, a map built from p.
+    """Orbit outcome for each free critical point of R, a map built from p,
+    with p.roots as the targets.
 
     Outcomes follow the order of free_critical_points, each orbit run for
     DEFAULT_MAX_ITER steps at CAPTURE_RADIUS.  Any cycle outcome
     flags a polynomial whose iteration traps an open set away from the
     roots.
     """
-    roots = [c.location for c in source_of(p, R).roots]
+    roots = [c.location for c in p.roots]
     crits = [c.location for c in free_critical_points(R, roots)]
     return orbit_outcomes(R, crits, roots, DEFAULT_MAX_ITER)
 
@@ -668,14 +667,11 @@ def real_axis_profile(R: RationalMap, x_min: float, x_max: float,
     return rows
 
 
-def profile_to_csv(rows: list[ProfileRow], path: str):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "Hx", "Hx_minus_x", "pole_flag"])
-        for row in rows:
-            writer.writerow([
-                f"{row.x!r}",
-                "" if row.value is None else f"{row.value!r}",
-                "" if row.delta is None else f"{row.delta!r}",
-                row.pole_flag,
-            ])
+def profile_to_csv(rows: list[ProfileRow], out):
+    """Write rows as CSV to the text stream out: a header line, then one
+    line per row with each value in repr form and a gap left empty."""
+    out.write("x,Hx,Hx_minus_x,pole_flag\n")
+    for row in rows:
+        v = "" if row.value is None else repr(row.value)
+        d = "" if row.delta is None else repr(row.delta)
+        out.write(f"{row.x!r},{v},{d},{row.pole_flag}\n")

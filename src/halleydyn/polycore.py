@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,10 @@ class Polynomial:
 
     The empty coefficient tuple is the zero polynomial.  All arithmetic
     trims the result so the leading coefficient is genuinely nonzero.
+
+    roots and critical are found at most once per object: cached_property
+    keeps each in the instance __dict__, which equality and hashing never
+    read.  An equal but distinct Polynomial finds its own.
     """
 
     coeffs: tuple[complex, ...]
@@ -132,6 +137,20 @@ class Polynomial:
         """Sum of |c_k| |z|**k, the rounding-error envelope of __call__."""
         return envelope(self.coeffs, z)
 
+    @cached_property
+    def roots(self) -> tuple["RootCluster", ...]:
+        """find_roots(self), as a tuple."""
+        return tuple(find_roots(self))
+
+    @cached_property
+    def critical(self) -> tuple["RootCluster", ...]:
+        """The zeros of p' that match no root (see matching_point), with
+        their multiplicities; empty below degree 2."""
+        if self.degree < 2:
+            return ()
+        return tuple(c for c in find_roots(self.deriv())
+                     if matching_point(c.location, self.roots) is None)
+
 
 X = Polynomial((0j, 1.0 + 0j))
 ONE = Polynomial((1.0 + 0j,))
@@ -170,6 +189,14 @@ class NormalizedForm:
     alpha: int
     beta: int
     p0: Polynomial
+
+
+def matching_point(z: complex, points):
+    """The first of points (complex numbers or RootClusters) within
+    CLUSTER_RADIUS of z, or None: the one rule identifying a computed
+    point with a known one."""
+    return next((h for h in points
+                 if abs(z - complex(getattr(h, "location", h))) <= CLUSTER_RADIUS), None)
 
 
 def horner(coeffs, z):
@@ -323,12 +350,11 @@ def _conjugate_paired(merged: list[tuple[complex, int]]) -> list[tuple[complex, 
 
 
 def residual_ok(c: np.ndarray, z: complex) -> bool:
-    """find_roots's exit gate: |c(z)| <= RESIDUAL_RTOL * envelope(c, z), for
-    coefficients c scaled to a largest modulus of 1."""
-    # coefficients below TRIM_RTOL*scale count as zero, so the residual
-    # envelope is not meaningful below that floor
-    env = max(envelope(c, z), TRIM_RTOL)
-    return abs(horner(c, z)) <= RESIDUAL_RTOL * env
+    """find_roots's exit gate: |c(z)| <= max(RESIDUAL_RTOL * envelope(c, z),
+    TRIM_RTOL), for coefficients c scaled to a largest modulus of 1."""
+    # coefficients below TRIM_RTOL*scale count as zero, so a residual below
+    # that floor is zero too
+    return abs(horner(c, z)) <= max(RESIDUAL_RTOL * envelope(c, z), TRIM_RTOL)
 
 
 def _companion_clusters(c: np.ndarray):

@@ -13,9 +13,9 @@ constructor: at a k-fold root 2(k-1) for Halley, (n-1)(k-1) for Koenig(n)
 and 3(k-1) or 3k-2 for Chebyshev-Halley; at a critical point of
 multiplicity m, m - 1 (2m - 1 for Chebyshev-Halley at sigma = 1/2); at a
 zero of q_{n-2} of multiplicity mu, mu - 1.  The roots and critical
-points come from p's Source, which source_of finds once per Polynomial
-object and keeps on it, so every map and census built from one p shares
-one find_roots on p and one on p'.
+points are p.roots and p.critical, which each Polynomial object finds
+once, so every map and census built from one p shares one find_roots on
+p and one on p'.
 
 eval_sphere is the one evaluator of a map on the sphere, for single
 points and whole arrays alike.  A point z is a pole when den(z) is lost
@@ -68,6 +68,7 @@ from .polycore import (
     envelope,
     find_roots,
     horner,
+    matching_point,
     residual_ok,
 )
 
@@ -78,11 +79,6 @@ LOCAL_DEGREE_RTOL = 1e-7
 SUPERATTRACTING_TOL = 1e-8
 IDENTITY_RTOL = 1e-9
 
-# the key of a Polynomial's instance __dict__ that holds its Source; not
-# an identifier, so it never shadows or reads as an attribute
-_SOURCE_KEY = "ratmap.source"
-
-
 INF = complex(math.inf, 0.0)  # the point at infinity, as eval_sphere writes it
 
 
@@ -92,27 +88,18 @@ def is_infinity(z) -> bool:
 
 
 @dataclass(frozen=True)
-class Source:
-    """The polynomial a map is built from, with its roots and the critical
-    points of p that are not roots, each with its multiplicity."""
-
-    p: Polynomial
-    roots: tuple[RootCluster, ...]
-    critical: tuple[RootCluster, ...]
-
-
-@dataclass(frozen=True)
 class RationalMap:
     """num / den on the sphere.  Maps built by halley_of, konig_of and
     chebyshev_halley_of carry their method ('halley', 'konig(n)',
-    'chebyshev(sigma)'), their Source, their finite fixed points in
+    'chebyshev(sigma)'), the Polynomial they were built from as source
+    (with its roots and critical points), their finite fixed points in
     find_roots order and free_critical (f, orders, kept: see
     free_critical_points); bare quotients carry None."""
 
     num: Polynomial
     den: Polynomial
     method: str | None = None
-    source: Source | None = None
+    source: Polynomial | None = None
     fixed: tuple[complex, ...] | None = None
     free_critical: tuple | None = None
 
@@ -170,51 +157,20 @@ def make_reduced(num: Polynomial, den: Polynomial, cancel=()) -> RationalMap:
     return RationalMap(Polynomial.make(nw), Polynomial.make(dw))
 
 
-def matching_point(z: complex, points):
-    """The first of points (complex numbers or RootClusters) within
-    CLUSTER_RADIUS of z, or None: the one rule identifying a computed
-    point with a known one."""
-    return next((h for h in points
-                 if abs(z - complex(getattr(h, "location", h))) <= CLUSTER_RADIUS), None)
-
-
-def source_of(p: Polynomial, R: RationalMap | None = None) -> Source:
-    """R's source when R was built from p; else p with its roots and its
-    non-root critical points, from one find_roots on p and one on p'.
-
-    The Source is found at most once per Polynomial object: it is kept in
-    p's instance __dict__ (as functools.cached_property does on a frozen
-    dataclass), and every later call on p returns it.  An equal but
-    distinct Polynomial finds its own.
-    """
-    if R is not None and R.source is not None and R.source.p == p:
-        return R.source
-    src = vars(p).get(_SOURCE_KEY)
-    if src is None:
-        roots = tuple(find_roots(p))
-        critical: tuple = ()
-        if p.degree >= 2:
-            critical = tuple(c for c in find_roots(p.deriv())
-                             if matching_point(c.location, roots) is None)
-        src = vars(p)[_SOURCE_KEY] = Source(p, roots, critical)
-    return src
-
-
-def _checked_source(p: Polynomial) -> Source:
-    """source_of(p) for a p whose maps iterate: DegenerateMap when p has a
-    single distinct root, as the iteration is then affine."""
+def _check_source(p: Polynomial) -> None:
+    """Check p as the source of a map that iterates: ValueError below
+    degree 1, and DegenerateMap when p.roots holds a single distinct root,
+    as the iteration is then affine."""
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    src = source_of(p)
-    if len(src.roots) < 2:
+    if len(p.roots) < 2:
         raise DegenerateMap("single distinct root gives an affine iteration")
-    return src
 
 
-def _reduced_map(method: str, src: Source, num: Polynomial, den: Polynomial,
+def _reduced_map(method: str, p: Polynomial, num: Polynomial, den: Polynomial,
                  cancel, fixed, critical) -> RationalMap:
     """num / den cancelled at the (point, order) pairs of cancel, carrying
-    method, src, the RootClusters fixed (or None) and free_critical;
+    method, the source p, the RootClusters fixed (or None) and free_critical;
     DegenerateMap when num or den left double precision (a zero,
     subnormal or non-finite coefficient)."""
     if num.is_zero or den.is_zero or not all(
@@ -225,7 +181,7 @@ def _reduced_map(method: str, src: Source, num: Polynomial, den: Polynomial,
     if fixed is not None:
         fixed = tuple(sorted((c.location for c in fixed), key=lambda z: (z.real, z.imag)))
     f, orders, kept = critical
-    return replace(make_reduced(num, den, cancel), method=method, source=src, fixed=fixed,
+    return replace(make_reduced(num, den, cancel), method=method, source=p, fixed=fixed,
                    free_critical=(f, tuple(orders), tuple(kept)))
 
 
@@ -242,14 +198,14 @@ def _other_zeros(f: Polynomial, orders, known) -> tuple[RootCluster, ...]:
     return tuple(c for c in find_roots(rest) if matching_point(c.location, known) is None)
 
 
-def _halley_critical(src: Source):
+def _halley_critical(p: Polynomial):
     """Halley's free_critical: H' = p^2 E / (2p'^2 - pp'')^2, and E vanishes
     to order 2k - 4 at a k-fold root (k >= 3) and 2m - 2 at a critical
     point of multiplicity m, where H is not critical (multiplier 1 + 2/m)."""
-    p, d2 = src.p, src.p.deriv(2)
+    d2 = p.deriv(2)
     e = (d2 * d2).scale(3.0) - (p.deriv() * p.deriv(3)).scale(2.0)
-    return e, [(r.location, 2 * r.multiplicity - 4) for r in src.roots] \
-        + [(c.location, 2 * c.multiplicity - 2) for c in src.critical], ()
+    return e, [(r.location, 2 * r.multiplicity - 4) for r in p.roots] \
+        + [(c.location, 2 * c.multiplicity - 2) for c in p.critical], ()
 
 
 def halley_of(p: Polynomial) -> RationalMap:
@@ -261,13 +217,13 @@ def halley_of(p: Polynomial) -> RationalMap:
     when p has a single distinct root; the iteration then collapses to an
     affine contraction onto that root.
     """
-    src = _checked_source(p)
+    _check_source(p)
     dp = p.deriv()
     den = (dp * dp).scale(2.0) - p * p.deriv(2)
-    cancel = [(r.location, 2 * (r.multiplicity - 1)) for r in src.roots]
-    cancel += [(c.location, c.multiplicity - 1) for c in src.critical]
-    return _reduced_map("halley", src, X * den - (p * dp).scale(2.0), den, cancel,
-                        src.roots + src.critical, _halley_critical(src))
+    cancel = [(r.location, 2 * (r.multiplicity - 1)) for r in p.roots]
+    cancel += [(c.location, c.multiplicity - 1) for c in p.critical]
+    return _reduced_map("halley", p, X * den - (p * dp).scale(2.0), den, cancel,
+                        p.roots + p.critical, _halley_critical(p))
 
 
 def _derivative_tower(p: Polynomial, n: int) -> list[Polynomial]:
@@ -291,7 +247,7 @@ def konig_of(p: Polynomial, n: int) -> RationalMap:
     share a factor of order (n-1)(k-1) there.  Anywhere else they share a
     factor of order mu - 1 at each zero of q_{n-2} of multiplicity mu
     (q_{n-1} = q_{n-2}' p - (n-1) q_{n-2} p' vanishes to order mu - 1):
-    for Halley (n = 3) the Source's critical points, for z^8 - z and n = 4
+    for Halley (n = 3) p's critical points, for z^8 - z and n = 4
     the seven roots of 6z^7 + 1, found on q_{n-2} with the roots of p
     divided out at their orders (n-2)(k-1).  Their order is not a function
     of the critical multiplicity alone: on z^3 - 1 the double critical
@@ -309,22 +265,22 @@ def konig_of(p: Polynomial, n: int) -> RationalMap:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    src = _checked_source(p)
+    _check_source(p)
     *_, q_prev, q_cur = _derivative_tower(p, n - 1)
     num = X * q_cur + float(n - 1) * (q_prev * p)
     top = (n - 1) * (p.degree - 1)
     if q_cur.degree != top or num.degree != top + 1:
         raise DegenerateMap(f"konig({n}) coefficients overflow double precision")
-    extra = src.critical if n == 3 else _other_zeros(
-        q_prev, [(r.location, (n - 2) * (r.multiplicity - 1)) for r in src.roots], src.roots)
-    cancel = [(r.location, (n - 1) * (r.multiplicity - 1)) for r in src.roots]
+    extra = p.critical if n == 3 else _other_zeros(
+        q_prev, [(r.location, (n - 2) * (r.multiplicity - 1)) for r in p.roots], p.roots)
+    cancel = [(r.location, (n - 1) * (r.multiplicity - 1)) for r in p.roots]
     cancel += [(c.location, c.multiplicity - 1) for c in extra]
-    critical = _halley_critical(src) if n == 3 else (
+    critical = _halley_critical(p) if n == 3 else (
         (q_cur * q_prev.deriv()).scale(float(n)) - (q_prev * q_cur.deriv()).scale(n - 1.0),
         [(r.location, (n - 1) * max(2 * r.multiplicity - 2, 1) - r.multiplicity)
-         for r in src.roots]
+         for r in p.roots]
         + [(c.location, 2 * c.multiplicity - 2) for c in extra], ())
-    return _reduced_map(f"konig({n})", src, num, q_cur, cancel, src.roots + extra, critical)
+    return _reduced_map(f"konig({n})", p, num, q_cur, cancel, p.roots + extra, critical)
 
 
 def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
@@ -351,7 +307,7 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
     m-fold critical point is a pole of order 2m + 1 (sigma = 0) or m, so a
     critical point of R of multiplicity 2m or m - 1.  Chebyshev(1/2) reads E.
     """
-    src = _checked_source(p)
+    _check_source(p)
     dp, d2 = p.deriv(), p.deriv(2)
     dp2, pddp = dp * dp, p * d2
     bracket = dp2 - complex(sigma) * pddp
@@ -369,28 +325,28 @@ def chebyshev_halley_of(p: Polynomial, sigma: complex) -> RationalMap:
     def kept(m: int) -> int:
         return 2 * m if sigma == 0 else m - 1
 
-    cancel = [(r.location, root_order(r.multiplicity)) for r in src.roots]
+    cancel = [(r.location, root_order(r.multiplicity)) for r in p.roots]
     cancel += [(c.location, 2 * c.multiplicity - 1 if sigma == 0.5 else c.multiplicity - 1)
-               for c in src.critical]
+               for c in p.critical]
     # where the bracket lost its leading term, R maps the root elsewhere
-    fixed = tuple(r for r in src.roots if root_order(r.multiplicity) < 3 * r.multiplicity - 2)
+    fixed = tuple(r for r in p.roots if root_order(r.multiplicity) < 3 * r.multiplicity - 2)
     try:
-        fixed += src.critical if sigma == 0.5 else _other_zeros(
+        fixed += p.critical if sigma == 0.5 else _other_zeros(
             dp2.scale(2.0) + pddp.scale(1 - 2 * complex(sigma)),
-            [(r.location, fixed_order(r.multiplicity)) for r in src.roots]
-            + [(c.location, c.multiplicity - 1) for c in src.critical], src.roots + src.critical)
+            [(r.location, fixed_order(r.multiplicity)) for r in p.roots]
+            + [(c.location, c.multiplicity - 1) for c in p.critical], p.roots + p.critical)
     except NonConvergence:
         fixed = None
     num = X * den - p * (bracket + pddp.scale(0.5))
     d2sq = d2 * d2
-    critical = _halley_critical(src) if sigma == 0.5 else (
+    critical = _halley_critical(p) if sigma == 0.5 else (
         dp2 * (d2sq.scale(3 * (1 - sigma)) - dp * p.deriv(3))
         + (pddp * d2sq).scale(sigma * (2 * sigma - 1)),
-        [(r.location, e_order(r.multiplicity)) for r in src.roots]
-        + [(c.location, 2 * c.multiplicity - 2 + kept(c.multiplicity)) for c in src.critical],
+        [(r.location, e_order(r.multiplicity)) for r in p.roots]
+        + [(c.location, 2 * c.multiplicity - 2 + kept(c.multiplicity)) for c in p.critical],
         tuple(replace(c, multiplicity=kept(c.multiplicity))
-              for c in src.critical if kept(c.multiplicity)))
-    return _reduced_map(f"chebyshev({sigma})", src, num, den, cancel, fixed, critical)
+              for c in p.critical if kept(c.multiplicity)))
+    return _reduced_map(f"chebyshev({sigma})", p, num, den, cancel, fixed, critical)
 
 
 def eval_sphere(R: RationalMap, z):
@@ -599,21 +555,20 @@ def local_degree_at(R: RationalMap, z0) -> int:
     return mult + 1
 
 
-def degree_census(p: Polynomial, R: RationalMap | None = None) -> DegreeCensus:
+def degree_census(p: Polynomial) -> DegreeCensus:
     """Count data predicting deg(halley_of(p)) = 2N + s - B - 1.
 
     N is the number of distinct roots; s counts critical points of p of
     multiplicity >= 2 that are not roots of p, and B is their cumulative
-    multiplicity.  The counts come from source_of(p, R), so a map
-    built from p lends its source.
+    multiplicity.  The counts come from p.roots and p.critical, which a
+    map built from the same p object has already found.
     """
-    src = source_of(p, R)
-    special = [c.multiplicity for c in src.critical if c.multiplicity >= 2]
+    special = [c.multiplicity for c in p.critical if c.multiplicity >= 2]
     return DegreeCensus(
-        distinct_roots=len(src.roots),
+        distinct_roots=len(p.roots),
         special_count=len(special),
         special_total_multiplicity=sum(special),
-        predicted_degree=2 * len(src.roots) + len(special) - sum(special) - 1,
+        predicted_degree=2 * len(p.roots) + len(special) - sum(special) - 1,
     )
 
 

@@ -121,7 +121,7 @@ def _rotation_consistent(grid, labels, centers, source, n) -> bool:
 
 def symmetry_report(R: RationalMap) -> SymmetryReport:
     """Cross-checked symmetry orders of a constructed map R and of the
-    polynomial p it was built from, read with p's roots from R.source.
+    polynomial p = R.source it was built from, read with p.roots.
     The grid covers REPORT_WINDOW at REPORT_RESOLUTION x REPORT_RESOLUTION
     pixels.
 
@@ -132,7 +132,7 @@ def symmetry_report(R: RationalMap) -> SymmetryReport:
     ContainmentError when the polynomial order fails to divide either
     map-side estimate.
     """
-    p, roots = R.source.p, R.source.roots
+    p, roots = R.source, R.source.roots
     if len(roots) < 3:
         raise ValueError("need at least three distinct roots")
     sigma_p = polynomial_symmetry_order(p)

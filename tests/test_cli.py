@@ -538,6 +538,18 @@ def test_profile_writes_csv(tmp_path, capsys):
     assert str(out_path) in msg
     header = out_path.read_text().splitlines()[0]
     assert header == "x,Hx,Hx_minus_x,pole_flag"
+    # one writer: stdout carries the very bytes --out writes
+    assert main(["profile", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.encode() == out_path.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["render", "profile"])
+def test_out_in_a_missing_directory_is_an_io_failure(tmp_path, capsys, command):
+    cfg_path = tmp_path / "job.cfg"
+    cfg_path.write_text(CUBIC_CFG if command == "render" else OCTIC_CFG)
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "no" / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numeric failure: IOFailure")
 
 
 def test_paperlab_single_criterion(capsys, monkeypatch):

@@ -688,7 +688,8 @@ def test_imaginary_axis_profile_via_rotation():
 def test_profile_round_trips_through_csv(tmp_path):
     rows = real_axis_profile(halley_of(OCTIC), -2.0, 2.0, samples=41)
     path = tmp_path / "profile.csv"
-    profile_to_csv(rows, str(path))
+    with open(path, "w", newline="") as fh:
+        profile_to_csv(rows, fh)
     with open(path, newline="") as fh:
         got = list(csv.reader(fh))
     assert got[0] == ["x", "Hx", "Hx_minus_x", "pole_flag"]

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from halleydyn import ratmap
+from halleydyn import polycore, ratmap
 from halleydyn.acceptance import CORPUS_SEED, random_corpus
 from halleydyn.classify import classify_fixed_points
 from halleydyn.errors import DegenerateMap, Indeterminate, NonConvergence, NotFixed
@@ -263,7 +263,7 @@ def test_reduction_keeps_a_tiny_constant_coefficient():
     # origin is no pole: no power of z may be shifted out
     p = Polynomial.from_roots([0.01] * 3 + [0.3] * 2 + [-0.3] * 2)
     h = halley_of(p)
-    assert h.degree == degree_census(p, h).predicted_degree == 5
+    assert h.degree == degree_census(p).predicted_degree == 5
     classify_fixed_points(p, h)
     p1 = Polynomial.from_roots([1 / 30] * 3 + [1.0] * 2 + [-1.0] * 2)
     T = AffineMap(1 / 0.3)
@@ -657,7 +657,7 @@ def test_halley_special_points_come_from_the_source(monkeypatch):
     got_free = [free_critical_points(R, R.source.roots) for R in free_maps]
     assert degrees == [12, 9, 6]
     # those critical points are triple poles of the Chebyshev map: double
-    # critical points, kept from the Source
+    # critical points, kept from p.critical
     assert [sorted(c.multiplicity for c in f) for f in got_free] == \
         [[1] * 7, [1] * 9, [1] * 6 + [2] * 3]
     for got, want in zip(got_free, want_free):
@@ -693,7 +693,7 @@ def test_free_critical_points_reject_a_closed_form_that_lost_accuracy():
 
 def test_chebyshev_map_builds_when_its_fixed_point_search_fails(monkeypatch):
     q = Polynomial.from_roots([1, 1, -1, 2j, -2j])
-    ratmap.source_of(q)  # p and p' root-found before the patch
+    q.roots, q.critical  # p and p' root-found before the patch
     degrees = []
 
     def fail_first(f, **kw):
@@ -702,7 +702,8 @@ def test_chebyshev_map_builds_when_its_fixed_point_search_fails(monkeypatch):
             raise NonConvergence("no convergence")
         return find_roots(f, **kw)
 
-    monkeypatch.setattr(ratmap, "find_roots", fail_first)
+    for module in (polycore, ratmap):
+        monkeypatch.setattr(module, "find_roots", fail_first)
     R = chebyshev_halley_of(q, 0)
     # the search on the rest of 2p'^2 + p p'' failed: the map is built as
     # usual, carries no list, and its fixed points are root-found on g
@@ -716,7 +717,7 @@ def test_chebyshev_map_builds_when_its_fixed_point_search_fails(monkeypatch):
 
 def test_pool_17_fixed_points_off_the_roots_fall_back():
     # the benchmark corpus's pool entry 17: konig(4) and chebyshev(0) have
-    # fixed points more than FIXED_RTOL from the Source's roots that they
+    # fixed points more than FIXED_RTOL from p's roots that they
     # list, so fixed_points root-finds them and classification succeeds
     p = Polynomial.from_roots(POOL_17)
     for R in (konig_of(p, 4), chebyshev_halley_of(p, 0)):
@@ -724,11 +725,40 @@ def test_pool_17_fixed_points_off_the_roots_fall_back():
         assert len(classify_fixed_points(p, R)) == R.degree + 1
 
 
+def _count_find_roots(monkeypatch) -> list:
+    """The degrees of the polynomials find_roots is called on from now on,
+    from polycore (p.roots, p.critical) and from ratmap alike."""
+    degrees = []
+
+    def counting(f, **kw):
+        degrees.append(f.degree)
+        return find_roots(f, **kw)
+
+    for module in (polycore, ratmap):
+        monkeypatch.setattr(module, "find_roots", counting)
+    return degrees
+
+
+def test_polynomial_finds_its_roots_and_critical_points_once(monkeypatch):
+    p = Polynomial.from_roots([0, 1, 1, -2, -2, -2])
+    degrees = _count_find_roots(monkeypatch)
+    assert p.roots == tuple(find_roots(p)) and degrees == [6]
+    # p' has the double root 1 and the triple root -2 as zeros; the two
+    # simple zeros off the roots are p's critical points
+    assert [c.multiplicity for c in p.critical] == [1, 1]
+    assert all(abs(p.deriv()(c.location)) <= 1e-12 for c in p.critical)
+    assert p.roots is p.roots and p.critical is p.critical and degrees == [6, 5]
+    R = halley_of(p)
+    assert R.source is p and degrees == [6, 5]
+    # an equal but distinct object finds its own, and hashes alike
+    q = Polynomial.make(p.coeffs)
+    assert q == p and hash(q) == hash(p) and q.roots == p.roots and degrees[2:] == [6]
+    assert q.critical == p.critical and degrees[2:] == [6, 5]
+
+
 def test_one_source_per_polynomial_object(monkeypatch):
     p = Polynomial.from_roots([0, 1, 1, -2, -2, -2])
-    degrees = []
-    monkeypatch.setattr(ratmap, "find_roots",
-                        lambda f, **kw: degrees.append(f.degree) or find_roots(f, **kw))
+    degrees = _count_find_roots(monkeypatch)
     halley_of(p), konig_of(p, 4), chebyshev_halley_of(p, 0), degree_census(p)
     # p and p' once, the rest of q_2 that konig_of(p, 4) searches, and the
     # rest of 2p'^2 + p p'' that chebyshev_halley_of(p, 0) searches
@@ -737,6 +767,17 @@ def test_one_source_per_polynomial_object(monkeypatch):
     degrees.clear()
     halley_of(Polynomial.make(p.coeffs))
     assert degrees == [6, 5]
+
+
+def test_halley_critical_points_with_a_root_at_the_origin():
+    # p(0) = 0, and the derivative numerator of p's Halley map has a double
+    # zero at 0 whose constant coefficient is rounding noise: find_roots
+    # deflates it as zero (below TRIM_RTOL), and its residual gate must
+    # then accept it rather than raise NonConvergence
+    R = halley_of(Polynomial.from_roots([0, 1, 1, -2, -2, -2]))
+    got = ratmap.critical_points(R)
+    assert R.degree == 5 and sum(c.multiplicity for c in got) == 2 * R.degree - 2
+    assert [c.multiplicity for c in got if abs(c.location) <= 1e-12] == [2]
 
 
 # exact oracle for the fixed points each constructor lists, and for the
