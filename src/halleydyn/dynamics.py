@@ -42,6 +42,13 @@ step-max_iter point gives its period.
 Every map application goes through ratmap.eval_sphere, the one sphere
 evaluator, so poles follow its one rule: z is a pole when
 |den(z)| <= POLE_RTOL * sum_k |d_k| |z|**k.
+
+Basin components are labelled by _component_ids: the runs of equal
+labels along each row are joined wherever two runs of the same label
+touch vertically, by a union-find over runs (Wu, Otoo & Suzuki 2009)
+whose trees are hooked and flattened as in Shiloach & Vishkin (1982).
+A grid is labelled once, on first use of BasinGrid.components, and every
+root's component on it is read from that one labelling.
 """
 
 from __future__ import annotations
@@ -52,10 +59,9 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import SeedUnlabeled
 from .polycore import Polynomial
@@ -125,6 +131,13 @@ class BasinGrid:
     @property
     def pixel_height(self) -> float:
         return 2.0 * self.window.half_height / self.height
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Component id of each pixel: pixels share one exactly when they
+        are joined by a 4-connected path of pixels of one label
+        (UNDECIDED pixels included), computed on first use."""
+        return _component_ids(self.labels)
 
     def pixel_centers(self) -> np.ndarray:
         return _centers(self.window, self.width, self.height,
@@ -486,23 +499,63 @@ def free_critical_fates(p: Polynomial, R: RationalMap) -> list[OrbitOutcome]:
 def immediate_basin_component(grid: BasinGrid, seed_point: complex):
     """4-connected same-label component containing seed_point.
 
-    Returns (mask, touches_border).  Raises SeedUnlabeled when the seed
-    pixel is undecided.
+    Returns (mask, touches_border).  The mask is read from
+    grid.components, so the grid is labelled once for all its seeds.
+    Raises SeedUnlabeled when the seed pixel is undecided, before any
+    labelling.
     """
     row, col = grid.locate(complex(seed_point))
-    return _component(grid.labels, row, col, seed_point)
-
-
-def _component(labels: np.ndarray, row: int, col: int, seed_point):
-    """(mask, touches_border) of the 4-connected same-label component of
-    labels through (row, col)."""
-    label = int(labels[row, col])
-    if label == UNDECIDED:
+    if grid.labels[row, col] == UNDECIDED:
         raise SeedUnlabeled(f"pixel at {seed_point} has no label")
-    comp_ids, _ = ndimage.label(labels == label)
-    mask = comp_ids == comp_ids[row, col]
+    return _component(grid.components, row, col)
+
+
+def _component(ids: np.ndarray, row: int, col: int):
+    """(mask, touches_border) of the component through (row, col), given
+    ids, a component id per pixel."""
+    mask = ids == ids[row, col]
     touches = bool(mask[0].any() or mask[-1].any() or mask[:, 0].any() or mask[:, -1].any())
     return mask, touches
+
+
+def _component_ids(a: np.ndarray) -> np.ndarray:
+    """int32 component id of each pixel of the 2-D array a: two pixels
+    share an id exactly when a 4-connected path of pixels of equal value
+    joins them.  Each id is the index of the first row run (in row-major
+    order) of its component.
+
+    The row runs of equal values are the nodes of a union-find, and an
+    edge joins the two runs over each stretch of columns where vertically
+    adjacent pixels are equal.  Every round hooks the larger root of each
+    edge whose ends have different roots to the smallest root it meets
+    there, then jumps pointers until every run points at its root.
+    Pointers only go to smaller runs, so there are no cycles, and each
+    round removes the larger root of every edge still split.
+    """
+    a = np.asarray(a)
+    height, width = a.shape
+    start = np.ones((height, width), dtype=bool)
+    np.not_equal(a[:, 1:], a[:, :-1], out=start[:, 1:])
+    runs = np.cumsum(start, dtype=np.int32).reshape(height, width)
+    runs -= 1
+    # one edge per stretch of columns over which the same two runs touch;
+    # across such a stretch a run starts in the lower row where one does
+    # in the upper
+    same = a[:-1] == a[1:]
+    first = same.copy()
+    first[:, 1:] &= ~same[:, :-1] | start[:-1, 1:]
+    upper, lower = runs[:-1][first], runs[1:][first]
+    root = np.arange(runs[-1, -1] + 1, dtype=np.int32)
+    while True:
+        ru, rl = root[upper], root[lower]
+        apart = ru != rl
+        if not apart.any():
+            return root[runs]
+        # runs joined in one tree stay joined: drop their edges
+        upper, lower, ru, rl = upper[apart], lower[apart], ru[apart], rl[apart]
+        np.minimum.at(root, np.maximum(ru, rl), np.minimum(ru, rl))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
 
 
 def boundedness_evidence(R: RationalMap, roots, grid: BasinGrid,
@@ -512,13 +565,15 @@ def boundedness_evidence(R: RationalMap, roots, grid: BasinGrid,
     grid holds the labels of classify_grid(R, roots, ...), and seed_point
     must lie in grid.window, in a root's basin: pixels beyond grid are
     labelled by roots alone, so a seed that grid labels with a cycle
-    raises ValueError.  The seed's component is measured in
-    grid.window and in that window enlarged 2x and 4x about its centre.
-    Evidence of boundedness requires the final component to avoid the
-    border while its area settles to within 1 percent of the previous
-    window's.
+    raises ValueError, and an undecided one SeedUnlabeled.  The seed's
+    component is measured in grid.window and in that window enlarged 2x
+    and 4x about its centre.  Evidence of boundedness requires the final
+    component to avoid the border while its area settles to within 1
+    percent of the previous window's.
 
-    The first window's labels, area and border flag are read from grid.
+    The first window's component is read from grid.components, so it
+    shares the grid's one labelling; each enlarged window labels its
+    pixels of the seed's label once.
     The enlarged windows are sampled on grid's pixel lattice, extended
     outward as in _centers, so the pitch is exactly constant: each is the
     lattice rectangle of 2x or 4x grid's width and height about grid (an
@@ -537,7 +592,10 @@ def boundedness_evidence(R: RationalMap, roots, grid: BasinGrid,
             <= w.center.imag + w.half_height):
         raise ValueError(f"seed_point {seed_point} lies outside the first window")
     row, col = grid.locate(seed_point)
-    if UNDECIDED < grid.labels[row, col] < 0:
+    label = int(grid.labels[row, col])
+    if label == UNDECIDED:
+        raise SeedUnlabeled(f"pixel at {seed_point} has no label")
+    if label < 0:
         raise ValueError(f"seed_point {seed_point} lies in a cycle's basin")
     root_tuple = tuple(complex(r) for r in roots)
     windows, areas, touches = [], [], []
@@ -565,7 +623,8 @@ def boundedness_evidence(R: RationalMap, roots, grid: BasinGrid,
             labels[inner] = prev
             new[inner] = False
             labels[new] = _classify_points(R, z[new], root_tuple, (), grid.max_iter)[0]
-        comp, touch = _component(labels, row - r0, col - c0, seed_point)
+        ids = grid.components if scale == 1 else _component_ids(labels == label)
+        comp, touch = _component(ids, row - r0, col - c0)
         areas.append(float(comp.sum()) * grid.pixel_width * grid.pixel_height)
         touches.append(touch)
     stable = areas[-2] > 0 and abs(areas[-1] - areas[-2]) < 0.01 * areas[-2]

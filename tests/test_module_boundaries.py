@@ -1,7 +1,10 @@
-"""Modules of the package use only each other's public names, and carry no
-unused import or unreferenced private name."""
+"""Modules of the package use only each other's public names, carry no
+unused import or unreferenced private name, and load no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -64,3 +67,13 @@ def test_every_private_module_level_name_is_referenced():
         unreferenced += [f"{name}: {n}" for n in defined
                          if n.startswith("_") and not n.startswith("__") and n not in referenced]
     assert unreferenced == []
+
+
+def test_the_cli_loads_no_scipy():
+    # scipy costs a CLI call about half a second of import; numpy suffices
+    code = ("import sys, halleydyn.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
