@@ -93,6 +93,6 @@ from .paramsearch import (
     verify_cycle,
     xi_of,
 )
-from .render import ColorMap, default_palette, read_image, render_rgb, write_image
+from .render import default_palette, read_image, render_rgb, write_image
 
 __version__ = "0.1.0"

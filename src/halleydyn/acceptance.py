@@ -94,11 +94,12 @@ def random_corpus(count: int, seed: int) -> list[Polynomial]:
     return out
 
 
-def _two_root_power(k: int) -> Polynomial:
-    c = np.array([1.0])
-    for _ in range(k):
-        c = np.convolve(c, [-1.0, 0.0, 1.0])
-    return Polynomial.make(c)
+def _battery_grid(p: Polynomial):
+    """(R, roots, grid): p's Halley map R, p's root locations and R's basin
+    grid of [-2, 2]^2 at 800x800 with max_iter 200, as E1, E5 and E6 use."""
+    R = halley_of(p)
+    roots = [c.location for c in p.roots]
+    return R, roots, classify_grid(R, roots, Window(0j, 2.0, 2.0), 800, max_iter=200)
 
 
 def e1(seed: int) -> tuple[bool, str]:
@@ -106,10 +107,7 @@ def e1(seed: int) -> tuple[bool, str]:
     worst_labeled = 1.0
     worst_agree = 1.0
     for k in (1, 2, 3):
-        p = _two_root_power(k)
-        R = halley_of(p)
-        roots = [c.location for c in R.source.roots]
-        grid = classify_grid(R, roots, Window(0j, 2.0, 2.0), 800, max_iter=200)
+        _, roots, grid = _battery_grid(Polynomial.from_roots([1.0, -1.0] * k))
         xs = grid.pixel_centers().real
         sel = np.abs(xs) > 2.0 * grid.pixel_width
         lab = grid.labels[sel]
@@ -164,7 +162,7 @@ def e3(seed: int) -> tuple[bool, str]:
     return True, "3 named examples and 50 random polynomials all match"
 
 
-def _sphere_samples(rng, count: int) -> list[complex]:
+def _sphere_samples(rng, count: int) -> np.ndarray:
     """Mixed sample of moderate and large-modulus points."""
     out: list[complex] = []
     while len(out) < count:
@@ -174,11 +172,14 @@ def _sphere_samples(rng, count: int) -> list[complex]:
             w = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
             if abs(w) > 1e-7:
                 out.append(1.0 / w)
-    return out
+    return np.array(out, dtype=np.complex128)
 
 
 def e4(seed: int) -> tuple[bool, str]:
-    """konig(3) and chebyshev(1/2) agree with the Halley map pointwise."""
+    """konig(3) and chebyshev(1/2) agree with the Halley map pointwise at
+    the first 100 of 300 sphere samples (one eval_sphere call per map) that
+    are finite everywhere and not so close to a finite pole of H that
+    |H(z)| > 1e4 max(1, |z|), which also rules out H(z) = INF."""
     rng = np.random.default_rng(CORPUS_SEED + 1 + seed)
     corpus = random_corpus(10, seed=CORPUS_SEED + 2 + seed)
     worst = 0.0
@@ -186,25 +187,17 @@ def e4(seed: int) -> tuple[bool, str]:
         h = halley_of(p)
         k = konig_of(p, 3)
         g = chebyshev_halley_of(p, 0.5)
-        if not (is_infinity(eval_sphere(k, INF)) == is_infinity(eval_sphere(h, INF))
-                and is_infinity(eval_sphere(g, INF)) == is_infinity(eval_sphere(h, INF))):
+        if len({is_infinity(eval_sphere(R, INF)) for R in (h, k, g)}) > 1:
             return False, "sphere limits at infinity disagree"
-        checked = 0
-        for z in _sphere_samples(rng, 300):
-            hv = eval_sphere(h, z)
-            kv = eval_sphere(k, z)
-            gv = eval_sphere(g, z)
-            if any(is_infinity(v) for v in (hv, kv, gv)):
-                continue
-            if abs(hv) > 1e4 * max(1.0, abs(z)):
-                continue  # too close to a finite pole for a fair comparison
-            err = max(abs(kv - hv), abs(gv - hv)) / max(1.0, abs(hv))
-            worst = max(worst, err)
-            checked += 1
-            if checked == 100:
-                break
-        if checked < 100:
+        z = _sphere_samples(rng, 300)
+        hv, kv, gv = (eval_sphere(R, z) for R in (h, k, g))
+        bound = 1e4 * np.maximum(1.0, np.abs(z))
+        fair = np.flatnonzero(np.isfinite(kv) & np.isfinite(gv) & (np.abs(hv) <= bound))[:100]
+        if fair.size < 100:
             return False, "could not collect 100 finite sample points"
+        hv, kv, gv = hv[fair], kv[fair], gv[fair]
+        err = np.maximum(np.abs(kv - hv), np.abs(gv - hv)) / np.maximum(1.0, np.abs(hv))
+        worst = max(worst, float(err.max()))
     ok = worst < 1e-9
     return ok, f"10 polynomials x 100 sphere points, max rel err = {worst:.2e}"
 
@@ -219,8 +212,7 @@ def e5(seed: int) -> tuple[bool, str]:
     ]
     worst_label = 1.0
     for p, central_target in cases:
-        R = halley_of(p)
-        roots = [c.location for c in R.source.roots]
+        R, roots, grid = _battery_grid(p)
         fates = free_critical_fates(p, R)
         for f in fates:
             if f.kind != "root":
@@ -230,7 +222,6 @@ def e5(seed: int) -> tuple[bool, str]:
                     return False, (f"free critical orbit reached "
                                    f"{roots[f.root_index]}, expected "
                                    f"{central_target} for coeffs {p.coeffs}")
-        grid = classify_grid(R, roots, Window(0j, 2.0, 2.0), 800, max_iter=200)
         worst_label = min(worst_label, float((grid.labels != UNDECIDED).mean()))
     ok = worst_label >= 0.999
     return ok, (f"all free critical orbits on target, worst grid labeling "
@@ -241,10 +232,7 @@ def e6(seed: int) -> tuple[bool, str]:
     """Central basin bounded, outer basins unbounded, for z(z**n - 1)."""
     details = []
     for n in (7, 9):
-        p = Polynomial.make([0, -1] + [0] * (n - 1) + [1])
-        R = halley_of(p)
-        roots = [c.location for c in R.source.roots]
-        grid = classify_grid(R, roots, Window(0j, 2.0, 2.0), 800, max_iter=200)
+        R, roots, grid = _battery_grid(Polynomial.make([0, -1] + [0] * (n - 1) + [1]))
         rep = boundedness_evidence(R, roots, grid, 0j)
         if rep.touches[0]:
             return False, f"n={n}: central component touches the [-2,2]^2 border"

@@ -41,7 +41,7 @@ from .dynamics import (
     profile_to_csv,
 )
 from .symmetry import map_rotation_order, symmetry_report
-from .render import ColorMap, default_palette, write_image
+from .render import write_image
 from .paramsearch import (
     cycle_condition_polynomial,
     quintic_factor_problem,
@@ -279,9 +279,8 @@ def cmd_render(args) -> int:
     cycles = tuple(dict.fromkeys(f.cycle for f in fates if f.kind == "cycle"))
     grid = classify_grid(R, roots, window, cfg.res, max_iter=cfg.max_iter,
                          cycles=cycles)
-    cmap = ColorMap(palette=default_palette(max(8, len(roots))),
-                    shading=cfg.shading)
-    write_image(grid, cmap, args.out)
+    # by keyword: perfbench/tracer.py reads a third positional argument as the path
+    write_image(grid, path=args.out, shading=cfg.shading)
 
     out = sys.stdout
     out.write("# render summary\n")
@@ -361,6 +360,9 @@ def cmd_profile(args) -> int:
     cfg = load_config(args.config)
     p = build_polynomial(cfg)
     R = build_map(p, cfg.method)
+    if not R.is_real:
+        raise ConfigError(f"profile needs a real map: {cfg.method} of this "
+                          "polynomial has a non-real coefficient")
     rows = real_axis_profile(R, cfg.x_min, cfg.x_max, cfg.samples)
     if not args.out:
         profile_to_csv(rows, sys.stdout)

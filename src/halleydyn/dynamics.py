@@ -23,8 +23,8 @@ maps into itself, and the one about a cycle point maps into itself under
 the cycle's period, so an orbit that enters a disk never leaves its
 basin.
 
-classify_grid classifies half the grid of a real map.  When every
-coefficient of R has imaginary part exactly 0, the targets are closed
+classify_grid classifies half the grid of a real map.  When R.is_real
+(every coefficient has imaginary part exactly 0), the targets are closed
 under exact conjugation and the window is centred on the real axis, the
 kernel runs on the top ceil(H/2) rows only; each row below is its mirror
 row conjugated, with the same counts and each label sent to that of the
@@ -83,7 +83,6 @@ CYCLE_TOL = 1e-9
 PERIOD_CAP = 32
 UNDECIDED = int(np.iinfo(np.int32).min)
 MAX_ITER_LIMIT = int(np.iinfo(np.int32).max)  # iteration counts are int32
-REAL_COEFF_RTOL = 1e-9
 REAL_POINT_RTOL = 1e-7  # a point is real when |im| <= this * max(1, |re|)
 INTERVAL_SAMPLES = 7
 INTERVAL_MAX_ITER = 500
@@ -291,11 +290,10 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
     by cycle j get label -(j+1).  Identical inputs give identical grids;
     the iteration is plain dense float arithmetic with no randomness.
 
-    When every coefficient of R.num and R.den has imaginary part exactly
-    0, the window is centred on the real axis and the targets are closed
-    under exact conjugation (see _conjugation), only the top
-    ceil(height / 2) rows are classified.  Row i below them is row
-    height - 1 - i conjugated: the same iteration counts, and each label
+    When R.is_real (every coefficient has imaginary part exactly 0), the
+    window is centred on the real axis and the targets are closed under
+    exact conjugation (see _conjugation), only the top ceil(height / 2)
+    rows are classified.  Row i below them is row height - 1 - i conjugated: the same iteration counts, and each label
     sent to the label of its conjugate target.  Either way each pixel
     holds, bit for bit, what the kernel gives at its pixel_centers()
     entry (the module docstring says why).
@@ -323,15 +321,15 @@ def _conjugation(R: RationalMap, roots: tuple, cycles: tuple):
     """The label permutation that conjugation induces, as a function on
     label arrays, or None where the kernel may not commute with it.
 
-    It exists when every coefficient of R.num and R.den has imaginary part
-    exactly 0, the conjugate of each root is exactly a root, and the
-    conjugates of each cycle's points are exactly the points of a cycle.
+    It exists when R.is_real, the conjugate of each root is exactly a
+    root, and the conjugates of each cycle's points are exactly the points
+    of a cycle.
     Targets of different labels (duplicates among them) within
     3 CAPTURE_RADIUS of each other give None too: only targets within
     2 CAPTURE_RADIUS can tie for the nearest, where the first one wins
     whatever the conjugation does.  UNDECIDED maps to itself.
     """
-    if any(c.imag != 0 for poly in (R.num, R.den) for c in poly.coeffs):
+    if not R.is_real:
         return None
     targets = _targets(roots, cycles)
     for k, (label, t) in enumerate(targets):
@@ -633,10 +631,8 @@ def boundedness_evidence(R: RationalMap, roots, grid: BasinGrid,
 
 
 def _require_real(R: RationalMap):
-    for poly in (R.num, R.den):
-        scale = max(abs(c) for c in poly.coeffs)
-        if any(abs(c.imag) > REAL_COEFF_RTOL * scale for c in poly.coeffs):
-            raise ValueError("map must have real coefficients")
+    if not R.is_real:
+        raise ValueError("map must have real coefficients")
 
 
 def _is_real(z: complex) -> bool:
@@ -662,7 +658,7 @@ def interval_convergence_check(R: RationalMap, x1: float, x2: float) -> Interval
     kernel call).  Pass x2 = inf for the ray variant,
     which instead requires R(x) < x and predicts the left endpoint.
     The obstruction scan runs first, so hypothesis failures are reported
-    even when an endpoint is not fixed.
+    even when an endpoint is not fixed.  ValueError unless R.is_real.
     """
     _require_real(R)
     if not x1 < x2:
@@ -706,7 +702,7 @@ def real_axis_profile(R: RationalMap, x_min: float, x_max: float,
     Regular rows carry (x, R(x), R(x) - x, 0); samples falling on a pole
     emit a gap (value None).  Each real pole in range contributes a
     dedicated row with pole_flag 1 so the emitted table shows where the
-    graph breaks.
+    graph breaks.  ValueError unless R.is_real.
     """
     _require_real(R)
     if not x_min < x_max:

@@ -14,17 +14,8 @@ import cmath
 from dataclasses import dataclass
 from itertools import zip_longest
 
-import numpy as np
-
 from .errors import ExcludedParameter, NoCycle, PoleAtTwenty
-from .polycore import (
-    X,
-    Polynomial,
-    RootCluster,
-    deflate,
-    find_roots,
-    horner,
-)
+from .polycore import X, Polynomial, RootCluster, find_roots
 from .ratmap import RationalMap
 
 # roots of the discriminant of z**3 + 6z + b: the polynomial degenerates
@@ -112,23 +103,13 @@ def _as_polynomial(c) -> Polynomial:
     return c if isinstance(c, Polynomial) else Polynomial.make((c,))
 
 
-def divide_out_root(p: Polynomial, r: complex) -> tuple[Polynomial, float]:
-    """Synthetic division of p by (z - r): (quotient, |remainder|).
-
-    The remainder of the division is p(r)."""
-    if p.degree < 1:
-        raise ValueError("need degree >= 1")
-    quotient = deflate(np.array(p.coeffs, dtype=np.complex128), r)
-    return Polynomial.make(quotient), abs(horner(p.coeffs, r))
-
-
 def quintic_factor_problem(cond: Polynomial) -> str | None:
     """None when the cycle condition cond is (b + 7) times the quintic
     F_COEFFS, else what fails first: dividing out b = -7 must leave a
     remainder of at most 1e-6 of cond's largest coefficient, and each
     quotient coefficient must lie within 1e-8 of F_COEFFS (relative, with
     a floor of 1)."""
-    quotient, remainder = divide_out_root(cond, -7.0)
+    quotient, remainder = cond.deflated([(-7.0, 1)]), abs(cond(-7.0))
     lead = max(abs(c) for c in cond.coeffs)
     if not remainder <= 1e-6 * lead:
         return f"remainder {remainder:.2e} after dividing out (b+7)"

@@ -78,6 +78,11 @@ class Polynomial:
     def lead(self) -> complex:
         return self.coeffs[-1]
 
+    @property
+    def is_real(self) -> bool:
+        """Whether every coefficient's imaginary part is exactly 0."""
+        return not any(c.imag for c in self.coeffs)
+
     def __call__(self, z):
         return horner(self.coeffs, z)
 
@@ -133,9 +138,14 @@ class Polynomial:
         scale = max((abs(c) for c in self.coeffs), default=0.0)
         return [k for k, c in enumerate(self.coeffs) if abs(c) > rtol * scale]
 
-    def eval_scale(self, z) -> float:
-        """Sum of |c_k| |z|**k, the rounding-error envelope of __call__."""
-        return envelope(self.coeffs, z)
+    def deflated(self, pairs) -> "Polynomial":
+        """self divided by (z - h) count times for each (h, count) of pairs,
+        by synthetic division (deflate), each remainder discarded."""
+        w = np.array(self.coeffs, dtype=np.complex128)
+        for h, count in pairs:
+            for _ in range(count):
+                w = deflate(w, h)
+        return Polynomial.make(w)
 
     @cached_property
     def roots(self) -> tuple["RootCluster", ...]:
@@ -284,11 +294,12 @@ def find_roots(p: Polynomial) -> list[RootCluster]:
     p with multiplicity m+1 appears as a multiplicity-m root of p', where
     it is eventually simple and therefore accurately computable.
     Surviving locations closer than CLUSTER_RADIUS are merged, summing
-    multiplicity.  When every coefficient's imaginary part is exactly 0,
-    the clusters are paired by conjugation (see _conjugate_paired): a real
-    root has imaginary part exactly 0, and a non-real root of imaginary
-    part > 0 has its partner at exactly its .conjugate(), with the same
-    multiplicity.  Polynomials with non-real coefficients are left as found.
+    multiplicity.  When p.is_real (every coefficient's imaginary part is
+    exactly 0), the clusters are paired by conjugation (see
+    _conjugate_paired): a real root has imaginary part exactly 0, and a
+    non-real root of imaginary part > 0 has its partner at exactly its
+    .conjugate(), with the same multiplicity.  Polynomials with non-real
+    coefficients are left as found.
     Clusters come sorted by real part, then imaginary part.
 
     Raises NonConvergence when residuals stay above tolerance after
@@ -299,23 +310,24 @@ def find_roots(p: Polynomial) -> list[RootCluster]:
     scale = max(abs(c) for c in p.coeffs)
     c = np.array(p.coeffs, dtype=np.complex128) / scale
     try:
-        return _gated_clusters(p.degree, c, _roots_rec(c))
+        return _gated_clusters(p, c, _roots_rec(c))
     except NonConvergence:
         # heavy root clustering can stall the simultaneous iteration at
         # pseudo-equilibria; fall back to the companion-matrix cloud
-        return _gated_clusters(p.degree, c, _companion_clusters(c))
+        return _gated_clusters(p, c, _companion_clusters(c))
 
 
-def _gated_clusters(degree: int, c: np.ndarray, raw) -> list[RootCluster]:
-    """Merge raw (location, multiplicity) pairs and enforce the exit gates."""
+def _gated_clusters(p: Polynomial, c: np.ndarray, raw) -> list[RootCluster]:
+    """Merge raw (location, multiplicity) pairs of p's roots, for p's
+    scaled coefficients c, and enforce the exit gates."""
     merged = _merge(raw, CLUSTER_RADIUS)
     total = sum(m for _, m in merged)
-    if total != degree:
-        raise NonConvergence(f"found multiplicity total {total} for degree {degree}")
+    if total != p.degree:
+        raise NonConvergence(f"found multiplicity total {total} for degree {p.degree}")
     for loc, mult in merged:
         if not residual_ok(c, loc):
             raise NonConvergence(f"residual too large at {loc}")
-    if not c.imag.any():
+    if p.is_real:
         merged = _conjugate_paired(merged)
     merged.sort(key=lambda t: (t[0].real, t[0].imag))
     return [RootCluster(loc, m) for loc, m in merged]

@@ -64,7 +64,6 @@ from .polycore import (
     Polynomial,
     RootCluster,
     compose_affine,
-    deflate,
     envelope,
     find_roots,
     horner,
@@ -107,6 +106,11 @@ class RationalMap:
     def degree(self) -> int:
         return max(self.num.degree, self.den.degree)
 
+    @property
+    def is_real(self) -> bool:
+        """Whether num and den are both Polynomial.is_real."""
+        return self.num.is_real and self.den.is_real
+
     def __call__(self, z):
         return eval_sphere(self, z)
 
@@ -114,7 +118,7 @@ class RationalMap:
         """Quotient-rule derivative at a finite non-pole point."""
         nv = self.num(z)
         dv = self.den(z)
-        if abs(dv) <= POLE_RTOL * self.den.eval_scale(z):
+        if abs(dv) <= POLE_RTOL * envelope(self.den.coeffs, z):
             raise ZeroDivisionError("derivative at a pole")
         dn, dd = self.num.deriv()(z), self.den.deriv()(z)
         if dv * dv == 0:  # underflow: divide by dv twice, before multiplying
@@ -137,7 +141,7 @@ def make_reduced(num: Polynomial, den: Polynomial, cancel=()) -> RationalMap:
 
     Common powers of z, counted by coefficients that are exactly zero,
     are shifted out.  cancel holds (point, count) pairs; each point is
-    then deflated count times from both sides by synthetic division, less
+    then deflated count times from both sides (Polynomial.deflated), less
     the powers of z already shifted out when the point is the origin.
     """
     if den.is_zero:
@@ -148,13 +152,8 @@ def make_reduced(num: Polynomial, den: Polynomial, cancel=()) -> RationalMap:
     if t:
         num = Polynomial.make(num.coeffs[t:])
         den = Polynomial.make(den.coeffs[t:])
-    nw = np.array(num.coeffs, dtype=np.complex128)
-    dw = np.array(den.coeffs, dtype=np.complex128)
-    for h, count in cancel:
-        for _ in range(count - t if h == 0 else count):
-            nw = deflate(nw, h)
-            dw = deflate(dw, h)
-    return RationalMap(Polynomial.make(nw), Polynomial.make(dw))
+    pairs = [(h, count - t if h == 0 else count) for h, count in cancel]
+    return RationalMap(num.deflated(pairs), den.deflated(pairs))
 
 
 def _check_source(p: Polynomial) -> None:
@@ -167,15 +166,19 @@ def _check_source(p: Polynomial) -> None:
         raise DegenerateMap("single distinct root gives an affine iteration")
 
 
+def _in_double_range(f: Polynomial) -> bool:
+    """Whether f is nonzero with no subnormal or non-finite coefficient
+    (Polynomial.make trims coefficients that overflowed to inf away)."""
+    return not f.is_zero and all(cmath.isfinite(c) and not 0 < abs(c) < sys.float_info.min
+                                 for c in f.coeffs)
+
+
 def _reduced_map(method: str, p: Polynomial, num: Polynomial, den: Polynomial,
                  cancel, fixed, critical) -> RationalMap:
     """num / den cancelled at the (point, order) pairs of cancel, carrying
     method, the source p, the RootClusters fixed (or None) and free_critical;
-    DegenerateMap when num or den left double precision (a zero,
-    subnormal or non-finite coefficient)."""
-    if num.is_zero or den.is_zero or not all(
-            cmath.isfinite(c) and not 0 < abs(c) < sys.float_info.min
-            for c in num.coeffs + den.coeffs):
+    DegenerateMap when num or den left double precision (_in_double_range)."""
+    if not (_in_double_range(num) and _in_double_range(den)):
         raise DegenerateMap(f"{method} map coefficients overflow or underflow "
                             "double precision")
     if fixed is not None:
@@ -187,12 +190,11 @@ def _reduced_map(method: str, p: Polynomial, num: Polynomial, den: Polynomial,
 
 def _other_zeros(f: Polynomial, orders, known) -> tuple[RootCluster, ...]:
     """The zeros of f that match no point of known, with f first deflated
-    count times at each (point, count) of orders so they cannot split."""
-    w = np.array(f.coeffs, dtype=np.complex128)
-    for h, count in orders:
-        for _ in range(count):
-            w = deflate(w, h)
-    rest = Polynomial.make(w)
+    count times at each (point, count) of orders so they cannot split;
+    NonConvergence when orders count more zeros than rounding left f."""
+    if sum(count for _, count in orders) > f.degree:
+        raise NonConvergence(f"{f.degree} zeros cannot have the orders {orders}")
+    rest = f.deflated(orders)
     if rest.degree < 1:
         return ()
     return tuple(c for c in find_roots(rest) if matching_point(c.location, known) is None)
@@ -429,13 +431,13 @@ def fixed_points(R: RationalMap) -> list:
     """Sphere fixed points: roots of g = num - z*den, plus INF when R fixes it.
 
     R.fixed, the constructor's list, is returned unpolished when it has
-    deg g points, each passing is_fixed_point; else, as for a bare
-    quotient, g's roots are found.  A Koenig or Chebyshev-Halley map may
-    miss p's roots by over FIXED_RTOL.
+    deg g points, each passing is_fixed_point (one call for all); else,
+    as for a bare quotient, g's roots are found.  A Koenig or
+    Chebyshev-Halley map may miss p's roots by over FIXED_RTOL.
     """
     g = R.num - R.den.shifted_up(1)
     if R.fixed is not None and len(R.fixed) == g.degree \
-            and all(is_fixed_point(R, z) for z in R.fixed):
+            and is_fixed_point(R, np.array(R.fixed, dtype=np.complex128)).all():
         out = list(R.fixed)
     elif g.is_zero:
         raise Indeterminate("identity map has no isolated fixed points")
@@ -446,9 +448,10 @@ def fixed_points(R: RationalMap) -> list:
     return out
 
 
-def is_fixed_point(R: RationalMap, z: complex) -> bool:
-    """Whether R fixes the finite point z: |R(z) - z| <= FIXED_RTOL * max(1, |z|)."""
-    return abs(eval_sphere(R, z) - z) <= FIXED_RTOL * max(1.0, abs(z))
+def is_fixed_point(R: RationalMap, z):
+    """Whether R fixes the finite point z: |R(z) - z| <= FIXED_RTOL * max(1, |z|);
+    elementwise for an ndarray z, as eval_sphere takes."""
+    return np.abs(eval_sphere(R, z) - z) <= FIXED_RTOL * np.maximum(1.0, np.abs(z))
 
 
 def multiplier_at(R: RationalMap, z) -> complex:
@@ -469,8 +472,12 @@ def multiplier_at(R: RationalMap, z) -> complex:
 
 
 def _critical_numerator(R: RationalMap) -> Polynomial:
-    """num' den - num den', whose zeros are R's finite critical points."""
-    return R.num.deriv() * R.den - R.num * R.den.deriv()
+    """num' den - num den', whose zeros are R's finite critical points;
+    DegenerateMap when it left double precision (R not constant)."""
+    c = R.num.deriv() * R.den - R.num * R.den.deriv()
+    if R.degree > 0 and not _in_double_range(c):
+        raise DegenerateMap("derivative numerator overflows or underflows double precision")
+    return c
 
 
 def critical_points(R: RationalMap) -> list[RootCluster]:
@@ -500,12 +507,12 @@ def free_critical_points(R: RationalMap, roots) -> list[RootCluster]:
     found = None
     if R.free_critical is not None:
         f, orders, kept = R.free_critical
+        c = np.array(_critical_numerator(R).coeffs, dtype=np.complex128)
+        c /= np.abs(c).max()
         try:
             found = list(_other_zeros(f, orders, R.source.roots))
         except NonConvergence:
             pass
-        c = np.array(_critical_numerator(R).coeffs, dtype=np.complex128)
-        c /= np.abs(c).max()
         if found and not all(residual_ok(c, w.location) and _newton_close(c, w) for w in found):
             found = None
         found = None if found is None else found + list(kept)
@@ -548,7 +555,7 @@ def local_degree_at(R: RationalMap, z0) -> int:
     mult = 0
     q = _critical_numerator(R)
     while q.degree >= 0 and not q.is_zero:
-        if abs(q(z0)) > LOCAL_DEGREE_RTOL * max(q.eval_scale(z0), 1e-300):
+        if abs(q(z0)) > LOCAL_DEGREE_RTOL * max(envelope(q.coeffs, z0), 1e-300):
             break
         q = q.deriv()
         mult += 1

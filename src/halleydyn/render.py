@@ -1,12 +1,11 @@
 """Basin grid rasterization to binary PPM (P6).
 
-Output is byte deterministic: the same grid and color map always produce
-the identical file.
+Root i is drawn in default_palette colour i, cycle pixels in CYCLE_COLOR
+and undecided pixels in UNDECIDED_COLOR.  Output is byte deterministic:
+the same grid and shading always produce the identical file.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,51 +26,36 @@ def _hsv_bytes(h: float, s: float, v: float) -> tuple[int, int, int]:
 
 
 def default_palette(n: int) -> tuple:
-    """n visually distinct colors, spaced by the golden angle in hue."""
+    """n visually distinct colors, spaced by the golden angle in hue;
+    colour k is the same for every n > k."""
     return tuple(_hsv_bytes((0.12 + k * _GOLDEN_ANGLE) % 1.0, 0.65, 0.95)
                  for k in range(n))
 
 
-@dataclass(frozen=True)
-class ColorMap:
-    """Root palette and shading; cycle pixels take CYCLE_COLOR and
-    undecided pixels UNDECIDED_COLOR.
-
-    shading in [0, 1] dims each pixel by shading**(iterations/max_iter),
-    so late captures fade toward darkness and shading = 1 disables the
-    effect entirely.
-    """
-
-    palette: tuple = field(default_factory=lambda: default_palette(8))
-    shading: float = 0.55
-
-    def __post_init__(self):
-        if not 0.0 <= self.shading <= 1.0:
-            raise ValueError("shading must lie in [0, 1]")
-
-
-def render_rgb(grid: BasinGrid, cmap: ColorMap) -> np.ndarray:
-    """(height, width, 3) uint8 image of the grid under the color map."""
+def render_rgb(grid: BasinGrid, shading: float) -> np.ndarray:
+    """(height, width, 3) uint8 image of the grid in the module docstring's
+    colours, each pixel dimmed by shading**(iterations/max_iter): late
+    captures fade toward darkness, and shading = 1 disables the effect.
+    ValueError unless 0 <= shading <= 1."""
+    if not 0.0 <= shading <= 1.0:
+        raise ValueError("shading must lie in [0, 1]")
     labels = grid.labels
-    max_label = int(labels.max(initial=-1))
-    n = len(cmap.palette)
-    if max_label >= n:
-        raise ValueError(f"palette has {n} colors but label {max_label} occurs")
+    n = int(labels.max(initial=-1)) + 1
     # row n holds the cycle color, row n + 1 the undecided one
-    table = np.array([*cmap.palette, CYCLE_COLOR, UNDECIDED_COLOR], dtype=float)
+    table = np.array([*default_palette(n), CYCLE_COLOR, UNDECIDED_COLOR], dtype=float)
     row = np.where(labels >= 0, labels, np.where(labels == UNDECIDED, n + 1, n))
     rgb = table[row]
-    if cmap.shading < 1.0:
+    if shading < 1.0:
         expo = grid.iterations.astype(np.float64) / max(grid.max_iter, 1)
-        dim = np.power(cmap.shading, expo)  # 0.0**0.0 == 1.0 by convention
+        dim = np.power(shading, expo)  # 0.0**0.0 == 1.0 by convention
         rgb *= dim[:, :, None]
     rgb += 0.5
     return np.clip(rgb, 0.0, 255.0, out=rgb).astype(np.uint8)
 
 
-def write_image(grid: BasinGrid, cmap: ColorMap, path: str):
-    """Write the grid as a binary PPM (P6) file."""
-    rgb = render_rgb(grid, cmap)
+def write_image(grid: BasinGrid, path: str, shading: float):
+    """Write render_rgb(grid, shading) as a binary PPM (P6) file."""
+    rgb = render_rgb(grid, shading)
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
     try:
         with open(path, "wb") as fh:

@@ -464,6 +464,55 @@ def test_degenerate_map_exits_three(tmp_path, capsys):
     assert err.startswith("numeric failure: DegenerateMap") and "overflow" in err
 
 
+Z2_MINUS_1 = "coeff = -1\ncoeff = 0\ncoeff = 1\nres = 24x24\nmax_iter = 50\nsamples = 21\n"
+
+
+@pytest.mark.parametrize("command", ["render", "analyze", "profile"])
+@pytest.mark.parametrize("text", [
+    "coeff = 0, 1\ncoeff = 0\ncoeff = 1\nres = 24x24\nmax_iter = 50\n",  # z^2 + i
+    Z2_MINUS_1 + "method = chebyshev(0.5, 0.25)\n",
+    Z2_MINUS_1 + "method = chebyshev(1e300)\n",
+    Z2_MINUS_1 + "method = konig(60)\n",
+    Z2_MINUS_1 + "window = 0.5, 0, 1e-15, 1e-15\nres = 64x64\n",  # pitch below an ulp
+    # z^3 - 1 scaled by 1e-80: Koenig's critical polynomial loses its top
+    # coefficients to rounding
+    "coeff = -1e-80\ncoeff = 0\ncoeff = 0\ncoeff = 1e-80\nres = 24x24\nmethod = konig(4)\n",
+], ids=["complex-coeff", "complex-sigma", "sigma-1e300", "konig-60", "sub-ulp-window",
+        "scaled-1e-80"])
+@pytest.mark.filterwarnings("error")  # a warning would be one more stderr line
+def test_every_outcome_is_an_exit_code(tmp_path, capsys, command, text):
+    # a result, a config error or a numeric failure, with at most one line
+    # on stderr: never an uncaught exception
+    cfg_path = tmp_path / "job.cfg"
+    cfg_path.write_text(text)
+    out = [] if command == "analyze" else ["--out", str(tmp_path / "out")]
+    rc = main([command, "--config", str(cfg_path)] + out)
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3)
+    assert len(err.splitlines()) == (rc != 0)
+    assert err.startswith({0: "", 2: "config error:", 3: "numeric failure:"}[rc])
+
+
+@pytest.mark.parametrize("coeffs, method", [
+    ("coeff = 0, 1\ncoeff = 0\ncoeff = 1\n", "halley"),
+    ("coeff = -1\ncoeff = 0\ncoeff = 1\n", "chebyshev(0, 1)"),
+])
+def test_profile_of_a_non_real_map_is_a_config_error(tmp_path, capsys, coeffs, method):
+    cfg_path = tmp_path / "job.cfg"
+    cfg_path.write_text(coeffs + f"method = {method}\n")
+    assert main(["profile", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: profile needs a real map")
+
+
+def test_render_with_an_overflowing_sigma_is_a_numeric_failure(tmp_path, capsys):
+    # the derivative numerator overflows to the zero polynomial
+    cfg_path = tmp_path / "job.cfg"
+    cfg_path.write_text(Z2_MINUS_1 + "method = chebyshev(1e300)\n")
+    assert main(["render", "--config", str(cfg_path), "--out", str(tmp_path / "x.ppm")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: DegenerateMap: derivative numerator")
+
+
 @pytest.mark.parametrize("scale", ["1e200", "1e-200", "1e-90", "1e-100", "1e-155", "1e-160"])
 def test_map_coefficients_out_of_range_exit_three(tmp_path, capsys, scale):
     # z^3 - 1 scaled so far that the map's products overflow or underflow;

@@ -10,7 +10,6 @@ from halleydyn.paramsearch import (
     CYCLE_RESIDUAL_TOL,
     F_COEFFS,
     cycle_condition_polynomial,
-    divide_out_root,
     family_polynomial,
     halley_b,
     roots_of_F,
@@ -95,25 +94,13 @@ def test_cycle_condition_polynomial_shape():
 
 def test_condition_factors_through_b_plus_seven():
     cond = cycle_condition_polynomial()
-    quotient, remainder = divide_out_root(cond, -7.0)
+    quotient, remainder = cond.deflated([(-7.0, 1)]), abs(cond(-7.0))
     scale = max(abs(c) for c in cond.coeffs)
     assert remainder <= 1e-6 * scale
     assert quotient.degree == 5
     expected = np.array(F_COEFFS, dtype=np.complex128)
     got = np.array(quotient.coeffs, dtype=np.complex128)
     assert np.allclose(got, expected, rtol=1e-8, atol=1e-2)
-
-
-def test_divide_out_root_reports_remainder():
-    from halleydyn.polycore import Polynomial
-
-    p = Polynomial.make((1.0, 0.0, 1.0))  # z**2 + 1
-    q, rem = divide_out_root(p, 1j)
-    assert rem <= 1e-12
-    assert q.degree == 1
-    q2, rem2 = divide_out_root(p, 1.0)
-    assert rem2 == pytest.approx(2.0)
-    assert q2.degree == 1
 
 
 def test_roots_of_F_structure():

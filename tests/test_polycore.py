@@ -129,6 +129,24 @@ def test_find_roots_over_deflation_is_non_convergence():
     assert sum(c.multiplicity for c in clusters) == g.degree
 
 
+def test_deflated_divides_out_each_point_count_times():
+    p = poly(1, 0, 1)  # z**2 + 1
+    q = p.deflated([(1j, 1)])
+    assert q.degree == 1 and abs(q(-1j)) <= 1e-12  # q = z + i
+    # z**2 + 1 = (z + 1)(z - 1) + 2: the remainder p(1) = 2 is discarded
+    assert p.deflated([(1.0, 1)]).coeffs == (1 + 0j, 1 + 0j)
+    # each point count times, in order; a count of 0 divides by nothing
+    r = Polynomial.from_roots([2.0, 2.0, -1.0, 3.0])
+    assert r.deflated([(2.0, 2), (-1.0, 1), (5.0, 0)]).coeffs == (-3 + 0j, 1 + 0j)
+    assert r.deflated([]) == r
+
+
+def test_is_real_means_every_imaginary_part_is_exactly_zero():
+    assert poly(-1, 0, 1).is_real and Polynomial(()).is_real
+    assert not poly(-1, 1e-300j, 1).is_real
+    assert not poly(-1, 1e-12j, 1).is_real
+
+
 def test_compose_affine_identity():
     p = poly(-1, 0, 1)
     q = compose_affine(p, AffineMap(1.0))

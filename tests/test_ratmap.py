@@ -118,6 +118,24 @@ def test_fixed_point_set_identity():
         assert min(abs(z - e) for z in finite) < 1e-9
 
 
+def test_is_fixed_point_takes_arrays_as_eval_sphere_does():
+    # elementwise, each entry as the scalar call decides it
+    h = halley_of(CUBIC_ODD)
+    z = np.array(list(h.fixed) + [0.5, 2 + 1j, 1 + 1e-5, 1 + 1e-7], dtype=np.complex128)
+    got = ratmap.is_fixed_point(h, z)
+    assert got.tolist() == [bool(ratmap.is_fixed_point(h, w)) for w in z.tolist()]
+    assert got.tolist() == [True] * len(h.fixed) + [False, False, False, True]
+
+
+def test_critical_points_of_an_overflowing_map_are_a_degenerate_map():
+    # sigma = 1e300: the derivative numerator's products overflow, and
+    # trimming the infinite coefficients leaves the zero polynomial
+    R = chebyshev_halley_of(Polynomial.make([-1, 0, 1]), 1e300)
+    for points in (ratmap.critical_points, lambda R: free_critical_points(R, [])):
+        with pytest.raises(DegenerateMap, match="derivative numerator"):
+            points(R)
+
+
 def test_multiplier_predictions():
     # multiple root k: (k-1)/(k+1); non-root critical of multiplicity l:
     # 1 + 2/l; infinity: (d+1)/(d-1) for d = deg p

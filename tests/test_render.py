@@ -9,7 +9,6 @@ from halleydyn.ratmap import halley_of
 from halleydyn.render import (
     CYCLE_COLOR,
     UNDECIDED_COLOR,
-    ColorMap,
     default_palette,
     read_image,
     render_rgb,
@@ -37,48 +36,49 @@ def test_default_palette_distinct():
         assert all(0 <= c <= 255 for c in color)
 
 
-def test_colormap_rejects_bad_shading():
+def test_render_rgb_rejects_bad_shading():
+    grid = _manual_grid([[0, 1]])
     with pytest.raises(ValueError):
-        ColorMap(shading=1.5)
+        render_rgb(grid, 1.5)
     with pytest.raises(ValueError):
-        ColorMap(shading=-0.1)
+        render_rgb(grid, -0.1)
 
 
 def test_render_rgb_pixel_classes():
     grid = _manual_grid([[0, 1], [UNDECIDED, -2]])
-    cmap = ColorMap(shading=1.0)
-    rgb = render_rgb(grid, cmap)
+    rgb = render_rgb(grid, 1.0)
+    palette = default_palette(2)
     assert rgb.shape == (2, 2, 3)
-    assert tuple(rgb[0, 0]) == cmap.palette[0]
-    assert tuple(rgb[0, 1]) == cmap.palette[1]
+    assert tuple(rgb[0, 0]) == palette[0]
+    assert tuple(rgb[0, 1]) == palette[1]
     assert tuple(rgb[1, 0]) == UNDECIDED_COLOR
     assert tuple(rgb[1, 1]) == CYCLE_COLOR
 
 
+def test_render_rgb_colours_root_k_by_palette_colour_k():
+    # colour k does not depend on how many roots the grid labels
+    palette = default_palette(12)
+    rgb = render_rgb(_manual_grid([[11, 0, 5]]), 1.0)
+    assert [tuple(c) for c in rgb[0]] == [palette[11], palette[0], palette[5]]
+    assert tuple(render_rgb(_manual_grid([[0]]), 1.0)[0, 0]) == palette[0]
+
+
 def test_render_rgb_shading_dims_late_capture():
     grid = _manual_grid([[0, 0]], iterations=[[0, 50]], max_iter=50)
-    cmap = ColorMap(shading=0.5)
-    rgb = render_rgb(grid, cmap)
+    rgb = render_rgb(grid, 0.5)
     early, late = rgb[0, 0], rgb[0, 1]
-    expected = tuple(int(c * 0.5 + 0.5) for c in cmap.palette[0])
-    assert tuple(early) == cmap.palette[0]
-    assert tuple(late) == expected
-
-
-def test_render_rgb_rejects_small_palette():
-    grid = _manual_grid([[0, 2]])
-    with pytest.raises(ValueError):
-        render_rgb(grid, ColorMap(palette=default_palette(2)))
+    color = default_palette(1)[0]
+    assert tuple(early) == color
+    assert tuple(late) == tuple(int(c * 0.5 + 0.5) for c in color)
 
 
 def test_ppm_round_trip(tmp_path):
     grid = _manual_grid([[0, 1, 2], [2, 1, 0]])
-    cmap = ColorMap(shading=1.0)
     path = str(tmp_path / "tiny.ppm")
-    write_image(grid, cmap, path)
+    write_image(grid, path, 1.0)
     width, height, pixels = read_image(path)
     assert (width, height) == (3, 2)
-    assert np.array_equal(pixels, render_rgb(grid, cmap))
+    assert np.array_equal(pixels, render_rgb(grid, 1.0))
     with open(path, "rb") as fh:
         assert fh.read().startswith(b"P6\n3 2\n255\n")
 
@@ -88,11 +88,10 @@ def test_write_image_is_byte_deterministic(tmp_path):
     h = halley_of(p)
     roots = [c.location for c in find_roots(p)]
     grid = classify_grid(h, roots, Window(0j, 1.5, 1.5), (40, 40))
-    cmap = ColorMap()
     path1 = str(tmp_path / "a.ppm")
     path2 = str(tmp_path / "b.ppm")
-    write_image(grid, cmap, path1)
-    write_image(grid, cmap, path2)
+    write_image(grid, path1, 0.55)
+    write_image(grid, path2, 0.55)
     with open(path1, "rb") as f1, open(path2, "rb") as f2:
         assert f1.read() == f2.read()
 
@@ -104,7 +103,7 @@ def test_cube_root_basins_land_in_distinct_colors(tmp_path):
     h = halley_of(p)
     roots = [c.location for c in find_roots(p)]
     grid = classify_grid(h, roots, Window(0j, 2.0, 2.0), (90, 90))
-    rgb = render_rgb(grid, ColorMap(shading=1.0))
+    rgb = render_rgb(grid, 1.0)
     omega = np.exp(2j * np.pi / 3)
     seen_labels = set()
     seen_colors = set()
