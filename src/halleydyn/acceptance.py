@@ -11,10 +11,12 @@ normal operation; run() folds exceptions into failures.  Each takes the
 run's seed, which picks the random corpus and sample points of E2, E3,
 E4 and E10; the other experiments have no random input.
 
-The basin grids (E1, E5 and E6 at 800x800, E7 at 400x400) take a
-little over half the runtime on a 2-core host.  Each is of a real map
-over a window centred on the real axis, so classify_grid classifies
-only its top half.
+The basin grids (E1, E5 and E6 at 800x800, E7 at 400x400) take about
+three fifths of the runtime on a 2-core host.  Each is of a real map
+over a window centred at 0, so classify_grid classifies only its top
+half; six of the thirteen, E1's (z**2 - 1)**k, E5's z**3 - z and
+z**4 - z**2 and E7's z**3 - z, are of odd maps, so only their top-left
+quarter.
 """
 
 from __future__ import annotations

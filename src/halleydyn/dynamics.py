@@ -23,15 +23,25 @@ maps into itself, and the one about a cycle point maps into itself under
 the cycle's period, so an orbit that enters a disk never leaves its
 basin.
 
-classify_grid classifies half the grid of a real map.  When R.is_real
-(every coefficient has imaginary part exactly 0), the targets are closed
-under exact conjugation and the window is centred on the real axis, the
-kernel runs on the top ceil(H/2) rows only; each row below is its mirror
-row conjugated, with the same counts and each label sent to that of the
-conjugate target.  This is exact: the lattice of such a window is
-mirror-exact (see _centers), and with real coefficients Horner's loop,
-complex division, abs and the real-part screen commute with conjugation
-bit for bit, so the conjugate of an orbit is an orbit, step for step.
+classify_grid classifies half the grid of a real map, and a quarter of
+an odd one.  When R.is_real (every coefficient has imaginary part
+exactly 0), the targets are closed under exact conjugation and the
+window is centred on the real axis, the kernel runs on the top
+ceil(H/2) rows only; each row below is its mirror row conjugated, with
+the same counts and each label sent to that of the conjugate target.
+When R is moreover odd (see _is_odd), the targets are closed under
+exact t -> -conj(t) and the window is centred on the imaginary axis,
+the kernel runs on the left ceil(W/2) columns only, and each column to
+their right is its mirror column under z -> -conj(z) in the same way.
+This is exact: the lattice of such a window is mirror-exact (see
+_centers), and with real coefficients Horner's loop, complex division,
+abs and the real-part screen commute with conjugation bit for bit, so
+the conjugate of an orbit is an orbit, step for step.  Rounding to
+nearest is symmetric under a change of sign, so for an odd real map
+Horner's loop on num and den (which skips exactly-zero coefficients),
+complex products and division, abs, the pole envelope, the 1/z chart
+and the screen commute with z -> -conj(z) bit for bit as well, and the
+image of an orbit under it is an orbit.
 
 orbit_outcomes finds the cycles: the kernel follows its orbits to the
 roots, and one vectorised continuation reads cycles off the points it
@@ -157,16 +167,26 @@ def _centers(window: Window, width: int, height: int, rows, cols) -> np.ndarray:
     pw x ph the pixel size; i and j may lie outside the window.  In a
     window centred on the real axis, a row i >= height / 2 lies at exactly
     minus the imaginary part of row height - 1 - i, so the lattice is
-    symmetric under conjugation bit for bit."""
+    symmetric under conjugation bit for bit; in one centred on the
+    imaginary axis, a column j >= width / 2 lies at exactly minus the real
+    part of column width - 1 - j, so it is symmetric under z -> -conj(z)."""
     pw = 2.0 * window.half_width / width
     ph = 2.0 * window.half_height / height
-    x0 = window.center.real - window.half_width
-    y0 = window.center.imag + window.half_height
-    rows = np.asarray(rows)
-    ys = y0 - (rows + 0.5) * ph
-    if window.center.imag == 0:
-        ys = np.where(2 * rows >= height, -(y0 - (height - 1 - rows + 0.5) * ph), ys)
-    return (x0 + (cols + 0.5) * pw)[None, :] + 1j * ys[:, None]
+    xs = _axis(window.center.real - window.half_width, pw, cols, width,
+               window.center.real == 0)
+    ys = _axis(window.center.imag + window.half_height, -ph, rows, height,
+               window.center.imag == 0)
+    return xs[None, :] + 1j * ys[:, None]
+
+
+def _axis(start: float, step: float, index, count: int, mirror: bool) -> np.ndarray:
+    """start + (k + 0.5) step for each k of index; when mirror, a k with
+    2 k >= count takes exactly minus the value of count - 1 - k."""
+    k = np.asarray(index)
+    values = start + (k + 0.5) * step
+    if mirror:
+        values = np.where(2 * k >= count, -(start + (count - 1 - k + 0.5) * step), values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -292,11 +312,19 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
 
     When R.is_real (every coefficient has imaginary part exactly 0), the
     window is centred on the real axis and the targets are closed under
-    exact conjugation (see _conjugation), only the top ceil(height / 2)
-    rows are classified.  Row i below them is row height - 1 - i conjugated: the same iteration counts, and each label
-    sent to the label of its conjugate target.  Either way each pixel
-    holds, bit for bit, what the kernel gives at its pixel_centers()
-    entry (the module docstring says why).
+    exact conjugation (see _reflection), only the top ceil(height / 2)
+    rows are classified.  Row i below them is row height - 1 - i
+    conjugated: the same iteration counts, and each label sent to the
+    label of its conjugate target.  When R is moreover odd (_is_odd: every
+    nonzero coefficient of num has an exponent of one parity, and every
+    one of den the other), the window is centred on the imaginary axis
+    and the targets are closed under exact t -> -conj(t), only the left
+    ceil(width / 2) columns are classified.  Column j right of them is
+    column width - 1 - j under z -> -conj(z): the same counts, and each
+    label sent to the label of target -conj(t).  An odd real map over a
+    window centred at 0 is thus classified on a quarter of its grid.
+    Either way each pixel holds, bit for bit, what the kernel gives at its
+    pixel_centers() entry (the module docstring says why).
     """
     if isinstance(resolution, int):
         width = height = resolution
@@ -304,30 +332,47 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
         width, height = resolution
     root_tuple = tuple(complex(r) for r in roots)
     cycle_tuple = tuple(tuple(complex(p) for p in cyc) for cyc in cycles)
-    sigma = _conjugation(R, root_tuple, cycle_tuple) if window.center.imag == 0 else None
-    rows = height if sigma is None else -(-height // 2)
-    centers = _centers(window, width, height, np.arange(rows), np.arange(width))
+    row_sigma = (_reflection(R, root_tuple, cycle_tuple, complex.conjugate)
+                 if window.center.imag == 0 else None)
+    col_sigma = (_reflection(R, root_tuple, cycle_tuple, lambda t: -t.conjugate())
+                 if window.center.real == 0 and _is_odd(R) else None)
+    rows = height if row_sigma is None else -(-height // 2)
+    cols = width if col_sigma is None else -(-width // 2)
+    centers = _centers(window, width, height, np.arange(rows), np.arange(cols))
     labels, iters, _ = _classify_points(R, centers.ravel(), root_tuple, cycle_tuple,
                                         max_iter)
-    labels, iters = labels.reshape(rows, width), iters.reshape(rows, width)
-    if sigma is not None:
+    labels, iters = labels.reshape(rows, cols), iters.reshape(rows, cols)
+    if col_sigma is not None:
+        # column j >= cols is column width - 1 - j under z -> -conj(z)
+        labels = np.hstack([labels, col_sigma(labels[:, :width - cols][:, ::-1])])
+        iters = np.hstack([iters, iters[:, :width - cols][:, ::-1]])
+    if row_sigma is not None:
         # row i >= rows is row height - 1 - i conjugated
-        labels = np.concatenate([labels, sigma(labels[:height - rows][::-1])])
-        iters = np.concatenate([iters, iters[:height - rows][::-1]])
+        labels = np.vstack([labels, row_sigma(labels[:height - rows][::-1])])
+        iters = np.vstack([iters, iters[:height - rows][::-1]])
     return BasinGrid(window, width, height, labels, iters, max_iter)
 
 
-def _conjugation(R: RationalMap, roots: tuple, cycles: tuple):
-    """The label permutation that conjugation induces, as a function on
-    label arrays, or None where the kernel may not commute with it.
+def _is_odd(R: RationalMap) -> bool:
+    """Whether R(-z) = -R(z) by exact zero coefficients: the nonzero
+    coefficients of num all have exponents of one parity, and those of
+    den all of the other.  Horner's loop skips exactly those zeros, so
+    no tolerance applies."""
+    num, den = ({k % 2 for k, c in enumerate(f.coeffs) if c != 0} for f in (R.num, R.den))
+    return len(num) == len(den) == 1 and num != den
 
-    It exists when R.is_real, the conjugate of each root is exactly a
-    root, and the conjugates of each cycle's points are exactly the points
-    of a cycle.
+
+def _reflection(R: RationalMap, roots: tuple, cycles: tuple, flip):
+    """The label permutation that the reflection flip (conjugation, or
+    t -> -conj(t)) induces, as a function on label arrays, or None where
+    the kernel may not commute with it.
+
+    It exists when R.is_real, flip sends each root exactly to a root, and
+    the images of each cycle's points are exactly the points of a cycle.
     Targets of different labels (duplicates among them) within
     3 CAPTURE_RADIUS of each other give None too: only targets within
     2 CAPTURE_RADIUS can tie for the nearest, where the first one wins
-    whatever the conjugation does.  UNDECIDED maps to itself.
+    whatever the reflection does.  UNDECIDED maps to itself.
     """
     if not R.is_real:
         return None
@@ -339,11 +384,11 @@ def _conjugation(R: RationalMap, roots: tuple, cycles: tuple):
     root_of = {r: i for i, r in enumerate(roots)}
     cycle_of = {frozenset(cyc): i for i, cyc in enumerate(cycles)}
     try:
-        root_map = [root_of[r.conjugate()] for r in roots]
-        cycle_map = [cycle_of[frozenset(p.conjugate() for p in cyc)] for cyc in cycles]
+        root_map = [root_of[flip(r)] for r in roots]
+        cycle_map = [cycle_of[frozenset(flip(p) for p in cyc)] for cyc in cycles]
     except KeyError:
         return None
-    # table[label + len(cycles)] is the label of the conjugate target
+    # table[label + len(cycles)] is the label of the flipped target
     table = np.array([-(j + 1) for j in reversed(cycle_map)] + root_map, dtype=np.int32)
 
     def sigma(labels: np.ndarray) -> np.ndarray:

@@ -100,23 +100,30 @@ def _rotation_consistent(grid, labels, centers, source, n) -> bool:
     inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
     valid = source & inside
     src = labels[valid]
-    dst = labels[row[valid].astype(np.int64), col[valid].astype(np.int64)]
+    # the label at each rotated centre, gathered by flat pixel index
+    dst = labels.ravel()[(row * grid.width + col)[valid].astype(np.intp)]
     keep = dst != UNDECIDED
-    src = src[keep]
-    dst = dst[keep]
+    agreement = _vote_agreement(src[keep], dst[keep])
+    return agreement is not None and agreement >= GRID_AGREEMENT
+
+
+def _vote_agreement(src: np.ndarray, dst: np.ndarray) -> float | None:
+    """Share of the label pairs (src[i], dst[i]) that follow the
+    majority-vote permutation, in which each source label goes to its
+    most frequent destination (the smallest on a tie); every count is read
+    off one histogram of the pairs.  None when there are no pairs or two
+    source labels vote for one destination."""
     if src.size == 0:
-        return False
-    # majority-vote permutation per source label, as a lookup array over
-    # the sorted source labels
-    keys = np.unique(src)
-    images = np.empty_like(keys)
-    for i, a in enumerate(keys):
-        tgt, counts = np.unique(dst[src == a], return_counts=True)
-        images[i] = tgt[counts.argmax()]
+        return None
+    lo = min(src.min(), dst.min())
+    k = int(max(src.max(), dst.max())) - int(lo) + 1
+    hist = np.bincount((src - lo) * k + (dst - lo), minlength=k * k).reshape(k, k)
+    hist = hist[hist.any(axis=1)]  # the rows of the source labels that occur
+    images = hist.argmax(axis=1)
     if np.unique(images).size != images.size:
-        return False
-    mapped = images[np.searchsorted(keys, src)]
-    return float((mapped == dst).mean()) >= GRID_AGREEMENT
+        return None
+    agree = hist[np.arange(images.size), images].sum()
+    return float(agree / src.size)
 
 
 def symmetry_report(R: RationalMap) -> SymmetryReport:

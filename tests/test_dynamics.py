@@ -28,9 +28,11 @@ from halleydyn.polycore import Polynomial, find_roots
 from halleydyn.ratmap import (
     INF,
     RationalMap,
+    chebyshev_halley_of,
     eval_sphere,
     free_critical_points,
     halley_of,
+    konig_of,
 )
 
 CUBIC_ODD = Polynomial.make([0, -1, 0, 1])           # z(z^2-1)
@@ -343,12 +345,16 @@ def _counting_kernel(monkeypatch) -> list:
     ([0, -1, 0, 1j], 0j, False),                # a non-real coefficient
 ])
 def test_half_grid_classifies_the_top_rows_alone(monkeypatch, coeffs, center, half):
+    # z^3 - z is odd and real, so a window centred on the imaginary axis
+    # also has only its left columns classified
     p = Polynomial.make(coeffs)
     h, roots = halley_of(p), roots_of(p)
     counted = _counting_kernel(monkeypatch)
     width, height = 40, 33
     classify_grid(h, roots, Window(center, 0.5, 0.5), (width, height))
-    assert counted == [(height + 1) // 2 * width if half else height * width]
+    rows = (height + 1) // 2 if half else height
+    cols = (width + 1) // 2 if coeffs == [0, -1, 0, 1] and center.real == 0 else width
+    assert counted == [rows * cols]
 
 
 def test_targets_not_closed_under_conjugation_classify_every_row(monkeypatch):
@@ -362,6 +368,63 @@ def test_targets_not_closed_under_conjugation_classify_every_row(monkeypatch):
     classify_grid(h, [-1, 0, 1], win, 16, cycles=((1 + 1e-8j, 1 - 1e-8j),))
     classify_grid(h, [-1, 0, 1], win, 16, cycles=((1 + 4e-8j, 1 - 4e-8j),))
     assert counted == [256, 256, 256, 128]
+
+
+def _odd_real_maps():
+    for p in (CUBIC_ODD, Polynomial.make([0, 0, -1, 0, 1])):  # z^3 - z, z^4 - z^2
+        for R in (halley_of(p), konig_of(p, 4), chebyshev_halley_of(p, 0)):
+            yield pytest.param(R, roots_of(p), id=f"{R.method}-deg{p.degree}")
+
+
+@pytest.mark.parametrize("R, roots", _odd_real_maps())
+@pytest.mark.parametrize("center", [0j, 0.3j])
+@pytest.mark.parametrize("res", [(41, 33), (40, 34)])
+def test_odd_real_grid_equals_kernel_on_every_centre(R, roots, center, res):
+    # an odd real map commutes with z -> -conj(z) bit for bit, so the grid
+    # built from its left columns (and top rows, when centred at 0) holds
+    # what the kernel gives at every centre
+    assert dynamics._is_odd(R) and R.is_real
+    grid = classify_grid(R, roots, Window(center, 1.6, 1.3), res)
+    labels, iters, _ = dynamics._classify_points(
+        R, grid.pixel_centers().ravel(), tuple(roots), (), grid.max_iter)
+    assert np.array_equal(grid.labels.ravel(), labels)
+    assert np.array_equal(grid.iterations.ravel(), iters)
+    assert len(np.unique(labels)) >= 3
+
+
+@pytest.mark.parametrize("width", [37, 40])
+def test_lattice_centred_on_the_imaginary_axis_is_mirror_exact(width):
+    # column j >= width / 2 lies at exactly minus the real part of column
+    # width - 1 - j, also for the columns beyond the window that the
+    # boundedness probe samples
+    window = Window(0.4j, 1.3, 0.7)
+    cols = np.arange(-width, 2 * width)  # symmetric about (width - 1) / 2
+    xs = dynamics._centers(window, width, 5, np.arange(2), cols)[0].real
+    pairs = cols != width - 1 - cols  # an odd width's middle column is its own mirror
+    assert np.array_equal(xs[::-1][pairs], -xs[pairs])
+    # and each column stays within rounding of x0 + (j + 0.5) pw
+    assert np.abs(xs - (-1.3 + (cols + 0.5) * (2.6 / width))).max() < 1e-14
+
+
+def test_odd_cubic_is_classified_on_a_quarter_of_its_grid(monkeypatch):
+    counted = _counting_kernel(monkeypatch)
+    classify_grid(halley_of(CUBIC_ODD), roots_of(CUBIC_ODD), Window(0j, 1.5, 1.5), (40, 33))
+    assert counted == [17 * 20]
+
+
+def test_column_mirror_falls_back_to_the_rows_or_the_full_grid(monkeypatch):
+    # z^4 - z is real but not odd; 1 + 2**-52 is not minus a root; targets
+    # of different labels within 3 CAPTURE_RADIUS could tie
+    win, res = Window(0j, 1.5, 1.5), (40, 33)
+    h = halley_of(CUBIC_ODD)
+    quartic = Polynomial.make([0, -1, 0, 0, 1])
+    counted = _counting_kernel(monkeypatch)
+    classify_grid(halley_of(quartic), roots_of(quartic), win, res)
+    classify_grid(h, [-1, 0, 1 + 2 ** -52], win, res)
+    classify_grid(h, [-1, 0, 1 + 1e-300j], win, res)
+    classify_grid(h, [-1, 0, 1, 1], win, res)
+    classify_grid(h, [-1, 0, 1], win, res, cycles=((1 + 1e-8j, 1 - 1e-8j),))
+    assert counted == [17 * 40, 17 * 40, 33 * 40, 33 * 40, 33 * 40]
 
 
 def test_free_critical_fates_of_odd_cubic():

@@ -1,8 +1,10 @@
 """Rotation symmetry estimates for polynomials, maps, and grids."""
 
+import numpy as np
 import pytest
 
-from halleydyn.dynamics import Window, classify_grid
+from halleydyn import symmetry
+from halleydyn.dynamics import UNDECIDED, Window, classify_grid
 from halleydyn.errors import NotNormalized, WindowNotCentered
 from halleydyn.polycore import Polynomial, find_roots
 from halleydyn.symmetry import (
@@ -94,3 +96,43 @@ def test_symmetry_report_full_agreement():
 def test_symmetry_report_needs_three_roots():
     with pytest.raises(ValueError):
         symmetry_report(halley_of(Polynomial.make([0, 1, -2, 1])))
+
+
+def _per_label_vote(src, dst):
+    """The vote as one np.unique per source label: each goes to its most
+    frequent destination, the smallest on a tie."""
+    keys = np.unique(src)
+    images = np.empty_like(keys)
+    for i, a in enumerate(keys):
+        tgt, counts = np.unique(dst[src == a], return_counts=True)
+        images[i] = tgt[counts.argmax()]
+    if np.unique(images).size != images.size:
+        return None
+    return float((images[np.searchsorted(keys, src)] == dst).mean())
+
+
+def test_histogram_vote_matches_the_per_label_vote():
+    # synthetic label grids with cycle labels (negative) and undecided
+    # pixels, compared pixel by pixel against a grid rolled by a few pixels
+    # so the vote sees mixed destinations
+    rng = np.random.default_rng(5)
+    seen = set()
+    for trial in range(60):
+        labels = rng.integers(-3, 4, size=(30, 30)).astype(np.int32)
+        labels[rng.random(labels.shape) < 0.1] = UNDECIDED
+        if trial % 2:
+            labels = np.sort(labels, axis=1)  # mostly one destination per label
+        moved = np.roll(labels, rng.integers(0, 3), axis=1)
+        keep = (labels != UNDECIDED) & (moved != UNDECIDED)
+        src, dst = labels[keep], moved[keep]
+        want = _per_label_vote(src, dst)
+        assert symmetry._vote_agreement(src, dst) == want
+        seen.add(want is None)
+    assert seen == {True, False}
+
+
+def test_histogram_vote_breaks_a_tie_toward_the_smaller_destination():
+    src = np.array([-2, -2, -2, -2, 0, 0, 0], dtype=np.int32)
+    dst = np.array([3, -1, 3, -1, 1, 1, 2], dtype=np.int32)
+    assert _per_label_vote(src, dst) == symmetry._vote_agreement(src, dst) == 4 / 7
+    assert symmetry._vote_agreement(src[:0], dst[:0]) is None
