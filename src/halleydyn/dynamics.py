@@ -392,9 +392,9 @@ def _reflection(R: RationalMap, roots: tuple, cycles: tuple, flip):
     table = np.array([-(j + 1) for j in reversed(cycle_map)] + root_map, dtype=np.int32)
 
     def sigma(labels: np.ndarray) -> np.ndarray:
-        out = np.full_like(labels, UNDECIDED)
-        known = labels != UNDECIDED
-        out[known] = table[labels[known] + len(cycles)]
+        # an UNDECIDED entry takes a clipped index and is overwritten below
+        out = table.take(labels + len(cycles), mode="clip")
+        out[labels == UNDECIDED] = UNDECIDED
         return out
 
     return sigma

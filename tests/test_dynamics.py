@@ -406,25 +406,19 @@ def test_lattice_centred_on_the_imaginary_axis_is_mirror_exact(width):
     assert np.abs(xs - (-1.3 + (cols + 0.5) * (2.6 / width))).max() < 1e-14
 
 
-def test_odd_cubic_is_classified_on_a_quarter_of_its_grid(monkeypatch):
-    counted = _counting_kernel(monkeypatch)
-    classify_grid(halley_of(CUBIC_ODD), roots_of(CUBIC_ODD), Window(0j, 1.5, 1.5), (40, 33))
-    assert counted == [17 * 20]
-
-
-def test_column_mirror_falls_back_to_the_rows_or_the_full_grid(monkeypatch):
-    # z^4 - z is real but not odd; 1 + 2**-52 is not minus a root; targets
-    # of different labels within 3 CAPTURE_RADIUS could tie
+def test_column_mirror_falls_back_to_the_rows(monkeypatch):
+    # z^4 - z and (z - 1)^2 (z + 1) are real but not odd (the latter's
+    # roots +-1 are closed under t -> -conj(t) all the same), and
+    # 1 + 2**-52 is real but not minus a root: only the rows are mirrored.
+    # Targets that are not closed under conjugation or may tie fall back
+    # to the full grid, on this odd map as on any
+    # (test_targets_not_closed_under_conjugation_classify_every_row)
     win, res = Window(0j, 1.5, 1.5), (40, 33)
-    h = halley_of(CUBIC_ODD)
-    quartic = Polynomial.make([0, -1, 0, 0, 1])
     counted = _counting_kernel(monkeypatch)
-    classify_grid(halley_of(quartic), roots_of(quartic), win, res)
-    classify_grid(h, [-1, 0, 1 + 2 ** -52], win, res)
-    classify_grid(h, [-1, 0, 1 + 1e-300j], win, res)
-    classify_grid(h, [-1, 0, 1, 1], win, res)
-    classify_grid(h, [-1, 0, 1], win, res, cycles=((1 + 1e-8j, 1 - 1e-8j),))
-    assert counted == [17 * 40, 17 * 40, 33 * 40, 33 * 40, 33 * 40]
+    for p in (Polynomial.make([0, -1, 0, 0, 1]), Polynomial.from_roots([1.0, 1.0, -1.0])):
+        classify_grid(halley_of(p), roots_of(p), win, res)
+    classify_grid(halley_of(CUBIC_ODD), [-1, 0, 1 + 2 ** -52], win, res)
+    assert counted == [17 * 40] * 3
 
 
 def test_free_critical_fates_of_odd_cubic():

@@ -135,4 +135,8 @@ def test_histogram_vote_breaks_a_tie_toward_the_smaller_destination():
     src = np.array([-2, -2, -2, -2, 0, 0, 0], dtype=np.int32)
     dst = np.array([3, -1, 3, -1, 1, 1, 2], dtype=np.int32)
     assert _per_label_vote(src, dst) == symmetry._vote_agreement(src, dst) == 4 / 7
+    # -2 ties between -1 and 3 and goes to -1, the majority destination of 1
+    src = np.array([-2, -2, -2, -2, 1, 1, 1], dtype=np.int32)
+    dst = np.array([3, -1, 3, -1, -1, -1, 2], dtype=np.int32)
+    assert _per_label_vote(src, dst) is symmetry._vote_agreement(src, dst) is None
     assert symmetry._vote_agreement(src[:0], dst[:0]) is None
