@@ -152,6 +152,12 @@ class BasinGrid:
         return _centers(self.window, self.width, self.height,
                         np.arange(self.height), np.arange(self.width))
 
+    def column_reals(self) -> np.ndarray:
+        """The real part of each column of pixel_centers(), equal in every
+        row, without building the centres of the whole grid."""
+        return _centers(self.window, self.width, self.height, np.arange(1),
+                        np.arange(self.width))[0].real
+
     def locate(self, point: complex) -> tuple[int, int]:
         """(row, col) of the pixel containing a point, clamped to the grid."""
         w = self.window

@@ -2,6 +2,8 @@
 tolerance.  One test per criterion; each prints its pass/fail line with
 the measured detail so a failure is diagnosable from the test log."""
 
+import tracemalloc
+
 import pytest
 
 from halleydyn import acceptance
@@ -55,3 +57,15 @@ def test_run_subset_filter(monkeypatch):
     results = acceptance.run(only={"E3"}, seed=0)
     assert results == [("E3", True, "fine")]
     assert ran == ["E3"]
+
+
+def test_e1_memory_peak_is_that_of_its_grids():
+    # E1 reads the real parts of the pixel centres per column, so no 800^2
+    # array of centres (10 MB) is held while the next grid is classified
+    tracemalloc.start()
+    try:
+        acceptance.e1(seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6

@@ -406,6 +406,16 @@ def test_lattice_centred_on_the_imaginary_axis_is_mirror_exact(width):
     assert np.abs(xs - (-1.3 + (cols + 0.5) * (2.6 / width))).max() < 1e-14
 
 
+@pytest.mark.parametrize("center", [0j, 0.3j, 0.2 - 0.1j])
+@pytest.mark.parametrize("width,height", [(37, 8), (40, 7)])
+def test_column_reals_are_the_real_parts_of_every_row(center, width, height):
+    grid = dynamics.BasinGrid(Window(center, 1.3, 0.7), width, height, labels=None,
+                              iterations=None, max_iter=200)
+    xs = grid.column_reals()
+    assert xs.shape == (width,)
+    assert np.array_equal(grid.pixel_centers().real, np.broadcast_to(xs, (height, width)))
+
+
 def test_column_mirror_falls_back_to_the_rows(monkeypatch):
     # z^4 - z and (z - 1)^2 (z + 1) are real but not odd (the latter's
     # roots +-1 are closed under t -> -conj(t) all the same), and
