@@ -59,6 +59,9 @@ touch vertically, by a union-find over runs (Wu, Otoo & Suzuki 2009)
 whose trees are hooked and flattened as in Shiloach & Vishkin (1982).
 A grid is labelled once, on first use of BasinGrid.components, and every
 root's component on it is read from that one labelling.
+
+BasinGrid.pixel_of is the lattice's one inverse: locate and the grid
+symmetry probe find the pixel of a point through it.
 """
 
 from __future__ import annotations
@@ -158,12 +161,21 @@ class BasinGrid:
         return _centers(self.window, self.width, self.height, np.arange(1),
                         np.arange(self.width))[0].real
 
+    def pixel_of(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(row, col) intp arrays of the pixels containing the points z:
+        the floor of each point's offset from the window's top-left
+        corner in pixel pitches.  A point outside the window lands outside
+        [0, height) x [0, width), at most one pixel beyond its edge."""
+        w, z = self.window, np.asarray(z)
+        col = np.floor((z.real - (w.center.real - w.half_width)) / self.pixel_width)
+        row = np.floor(((w.center.imag + w.half_height) - z.imag) / self.pixel_height)
+        return (np.clip(row, -1, self.height).astype(np.intp),
+                np.clip(col, -1, self.width).astype(np.intp))
+
     def locate(self, point: complex) -> tuple[int, int]:
         """(row, col) of the pixel containing a point, clamped to the grid."""
-        w = self.window
-        col = int((point.real - (w.center.real - w.half_width)) / self.pixel_width)
-        row = int(((w.center.imag + w.half_height) - point.imag) / self.pixel_height)
-        return (min(max(row, 0), self.height - 1), min(max(col, 0), self.width - 1))
+        row, col = self.pixel_of(point)
+        return (min(max(int(row), 0), self.height - 1), min(max(int(col), 0), self.width - 1))
 
 
 def _centers(window: Window, width: int, height: int, rows, cols) -> np.ndarray:

@@ -272,9 +272,7 @@ def normalized_form(p: Polynomial) -> NormalizedForm:
     alpha = support[0]
     if len(support) == 1:
         return NormalizedForm(alpha=alpha, beta=1, p0=ONE)
-    beta = 0
-    for k in support[1:]:
-        beta = math.gcd(beta, k - alpha)
+    beta = math.gcd(*(k - alpha for k in support[1:]))
     p0 = Polynomial.make(tuple(p.coeffs[alpha + beta * j]
                                for j in range((p.degree - alpha) // beta + 1)))
     return NormalizedForm(alpha=alpha, beta=beta, p0=p0)

@@ -7,6 +7,8 @@ the same grid and shading always produce the identical file.
 
 from __future__ import annotations
 
+import colorsys
+
 import numpy as np
 
 from .errors import IOFailure
@@ -17,18 +19,11 @@ CYCLE_COLOR = (230, 40, 160)  # pixels captured by an attracting cycle
 UNDECIDED_COLOR = (0, 0, 0)
 
 
-def _hsv_bytes(h: float, s: float, v: float) -> tuple[int, int, int]:
-    i = int(h * 6.0) % 6
-    f = h * 6.0 - int(h * 6.0)
-    p, q, t = v * (1 - s), v * (1 - s * f), v * (1 - s * (1 - f))
-    r, g, b = [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i]
-    return (int(r * 255 + 0.5), int(g * 255 + 0.5), int(b * 255 + 0.5))
-
-
 def default_palette(n: int) -> tuple:
     """n visually distinct colors, spaced by the golden angle in hue;
     colour k is the same for every n > k."""
-    return tuple(_hsv_bytes((0.12 + k * _GOLDEN_ANGLE) % 1.0, 0.65, 0.95)
+    return tuple(tuple(int(c * 255 + 0.5) for c in
+                       colorsys.hsv_to_rgb((0.12 + k * _GOLDEN_ANGLE) % 1.0, 0.65, 0.95))
                  for k in range(n))
 
 

@@ -4,7 +4,8 @@ The symmetry order of a normalized polynomial is the beta exponent of
 its maximal z**alpha * p0(z**beta) form.  For a map built from it
 (Halley, Koenig or Chebyshev-Halley) the order is read two independent
 ways: exactly, from the exponents of the map's coefficients, and as a
-label permutation on a computed basin grid.  The polynomial's rotation
+label permutation on a computed basin grid, whose rotated pixel centres
+are sampled through BasinGrid.pixel_of.  The polynomial's rotation
 group always embeds in the map's, so the polynomial order must divide
 both results.
 """
@@ -55,20 +56,17 @@ def map_rotation_order(R: RationalMap) -> int:
     """
     exps = ([k - 1 for k in R.num.support(NORMAL_FORM_RTOL)]
             + R.den.support(NORMAL_FORM_RTOL))
-    g = 0
-    for k in exps:
-        g = math.gcd(g, k - exps[0])
-    return g or N_MAX
+    return math.gcd(*(k - exps[0] for k in exps)) or N_MAX
 
 
 def grid_symmetry_order(grid: BasinGrid) -> int:
     """Largest n <= N_MAX whose rotation permutes the grid labels.
 
-    Rotates pixel centers by 2 pi / n and samples the label at the
-    nearest pixel.  Pixels on label boundaries or without a label are
-    excluded; the remaining pairs must follow a single label permutation
-    on at least the GRID_AGREEMENT fraction.  Needs a square window
-    centered at the origin.
+    Rotates pixel centers by 2 pi / n and samples the label of the pixel
+    containing each (BasinGrid.pixel_of).  Pixels on label boundaries or
+    without a label are excluded; the remaining pairs must follow a single
+    label permutation on at least the GRID_AGREEMENT fraction.  Needs a
+    square window centered at the origin.
     """
     w = grid.window
     if abs(w.center) > 1e-12 or abs(w.half_width - w.half_height) > 1e-12 \
@@ -93,15 +91,11 @@ def grid_symmetry_order(grid: BasinGrid) -> int:
 
 
 def _rotation_consistent(grid, labels, centers, source, n) -> bool:
-    w = grid.window
-    rot = centers * cmath.exp(2j * cmath.pi / n)
-    col = np.rint((rot.real - (w.center.real - w.half_width)) / grid.pixel_width - 0.5)
-    row = np.rint(((w.center.imag + w.half_height) - rot.imag) / grid.pixel_height - 0.5)
+    row, col = grid.pixel_of(centers * cmath.exp(2j * cmath.pi / n))
     inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
     valid = source & inside
     src = labels[valid]
-    # the label at each rotated centre, gathered by flat pixel index
-    dst = labels.ravel()[(row * grid.width + col)[valid].astype(np.intp)]
+    dst = labels[row[valid], col[valid]]  # the label at each rotated centre
     keep = dst != UNDECIDED
     agreement = _vote_agreement(src[keep], dst[keep])
     return agreement is not None and agreement >= GRID_AGREEMENT

@@ -416,6 +416,47 @@ def test_column_reals_are_the_real_parts_of_every_row(center, width, height):
     assert np.array_equal(grid.pixel_centers().real, np.broadcast_to(xs, (height, width)))
 
 
+def _blank_grid(center, width, height):
+    return dynamics.BasinGrid(Window(center, 1.3, 0.7), width, height, labels=None,
+                              iterations=None, max_iter=200)
+
+
+@pytest.mark.parametrize("center", [0j, 0.3j, 0.2 - 0.1j, 1 + 0j])
+@pytest.mark.parametrize("width,height", [(37, 41), (40, 33), (400, 400)])
+def test_pixel_of_inverts_the_lattice(center, width, height):
+    grid = _blank_grid(center, width, height)
+    row, col = grid.pixel_of(grid.pixel_centers())
+    rows, cols = np.indices((height, width))
+    assert row.dtype == col.dtype == np.intp
+    assert np.array_equal(row, rows) and np.array_equal(col, cols)
+    # a hair (a millionth of a pixel) beyond each edge lies one pixel outside
+    w, hx, hy = grid.window, 1e-6 * grid.pixel_width, 1e-6 * grid.pixel_height
+    left, right = w.center.real - w.half_width - hx, w.center.real + w.half_width + hx
+    top, bottom = w.center.imag + w.half_height + hy, w.center.imag - w.half_height - hy
+    ys, xs = grid.pixel_centers()[:, 0].imag, grid.column_reals()
+    for z, want_row, want_col in [(left + 1j * ys, np.arange(height), -1),
+                                  (right + 1j * ys, np.arange(height), width),
+                                  (xs + 1j * top, -1, np.arange(width)),
+                                  (xs + 1j * bottom, height, np.arange(width))]:
+        got_row, got_col = grid.pixel_of(z)
+        assert np.array_equal(got_row, np.broadcast_to(want_row, z.shape))
+        assert np.array_equal(got_col, np.broadcast_to(want_col, z.shape))
+
+
+@pytest.mark.parametrize("center", [0j, 0.2 - 0.1j])
+@pytest.mark.parametrize("width,height", [(37, 41), (400, 400)])
+def test_locate_is_the_clamped_pixel_of(center, width, height):
+    grid = _blank_grid(center, width, height)
+    rng = np.random.default_rng(11)
+    z = center + rng.uniform(-3, 3, 500) + 1j * rng.uniform(-2, 2, 500)
+    row, col = grid.pixel_of(z)
+    want = zip(np.clip(row, 0, height - 1), np.clip(col, 0, width - 1))
+    assert [grid.locate(complex(p)) for p in z] == [(int(r), int(c)) for r, c in want]
+    # points too far out for an intp pitch count still clamp to the corners
+    assert grid.locate(complex(1e30, -1e30)) == (height - 1, width - 1)
+    assert grid.locate(complex(-1e30, 1e30)) == (0, 0)
+
+
 def test_column_mirror_falls_back_to_the_rows(monkeypatch):
     # z^4 - z and (z - 1)^2 (z + 1) are real but not odd (the latter's
     # roots +-1 are closed under t -> -conj(t) all the same), and

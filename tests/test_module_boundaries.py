@@ -36,8 +36,6 @@ def _loaded_names(tree):
 def test_every_imported_name_is_used():
     unused = []
     for name, tree in _trees().items():
-        if name == "__init__.py":
-            continue  # the package's public names are its imports
         imported = []
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -69,11 +67,26 @@ def test_every_private_module_level_name_is_referenced():
     assert unreferenced == []
 
 
-def test_the_cli_loads_no_scipy():
-    # scipy costs a CLI call about half a second of import; numpy suffices
-    code = ("import sys, halleydyn.cli; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+def _loaded_modules(module: str, package: str) -> list:
+    """Names of the modules of package that a fresh interpreter holds
+    after importing module."""
+    code = (f"import sys, {module}; "
+            f"print(*sorted(m for m in sys.modules if m.partition('.')[0] == {package!r}))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == "[]"
+    return out.split()
+
+
+def test_the_cli_loads_no_scipy():
+    # scipy costs a CLI call about half a second of import; numpy suffices
+    assert _loaded_modules("halleydyn.cli", "scipy") == []
+
+
+def test_a_module_loads_only_what_it_imports():
+    # the package's top level imports nothing, so polycore comes with its
+    # one dependency alone, and the CLI imports the acceptance battery
+    # only when paperlab runs
+    assert _loaded_modules("halleydyn.polycore", "halleydyn") == [
+        "halleydyn", "halleydyn.errors", "halleydyn.polycore"]
+    assert "halleydyn.acceptance" not in _loaded_modules("halleydyn.cli", "halleydyn")

@@ -36,6 +36,13 @@ def test_default_palette_distinct():
         assert all(0 <= c <= 255 for c in color)
 
 
+def test_default_palette_colours_are_pinned():
+    # golden-angle hues at s = 0.65, v = 0.95, rounded half up to bytes
+    assert default_palette(8) == (
+        (242, 198, 85), (152, 85, 242), (85, 242, 106), (242, 85, 109),
+        (85, 155, 242), (201, 242, 85), (237, 85, 242), (85, 242, 191))
+
+
 def test_render_rgb_rejects_bad_shading():
     grid = _manual_grid([[0, 1]])
     with pytest.raises(ValueError):
