@@ -24,7 +24,7 @@ def test_criterion(name, fn, capsys):
     assert ok, f"{name} failed: {detail}"
     # E1 reads the real parts of the pixel centres per column, so no 800^2
     # array of centres (10 MB) is held while the next grid is classified
-    assert peak < 30e6
+    assert peak < 30e6, f"{name} peaked at {peak / 1e6:.1f} MB traced"
 
 
 def test_run_reports_every_criterion(monkeypatch):

@@ -1,5 +1,6 @@
 """Modules of the package use only each other's public names, carry no
-unused import or unreferenced private name, and load no scipy."""
+unused import or unreferenced private name, load only the modules they
+import, and load no scipy."""
 
 import ast
 import os
