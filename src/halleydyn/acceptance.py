@@ -277,7 +277,7 @@ def e8(seed: int) -> tuple[bool, str]:
     clusters = paramsearch.roots_of_F()
     if sum(c.multiplicity for c in clusters) != 5:
         return False, f"expected five quintic roots, got {clusters}"
-    real = [c.location for c in clusters if abs(c.location.imag) < 1e-6]
+    real = [c.location for c in clusters if c.location.imag == 0]
     if len(real) != 1 or abs(real[0].real - 62.5144396) > 1e-5:
         return False, f"real root {real} != 62.5144396"
     cand = paramsearch.verify_cycle(real[0])
@@ -295,15 +295,12 @@ def e9(seed: int) -> tuple[bool, str]:
     p = Polynomial.make([0, -1, 0, 1])
     R = halley_of(p)
     s = 1.0 / math.sqrt(3.0)
-    rep1 = interval_convergence_check(R, s, 1.0)
-    if rep1.obstruction or rep1.predicted_limit != 1.0 or not rep1.verified:
-        return False, f"interval (1/sqrt3, 1): {rep1}"
-    rep2 = interval_convergence_check(R, -1.0, -s)
-    if rep2.obstruction or rep2.predicted_limit != -1.0 or not rep2.verified:
-        return False, f"interval (-1, -1/sqrt3): {rep2}"
-    rep3 = interval_convergence_check(R, 1.0, math.inf)
-    if rep3.obstruction or rep3.predicted_limit != 1.0 or not rep3.verified:
-        return False, f"ray (1, inf): {rep3}"
+    for name, x1, x2, limit in (("interval (1/sqrt3, 1)", s, 1.0, 1.0),
+                                ("interval (-1, -1/sqrt3)", -1.0, -s, -1.0),
+                                ("ray (1, inf)", 1.0, math.inf, 1.0)):
+        rep = interval_convergence_check(R, x1, x2)
+        if rep.obstruction or rep.predicted_limit != limit or not rep.verified:
+            return False, f"{name}: {rep}"
     p7 = Polynomial.make([0, -1] + [0] * 6 + [1])
     R7 = halley_of(p7)
     rep4 = interval_convergence_check(R7, -1.0, 0.0)

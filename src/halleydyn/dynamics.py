@@ -47,7 +47,13 @@ orbit_outcomes finds the cycles: the kernel follows its orbits to the
 roots, and one vectorised continuation reads cycles off the points it
 leaves undecided, applying the map to all of them at once for at most
 PERIOD_CAP steps.  An orbit's first return within CYCLE_TOL of its
-step-max_iter point gives its period.
+step-max_iter point gives its period.  polycore.matching_point decides
+whether a cycle point is a root or a point of an earlier cycle.
+
+The real-axis diagnostics require R.is_real and take a point as real when
+its imaginary part is exactly 0: each point they test is found by
+find_roots on a polynomial with real (or purely imaginary) coefficients,
+which pairs its roots exactly under conjugation.
 
 Every map application goes through ratmap.eval_sphere, the one sphere
 evaluator, so poles follow its one rule: z is a pole when
@@ -77,7 +83,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import SeedUnlabeled
-from .polycore import Polynomial
+from .polycore import Polynomial, matching_point
 from .ratmap import (
     INF,
     RationalMap,
@@ -86,7 +92,6 @@ from .ratmap import (
     fixed_points,
     free_critical_points,
     is_fixed_point,
-    is_infinity,
     poles,
 )
 
@@ -96,7 +101,6 @@ CYCLE_TOL = 1e-9
 PERIOD_CAP = 32
 UNDECIDED = int(np.iinfo(np.int32).min)
 MAX_ITER_LIMIT = int(np.iinfo(np.int32).max)  # iteration counts are int32
-REAL_POINT_RTOL = 1e-7  # a point is real when |im| <= this * max(1, |re|)
 INTERVAL_SAMPLES = 7
 INTERVAL_MAX_ITER = 500
 # points per kernel block: a block's step temporaries stay in L2, and the
@@ -278,10 +282,10 @@ def orbit_outcomes(R: RationalMap, points, roots, max_iter: int) -> list[OrbitOu
     that first comes back within CYCLE_TOL of w after k steps is on a
     cycle of period k, listed from R(w), and last is its point of return.
     One that reaches infinity or does not come back stays undecided, and
-    so does a cycle with a point within CAPTURE_RADIUS of a root (a
-    converging tail).  A cycle whose first point lies within
-    CAPTURE_RADIUS of a point of an earlier outcome's cycle is that cycle,
-    and its outcome carries the earlier tuple.
+    so does a cycle with a point that matches a root (see matching_point:
+    a converging tail).  A cycle whose first point matches a point of an
+    earlier outcome's cycle is that cycle, and its outcome carries the
+    earlier tuple.
     """
     root_locs = tuple(complex(r) for r in roots)
     z = np.array([complex(p) for p in points], dtype=np.complex128)
@@ -305,12 +309,11 @@ def orbit_outcomes(R: RationalMap, points, roots, max_iter: int) -> list[OrbitOu
     for label, it, w, cyc in zip(labels.tolist(), iters.tolist(), last.tolist(), found):
         if label != UNDECIDED:
             out.append(OrbitOutcome(kind="root", root_index=label, iterations=it, last=w))
-        elif not cyc or any(abs(c - r) < CAPTURE_RADIUS for c in cyc for r in root_locs):
+        elif not cyc or any(matching_point(c, root_locs) is not None for c in cyc):
             out.append(OrbitOutcome(kind="undecided", iterations=it,
                                     last=w if cmath.isfinite(w) else INF))
         else:
-            known = next((c for c in cycles
-                          if min(abs(p - cyc[0]) for p in c) <= CAPTURE_RADIUS), None)
+            known = next((c for c in cycles if matching_point(cyc[0], c) is not None), None)
             if known is None:
                 cycles.append(cyc)
             out.append(OrbitOutcome(kind="cycle", iterations=it, cycle=known or cyc,
@@ -698,16 +701,12 @@ def _require_real(R: RationalMap):
         raise ValueError("map must have real coefficients")
 
 
-def _is_real(z: complex) -> bool:
-    return abs(z.imag) <= REAL_POINT_RTOL * max(1.0, abs(z.real))
-
-
 def _real_points_between(points, lo: float, hi: float, margin: float) -> list[float]:
     """Sorted real parts of the real points in (lo + margin, hi - margin);
-    points may be complex numbers (INF among them) or RootClusters."""
+    points may be complex numbers (INF, never inside, among them) or RootClusters."""
     zs = (complex(getattr(pt, "location", pt)) for pt in points)
     return sorted(z.real for z in zs
-                  if not is_infinity(z) and _is_real(z) and lo + margin < z.real < hi - margin)
+                  if z.imag == 0 and lo + margin < z.real < hi - margin)
 
 
 def interval_convergence_check(R: RationalMap, x1: float, x2: float) -> IntervalReport:
@@ -779,7 +778,7 @@ def real_axis_profile(R: RationalMap, x_min: float, x_max: float,
         rows.append(ProfileRow(x, v.real, v.real - x, 0))
     for c in poles(R):
         r = c.location
-        if _is_real(r) and x_min <= r.real <= x_max:
+        if r.imag == 0 and x_min <= r.real <= x_max:
             rows.append(ProfileRow(float(r.real), None, None, 1))
     rows.sort(key=lambda row: (row.x, row.pole_flag))
     return rows

@@ -5,7 +5,8 @@ coefficient).  Root finding combines the Aberth-Ehrlich simultaneous
 iteration for simple roots with a derivative-recursion pass that pins
 down multiple roots to full precision; double precision alone smears a
 multiplicity-m cluster over a radius of roughly eps**(1/m), which would
-defeat a fixed merging radius for m >= 3.
+defeat a fixed merging radius for m >= 3.  derivative is the one
+coefficient derivative: Polynomial.deriv and the root finder take it.
 """
 
 from __future__ import annotations
@@ -87,10 +88,7 @@ class Polynomial:
         return horner(self.coeffs, z)
 
     def deriv(self, order: int = 1) -> "Polynomial":
-        c = self.coeffs
-        for _ in range(order):
-            c = tuple(k * c[k] for k in range(1, len(c)))
-        return Polynomial.make(c)
+        return Polynomial.make(derivative(self.coeffs, order))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
@@ -209,6 +207,15 @@ def matching_point(z: complex, points):
                  if abs(z - complex(getattr(h, "location", h))) <= CLUSTER_RADIUS), None)
 
 
+def derivative(c, order: int = 1) -> np.ndarray:
+    """The ascending complex128 coefficients of the order-th derivative of
+    the ascending coefficients c: the package's one coefficient derivative."""
+    c = np.asarray(c, dtype=np.complex128)
+    for _ in range(order):
+        c = np.arange(1, len(c)) * c[1:]
+    return c
+
+
 def horner(coeffs, z):
     """Value at z of the ascending coefficients, for a scalar or an ndarray z.
 
@@ -293,11 +300,11 @@ def find_roots(p: Polynomial) -> list[RootCluster]:
     it is eventually simple and therefore accurately computable.
     Surviving locations closer than CLUSTER_RADIUS are merged, summing
     multiplicity.  When p.is_real (every coefficient's imaginary part is
-    exactly 0), the clusters are paired by conjugation (see
-    _conjugate_paired): a real root has imaginary part exactly 0, and a
-    non-real root of imaginary part > 0 has its partner at exactly its
-    .conjugate(), with the same multiplicity.  Polynomials with non-real
-    coefficients are left as found.
+    exactly 0), or every coefficient's real part is exactly 0, the clusters
+    are paired by conjugation (see _conjugate_paired): a real root has
+    imaginary part exactly 0, and a non-real root of imaginary part > 0 has
+    its partner at exactly its .conjugate(), with the same multiplicity.
+    Other polynomials' roots are left as found.
     Clusters come sorted by real part, then imaginary part.
 
     Raises NonConvergence when residuals stay above tolerance after
@@ -325,7 +332,7 @@ def _gated_clusters(p: Polynomial, c: np.ndarray, raw) -> list[RootCluster]:
     for loc, mult in merged:
         if not residual_ok(c, loc):
             raise NonConvergence(f"residual too large at {loc}")
-    if p.is_real:
+    if p.is_real or not any(a.real for a in p.coeffs):
         merged = _conjugate_paired(merged)
     merged.sort(key=lambda t: (t[0].real, t[0].imag))
     return [RootCluster(loc, m) for loc, m in merged]
@@ -385,11 +392,8 @@ def _companion_clusters(c: np.ndarray):
     merged = _merge([(complex(z), 1) for z in cloud], r)
     out = []
     for loc, m in merged:
-        base = c
-        for _ in range(m - 1):
-            base = np.arange(1, len(base), dtype=np.complex128) * base[1:]
-        dbase = np.arange(1, len(base), dtype=np.complex128) * base[1:]
-        z = _newton_polish(base, dbase, loc)
+        base = derivative(c, m - 1)
+        z = _newton_polish(base, derivative(base), loc)
         out.append((z if abs(z - loc) <= r else loc, m))
     return out
 
@@ -424,13 +428,10 @@ def _roots_rec(c: np.ndarray) -> list[tuple[complex, int]]:
         n -= m0
     if n == 0:
         return out
-    if n == 1:
-        out.append((-c[0] / c[1], 1))
+    if n <= 2:
+        out.extend((z, 1) for z in _aberth(c))
         return out
-    if n == 2:
-        out.extend((r, 1) for r in _quadratic(c))
-        return out
-    dc = np.arange(1, n + 1) * c[1:]
+    dc = derivative(c)
     dclusters = _merge(_roots_rec(dc), CLUSTER_RADIUS)
     work = c
     for loc, m in dclusters:
@@ -444,10 +445,7 @@ def _roots_rec(c: np.ndarray) -> list[tuple[complex, int]]:
             for _ in range(m + 1):
                 work = deflate(work, loc)
     if len(work) - 1 >= 1:
-        simple = _aberth(work)
-        dcf = np.arange(1, len(c)) * c[1:]
-        simple = [_newton_polish(c, dcf, z) for z in simple]
-        out.extend((z, 1) for z in simple)
+        out.extend((_newton_polish(c, dc, z), 1) for z in _aberth(work))
     return out
 
 
@@ -465,7 +463,8 @@ def _quadratic(c: np.ndarray) -> list[complex]:
 
 
 def _aberth(c: np.ndarray) -> list[complex]:
-    """Aberth-Ehrlich sweep for a polynomial with (assumed) simple roots."""
+    """Roots of a polynomial with (assumed) simple roots: in closed form
+    up to degree 2, else by the Aberth-Ehrlich sweep."""
     n = len(c) - 1
     if n == 1:
         return [complex(-c[0] / c[1])]
@@ -481,7 +480,7 @@ def _aberth(c: np.ndarray) -> list[complex]:
     angles = 2.0 * np.pi * (np.arange(n) + 0.35) / n
     jitter = 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     z = radius * np.exp(1j * angles) * (1.0 + jitter)
-    dc = np.arange(1, n + 1) * c[1:]
+    dc = derivative(c)
     ok = False
     for _ in range(MAX_SWEEPS):
         pv = horner(c, z)

@@ -64,6 +64,7 @@ from .polycore import (
     Polynomial,
     RootCluster,
     compose_affine,
+    derivative,
     envelope,
     find_roots,
     horner,
@@ -524,10 +525,8 @@ def free_critical_points(R: RationalMap, roots) -> list[RootCluster]:
 def _newton_close(c: np.ndarray, w: RootCluster) -> bool:
     """Whether a Newton step on the (m-1)-th derivative of c, for w's
     multiplicity m, moves w.location by at most CLUSTER_RADIUS."""
-    for _ in range(w.multiplicity - 1):
-        c = c[1:] * np.arange(1, len(c))
-    dc = c[1:] * np.arange(1, len(c))
-    return abs(horner(c, w.location)) <= CLUSTER_RADIUS * abs(horner(dc, w.location))
+    c = derivative(c, w.multiplicity - 1)
+    return abs(horner(c, w.location)) <= CLUSTER_RADIUS * abs(horner(derivative(c), w.location))
 
 
 def poles(R: RationalMap) -> list[RootCluster]:

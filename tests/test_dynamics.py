@@ -758,6 +758,18 @@ def test_interval_reports_interior_fixed_point():
     assert rep.obstruction.kind in ("fixed", "critical")
 
 
+def test_interval_check_sees_fixed_points_of_i_times_a_real_polynomial():
+    # q and i q give the same real Halley map, and the roots and critical
+    # points of i q are paired under conjugation as exactly as those of q,
+    # so both see the fixed point inside the interval
+    q = [-2, -3, 0, -2, 0, 1]  # z^5 - 2z^3 - 3z - 2
+    for p in (Polynomial.make(q), Polynomial.make([1j * c for c in q])):
+        rep = interval_convergence_check(halley_of(p), -1.6327442085595998,
+                                         -0.5654202546460343)
+        assert rep.obstruction.kind == "fixed"
+        assert abs(rep.obstruction.location + 1.2568993186064155) < 1e-12
+
+
 def test_real_axis_profile_poles():
     rows = real_axis_profile(halley_of(OCTIC), -2.0, 2.0, samples=101)
     poles = [r for r in rows if r.pole_flag]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from halleydyn import polycore
 from halleydyn.errors import NonConvergence, NotNormalized
 from halleydyn.polycore import (
     AffineMap,
@@ -127,6 +128,15 @@ def test_find_roots_over_deflation_is_non_convergence():
     except NonConvergence:
         return
     assert sum(c.multiplicity for c in clusters) == g.degree
+
+
+def test_companion_fallback_sharpens_a_double_cluster():
+    # (z - 1)^2 (z + 2): the companion cloud smears the double root over
+    # about sqrt(eps), and Newton on p' brings it back to full accuracy
+    clusters = polycore._companion_clusters(np.array([2, -3, 0, 1], dtype=np.complex128))
+    double = [loc for loc, m in clusters if m == 2]
+    assert sorted(m for _, m in clusters) == [1, 2]
+    assert len(double) == 1 and abs(double[0] - 1) <= 1e-12
 
 
 def test_deflated_divides_out_each_point_count_times():

@@ -355,6 +355,15 @@ def test_free_critical_points_match_known_pair():
     assert abs(locs[1] - 1j * s) < 1e-8
 
 
+def test_newton_close_steps_on_the_derivative_at_a_double_cluster():
+    # (z - z0)^2 (z - 1): a Newton step on c' moves z0 by nothing, and one
+    # from 1e-3 away moves it by about 1e-3
+    z0 = 0.3 + 0.4j
+    c = np.array(Polynomial.from_roots([z0, z0, 1.0]).coeffs, dtype=np.complex128)
+    assert ratmap._newton_close(c, polycore.RootCluster(z0, 2))
+    assert not ratmap._newton_close(c, polycore.RootCluster(z0 + 1e-3, 2))
+
+
 # exact oracle: reduced degrees against sympy's gcd of the raw num and den,
 # all in exact arithmetic over the Gaussian rationals
 def _exact_roots(spec):
