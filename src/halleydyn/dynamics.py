@@ -79,13 +79,17 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import SeedUnlabeled
 from .polycore import Polynomial, matching_point
 from .ratmap import (
+    HANDOFF_RADIUS,
     INF,
+    POLE_RTOL,
+    SUPERATTRACTING_TOL,
     RationalMap,
     critical_points,
     eval_sphere,
@@ -106,6 +110,7 @@ INTERVAL_MAX_ITER = 500
 # points per kernel block: a block's step temporaries stay in L2, and the
 # blocks of one call run on _pool's threads (numpy releases the GIL)
 _BLOCK = 32_768
+_UNIT = 2.0 ** -53  # unit roundoff of a double
 _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = threading.Lock()
 
@@ -353,9 +358,10 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
         width, height = resolution
     root_tuple = tuple(complex(r) for r in roots)
     cycle_tuple = tuple(tuple(complex(p) for p in cyc) for cyc in cycles)
-    row_sigma = (_reflection(R, root_tuple, cycle_tuple, complex.conjugate)
+    targets = _targets(R, root_tuple, cycle_tuple)
+    row_sigma = (_reflection(R, root_tuple, cycle_tuple, targets, complex.conjugate)
                  if window.center.imag == 0 else None)
-    col_sigma = (_reflection(R, root_tuple, cycle_tuple, lambda t: -t.conjugate())
+    col_sigma = (_reflection(R, root_tuple, cycle_tuple, targets, lambda t: -t.conjugate())
                  if window.center.real == 0 and _is_odd(R) else None)
     rows = height if row_sigma is None else -(-height // 2)
     cols = width if col_sigma is None else -(-width // 2)
@@ -383,31 +389,35 @@ def _is_odd(R: RationalMap) -> bool:
     return len(num) == len(den) == 1 and num != den
 
 
-def _reflection(R: RationalMap, roots: tuple, cycles: tuple, flip):
+def _reflection(R: RationalMap, roots: tuple, cycles: tuple, targets: list, flip):
     """The label permutation that the reflection flip (conjugation, or
     t -> -conj(t)) induces, as a function on label arrays, or None where
-    the kernel may not commute with it.
+    the kernel may not commute with it.  targets is _targets(R, roots,
+    cycles).
 
-    It exists when R.is_real, flip sends each root exactly to a root, and
-    the images of each cycle's points are exactly the points of a cycle.
-    Targets of different labels (duplicates among them) within
-    3 CAPTURE_RADIUS of each other give None too: only targets within
-    2 CAPTURE_RADIUS can tie for the nearest, where the first one wins
-    whatever the reflection does.  UNDECIDED maps to itself.
+    It exists when R.is_real, flip sends each root exactly to a root, the
+    images of each cycle's points are exactly the points of a cycle, and
+    each target's image has its capture radius bit for bit.  Targets of
+    different labels (duplicates among them) within 3 CAPTURE_RADIUS of
+    each other give None too: only targets within 2 CAPTURE_RADIUS can
+    tie for the nearest, where the first one wins whatever the reflection
+    does.  UNDECIDED maps to itself.
     """
     if not R.is_real:
         return None
-    targets = _targets(roots, cycles)
-    for k, (label, t) in enumerate(targets):
+    for k, (label, t, _) in enumerate(targets):
         if any(other != label and abs(t - u) < 3 * CAPTURE_RADIUS
-               for other, u in targets[k + 1:]):
+               for other, u, _ in targets[k + 1:]):
             return None
     root_of = {r: i for i, r in enumerate(roots)}
     cycle_of = {frozenset(cyc): i for i, cyc in enumerate(cycles)}
+    radius_of = {t: radius for _, t, radius in targets}
     try:
         root_map = [root_of[flip(r)] for r in roots]
         cycle_map = [cycle_of[frozenset(flip(p) for p in cyc)] for cyc in cycles]
     except KeyError:
+        return None
+    if any(radius_of[flip(t)] != radius for _, t, radius in targets):
         return None
     # table[label + len(cycles)] is the label of the flipped target
     table = np.array([-(j + 1) for j in reversed(cycle_map)] + root_map, dtype=np.int32)
@@ -421,11 +431,103 @@ def _reflection(R: RationalMap, roots: tuple, cycles: tuple, flip):
     return sigma
 
 
-def _targets(roots: tuple, cycles: tuple) -> list:
-    """(label, point) of each target: root i has label i, and the points
-    of cycle j share label -(j + 1)."""
-    return list(enumerate(roots)) + [(-(ci + 1), p) for ci, cyc in enumerate(cycles)
-                                     for p in cyc]
+def _targets(R: RationalMap, roots: tuple, cycles: tuple) -> list:
+    """(label, point, radius) of each target: root i has label i and the
+    radius _trap_radius gives it among the other targets; the points of
+    cycle j share label -(j + 1) and have radius CAPTURE_RADIUS."""
+    points = list(roots) + [p for cyc in cycles for p in cyc]
+    return ([(i, t, _trap_radius(R, t, points[:i] + points[i + 1:]))
+             for i, t in enumerate(roots)]
+            + [(-(ci + 1), p, CAPTURE_RADIUS) for ci, cyc in enumerate(cycles) for p in cyc])
+
+
+def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
+    """Capture radius of the root target t, given the other targets.
+
+    A superattracting t (|R'(t)| < SUPERATTRACTING_TOL, as classify
+    calls it; Halley's simple roots are) keeps CAPTURE_RADIUS, and so does
+    a lone target.  Otherwise the radius is the first r of sep / 3,
+    sep / 6, sep / 12, ... above CAPTURE_RADIUS whose closed disk about t
+    is a proven trap, where sep is t's distance to the nearest other
+    target, and CAPTURE_RADIUS when there is none.  The disks of two
+    targets are then disjoint.
+
+    The proof: with N(h) = num(t + h) - t den(t + h) and D(h) = den(t + h)
+    expanded about t, every z = t + h with |h| <= r has
+    |R(z) - t| = |N(h)| / |D(h)| <= A(r) / L(r), where
+    A(r) = sum_j (|N_j| + e_j) r**j and
+    L(r) = |D_0| - e_0 - sum_{j>=1} (|D_j| + e_j) r**j,
+    and e_j bounds the rounding of the computed coefficient, read off the
+    same expansion of |num| and |den| about |t|.  delta(r) bounds the
+    rounding of eval_sphere's Horner loops and quotient on the disk, from
+    the envelopes of num and den over L(r).  When A / L + delta < r and
+    no point of the disk is a pole by eval_sphere's rule, R and its
+    float evaluation both map the closed disk into the open one.  By the
+    Schwarz lemma R then has exactly one fixed point in it, which attracts
+    every orbit of R that enters (Earle-Hamilton), and no float orbit
+    that enters ever leaves.  Conjugate targets of a real map, and
+    t -> -conj(t) of an odd one, get bit-equal radii: every step is
+    conjugation- and sign-symmetric in floats.
+    """
+    sep = min((abs(t - u) for u in others), default=math.inf)
+    if not math.isfinite(sep):  # a lone target, or one at infinity
+        return CAPTURE_RADIUS
+    num, den = R.num.coeffs, R.den.coeffs
+    n0, n1 = _taylor(num, t, 2)
+    d0, d1 = _taylor(den, t, 2)
+    if d0 == 0 or abs((n1 * d0 - n0 * d1) / (d0 * d0)) < SUPERATTRACTING_TOL:
+        return CAPTURE_RADIUS
+    # bounds the relative rounding of one Taylor shift, one Horner loop,
+    # one complex division and these sums, with room to spare
+    gamma = 8 * (max(len(num), len(den)) + 2) * _UNIT
+    at = abs(t)
+    env_num = _taylor([abs(c) for c in num], at)
+    env_den = _taylor([abs(c) for c in den], at)
+    shifted_den = _taylor(den, t)
+    # upper[j] >= |N_j| and tail[j - 1] >= |D_j| for the exact coefficients,
+    # lead <= |D_0|, with room for the rounding of the sums below
+    upper = [abs(a - t * b) + gamma * (ea + at * eb) for a, b, ea, eb
+             in zip_longest(_taylor(num, t), shifted_den, env_num, env_den, fillvalue=0)]
+    tail = [abs(b) + gamma * eb for b, eb in zip(shifted_den[1:], env_den[1:])]
+    lead = abs(shifted_den[0]) - 2 * gamma * env_den[0]
+    r = sep / 3
+    while r > CAPTURE_RADIUS:
+        a = (1 + gamma) * _at_radius(upper, r)  # A(r) >= |N(h)|
+        low = lead - (1 + gamma) * r * _at_radius(tail, r)  # L(r) <= |D(h)|
+        # Horner's rounding on num and den, from their envelopes at |t| + r
+        eta_num = gamma * (1 + gamma) * _at_radius(env_num, r)
+        envelope_den = (1 + gamma) * _at_radius(env_den, r)
+        eta_den = gamma * envelope_den
+        # no point of the disk is a pole by eval_sphere's rule, nor in its 1/z chart
+        if low - eta_den > POLE_RTOL * envelope_den \
+                and (at + r) * (1 + gamma) <= HANDOFF_RADIUS:
+            image = at + a / low  # >= |R(z)|
+            # >= |num/den - R(z)| for the computed num and den, then the division
+            spread = (eta_num + image * eta_den) / (low - eta_den)
+            if (a / low + spread + gamma * (image + spread)) * (1 + gamma) < r:
+                return r
+        r /= 2
+    return CAPTURE_RADIUS
+
+
+def _taylor(coeffs, t, count: int | None = None) -> list:
+    """The first count (default: all) ascending coefficients of
+    coeffs(t + h) in h, by repeated synthetic division."""
+    a = list(coeffs)
+    count = len(a) if count is None else count
+    a += [0] * (count - len(a))
+    for i in range(count):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += t * a[j + 1]
+    return a[:count]
+
+
+def _at_radius(coeffs, r: float) -> float:
+    """sum_j coeffs[j] r**j for nonnegative coeffs, by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
 
 
 def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
@@ -454,12 +556,22 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
     labels = np.full(n, UNDECIDED, dtype=np.int32)
     iters = np.full(n, max_iter, dtype=np.int32)
     last = np.empty(n, dtype=np.complex128)  # every point retires exactly once
-    targets = _targets(roots, cycles)
-    # the screen's real parts, each once (a conjugate pair shares one)
-    target_reals = sorted({target.real for _, target in targets})
+    targets = _targets(R, roots, cycles)
+    target_labels = np.array([label for label, _, _ in targets], dtype=np.int32)
+    target_points = np.array([point for _, point, _ in targets], dtype=np.complex128)
+    # the screen's bands: each distinct real part once (a conjugate pair
+    # shares one), with the largest radius of its targets
+    bands = {}
+    for _, point, radius in targets:
+        bands[point.real] = max(radius, bands.get(point.real, radius))
+    # a band of radius r > CAPTURE_RADIUS lowers its distances by slack, so
+    # that near < CAPTURE_RADIUS holds wherever |Re w - Re t| < r: the
+    # CAPTURE_RADIUS / 2 to spare exceeds the rounding of gap - slack
+    screen = [(re, 0.0 if radius == CAPTURE_RADIUS else radius - CAPTURE_RADIUS / 2)
+              for re, radius in sorted(bands.items())]
     # a map that fixes infinity parks orbits at INF, the one point where
     # the screen's near is inf once some (finite) target exists
-    parks = R.num.degree > R.den.degree and bool(target_reals)
+    parks = R.num.degree > R.den.degree and bool(screen)
 
     def follow(pos, w, steps, alone):
         """Follow the points at positions pos, at w after steps map
@@ -468,28 +580,31 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
         at most _BLOCK // 8 are live."""
         buffers = np.empty((2, w.size))
         while True:
-            # screen: near is each point's distance to the nearest target's
-            # real part; only points with near < CAPTURE_RADIUS can be captured
-            re = w.real.copy()  # contiguous, as it is read once per target
+            # screen: near is each point's distance to the nearest band, less
+            # its slack; only points with near < CAPTURE_RADIUS can be captured
+            re = w.real.copy()  # contiguous, as it is read once per band
             near, gap = buffers[:, :re.size]
             near.fill(np.inf)
-            for target_re in target_reals:
+            for target_re, slack in screen:
                 np.abs(np.subtract(re, target_re, out=gap), out=gap)
+                if slack:
+                    np.subtract(gap, slack, out=gap)
                 np.minimum(near, gap, out=near)
             cand = np.flatnonzero(near < CAPTURE_RADIUS)
-            # label of the nearest target within CAPTURE_RADIUS (the first
-            # one on a tie), one target at a time to keep memory O(points)
-            t = np.full(cand.size, UNDECIDED, dtype=np.int32)
+            # index of the nearest target whose disk holds the point (the
+            # first one on a tie), one target at a time to keep memory O(points)
+            t = np.full(cand.size, -1, dtype=np.intp)
             best = np.full(cand.size, CAPTURE_RADIUS)
             wc = w[cand]
-            for label, target in targets:
+            for k, (_, target, radius) in enumerate(targets):
                 d = np.abs(wc - target)
-                closer = d < best
+                # a trap disk meets no other target's disk
+                closer = d < (best if radius == CAPTURE_RADIUS else radius)
                 best[closer] = d[closer]
-                t[closer] = label
-            hit = t != UNDECIDED
+                t[closer] = k
+            hit = t >= 0
             done = cand[hit]
-            labels[pos[done]] = t[hit]
+            labels[pos[done]] = target_labels[t[hit]]
             iters[pos[done]] = steps[done]
             retire = steps >= max_iter
             retire[done] = True
@@ -498,6 +613,8 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
                 retire |= near == np.inf
             if retire.any():
                 last[pos[retire]] = w[retire]
+                # a captured point ends at the target that captured it
+                last[pos[done]] = target_points[t[hit]]
                 keep = np.flatnonzero(~retire)
                 pos, w, steps = pos[keep], w[keep], steps[keep]
             if not pos.size:

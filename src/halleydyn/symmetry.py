@@ -25,6 +25,7 @@ from .dynamics import DEFAULT_MAX_ITER, UNDECIDED, BasinGrid, Window, classify_g
 
 GRID_AGREEMENT = 0.99
 N_MAX = 12  # the largest rotation order the grid probe tests
+PROBE_STRIDE = 16  # the grid probe first tries every 16th source pixel
 # symmetry_report's grid: REPORT_WINDOW at REPORT_RESOLUTION x
 # REPORT_RESOLUTION pixels, each orbit run for DEFAULT_MAX_ITER steps
 REPORT_WINDOW = Window(0j, 2.0, 2.0)
@@ -83,22 +84,56 @@ def grid_symmetry_order(grid: BasinGrid) -> int:
     same[0, :] = same[-1, :] = False
     same[:, 0] = same[:, -1] = False
     source = interior & same
-    centers = grid.pixel_centers()
+    src, src_centers = labels[source], grid.pixel_centers()[source]
     for n in range(N_MAX, 1, -1):
-        if _rotation_consistent(grid, labels, centers, source, n):
+        if _rotation_consistent(grid, labels, src, src_centers, n):
             return n
     return 1
 
 
-def _rotation_consistent(grid, labels, centers, source, n) -> bool:
-    row, col = grid.pixel_of(centers * cmath.exp(2j * cmath.pi / n))
-    inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
-    valid = source & inside
-    src = labels[valid]
-    dst = labels[row[valid], col[valid]]  # the label at each rotated centre
-    keep = dst != UNDECIDED
-    agreement = _vote_agreement(src[keep], dst[keep])
+def _rotation_consistent(grid, labels, src, src_centers, n) -> bool:
+    """Whether rotation by 2 pi / n follows one label permutation on at
+    least the GRID_AGREEMENT share of the pairs of the source pixels, whose
+    labels and centres, in row-major order, are src and src_centers.
+
+    Every PROBE_STRIDE-th source pixel is tried first.  Its T kept pairs,
+    whose histogram rows have largest counts summing to M, bound the
+    agreement of all the pairs from above by (M + U) / (T + U), where U
+    source pixels were not tried: each adds at most one pair and one
+    agreement.  A bound below GRID_AGREEMENT rejects n, and otherwise the
+    full pass decides, so the answer is the full pass's either way.
+    """
+    rot = cmath.exp(2j * cmath.pi / n)
+    tried = np.s_[::PROBE_STRIDE]
+    hist = _histogram(*_rotated_pairs(grid, labels, src[tried], src_centers[tried] * rot))
+    kept = int(hist.sum())
+    untried = src.size - src[tried].size
+    agree = int(hist.max(axis=1).sum()) if kept else 0
+    if kept + untried == 0 or (agree + untried) / (kept + untried) < GRID_AGREEMENT - 1e-9:
+        return False
+    agreement = _vote_agreement(*_rotated_pairs(grid, labels, src, src_centers * rot))
     return agreement is not None and agreement >= GRID_AGREEMENT
+
+
+def _rotated_pairs(grid, labels, src, rotated):
+    """(source, destination) label pairs of the pixels with labels src
+    whose rotated centres land inside the grid on a labelled pixel."""
+    row, col = grid.pixel_of(rotated)
+    inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
+    dst = labels[row[inside], col[inside]]  # the label at each rotated centre
+    keep = dst != UNDECIDED
+    return src[inside][keep], dst[keep]
+
+
+def _histogram(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Counts of the label pairs (src[i], dst[i]), one row per source label
+    that occurs and one column per label between the smallest and largest."""
+    if src.size == 0:
+        return np.zeros((0, 0), dtype=np.intp)
+    lo = min(src.min(), dst.min())
+    k = int(max(src.max(), dst.max())) - int(lo) + 1
+    hist = np.bincount((src - lo) * k + (dst - lo), minlength=k * k).reshape(k, k)
+    return hist[hist.any(axis=1)]
 
 
 def _vote_agreement(src: np.ndarray, dst: np.ndarray) -> float | None:
@@ -109,10 +144,7 @@ def _vote_agreement(src: np.ndarray, dst: np.ndarray) -> float | None:
     source labels vote for one destination."""
     if src.size == 0:
         return None
-    lo = min(src.min(), dst.min())
-    k = int(max(src.max(), dst.max())) - int(lo) + 1
-    hist = np.bincount((src - lo) * k + (dst - lo), minlength=k * k).reshape(k, k)
-    hist = hist[hist.any(axis=1)]  # the rows of the source labels that occur
+    hist = _histogram(src, dst)
     images = hist.argmax(axis=1)
     if np.unique(images).size != images.size:
         return None

@@ -167,16 +167,19 @@ def test_concurrent_callers_share_the_block_pool(monkeypatch):
 
 
 def test_pooled_tails_match_points_classified_alone(monkeypatch):
-    # (z - 2)(z + 1)^3: orbits reach the simple root 2 in a few steps and
-    # the triple root -1 only linearly; far points stay undecided at
-    # max_iter and infinity is parked.  Six blocks retire at very
-    # different rates, so pooled pieces mix points at different steps.
+    # (z - 2)(z + 1)^3: orbits reach the simple root 2 in a few steps; the
+    # slow points wander near the basin boundary for 20 steps or more
+    # before they enter the trap disk of the triple root -1 (radius 0.25);
+    # far points stay undecided at max_iter and infinity is parked.  Six
+    # blocks retire at very different rates, so pooled pieces mix points
+    # at different steps.
     h = halley_of(Polynomial.make([-2, -5, -3, 1, 1]))
     roots = (-1 + 0j, 2 + 0j)
     kinds = {
         "fast": [2.1, 1.9 + 0.1j, 2.5 - 0.3j, 3 + 1j],
-        "slow": [-1 + 0.01j, -1.05, -0.7 + 0.2j, -1.5 - 0.5j, -1 + 2j],
-        "undecided": [40 + 40j, -300j],
+        "slow": [3.2313 - 2.9798j, 1.9706 + 1.7329j, 3.9604 - 3.4699j, 2.6932 - 2.3009j,
+                 1.251 + 0.5787j],
+        "undecided": [1e9 + 1e9j, -3e10j],
         "parked": [np.inf],
     }
     distinct = np.array([z for pts in kinds.values() for z in pts], dtype=np.complex128)
@@ -230,6 +233,99 @@ def test_nearest_of_two_targets_with_equal_real_parts_wins():
     assert labels.tolist() == [1, 0, 0] and iters.tolist() == [0, 0, 0]
     labels, _, _ = dynamics._classify_points(h, z[:1], (1 + 1e-9j, 1 - 1e-9j), (), 0)
     assert labels.tolist() == [0]
+
+
+# the radius of each root of (z^2 - 1)^2, (z^2 - 1)^3 and z^4 - z^2 (in
+# find_roots order), halving from a third of its distance to the nearest
+# other root
+TRAP_RADII = [
+    ([1, 0, -2, 0, 1], [2 / 3 / 4, 2 / 3 / 4]),
+    ([-1, 0, 3, 0, -3, 0, 1], [2 / 3 / 8, 2 / 3 / 8]),
+    ([0, 0, -1, 0, 1], [dynamics.CAPTURE_RADIUS, 1 / 3, dynamics.CAPTURE_RADIUS]),
+    ([-1, 0, 1], [dynamics.CAPTURE_RADIUS] * 2),
+    ([0, -1] + [0] * 6 + [1], [dynamics.CAPTURE_RADIUS] * 8),
+]
+
+
+@pytest.mark.parametrize("coeffs, radii", TRAP_RADII)
+def test_linearly_converging_roots_get_trap_radii(coeffs, radii):
+    # multiple roots (multiplier (k - 1) / (k + 1)) get proven trap disks;
+    # superattracting simple roots keep CAPTURE_RADIUS
+    p = Polynomial.make(coeffs)
+    roots = tuple(roots_of(p))
+    targets = dynamics._targets(halley_of(p), roots, ())
+    assert [radius for _, _, radius in targets] == radii
+    assert [(label, point) for label, point, _ in targets] == list(enumerate(roots))
+
+
+def test_trap_radius_needs_a_finite_fixed_target_among_others():
+    # a lone target, a target at infinity and a pole keep CAPTURE_RADIUS,
+    # as does a point that R does not fix
+    R = halley_of(Polynomial.make([1, 0, -2, 0, 1]))
+    assert dynamics._trap_radius(R, 1 + 0j, [-1 + 0j]) > dynamics.CAPTURE_RADIUS
+    assert dynamics._trap_radius(R, 1 + 0j, []) == dynamics.CAPTURE_RADIUS
+    assert dynamics._trap_radius(R, INF, [1 + 0j]) == dynamics.CAPTURE_RADIUS
+    assert dynamics._trap_radius(R, 0.5 + 0j, [1 + 0j]) == dynamics.CAPTURE_RADIUS
+    inverse = RationalMap(Polynomial.make([1]), Polynomial.make([0, 1]))
+    assert dynamics._trap_radius(inverse, 0j, [1 + 0j]) == dynamics.CAPTURE_RADIUS
+
+
+def test_mirror_targets_get_bit_equal_trap_radii():
+    # Halley's map of q^2 is z - 2 q q' / (3 q'^2 - q q''); for
+    # q = (z^2 - a^2)(z^2 - conj(a)^2) and a = 1 + 0.5j its coefficients
+    # are exact, real and of alternating parity, and its four double roots
+    # are one orbit of conjugation and z -> -conj(z): they share one
+    # radius bit for bit
+    q = Polynomial.make([1.5625, 0, -1.5, 0, 1])
+    dq = q.deriv()
+    den = dq * dq * Polynomial.make([3]) - q * dq.deriv()
+    R = RationalMap(Polynomial.make([0, 1]) * den - q * dq * Polynomial.make([2]), den)
+    assert R.is_real and dynamics._is_odd(R)
+    a = 1 + 0.5j
+    targets = dynamics._targets(R, (a, a.conjugate(), -a, -a.conjugate()), ())
+    radius_of = {point: radius for _, point, radius in targets}
+    assert len(radius_of) == 4 and min(radius_of.values()) > dynamics.CAPTURE_RADIUS
+    for point, radius in radius_of.items():
+        assert radius_of[point.conjugate()] == radius == radius_of[-point.conjugate()]
+
+
+def test_unequal_mirror_radii_classify_every_row(monkeypatch):
+    # a target whose mirror image got another radius may not be mirrored
+    h = halley_of(CUBIC_ODD)
+    trap_radius = dynamics._trap_radius
+    monkeypatch.setattr(dynamics, "_trap_radius", lambda R, t, others: (
+        1e-3 if t.imag > 0 else trap_radius(R, t, others)))
+    counted = _counting_kernel(monkeypatch)
+    classify_grid(h, [-1, 1j, -1j, 1], Window(0.3 + 0j, 1.5, 1.5), 16)
+    assert counted == [256]
+
+
+@pytest.mark.parametrize("center, share", [(0j, 4), (0.3 + 0j, 2)])
+def test_mirrored_grids_with_trap_disks_equal_the_kernel_on_every_centre(
+        monkeypatch, center, share):
+    # (z^2 - 1)^3, with trap disks about its triple roots: a window centred
+    # at 0 is classified on a quarter, one centred at 0.3 on the real axis
+    # on a half, and either holds what the kernel gives at every centre
+    p = Polynomial.make([-1, 0, 3, 0, -3, 0, 1])
+    R, roots = halley_of(p), tuple(roots_of(p))
+    counted = _counting_kernel(monkeypatch)
+    grid = classify_grid(R, roots, Window(center, 2.0, 2.0), (60, 50))
+    labels, iters, _ = dynamics._classify_points(
+        R, grid.pixel_centers().ravel(), roots, (), grid.max_iter)
+    assert counted == [60 * 50 // share, 60 * 50]
+    assert np.array_equal(grid.labels.ravel(), labels)
+    assert np.array_equal(grid.iterations.ravel(), iters)
+
+
+def test_captured_points_end_at_their_target():
+    # last is the target that captured a point (a cycle's point of capture),
+    # and an undecided point's position at max_iter
+    h, roots, cycles = _render_cycle_case()
+    z = np.array([roots[0] + 0.01, cycles[0][1] + 1e-9, 1 + 0.2j, 1e9], dtype=np.complex128)
+    labels, _, last = dynamics._classify_points(h, z, tuple(roots), cycles, 3)
+    assert labels.tolist() == [0, -1, UNDECIDED, UNDECIDED]
+    assert last[:2].tolist() == [roots[0], cycles[0][1]]
+    assert last[2] != 1 + 0.2j and np.isfinite(last[2])
 
 
 def test_grid_memory_peak_is_bounded():

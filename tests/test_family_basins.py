@@ -3,15 +3,15 @@
 Over the box of a polynomial's roots, at most UNDECIDED_BOUND of a 48^2
 grid may stay undecided after 200 steps.  Halley's map meets the bound on
 these polynomials.  The Koenig and Chebyshev-Halley maps built as reduced
-num/den do not: their rounded coefficients move each attracting fixed
-point off p's root by more than the capture radius, and from konig(5) on
-they do not even fix the roots, so orbits that converge are never
-captured.  Root-form steps, which iterate each family from the sums
-sum_i k_i / (z - r_i)^j over p's roots, are the remedy these gates await.
+num/den meet it through their trap disks: their rounded coefficients move
+each attracting fixed point off p's root by more than CAPTURE_RADIUS, and
+from konig(5) on they do not even fix the roots, but a root whose
+multiplier is not superattracting gets a proven trap radius (see
+dynamics._trap_radius), and the moved fixed point lies inside it.
 
 Nor may a free critical orbit that converges to a root be reported as a
 period-1 cycle there: such a point matches the root (polycore's
-CLUSTER_RADIUS), so its orbit is an undecided converging tail.
+CLUSTER_RADIUS), or, further off, lies in the root's trap disk.
 """
 
 import numpy as np
@@ -67,11 +67,8 @@ def test_halley_decides_the_roots_box(entry):
     assert _undecided_share(entry, halley_of) <= UNDECIDED_BOUND
 
 
-# undecided share of each case before root-form steps: 100%, 100%,
-# 93.1%, 100% and 55.8%
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2 and FOUND 20: the reduced Koenig and "
-                   "Chebyshev-Halley maps miss their own roots")
+# undecided share of each case before trap disks: 100%, 100%, 93.1%,
+# 100% and 55.8%; with them, 0% on each
 @pytest.mark.parametrize("entry, family, arg", [
     (17, "konig", 4), (17, "konig", 5), (17, "chebyshev", 0), (28, "konig", 6),
     (11, "chebyshev", 0),
@@ -99,9 +96,9 @@ def test_no_free_critical_orbit_is_a_period_one_cycle_at_a_root(entry, method):
         abs(f.cycle[0] - r.location) <= CLUSTER_RADIUS for r in p.roots)]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 13: rounding moved the reduced maps' attracting "
-                   "fixed points 1.4e-6 to 8.3e-6 off the triple roots")
+# rounding moved the reduced maps' attracting fixed points 1.4e-6 to
+# 8.3e-6 off the triple roots, where they were period-1 cycles before
+# trap disks; each lies in its root's trap disk
 @pytest.mark.parametrize("method", ["konig(4)", "chebyshev(1)"])
 def test_entry_17_has_no_cycle_fate(method):
     _, fates = _fates(17, method)

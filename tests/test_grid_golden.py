@@ -14,15 +14,21 @@ test_capture_disks_are_traps checks.  When find_roots began to return the
 roots of a real polynomial exactly real or in exactly conjugate pairs,
 only the `last` of two root fates moved: the real root of z^3 + 6z + b
 lost its -9.15e-53j of noise, and the two fates of z^3 - z became exact
-conjugates.
+conjugates.  When the multiple roots got proven trap disks, only the
+iteration counts of the three grids with multiple roots (e1-k2, e1-k3
+and e5-z4-z2) moved, and the `last` of the root fates, which is now the
+root that captured the orbit; test_label_oracle checks their labels at
+50 digits.
 """
 
 import cmath
 import hashlib
 
+import mpmath
 import numpy as np
 import pytest
 
+from halleydyn import dynamics
 from halleydyn.dynamics import (
     CAPTURE_RADIUS,
     UNDECIDED,
@@ -81,10 +87,10 @@ CASES = {
         "0d92207d407949bc00c1ead10738ed4ea4561ab8b885074c8fd5b6e39440962e"),
     "e1-k2": _acceptance_case(
         [1, 0, -2, 0, 1],
-        "f953aa7cbe41ebd7d2d68882396654e3593e81169af1fa8cafdd1feded526229"),
+        "a439ae0616449eaa4db770377c5a51a448f5cbf5c31b885495952e478e70bde3"),
     "e1-k3": _acceptance_case(
         [-1, 0, 3, 0, -3, 0, 1],
-        "0454ed77daa91ad3e2c5a1300b55e585835a55793ead9ea9ad74cd231ab45de5"),
+        "6706a8838391ffa465957bda7011ee00a056a0a4430ef28150ecd24c304b2dad"),
     # E5's four polynomials; E7's z(z^n - 1) grids for n = 2 and 3 are
     # the z^3 - z and z^4 - z grids here, and for n = 7 and 9 E6's below
     "e5-z3-1": _acceptance_case(
@@ -98,7 +104,7 @@ CASES = {
         "0b95aa8ada19496fb3b14d7e274930a50c7b67fe01341d05d03a1b15142c8c73"),
     "e5-z4-z2": _acceptance_case(
         [0, 0, -1, 0, 1],
-        "49bf1a6ddf06e70fc8bf674be09e7cdb0f4c69225302513c749df6cc2be698a6"),
+        "7ca8810874e00c1420a3d0f343922ec4364d9ccafcf53b6789689edb94bba996"),
     # E6: z(z^n - 1) for n = 7 and 9
     "e6-n7": _acceptance_case(
         [0, -1] + [0] * 6 + [1],
@@ -129,14 +135,12 @@ CYCLE_LABELS = {
 FATES = {
     "z^3 - z": (
         lambda: (Polynomial.make([0, -1, 0, 1]), halley_of(Polynomial.make([0, -1, 0, 1]))),
-        [OrbitOutcome("root", root_index=1, iterations=3,
-                      last=6.106478696464268e-16j),
-         OrbitOutcome("root", root_index=1, iterations=3,
-                      last=-6.106478696464268e-16j)]),
+        [OrbitOutcome("root", root_index=1, iterations=3, last=0j),
+         OrbitOutcome("root", root_index=1, iterations=3, last=0j)]),
     "z^3 + 6z + b": (
         lambda: (family_polynomial(62.5144395981942), halley_b(62.5144395981942)),
         [OrbitOutcome("root", root_index=0, iterations=3,
-                      last=-3.4679220603808507 + 0j),
+                      last=-3.467922062417944 + 0j),
          OrbitOutcome("cycle", iterations=200,
                       cycle=(5.905235039330978 + 0j, 1.000000000000001 + 0j),
                       last=1.000000000000001 + 0j)]),
@@ -188,12 +192,31 @@ def test_capture_disks_are_traps(name):
     # inside it: after one step about a root (worst ratio 0.5, at E1's
     # triple roots), after the period about a cycle point (0.015 for the
     # 2-cycle).  So an orbit captured on first entry stays in its basin.
+    # Each proven trap disk, wider than CAPTURE_RADIUS, is checked the same
+    # way in one step, under eval_sphere and at 50 digits.
     build, _, _, cycles, _ = CASES[name]
     R, roots = build()
-    ring = CAPTURE_RADIUS * np.exp(2j * np.pi * np.arange(256) / 256)
+    ring = np.exp(2j * np.pi * np.arange(256) / 256)
     for target, period in ([(complex(r), 1) for r in roots]
                            + [(complex(p), len(cyc)) for cyc in cycles for p in cyc]):
-        w = target + ring
+        w = target + CAPTURE_RADIUS * ring
         for _ in range(period):
             w = eval_sphere(R, w)
         assert (np.abs(w - target) < CAPTURE_RADIUS).all()
+    for _, target, radius in dynamics._targets(R, tuple(complex(r) for r in roots), cycles):
+        if radius > CAPTURE_RADIUS:
+            circle = target + radius * ring
+            assert (np.abs(eval_sphere(R, circle) - target) < radius).all()
+            assert max(_exact_distances(R, circle, target)) < radius
+
+
+def _exact_distances(R, points, target):
+    """|R(z) - target| at each point z, at 50 digits, with R's float
+    coefficients taken exactly."""
+    with mpmath.workdps(50):
+        num = [mpmath.mpc(c.real, c.imag) for c in reversed(R.num.coeffs)]
+        den = [mpmath.mpc(c.real, c.imag) for c in reversed(R.den.coeffs)]
+        t = mpmath.mpc(target.real, target.imag)
+        for z in points.tolist():
+            z = mpmath.mpc(z.real, z.imag)
+            yield float(abs(mpmath.polyval(num, z) / mpmath.polyval(den, z) - t))

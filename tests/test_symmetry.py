@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halleydyn import symmetry
-from halleydyn.dynamics import UNDECIDED, Window, classify_grid
+from halleydyn.dynamics import UNDECIDED, BasinGrid, Window, classify_grid
 from halleydyn.errors import NotNormalized, WindowNotCentered
 from halleydyn.polycore import Polynomial, find_roots
 from halleydyn.symmetry import (
@@ -140,3 +140,99 @@ def test_histogram_vote_breaks_a_tie_toward_the_smaller_destination():
     dst = np.array([3, -1, 3, -1, -1, -1, 2], dtype=np.int32)
     assert _per_label_vote(src, dst) is symmetry._vote_agreement(src, dst) is None
     assert symmetry._vote_agreement(src[:0], dst[:0]) is None
+
+
+def _full_pass_orders(grid) -> list:
+    """Each n <= N_MAX whose rotation passes the full pass alone: every
+    source pixel's pair voted at once."""
+    labels = grid.labels
+    padded = np.pad(labels, 1, constant_values=UNDECIDED)
+    interior = (labels != UNDECIDED)
+    for shifted in (padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]):
+        interior &= shifted == labels
+    centers = grid.pixel_centers()
+    orders = []
+    for n in range(2, N_MAX + 1):
+        row, col = grid.pixel_of(centers * np.exp(2j * np.pi / n))
+        inside = (row >= 0) & (row < grid.height) & (col >= 0) & (col < grid.width)
+        valid = interior & inside
+        dst = labels[row[valid], col[valid]]
+        agreement = symmetry._vote_agreement(labels[valid][dst != UNDECIDED],
+                                             dst[dst != UNDECIDED])
+        if agreement is not None and agreement >= symmetry.GRID_AGREEMENT:
+            orders.append(n)
+    return orders
+
+
+def _golden_square_grids():
+    for n in (2, 3, 7, 9):  # E7's grids
+        p = odd_family(n)
+        yield f"e7-n{n}", p, symmetry.REPORT_WINDOW, symmetry.REPORT_RESOLUTION
+    for coeffs in ([1, 0, -2, 0, 1], [-1, 0, 3, 0, -3, 0, 1], [0, 0, -1, 0, 1],
+                   [-1, 0, 0, 1], [0, -1, 0, 0, 1], [0, -1] + [0] * 6 + [1]):
+        yield f"golden-deg{len(coeffs) - 1}", Polynomial.make(coeffs), Window(0j, 2.0, 2.0), 120
+
+
+@pytest.mark.parametrize("name, p, window, res", _golden_square_grids())
+def test_sampled_probe_keeps_the_full_pass_answer(monkeypatch, name, p, window, res):
+    # the strided sample only rejects orders the full pass rejects too, so
+    # the probe accepts exactly the full pass's orders, the largest first
+    grid = classify_grid(halley_of(p), [c.location for c in p.roots], window, res)
+    accepted = []
+    consistent = symmetry._rotation_consistent
+
+    def every_order(grid, labels, src, src_centers, n):
+        if consistent(grid, labels, src, src_centers, n):
+            accepted.append(n)
+        return False
+
+    monkeypatch.setattr(symmetry, "_rotation_consistent", every_order)
+    assert grid_symmetry_order(grid) == 1
+    assert sorted(accepted) == _full_pass_orders(grid)
+    monkeypatch.undo()
+    assert grid_symmetry_order(grid) == max(accepted, default=1)
+
+
+def _spied_votes(monkeypatch) -> list:
+    """The agreements the full pass computes from now on."""
+    votes = []
+    vote = symmetry._vote_agreement
+
+    def spy(src, dst):
+        votes.append(vote(src, dst))
+        return votes[-1]
+
+    monkeypatch.setattr(symmetry, "_vote_agreement", spy)
+    return votes
+
+
+def _label_grid(labels):
+    size = labels.shape[0]
+    return BasinGrid(Window(0j, 1.0, 1.0), size, size, labels.astype(np.int32),
+                     np.zeros(labels.shape, dtype=np.int32), 200)
+
+
+def test_sample_alone_rejects_an_asymmetric_grid(monkeypatch):
+    # random labels on 8 x 8 blocks agree with their rotations about half
+    # the time: every order is rejected before any full pass
+    blocks = np.random.default_rng(3).integers(0, 2, size=(12, 12))
+    grid = _label_grid(np.kron(blocks, np.ones((8, 8), dtype=int)))
+    assert _full_pass_orders(grid) == []
+    votes = _spied_votes(monkeypatch)
+    assert grid_symmetry_order(grid) == 1 and votes == []
+
+
+def test_full_pass_rejects_what_the_sample_lets_through(monkeypatch):
+    # four quadrant labels, symmetric under half and quarter turns, and a
+    # disk of radius 12 in one quadrant that carries the opposite
+    # quadrant's label: each turn's sample bounds its agreement above
+    # GRID_AGREEMENT, and the full pass finds about 0.9
+    size = 96
+    y, x = np.mgrid[size // 2 - 0.5:-size // 2:-1, -size // 2 + 0.5:size // 2]
+    labels = (x > 0).astype(int) + 2 * (y > 0)
+    labels[(x - 24) ** 2 + (y - 24) ** 2 < 12 ** 2] = 0
+    grid = _label_grid(labels)
+    assert _full_pass_orders(grid) == []
+    votes = _spied_votes(monkeypatch)
+    assert grid_symmetry_order(grid) == 1
+    assert len(votes) >= 2 and all(0.85 < v < symmetry.GRID_AGREEMENT for v in votes)
