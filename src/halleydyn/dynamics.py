@@ -13,19 +13,30 @@ outcome does not depend on its piece.  The pieces of a round run on one
 module-level thread pool, created on first use with a thread per CPU the
 process may use; numpy releases the GIL inside its ufuncs.  Its one
 capture rule: a point is captured at the first step, at most max_iter,
-at which it lies within CAPTURE_RADIUS of a target; it takes the label
-of the nearest such target (the first one on a tie), and its iteration
-count is that step.  Since |Re w - Re t| <= |w - t|, only the points
-that pass that test on real parts are measured against the targets.
-Targets are attracting: roots, and the points of attracting cycles.  On
-every map the grid goldens pin, the CAPTURE_RADIUS disk about a root
-maps into itself, and the one about a cycle point maps into itself under
-the cycle's period, so an orbit that enters a disk never leaves its
-basin.
+at which it lies within the capture radius of a target; it takes the
+label of the nearest such target (the first one on a tie), its iteration
+count is that step, and its last point is that target.  Since
+|Re w - Re t| <= |w - t|, only the points that pass that test on real
+parts, against the largest radius of the targets sharing a real part,
+are measured against the targets.
+Targets are attracting: roots, and the points of attracting cycles.  A
+cycle point, a lone target and a superattracting root (Halley's simple
+roots) have radius CAPTURE_RADIUS; on every map the grid goldens pin,
+that disk about a root maps into itself, and the one about a cycle point
+maps into itself under the cycle's period.  Every other root, such as a
+multiple root, where Halley's method converges only linearly, gets a
+proven trap radius (_trap_radius): R maps the closed disk into the open
+one, in exact arithmetic and in floats, so by the Schwarz lemma the disk
+holds one fixed point, which attracts every orbit that enters.  Trap
+disks meet no other target's disk.  So an orbit that enters a disk never
+leaves its basin, and an orbit that enters a trap disk before max_iter
+is labelled even when it would come within CAPTURE_RADIUS of the root
+only after max_iter.
 
 classify_grid classifies half the grid of a real map, and a quarter of
 an odd one.  When R.is_real (every coefficient has imaginary part
-exactly 0), the targets are closed under exact conjugation and the
+exactly 0), the targets are closed under exact conjugation (radii
+included, which conjugation keeps bit for bit) and the
 window is centred on the real axis, the kernel runs on the top
 ceil(H/2) rows only; each row below is its mirror row conjugated, with
 the same counts and each label sent to that of the conjugate target.
@@ -281,8 +292,9 @@ def iterate_orbit(R: RationalMap, z0, roots,
 def orbit_outcomes(R: RationalMap, points, roots, max_iter: int) -> list[OrbitOutcome]:
     """OrbitOutcome of each sphere point.
 
-    One _classify_points call captures the orbits that reach a root.  The
-    finite points w it leaves undecided are then mapped together, one
+    One _classify_points call captures the orbits that reach a root, with
+    that root as last.  The finite points w it leaves undecided (last is
+    where each was at step max_iter) are then mapped together, one
     eval_sphere call per step, for at most PERIOD_CAP steps.  An orbit
     that first comes back within CYCLE_TOL of w after k steps is on a
     cycle of period k, listed from R(w), and last is its point of return.
@@ -445,12 +457,13 @@ def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
     """Capture radius of the root target t, given the other targets.
 
     A superattracting t (|R'(t)| < SUPERATTRACTING_TOL, as classify
-    calls it; Halley's simple roots are) keeps CAPTURE_RADIUS, and so does
-    a lone target.  Otherwise the radius is the first r of sep / 3,
-    sep / 6, sep / 12, ... above CAPTURE_RADIUS whose closed disk about t
-    is a proven trap, where sep is t's distance to the nearest other
-    target, and CAPTURE_RADIUS when there is none.  The disks of two
-    targets are then disjoint.
+    calls it; Halley's simple roots are) keeps CAPTURE_RADIUS.  Otherwise
+    the radius is the first r of sep / 3, sep / 6, sep / 12, ... above
+    CAPTURE_RADIUS whose closed disk about t is a proven trap, and
+    CAPTURE_RADIUS if none is.  sep is t's distance to the nearest other
+    target, so the disks of two targets are disjoint.  A trap holds one
+    fixed point, somewhere in its disk; sep keeps the disk about t, so a
+    lone target, or one at infinity, has no sep and keeps CAPTURE_RADIUS.
 
     The proof: with N(h) = num(t + h) - t den(t + h) and D(h) = den(t + h)
     expanded about t, every z = t + h with |h| <= r has
@@ -462,7 +475,10 @@ def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
     rounding of eval_sphere's Horner loops and quotient on the disk, from
     the envelopes of num and den over L(r).  When A / L + delta < r and
     no point of the disk is a pole by eval_sphere's rule, R and its
-    float evaluation both map the closed disk into the open one.  By the
+    float evaluation both map the closed disk into the open one.  The
+    bounds are taken on a disk wider than r by the rounding margin, so
+    they also cover every point whose rounded distance to t is below r,
+    which the kernel captures.  By the
     Schwarz lemma R then has exactly one fixed point in it, which attracts
     every orbit of R that enters (Earle-Hamilton), and no float orbit
     that enters ever leaves.  Conjugate targets of a real map, and
@@ -492,15 +508,19 @@ def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
     lead = abs(shifted_den[0]) - 2 * gamma * env_den[0]
     r = sep / 3
     while r > CAPTURE_RADIUS:
-        a = (1 + gamma) * _at_radius(upper, r)  # A(r) >= |N(h)|
-        low = lead - (1 + gamma) * r * _at_radius(tail, r)  # L(r) <= |D(h)|
-        # Horner's rounding on num and den, from their envelopes at |t| + r
-        eta_num = gamma * (1 + gamma) * _at_radius(env_num, r)
-        envelope_den = (1 + gamma) * _at_radius(env_den, r)
+        # the bounds hold on the disk of radius rho, which also holds every
+        # point that the kernel's rounded |w - t| < r captures
+        rho = (1 + gamma) * r
+        a = (1 + gamma) * _at_radius(upper, rho)  # A(rho) >= |N(h)|
+        low = lead - (1 + gamma) * rho * _at_radius(tail, rho)  # L(rho) <= |D(h)|
+        # Horner's rounding on num and den, from their envelopes at |t| + rho
+        eta_num = gamma * (1 + gamma) * _at_radius(env_num, rho)
+        envelope_den = (1 + gamma) * _at_radius(env_den, rho)
         eta_den = gamma * envelope_den
-        # no point of the disk is a pole by eval_sphere's rule, nor in its 1/z chart
+        # no point of the disk is a pole by eval_sphere's rule, or is
+        # evaluated in its 1/z chart
         if low - eta_den > POLE_RTOL * envelope_den \
-                and (at + r) * (1 + gamma) <= HANDOFF_RADIUS:
+                and (at + rho) * (1 + gamma) <= HANDOFF_RADIUS:
             image = at + a / low  # >= |R(z)|
             # >= |num/den - R(z)| for the computed num and den, then the division
             spread = (eta_num + image * eta_den) / (low - eta_den)
@@ -536,11 +556,13 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
 
     Every step is elementwise over the points, so a point's outcome does
     not depend on which other points share the call or its block.  A
-    point is captured at the first step at which it lies within
-    CAPTURE_RADIUS of a target, with the label of the nearest one; the
-    points of one cycle share a label.  last is where a point was at
-    capture, at step max_iter, or INF when it was parked at infinity by a
-    map that fixes infinity.  ValueError is raised unless
+    point is captured at the first step at which it lies within a
+    target's capture radius (_targets: CAPTURE_RADIUS, or a root's proven
+    trap radius), with the label of the nearest such target; the points
+    of one cycle share a label.  last is the target that captured a
+    point (the root, or the cycle point it was captured at), where an
+    undecided point was at step max_iter, or INF when it was parked at
+    infinity by a map that fixes infinity.  ValueError is raised unless
     0 <= max_iter <= MAX_ITER_LIMIT.
     The first exception of a round (in piece order) is raised once every
     piece of the round has finished.
@@ -668,7 +690,7 @@ def free_critical_fates(p: Polynomial, R: RationalMap) -> list[OrbitOutcome]:
     with p.roots as the targets.
 
     Outcomes follow the order of free_critical_points, each orbit run for
-    DEFAULT_MAX_ITER steps at CAPTURE_RADIUS.  Any cycle outcome
+    DEFAULT_MAX_ITER steps under the kernel's capture rule.  Any cycle outcome
     flags a polynomial whose iteration traps an open set away from the
     roots.
     """
@@ -832,9 +854,9 @@ def interval_convergence_check(R: RationalMap, x1: float, x2: float) -> Interval
     Scans the open interval for poles, critical points, and fixed points
     of R; any hit is reported as an obstruction (not raised).  On a clean
     interval the sign of R(x) - x picks the limiting endpoint, and each of
-    INTERVAL_SAMPLES sample orbits must enter its CAPTURE_RADIUS disk, the
-    only target, within INTERVAL_MAX_ITER steps (all samples run in one
-    kernel call).  Pass x2 = inf for the ray variant,
+    INTERVAL_SAMPLES sample orbits must enter its CAPTURE_RADIUS disk
+    within INTERVAL_MAX_ITER steps (all samples run in one kernel call);
+    the endpoint is the only target, so it gets no trap radius.  Pass x2 = inf for the ray variant,
     which instead requires R(x) < x and predicts the left endpoint.
     The obstruction scan runs first, so hypothesis failures are reported
     even when an endpoint is not fixed.  ValueError unless R.is_real.

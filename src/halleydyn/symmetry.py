@@ -66,8 +66,10 @@ def grid_symmetry_order(grid: BasinGrid) -> int:
     Rotates pixel centers by 2 pi / n and samples the label of the pixel
     containing each (BasinGrid.pixel_of).  Pixels on label boundaries or
     without a label are excluded; the remaining pairs must follow a single
-    label permutation on at least the GRID_AGREEMENT fraction.  Needs a
-    square window centered at the origin.
+    label permutation on at least the GRID_AGREEMENT fraction.  A sample
+    of the pixels rejects most orders before the full pass (see
+    _rotation_consistent), with the full pass's answer.  Needs a square
+    window centered at the origin.
     """
     w = grid.window
     if abs(w.center) > 1e-12 or abs(w.half_width - w.half_height) > 1e-12 \
@@ -105,10 +107,9 @@ def _rotation_consistent(grid, labels, src, src_centers, n) -> bool:
     """
     rot = cmath.exp(2j * cmath.pi / n)
     tried = np.s_[::PROBE_STRIDE]
-    hist = _histogram(*_rotated_pairs(grid, labels, src[tried], src_centers[tried] * rot))
-    kept = int(hist.sum())
-    untried = src.size - src[tried].size
-    agree = int(hist.max(axis=1).sum()) if kept else 0
+    pairs = _rotated_pairs(grid, labels, src[tried], src_centers[tried] * rot)
+    kept, untried = pairs[0].size, src.size - src[tried].size
+    agree = int(_histogram(*pairs).max(axis=1).sum()) if kept else 0
     if kept + untried == 0 or (agree + untried) / (kept + untried) < GRID_AGREEMENT - 1e-9:
         return False
     agreement = _vote_agreement(*_rotated_pairs(grid, labels, src, src_centers * rot))
@@ -126,10 +127,9 @@ def _rotated_pairs(grid, labels, src, rotated):
 
 
 def _histogram(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Counts of the label pairs (src[i], dst[i]), one row per source label
-    that occurs and one column per label between the smallest and largest."""
-    if src.size == 0:
-        return np.zeros((0, 0), dtype=np.intp)
+    """Counts of the label pairs (src[i], dst[i]), at least one, in one row
+    per source label that occurs and one column per label between the
+    smallest and largest."""
     lo = min(src.min(), dst.min())
     k = int(max(src.max(), dst.max())) - int(lo) + 1
     hist = np.bincount((src - lo) * k + (dst - lo), minlength=k * k).reshape(k, k)
