@@ -95,7 +95,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import SeedUnlabeled
-from .polycore import Polynomial, matching_point
+from .polycore import Polynomial, envelope, matching_point
 from .ratmap import (
     HANDOFF_RADIUS,
     INF,
@@ -471,19 +471,19 @@ def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
     A(r) = sum_j (|N_j| + e_j) r**j and
     L(r) = |D_0| - e_0 - sum_{j>=1} (|D_j| + e_j) r**j,
     and e_j bounds the rounding of the computed coefficient, read off the
-    same expansion of |num| and |den| about |t|.  delta(r) bounds the
-    rounding of eval_sphere's Horner loops and quotient on the disk, from
-    the envelopes of num and den over L(r).  When A / L + delta < r and
-    no point of the disk is a pole by eval_sphere's rule, R and its
-    float evaluation both map the closed disk into the open one.  The
-    bounds are taken on a disk wider than r by the rounding margin, so
-    they also cover every point whose rounded distance to t is below r,
-    which the kernel captures.  By the
-    Schwarz lemma R then has exactly one fixed point in it, which attracts
-    every orbit of R that enters (Earle-Hamilton), and no float orbit
-    that enters ever leaves.  Conjugate targets of a real map, and
-    t -> -conj(t) of an odd one, get bit-equal radii: every step is
-    conjugation- and sign-symmetric in floats.
+    same expansion of |num| and |den| about |t|.  delta(r) (spread below)
+    bounds the rounding of eval_sphere's Horner loops and quotient on the
+    disk, from the envelopes of num and den over L(r).  When
+    A / L + delta < r and no point of the disk is a pole by eval_sphere's
+    rule, R and its float evaluation both map the closed disk into the
+    open one.  The bounds are taken on a disk wider than r by the rounding
+    margin, so they also cover every point whose rounded distance to t is
+    below r, which the kernel captures.  By the Schwarz lemma R then has
+    exactly one fixed point in the disk, which attracts every orbit of R
+    that enters (Earle-Hamilton), and no float orbit that enters ever
+    leaves.  Conjugate targets of a real map, and t -> -conj(t) of an odd
+    one, get bit-equal radii: every step is conjugation- and
+    sign-symmetric in floats.
     """
     sep = min((abs(t - u) for u in others), default=math.inf)
     if not math.isfinite(sep):  # a lone target, or one at infinity
@@ -511,11 +511,11 @@ def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
         # the bounds hold on the disk of radius rho, which also holds every
         # point that the kernel's rounded |w - t| < r captures
         rho = (1 + gamma) * r
-        a = (1 + gamma) * _at_radius(upper, rho)  # A(rho) >= |N(h)|
-        low = lead - (1 + gamma) * rho * _at_radius(tail, rho)  # L(rho) <= |D(h)|
+        a = (1 + gamma) * envelope(upper, rho)  # A(rho) >= |N(h)|
+        low = lead - (1 + gamma) * rho * envelope(tail, rho)  # L(rho) <= |D(h)|
         # Horner's rounding on num and den, from their envelopes at |t| + rho
-        eta_num = gamma * (1 + gamma) * _at_radius(env_num, rho)
-        envelope_den = (1 + gamma) * _at_radius(env_den, rho)
+        eta_num = gamma * (1 + gamma) * envelope(num, at + rho)
+        envelope_den = (1 + gamma) * envelope(den, at + rho)
         eta_den = gamma * envelope_den
         # no point of the disk is a pole by eval_sphere's rule, or is
         # evaluated in its 1/z chart
@@ -540,14 +540,6 @@ def _taylor(coeffs, t, count: int | None = None) -> list:
         for j in range(len(a) - 2, i - 1, -1):
             a[j] += t * a[j + 1]
     return a[:count]
-
-
-def _at_radius(coeffs, r: float) -> float:
-    """sum_j coeffs[j] r**j for nonnegative coeffs, by Horner's rule."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * r + c
-    return acc
 
 
 def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
