@@ -617,8 +617,8 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
                 best[closer] = d[closer]
                 t[closer] = k
             hit = t >= 0
-            done = cand[hit]
-            labels[pos[done]] = target_labels[t[hit]]
+            done, t = cand[hit], t[hit]
+            labels[pos[done]] = target_labels[t]
             iters[pos[done]] = steps[done]
             retire = steps >= max_iter
             retire[done] = True
@@ -628,7 +628,7 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
             if retire.any():
                 last[pos[retire]] = w[retire]
                 # a captured point ends at the target that captured it
-                last[pos[done]] = target_points[t[hit]]
+                last[pos[done]] = target_points[t]
                 keep = np.flatnonzero(~retire)
                 pos, w, steps = pos[keep], w[keep], steps[keep]
             if not pos.size:
