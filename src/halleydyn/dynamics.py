@@ -2,8 +2,10 @@
 
 One kernel, _classify_points, follows every orbit to a root or cycle:
 grid pixels, the windows of boundedness probes, single orbits, free
-critical points and the sample points of interval checks.  It splits the
-points of a call into blocks of _BLOCK, applies the map to all live
+critical points and the sample points of interval checks.  It takes a
+list of (label, point, radius) targets, which each caller builds once
+with _targets and classify_grid also reads for its mirrors.  It splits
+the points of a call into blocks of _BLOCK, applies the map to all live
 points of a block at once and keeps state (position, point, step count)
 only for points not yet retired.  A block hands back its live points
 once at most _BLOCK // 8 remain; these tails are pooled and split into
@@ -35,15 +37,15 @@ only after max_iter.
 
 classify_grid classifies half the grid of a real map, and a quarter of
 an odd one.  When R.is_real (every coefficient has imaginary part
-exactly 0), the targets are closed under exact conjugation (radii
-included, which conjugation keeps bit for bit) and the
-window is centred on the real axis, the kernel runs on the top
-ceil(H/2) rows only; each row below is its mirror row conjugated, with
-the same counts and each label sent to that of the conjugate target.
-When R is moreover odd (see _is_odd), the targets are closed under
-exact t -> -conj(t) and the window is centred on the imaginary axis,
-the kernel runs on the left ceil(W/2) columns only, and each column to
-their right is its mirror column under z -> -conj(z) in the same way.
+exactly 0), the window is centred on the real axis and conjugation maps
+the target list onto itself (see _reflection; conjugation keeps radii
+bit for bit), the kernel runs on the top ceil(H/2) rows only; each row
+below is its mirror row conjugated, with the same counts and each label
+sent to that of the conjugate target.  When R is moreover odd (see
+_is_odd), the window is centred on the imaginary axis and
+t -> -conj(t) maps the target list onto itself, the kernel runs on the
+left ceil(W/2) columns only, and each column to their right is its
+mirror column under z -> -conj(z) in the same way.
 This is exact: the lattice of such a window is mirror-exact (see
 _centers), and with real coefficients Horner's loop, complex division,
 abs and the real-part screen commute with conjugation bit for bit, so
@@ -95,7 +97,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import SeedUnlabeled
-from .polycore import Polynomial, envelope, matching_point
+from .polycore import Polynomial, envelope, matching_point, taylor
 from .ratmap import (
     HANDOFF_RADIUS,
     INF,
@@ -306,7 +308,7 @@ def orbit_outcomes(R: RationalMap, points, roots, max_iter: int) -> list[OrbitOu
     """
     root_locs = tuple(complex(r) for r in roots)
     z = np.array([complex(p) for p in points], dtype=np.complex128)
-    labels, iters, last = _classify_points(R, z, root_locs, (), max_iter)
+    labels, iters, last = _classify_points(R, z, _targets(R, root_locs, ()), max_iter)
     open_ = np.flatnonzero((labels == UNDECIDED) & np.isfinite(last))
     w = start = last[open_]
     steps = []  # steps[k - 1] holds the open points' images after k steps
@@ -348,38 +350,29 @@ def classify_grid(R: RationalMap, roots, window: Window, resolution,
     by cycle j get label -(j+1).  Identical inputs give identical grids;
     the iteration is plain dense float arithmetic with no randomness.
 
-    When R.is_real (every coefficient has imaginary part exactly 0), the
-    window is centred on the real axis and the targets are closed under
-    exact conjugation (see _reflection), only the top ceil(height / 2)
-    rows are classified.  Row i below them is row height - 1 - i
-    conjugated: the same iteration counts, and each label sent to the
-    label of its conjugate target.  When R is moreover odd (_is_odd: every
-    nonzero coefficient of num has an exponent of one parity, and every
-    one of den the other), the window is centred on the imaginary axis
-    and the targets are closed under exact t -> -conj(t), only the left
-    ceil(width / 2) columns are classified.  Column j right of them is
-    column width - 1 - j under z -> -conj(z): the same counts, and each
-    label sent to the label of target -conj(t).  An odd real map over a
-    window centred at 0 is thus classified on a quarter of its grid.
-    Either way each pixel holds, bit for bit, what the kernel gives at its
-    pixel_centers() entry (the module docstring says why).
+    The targets are built once (_targets).  A real map over a window
+    centred on the real axis is classified on its top ceil(height / 2)
+    rows, and an odd real map over one centred on the imaginary axis on
+    its left ceil(width / 2) columns, when the mirror maps the targets
+    onto targets (_reflection); the other rows and columns are mirrored,
+    with the same counts and each label sent to that of the mirrored
+    target.  Either way each pixel holds, bit for bit, what the kernel
+    gives at its pixel_centers() entry (the module docstring says when
+    and why).
     """
     if isinstance(resolution, int):
         width = height = resolution
     else:
         width, height = resolution
-    root_tuple = tuple(complex(r) for r in roots)
-    cycle_tuple = tuple(tuple(complex(p) for p in cyc) for cyc in cycles)
-    targets = _targets(R, root_tuple, cycle_tuple)
-    row_sigma = (_reflection(R, root_tuple, cycle_tuple, targets, complex.conjugate)
-                 if window.center.imag == 0 else None)
-    col_sigma = (_reflection(R, root_tuple, cycle_tuple, targets, lambda t: -t.conjugate())
-                 if window.center.real == 0 and _is_odd(R) else None)
+    targets = _targets(R, roots, cycles)
+    row_sigma = (_reflection(targets, complex.conjugate)
+                 if R.is_real and window.center.imag == 0 else None)
+    col_sigma = (_reflection(targets, lambda t: -t.conjugate())
+                 if R.is_real and window.center.real == 0 and _is_odd(R) else None)
     rows = height if row_sigma is None else -(-height // 2)
     cols = width if col_sigma is None else -(-width // 2)
     centers = _centers(window, width, height, np.arange(rows), np.arange(cols))
-    labels, iters, _ = _classify_points(R, centers.ravel(), root_tuple, cycle_tuple,
-                                        max_iter)
+    labels, iters, _ = _classify_points(R, centers.ravel(), targets, max_iter)
     labels, iters = labels.reshape(rows, cols), iters.reshape(rows, cols)
     if col_sigma is not None:
         # column j >= cols is column width - 1 - j under z -> -conj(z)
@@ -401,56 +394,55 @@ def _is_odd(R: RationalMap) -> bool:
     return len(num) == len(den) == 1 and num != den
 
 
-def _reflection(R: RationalMap, roots: tuple, cycles: tuple, targets: list, flip):
+def _reflection(targets: list, flip):
     """The label permutation that the reflection flip (conjugation, or
-    t -> -conj(t)) induces, as a function on label arrays, or None where
-    the kernel may not commute with it.  targets is _targets(R, roots,
-    cycles).
+    t -> -conj(t)) induces on the kernel's outcomes for the _targets list
+    targets, as a function on label arrays, or None.  The caller checks
+    that the map commutes with flip.
 
-    It exists when R.is_real, flip sends each root exactly to a root, the
-    images of each cycle's points are exactly the points of a cycle, and
-    each target's image has its capture radius bit for bit.  Targets of
-    different labels (duplicates among them) within 3 CAPTURE_RADIUS of
-    each other give None too: only targets within 2 CAPTURE_RADIUS can
-    tie for the nearest, where the first one wins whatever the reflection
-    does.  UNDECIDED maps to itself.
+    It exists when flip sends every target point exactly to a target
+    point with a bit-equal radius, and all points of one label to points
+    of a single label.  Targets of different labels (duplicates among
+    them) within 3 CAPTURE_RADIUS of each other give None too: only
+    targets within 2 CAPTURE_RADIUS can tie for the nearest, where the
+    first one wins whatever the reflection does.  UNDECIDED (every label,
+    when there are no targets) maps to itself.
     """
-    if not R.is_real:
-        return None
     for k, (label, t, _) in enumerate(targets):
         if any(other != label and abs(t - u) < 3 * CAPTURE_RADIUS
                for other, u, _ in targets[k + 1:]):
             return None
-    root_of = {r: i for i, r in enumerate(roots)}
-    cycle_of = {frozenset(cyc): i for i, cyc in enumerate(cycles)}
-    radius_of = {t: radius for _, t, radius in targets}
-    try:
-        root_map = [root_of[flip(r)] for r in roots]
-        cycle_map = [cycle_of[frozenset(flip(p) for p in cyc)] for cyc in cycles]
-    except KeyError:
-        return None
-    if any(radius_of[flip(t)] != radius for _, t, radius in targets):
-        return None
-    # table[label + len(cycles)] is the label of the flipped target
-    table = np.array([-(j + 1) for j in reversed(cycle_map)] + root_map, dtype=np.int32)
+    at = {t: (label, radius) for label, t, radius in targets}
+    image = {}  # label -> the label of its points' images
+    for label, t, radius in targets:
+        other, other_radius = at.get(flip(t), (None, None))
+        if other_radius != radius or image.setdefault(label, other) != other:
+            return None
+    # table[label - low] is the label of the flipped target
+    low, high = min(image, default=0), max(image, default=-1)
+    table = np.array([image.get(label, UNDECIDED) for label in range(low, high + 1)],
+                     dtype=np.int32)
 
     def sigma(labels: np.ndarray) -> np.ndarray:
-        # an UNDECIDED entry takes a clipped index and is overwritten below
-        out = table.take(labels + len(cycles), mode="clip")
-        out[labels == UNDECIDED] = UNDECIDED
+        out = labels.copy()
+        decided = labels != UNDECIDED
+        out[decided] = table[labels[decided] - low]
         return out
 
     return sigma
 
 
-def _targets(R: RationalMap, roots: tuple, cycles: tuple) -> list:
-    """(label, point, radius) of each target: root i has label i and the
-    radius _trap_radius gives it among the other targets; the points of
-    cycle j share label -(j + 1) and have radius CAPTURE_RADIUS."""
-    points = list(roots) + [p for cyc in cycles for p in cyc]
-    return ([(i, t, _trap_radius(R, t, points[:i] + points[i + 1:]))
-             for i, t in enumerate(roots)]
-            + [(-(ci + 1), p, CAPTURE_RADIUS) for ci, cyc in enumerate(cycles) for p in cyc])
+def _targets(R: RationalMap, roots, cycles) -> list:
+    """The kernel's target list, built once per kernel caller, as each
+    root's radius is a proof: (label, point, radius) of each target, with
+    points as complex.  Root i has label i and the radius _trap_radius
+    gives it among the other targets; the points of cycle j share label
+    -(j + 1) and have radius CAPTURE_RADIUS."""
+    roots = [complex(r) for r in roots]
+    cycle_points = [(-(j + 1), complex(p)) for j, cyc in enumerate(cycles) for p in cyc]
+    points = roots + [p for _, p in cycle_points]
+    return ([(i, t, _trap_radius(R, t, points[:i] + points[i + 1:])) for i, t in enumerate(roots)]
+            + [(label, p, CAPTURE_RADIUS) for label, p in cycle_points])
 
 
 def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
@@ -489,21 +481,21 @@ def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
     if not math.isfinite(sep):  # a lone target, or one at infinity
         return CAPTURE_RADIUS
     num, den = R.num.coeffs, R.den.coeffs
-    n0, n1 = _taylor(num, t, 2)
-    d0, d1 = _taylor(den, t, 2)
+    n0, n1 = taylor(num, t, 2)
+    d0, d1 = taylor(den, t, 2)
     if d0 == 0 or abs((n1 * d0 - n0 * d1) / (d0 * d0)) < SUPERATTRACTING_TOL:
         return CAPTURE_RADIUS
     # bounds the relative rounding of one Taylor shift, one Horner loop,
     # one complex division and these sums, with room to spare
     gamma = 8 * (max(len(num), len(den)) + 2) * _UNIT
     at = abs(t)
-    env_num = _taylor([abs(c) for c in num], at)
-    env_den = _taylor([abs(c) for c in den], at)
-    shifted_den = _taylor(den, t)
+    env_num = taylor([abs(c) for c in num], at)
+    env_den = taylor([abs(c) for c in den], at)
+    shifted_den = taylor(den, t)
     # upper[j] >= |N_j| and tail[j - 1] >= |D_j| for the exact coefficients,
     # lead <= |D_0|, with room for the rounding of the sums below
     upper = [abs(a - t * b) + gamma * (ea + at * eb) for a, b, ea, eb
-             in zip_longest(_taylor(num, t), shifted_den, env_num, env_den, fillvalue=0)]
+             in zip_longest(taylor(num, t), shifted_den, env_num, env_den, fillvalue=0)]
     tail = [abs(b) + gamma * eb for b, eb in zip(shifted_den[1:], env_den[1:])]
     lead = abs(shifted_den[0]) - 2 * gamma * env_den[0]
     r = sep / 3
@@ -530,28 +522,17 @@ def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
     return CAPTURE_RADIUS
 
 
-def _taylor(coeffs, t, count: int | None = None) -> list:
-    """The first count (default: all) ascending coefficients of
-    coeffs(t + h) in h, by repeated synthetic division."""
-    a = list(coeffs)
-    count = len(a) if count is None else count
-    a += [0] * (count - len(a))
-    for i in range(count):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] += t * a[j + 1]
-    return a[:count]
-
-
-def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
-                     max_iter: int):
-    """(labels, iterations, last) of each initial value in the 1-D array z.
+def _classify_points(R: RationalMap, z: np.ndarray, targets: list, max_iter: int):
+    """(labels, iterations, last) of each initial value in the 1-D array z,
+    under R, for the (label, point, radius) triples of targets, as
+    _targets builds them.
 
     Every step is elementwise over the points, so a point's outcome does
     not depend on which other points share the call or its block.  A
     point is captured at the first step at which it lies within a
-    target's capture radius (_targets: CAPTURE_RADIUS, or a root's proven
-    trap radius), with the label of the nearest such target; the points
-    of one cycle share a label.  last is the target that captured a
+    target's capture radius (CAPTURE_RADIUS, or a root's proven trap
+    radius), with the label of the nearest such target; the points of one
+    cycle share a label.  last is the target that captured a
     point (the root, or the cycle point it was captured at), where an
     undecided point was at step max_iter, or INF when it was parked at
     infinity by a map that fixes infinity.  ValueError is raised unless
@@ -570,7 +551,6 @@ def _classify_points(R: RationalMap, z: np.ndarray, roots: tuple, cycles: tuple,
     labels = np.full(n, UNDECIDED, dtype=np.int32)
     iters = np.full(n, max_iter, dtype=np.int32)
     last = np.empty(n, dtype=np.complex128)  # every point retires exactly once
-    targets = _targets(R, roots, cycles)
     target_labels = np.array([label for label, _, _ in targets], dtype=np.int32)
     target_points = np.array([point for _, point, _ in targets], dtype=np.complex128)
     # the screen's bands: each distinct real part once (a conjugate pair
@@ -792,7 +772,7 @@ def boundedness_evidence(R: RationalMap, roots, grid: BasinGrid,
         raise SeedUnlabeled(f"pixel at {seed_point} has no label")
     if label < 0:
         raise ValueError(f"seed_point {seed_point} lies in a cycle's basin")
-    root_tuple = tuple(complex(r) for r in roots)
+    targets = _targets(R, roots, ())
     windows, areas, touches = [], [], []
     labels, r0, c0 = grid.labels, 0, 0
     for scale in (1, 2, 4):
@@ -817,7 +797,7 @@ def boundedness_evidence(R: RationalMap, roots, grid: BasinGrid,
             inner = np.s_[pr0 - r0:pr0 - r0 + prev.shape[0], pc0 - c0:pc0 - c0 + prev.shape[1]]
             labels[inner] = prev
             new[inner] = False
-            labels[new] = _classify_points(R, z[new], root_tuple, (), grid.max_iter)[0]
+            labels[new] = _classify_points(R, z[new], targets, grid.max_iter)[0]
         ids = grid.components if scale == 1 else _component_ids(labels == label)
         comp, touch = _component(ids, row - r0, col - c0)
         areas.append(float(comp.sum()) * grid.pixel_width * grid.pixel_height)
@@ -883,7 +863,7 @@ def interval_convergence_check(R: RationalMap, x1: float, x2: float) -> Interval
         test_points = list(np.linspace(x1, x2, INTERVAL_SAMPLES + 2)[1:-1])
 
     labels, _, _ = _classify_points(R, np.array(test_points, dtype=np.complex128),
-                                    (complex(predicted),), (), INTERVAL_MAX_ITER)
+                                    _targets(R, (predicted,), ()), INTERVAL_MAX_ITER)
     verified = bool((labels == 0).all())
     return IntervalReport(x1, x2, None, predicted, verified)
 

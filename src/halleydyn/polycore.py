@@ -139,10 +139,10 @@ class Polynomial:
     def deflated(self, pairs) -> "Polynomial":
         """self divided by (z - h) count times for each (h, count) of pairs,
         by synthetic division (deflate), each remainder discarded."""
-        w = np.array(self.coeffs, dtype=np.complex128)
+        w = list(self.coeffs)
         for h, count in pairs:
             for _ in range(count):
-                w = deflate(w, h)
+                w, _ = deflate(w, h)
         return Polynomial.make(w)
 
     @cached_property
@@ -249,15 +249,22 @@ def envelope(coeffs, z):
     return acc
 
 
+def taylor(c, t, count: int | None = None) -> list:
+    """The first count (default: all) ascending coefficients of c(t + h)
+    in h: coefficient k is the remainder of the (k + 1)-th synthetic
+    division of c by (z - t) (deflate), and 0 once c is used up."""
+    out = []
+    for _ in range(len(c) if count is None else count):
+        c, remainder = deflate(c, t)
+        out.append(remainder)
+    return out
+
+
 def compose_affine(p: Polynomial, T: AffineMap) -> Polynomial:
-    """Coefficients of p(T(z)), built by iterated multiplication."""
-    lin = Polynomial((complex(T.b), complex(T.a)))
-    acc = Polynomial(())
-    power = ONE
-    for coeff in p.coeffs:
-        acc = acc + power.scale(coeff)
-        power = power * lin
-    return acc
+    """Coefficients of p(T(z)) for T(z) = a z + b: those of p(b + h), each
+    of h**k times a**k."""
+    a = complex(T.a)
+    return Polynomial.make([c * a ** k for k, c in enumerate(taylor(p.coeffs, complex(T.b)))])
 
 
 def normalized_form(p: Polynomial) -> NormalizedForm:
@@ -398,15 +405,16 @@ def _companion_clusters(c: np.ndarray):
     return out
 
 
-def deflate(c: np.ndarray, r: complex) -> np.ndarray:
-    """Synthetic division of c (ascending) by (z - r); remainder discarded."""
-    n = len(c) - 1
-    out = np.empty(n, dtype=np.complex128)
-    acc = c[n]
-    for k in range(n - 1, -1, -1):
+def deflate(c, r: complex) -> tuple[list, complex]:
+    """(quotient, remainder) of the ascending coefficients c (a list or
+    tuple of Python scalars, the fast kind to index) divided by (z - r):
+    the package's one synthetic-division loop.  The empty c gives ([], 0)."""
+    out = [0j] * (len(c) - 1)
+    acc = c[-1] if c else 0
+    for k in range(len(c) - 2, -1, -1):
         out[k] = acc
         acc = c[k] + r * acc
-    return out
+    return out, acc
 
 
 def _roots_rec(c: np.ndarray) -> list[tuple[complex, int]]:
@@ -433,7 +441,7 @@ def _roots_rec(c: np.ndarray) -> list[tuple[complex, int]]:
         return out
     dc = derivative(c)
     dclusters = _merge(_roots_rec(dc), CLUSTER_RADIUS)
-    work = c
+    work = c.tolist()
     for loc, m in dclusters:
         if loc == 0j:
             continue  # origin roots were deflated exactly above
@@ -443,9 +451,9 @@ def _roots_rec(c: np.ndarray) -> list[tuple[complex, int]]:
                 raise NonConvergence("derivative clusters claim more roots than remain")
             out.append((loc, m + 1))
             for _ in range(m + 1):
-                work = deflate(work, loc)
+                work, _ = deflate(work, loc)
     if len(work) - 1 >= 1:
-        out.extend((_newton_polish(c, dc, z), 1) for z in _aberth(work))
+        out.extend((_newton_polish(c, dc, z), 1) for z in _aberth(np.array(work)))
     return out
 
 

@@ -131,11 +131,11 @@ def test_classify_points_is_split_invariant():
     z = rng.uniform(-2, 2, 70_000) + 1j * rng.uniform(-2, 2, 70_000)
     z[::9_999] = np.inf  # parked at infinity, which this map fixes
     assert z.size > 2 * dynamics._BLOCK
-    whole = dynamics._classify_points(h, z, roots, (), 60)
+    whole = dynamics._classify_points(h, z, dynamics._targets(h, roots, ()), 60)
     assert (whole[0] == UNDECIDED).any() and (whole[0] != UNDECIDED).any()
     for k in (1, 32_769, 50_000):
-        head = dynamics._classify_points(h, z[:k], roots, (), 60)
-        tail = dynamics._classify_points(h, z[k:], roots, (), 60)
+        head = dynamics._classify_points(h, z[:k], dynamics._targets(h, roots, ()), 60)
+        tail = dynamics._classify_points(h, z[k:], dynamics._targets(h, roots, ()), 60)
         for got, a, b in zip(whole, head, tail):
             assert np.array_equal(got, np.concatenate([a, b]))
 
@@ -148,14 +148,14 @@ def test_concurrent_callers_share_the_block_pool(monkeypatch):
     rng = np.random.default_rng(8)
     n = 2 * dynamics._BLOCK + 5
     z = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
-    want = dynamics._classify_points(h, z, roots, (), 20)
+    want = dynamics._classify_points(h, z, dynamics._targets(h, roots, ()), 20)
     monkeypatch.setattr(dynamics, "_POOL", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as callers:
             got = list(callers.map(
-                lambda _: dynamics._classify_points(h, z, roots, (), 20),
+                lambda _: dynamics._classify_points(h, z, dynamics._targets(h, roots, ()), 20),
                 range(4), timeout=120))
     finally:
         sys.setswitchinterval(interval)
@@ -184,7 +184,7 @@ def test_pooled_tails_match_points_classified_alone(monkeypatch):
     }
     distinct = np.array([z for pts in kinds.values() for z in pts], dtype=np.complex128)
     alone = [np.concatenate(a) for a in zip(*(
-        dynamics._classify_points(h, distinct[i:i + 1], roots, (), 30)
+        dynamics._classify_points(h, distinct[i:i + 1], dynamics._targets(h, roots, ()), 30)
         for i in range(distinct.size)))]
     first = np.cumsum([0] + [len(pts) for pts in kinds.values()])
     of_kind = {kind: np.arange(a, b) for kind, a, b in zip(kinds, first, first[1:])}
@@ -216,7 +216,7 @@ def test_pooled_tails_match_points_classified_alone(monkeypatch):
         return run(tasks)
 
     monkeypatch.setattr(dynamics, "_run", recording)
-    got = dynamics._classify_points(h, distinct[source], roots, (), 30)
+    got = dynamics._classify_points(h, distinct[source], dynamics._targets(h, roots, ()), 30)
     for a, b in zip(got, alone):
         assert np.array_equal(a, b[source])
     # the tails were pooled, and some pooled piece held points at several steps
@@ -229,9 +229,11 @@ def test_nearest_of_two_targets_with_equal_real_parts_wins():
     # the first target wins a tie
     h = halley_of(CUBIC_ODD)
     z = np.array([1, 1 + 2.5e-9j, 1 + 1e-9j], dtype=np.complex128)
-    labels, iters, _ = dynamics._classify_points(h, z, (1 + 3e-9j, 1 - 1e-9j), (), 0)
+    labels, iters, _ = dynamics._classify_points(
+        h, z, dynamics._targets(h, (1 + 3e-9j, 1 - 1e-9j), ()), 0)
     assert labels.tolist() == [1, 0, 0] and iters.tolist() == [0, 0, 0]
-    labels, _, _ = dynamics._classify_points(h, z[:1], (1 + 1e-9j, 1 - 1e-9j), (), 0)
+    labels, _, _ = dynamics._classify_points(
+        h, z[:1], dynamics._targets(h, (1 + 1e-9j, 1 - 1e-9j), ()), 0)
     assert labels.tolist() == [0]
 
 
@@ -311,7 +313,7 @@ def test_mirrored_grids_with_trap_disks_equal_the_kernel_on_every_centre(
     counted = _counting_kernel(monkeypatch)
     grid = classify_grid(R, roots, Window(center, 2.0, 2.0), (60, 50))
     labels, iters, _ = dynamics._classify_points(
-        R, grid.pixel_centers().ravel(), roots, (), grid.max_iter)
+        R, grid.pixel_centers().ravel(), dynamics._targets(R, roots, ()), grid.max_iter)
     assert counted == [60 * 50 // share, 60 * 50]
     assert np.array_equal(grid.labels.ravel(), labels)
     assert np.array_equal(grid.iterations.ravel(), iters)
@@ -322,7 +324,8 @@ def test_captured_points_end_at_their_target():
     # and an undecided point's position at max_iter
     h, roots, cycles = _render_cycle_case()
     z = np.array([roots[0] + 0.01, cycles[0][1] + 1e-9, 1 + 0.2j, 1e9], dtype=np.complex128)
-    labels, _, last = dynamics._classify_points(h, z, tuple(roots), cycles, 3)
+    labels, _, last = dynamics._classify_points(
+        h, z, dynamics._targets(h, tuple(roots), cycles), 3)
     assert labels.tolist() == [0, -1, UNDECIDED, UNDECIDED]
     assert last[:2].tolist() == [roots[0], cycles[0][1]]
     assert last[2] != 1 + 0.2j and np.isfinite(last[2])
@@ -415,7 +418,7 @@ def test_half_grid_of_real_map_equals_kernel_on_every_centre(case, window, res):
     k = grid.height // 2
     assert np.array_equal(centers[-k:][::-1], centers[:k].conj())
     labels, iters, _ = dynamics._classify_points(
-        h, centers.ravel(), tuple(roots), cycles, grid.max_iter)
+        h, centers.ravel(), dynamics._targets(h, tuple(roots), cycles), grid.max_iter)
     assert np.array_equal(grid.labels.ravel(), labels)
     assert np.array_equal(grid.iterations.ravel(), iters)
     assert len(np.unique(labels)) >= 3
@@ -482,7 +485,7 @@ def test_odd_real_grid_equals_kernel_on_every_centre(R, roots, center, res):
     assert dynamics._is_odd(R) and R.is_real
     grid = classify_grid(R, roots, Window(center, 1.6, 1.3), res)
     labels, iters, _ = dynamics._classify_points(
-        R, grid.pixel_centers().ravel(), tuple(roots), (), grid.max_iter)
+        R, grid.pixel_centers().ravel(), dynamics._targets(R, tuple(roots), ()), grid.max_iter)
     assert np.array_equal(grid.labels.ravel(), labels)
     assert np.array_equal(grid.iterations.ravel(), iters)
     assert len(np.unique(labels)) >= 3
