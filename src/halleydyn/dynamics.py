@@ -99,7 +99,6 @@ import numpy as np
 from .errors import SeedUnlabeled
 from .polycore import Polynomial, envelope, matching_point, taylor
 from .ratmap import (
-    HANDOFF_RADIUS,
     INF,
     POLE_RTOL,
     SUPERATTRACTING_TOL,
@@ -512,7 +511,7 @@ def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
         # no point of the disk is a pole by eval_sphere's rule, or is
         # evaluated in its 1/z chart
         if low - eta_den > POLE_RTOL * envelope_den \
-                and (at + rho) * (1 + gamma) <= HANDOFF_RADIUS:
+                and (at + rho) * (1 + gamma) <= R.handoff_radius:
             image = at + a / low  # >= |R(z)|
             # >= |num/den - R(z)| for the computed num and den, then the division
             spread = (eta_num + image * eta_den) / (low - eta_den)

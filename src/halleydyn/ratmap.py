@@ -51,7 +51,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +117,16 @@ class RationalMap:
     def __call__(self, z):
         return eval_sphere(self, z)
 
+    @cached_property
+    def handoff_radius(self) -> float:
+        """Where eval_sphere hands points to the 1/z chart: min(HANDOFF_RADIUS,
+        r) for the largest r at which every term |c_k| r**k of num and of
+        den stays below 1e300 / (its number of terms), so that Horner in z
+        cannot overflow inside it."""
+        return min([HANDOFF_RADIUS] + [
+            (1e300 / (len(f.coeffs) * abs(c))) ** (1 / k)
+            for f in (self.num, self.den) for k, c in enumerate(f.coeffs) if k and c])
+
     def derivative_at(self, z: complex) -> complex:
         """Quotient-rule derivative at a finite non-pole point."""
         nv = self.num(z)
@@ -144,6 +156,9 @@ def make_reduced(num: Polynomial, den: Polynomial, cancel=()) -> RationalMap:
     are shifted out.  cancel holds (point, count) pairs; each point is
     then deflated count times from both sides (Polynomial.deflated), less
     the powers of z already shifted out when the point is the origin.
+    When num and den are real and the pairs of nonzero count are a
+    multiset closed under exact conjugation, the exact quotient is real,
+    and the deflated num and den keep only their real parts.
     """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
@@ -154,7 +169,13 @@ def make_reduced(num: Polynomial, den: Polynomial, cancel=()) -> RationalMap:
         num = Polynomial.make(num.coeffs[t:])
         den = Polynomial.make(den.coeffs[t:])
     pairs = [(h, count - t if h == 0 else count) for h, count in cancel]
-    return RationalMap(num.deflated(pairs), den.deflated(pairs))
+    moved = [(h, count) for h, count in pairs if count]
+    real = num.is_real and den.is_real and \
+        Counter(moved) == Counter((h.conjugate(), count) for h, count in moved)
+    num, den = num.deflated(pairs), den.deflated(pairs)
+    if real:
+        num, den = (Polynomial.make([c.real for c in f.coeffs]) for f in (num, den))
+    return RationalMap(num, den)
 
 
 def _check_source(p: Polynomial) -> None:
@@ -357,7 +378,7 @@ def eval_sphere(R: RationalMap, z):
 
     A non-finite input stands for the point at infinity, and every
     non-finite value returned is exactly INF; a scalar input returns a
-    complex.  Points beyond HANDOFF_RADIUS are evaluated in the chart
+    complex.  Points beyond R.handoff_radius are evaluated in the chart
     w = 1/z through the reversed coefficients, so huge inputs neither
     overflow nor lose the leading behaviour.  A pole (see the module
     docstring) maps to infinity; if num vanishes there by the same rule,
@@ -383,7 +404,7 @@ def _eval_array(R: RationalMap, z: np.ndarray) -> np.ndarray:
     diff = num.degree - den.degree
     with np.errstate(all="ignore"):
         az = np.abs(z)
-        near = az <= HANDOFF_RADIUS  # False for non-finite entries
+        near = az <= R.handoff_radius  # False for non-finite entries
         if near.all():
             out = _quotient(num.coeffs, den.coeffs, z, az)
         else:
@@ -414,7 +435,8 @@ def _quotient(num_c, den_c, x: np.ndarray, ax: np.ndarray) -> np.ndarray:
 
 
 def _vanishes(coeffs, x: np.ndarray, ax: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Where |v| <= POLE_RTOL * envelope(coeffs, x), for v = horner(coeffs, x).
+    """Where |v| <= POLE_RTOL * envelope(coeffs, x), for v = horner(coeffs, x),
+    and the envelope is finite: an overflowed value never vanishes.
 
     sum_k |c_k| * max(1, |x|)**deg bounds the envelope from above at the
     cost of one power, so the envelope itself is only evaluated at the
@@ -424,7 +446,8 @@ def _vanishes(coeffs, x: np.ndarray, ax: np.ndarray, v: np.ndarray) -> np.ndarra
     hit = av <= (POLE_RTOL * sum(abs(c) for c in coeffs)
                  * np.maximum(1.0, ax) ** (len(coeffs) - 1))
     if hit.any():
-        hit[hit] = av[hit] <= POLE_RTOL * envelope(coeffs, x[hit])
+        env = envelope(coeffs, x[hit])
+        hit[hit] = (av[hit] <= POLE_RTOL * env) & np.isfinite(env)
     return hit
 
 

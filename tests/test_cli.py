@@ -464,6 +464,26 @@ def test_degenerate_map_exits_three(tmp_path, capsys):
     assert err.startswith("numeric failure: DegenerateMap") and "overflow" in err
 
 
+def _monomial_cfg(n: int, low: int, method: str, half: float) -> str:
+    """Config text of z^n - z^low under method over [-half, half]^2 at 24^2."""
+    coeffs = [0.0] * (n + 1)
+    coeffs[n], coeffs[low] = 1.0, -1.0
+    return "".join(f"coeff = {c!r}\n" for c in coeffs) + (
+        f"method = {method}\nwindow = 0, 0, {half!r}, {half!r}\nres = 24x24\n")
+
+
+@pytest.mark.parametrize("text", [_monomial_cfg(40, 0, "konig(2)", 1.5),
+                                  _monomial_cfg(32, 1, "halley", 2e5)],
+                         ids=["newton-z^40-1", "halley-z^32-z"])
+def test_high_degree_render_exits_zero(tmp_path, capsys, text):
+    # orbits pass |z| where Horner in z overflows: the map hands them to its
+    # 1/z chart there instead of calling them poles (Indeterminate, exit 3)
+    cfg_path = tmp_path / "high.cfg"
+    cfg_path.write_text(text)
+    assert main(["render", "--config", str(cfg_path), "--out", str(tmp_path / "x.ppm")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 Z2_MINUS_1 = "coeff = -1\ncoeff = 0\ncoeff = 1\nres = 24x24\nmax_iter = 50\nsamples = 21\n"
 
 

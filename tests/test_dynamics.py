@@ -469,6 +469,62 @@ def test_targets_not_closed_under_conjugation_classify_every_row(monkeypatch):
     assert counted == [256, 256, 256, 128]
 
 
+def test_grid_with_no_targets_is_undecided_at_max_iter(monkeypatch):
+    # a real map over an axis-centred window mirrors an empty target list
+    R = halley_of(Polynomial.make([-1, 0, 1]))
+    counted = _counting_kernel(monkeypatch)
+    grid = classify_grid(R, [], Window(0j, 2, 2), 10)
+    assert counted == [25]
+    assert (grid.labels == UNDECIDED).all() and (grid.iterations == grid.max_iter).all()
+    labels, iters, _ = dynamics._classify_points(R, grid.pixel_centers().ravel(), [],
+                                                 grid.max_iter)
+    assert np.array_equal(grid.labels.ravel(), labels)
+    assert np.array_equal(grid.iterations.ravel(), iters)
+
+
+def test_each_trap_radius_is_proven_once_per_call(monkeypatch):
+    # (z^2 - 1)^3 has trap disks about its triple roots -1 and 1: the grid
+    # and its two mirrors share one target list, and so do the two enlarged
+    # windows of the boundedness probe
+    p = Polynomial.make([-1, 0, 3, 0, -3, 0, 1])
+    R, roots = halley_of(p), roots_of(p)
+    proven = []
+    trap_radius = dynamics._trap_radius
+    monkeypatch.setattr(dynamics, "_trap_radius", lambda R, t, others: (
+        proven.append(t), trap_radius(R, t, others))[1])
+    classify_grid(R, roots, Window(0j, 2.0, 2.0), 40)
+    assert proven == roots == [-1, 1]
+    grid = classify_grid(R, roots, Window(1 + 0j, 0.3, 0.3), 30)
+    report = boundedness_evidence(R, roots, grid, 1 + 0j)
+    assert report.touches == (True, True, True)  # both enlarged windows are classified
+    assert proven == roots * 3
+
+
+# ((z^2 - a^2)(z^2 - conj(a)^2))^2 for a = 1 + 0.5i: real coefficients, exact
+# in binary, and non-real double roots that find_roots pairs exactly
+REAL_WITH_COMPLEX_DOUBLE_ROOTS = Polynomial.make([2.44140625, 0, -4.6875, 0, 5.375, 0, -3, 0, 1])
+
+
+@pytest.mark.parametrize("build", [halley_of, lambda p: chebyshev_halley_of(p, 0),
+                                   lambda p: konig_of(p, 4)],
+                         ids=["halley", "chebyshev(0)", "konig(4)"])
+def test_real_polynomial_with_complex_multiple_roots_has_a_real_map(monkeypatch, build):
+    # the cancel points are closed under conjugation, so the exact quotient
+    # is real and the reduced map keeps only real parts: its grid over a
+    # window centred on the real axis is classified on the top half
+    p = REAL_WITH_COMPLEX_DOUBLE_ROOTS
+    R, roots = build(p), roots_of(p)
+    assert R.is_real
+    counted = _counting_kernel(monkeypatch)
+    grid = classify_grid(R, roots, Window(0.2 + 0j, 1.6, 1.3), (40, 34))
+    labels, iters, _ = dynamics._classify_points(
+        R, grid.pixel_centers().ravel(), dynamics._targets(R, roots, ()), grid.max_iter)
+    assert counted == [40 * 17, 40 * 34]
+    assert np.array_equal(grid.labels.ravel(), labels)
+    assert np.array_equal(grid.iterations.ravel(), iters)
+    assert len(np.unique(labels)) >= 3
+
+
 def _odd_real_maps():
     for p in (CUBIC_ODD, Polynomial.make([0, 0, -1, 0, 1])):  # z^3 - z, z^4 - z^2
         for R in (halley_of(p), konig_of(p, 4), chebyshev_halley_of(p, 0)):

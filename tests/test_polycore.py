@@ -13,6 +13,7 @@ from halleydyn.polycore import (
     compose_affine,
     find_roots,
     normalized_form,
+    taylor,
 )
 
 
@@ -174,6 +175,32 @@ def test_compose_affine_translation():
     p = poly(-1, 0, 1)
     q = compose_affine(p, AffineMap(1.0, 1.0))  # p(z+1) = z^2 + 2z
     assert np.allclose(q.coeffs, (0, 2, 1))
+
+
+def test_taylor_gives_the_exact_shifted_coefficients():
+    # z^3 = (2 + h)^3 = 8 + 12 h + 6 h^2 + h^3; (z - 1)^2 about 1 is h^2
+    assert taylor([0, 0, 0, 1], 2) == [8, 12, 6, 1]
+    assert taylor((1 + 0j, -2 + 0j, 1 + 0j), 1 + 0j) == [0, 0, 1]
+    assert taylor([5, 4, 3], 0) == [5, 4, 3]
+    # past the last coefficient every further one is 0
+    assert taylor([7], 3, 3) == [7, 0, 0] and taylor([], 1) == []
+
+
+def test_taylor_count_is_a_prefix_of_the_full_shift():
+    rng = np.random.default_rng(3)
+    for degree in (2, 7, 16):
+        c = [complex(a, b) for a, b in rng.standard_normal((degree + 1, 2))]
+        t = complex(*rng.standard_normal(2))
+        full = taylor(c, t)
+        assert len(full) == degree + 1
+        for count in range(degree + 2):
+            assert taylor(c, t, count) == full[:count]
+
+
+def test_compose_affine_is_the_scaled_taylor_shift():
+    # p(a z + b) for p = z^3 - 2z + 5, a = 2, b = -1: exact in binary
+    q = compose_affine(poly(5, -2, 0, 1), AffineMap(2.0, -1.0))
+    assert q.coeffs == (6 + 0j, 2 + 0j, -12 + 0j, 8 + 0j)
 
 
 def test_normalized_form_even_cubic():
