@@ -24,7 +24,9 @@ in its own rounding envelope:
     |den(z)| <= POLE_RTOL * sum_k |d_k| |z|**k.
 
 The same rule decides poles in the 1/z chart (where both sides scale by
-|z|**-deg(den)) and in RationalMap.derivative_at.
+|z|**-deg(den)) and in RationalMap.derivative_at.  eval_sphere moves to
+that chart beyond RationalMap.handoff_radius, where Horner in z could
+overflow, and a value that overflowed never counts as vanishing.
 
 poles, critical_points and fixed_points define R's special points, and
 matching_point identifies a computed point with a given one.  The point
