@@ -407,13 +407,15 @@ def _companion_clusters(c: np.ndarray):
 
 def deflate(c, r: complex) -> tuple[list, complex]:
     """(quotient, remainder) of the ascending coefficients c (a list or
-    tuple of Python scalars, the fast kind to index) divided by (z - r):
-    the package's one synthetic-division loop.  The empty c gives ([], 0)."""
-    out = [0j] * (len(c) - 1)
+    tuple of Python scalars, which the loop reads faster than an ndarray)
+    divided by (z - r): the package's one synthetic-division loop.  The
+    quotient is an ascending list; the empty c gives ([], 0)."""
+    out = []
     acc = c[-1] if c else 0
-    for k in range(len(c) - 2, -1, -1):
-        out[k] = acc
-        acc = c[k] + r * acc
+    for a in c[-2::-1]:
+        out.append(acc)
+        acc = a + r * acc
+    out.reverse()
     return out, acc
 
 
