@@ -261,8 +261,8 @@ def taylor(c, t, count: int | None = None) -> list:
 
 
 def compose_affine(p: Polynomial, T: AffineMap) -> Polynomial:
-    """Coefficients of p(T(z)) for T(z) = a z + b: those of p(b + h), each
-    of h**k times a**k."""
+    """Coefficients of p(T(z)) for T(z) = a z + b: coefficient k is that
+    of h**k in p(b + h) (taylor), times a**k."""
     a = complex(T.a)
     return Polynomial.make([c * a ** k for k, c in enumerate(taylor(p.coeffs, complex(T.b)))])
 
