@@ -490,8 +490,12 @@ def test_each_trap_radius_is_proven_once_per_call(monkeypatch):
     R, roots = halley_of(p), roots_of(p)
     proven = []
     trap_radius = dynamics._trap_radius
-    monkeypatch.setattr(dynamics, "_trap_radius", lambda R, t, others: (
-        proven.append(t), trap_radius(R, t, others))[1])
+
+    def counting(R, t, others):
+        proven.append(t)
+        return trap_radius(R, t, others)
+
+    monkeypatch.setattr(dynamics, "_trap_radius", counting)
     classify_grid(R, roots, Window(0j, 2.0, 2.0), 40)
     assert proven == roots == [-1, 1]
     grid = classify_grid(R, roots, Window(1 + 0j, 0.3, 0.3), 30)

@@ -76,7 +76,7 @@ def _high_degree_map(family: str, n: int):
 
 # |z| from 1 to 1e8 every half decade, where Horner in z overflows from
 # degree 39 on, then on to 1e300
-RAY_RADII = 10.0 ** np.concatenate([np.arange(0, 9, 0.5), np.arange(10, 301, 40)])
+RAY_RADII = 10.0 ** np.concatenate([np.arange(0, 9, 0.5), np.arange(20, 301, 40)])
 # points where the evaluator once gave INF or raised Indeterminate
 ONCE_WRONG = {("halley-z^n-z", 20): [1e8], ("halley-z^n-z", 24): [5.6e6],
               ("halley-z^n-z", 32): [1e5], ("halley-z^n-z", 64): [1000 + 1000j]}
