@@ -22,6 +22,7 @@ quarter.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -51,6 +52,10 @@ from . import paramsearch
 CORPUS_SEED = 20240817
 CORPUS_DEGREES = (3, 6)  # lowest and highest degree in random_corpus
 CORPUS_MIN_SEP = 0.7
+
+# the memo of the run() call in progress: E2 and E3 share their corpus
+# polynomials and Halley maps through it, and it ends with the call
+_RUN_MEMO: ContextVar[dict | None] = ContextVar("_RUN_MEMO", default=None)
 
 # degree-6 cycle condition, ascending; equals the quintic cofactor times
 # (b + 7), frozen from the verified expansion
@@ -96,6 +101,22 @@ def random_corpus(count: int, seed: int) -> list[Polynomial]:
     return out
 
 
+def _corpus_maps(seed: int):
+    """(p, halley_of(p)) for each of the 50 random_corpus polynomials of
+    the seed, each map built when first reached.  Within one run() call
+    the polynomials and maps are built once, for E2 and E3 alike."""
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        memo = {}
+    if seed not in memo:
+        memo[seed] = random_corpus(50, seed=CORPUS_SEED + seed), []
+    corpus, maps = memo[seed]
+    for i, p in enumerate(corpus):
+        if i == len(maps):
+            maps.append(halley_of(p))
+        yield p, maps[i]
+
+
 def _battery_grid(p: Polynomial):
     """(R, roots, grid): p's Halley map R, p's root locations and R's basin
     grid of [-2, 2]^2 at 800x800 with max_iter 200, as E1, E5 and E6 use."""
@@ -129,10 +150,8 @@ def e1(seed: int) -> tuple[bool, str]:
 
 def e2(seed: int) -> tuple[bool, str]:
     """Multiplier predictions over 50 random mixed-multiplicity polynomials."""
-    corpus = random_corpus(50, seed=CORPUS_SEED + seed)
     worst = 0.0
-    for p in corpus:
-        R = halley_of(p)
+    for p, R in _corpus_maps(seed):
         records = classify_fixed_points(p, R)
         if len(records) != R.degree + 1:
             return False, (f"fixed-point count {len(records)} != degree+1 "
@@ -156,9 +175,7 @@ def e3(seed: int) -> tuple[bool, str]:
         if R.degree != want or census.predicted_degree != want:
             return False, (f"named example degree {R.degree}, predicted "
                            f"{census.predicted_degree}, expected {want}")
-    corpus = random_corpus(50, seed=CORPUS_SEED + seed)
-    for p in corpus:
-        R = halley_of(p)
+    for p, R in _corpus_maps(seed):
         census = degree_census(p)
         if R.degree != census.predicted_degree:
             return False, (f"degree {R.degree} != predicted "
@@ -374,16 +391,21 @@ CRITERIA = [
 def run(only=None, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Execute the experiments, folding exceptions into failures.
 
-    only is an optional collection of criterion names like {'E3'}.
+    only is an optional collection of criterion names like {'E3'}.  E2
+    and E3 share one build of their corpus maps, which ends with the call.
     """
     wanted = {name.upper() for name in only} if only else None
     results = []
-    for name, fn in CRITERIA:
-        if wanted is not None and name not in wanted:
-            continue
-        try:
-            ok, detail = fn(seed=seed)
-        except Exception as exc:  # deliberate: report, never abort the suite
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
+    token = _RUN_MEMO.set({})
+    try:
+        for name, fn in CRITERIA:
+            if wanted is not None and name not in wanted:
+                continue
+            try:
+                ok, detail = fn(seed=seed)
+            except Exception as exc:  # deliberate: report, never abort the suite
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
+            results.append((name, ok, detail))
+    finally:
+        _RUN_MEMO.reset(token)
     return results

@@ -89,6 +89,7 @@ import cmath
 import math
 import os
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -101,7 +102,6 @@ from .polycore import Polynomial, envelope, matching_point, taylor
 from .ratmap import (
     INF,
     POLE_RTOL,
-    SUPERATTRACTING_TOL,
     RationalMap,
     critical_points,
     eval_sphere,
@@ -123,6 +123,12 @@ INTERVAL_MAX_ITER = 500
 # blocks of one call run on _pool's threads (numpy releases the GIL)
 _BLOCK = 32_768
 _UNIT = 2.0 ** -53  # unit roundoff of a double
+_BISECTIONS = 6  # steps of _proven_radius's bisection
+_EXACT_TERMS = 8  # Taylor coefficients that _proven_radius computes exactly
+_SCREEN_SLACK = 1 + 2.0 ** -40  # widens the kernel's screen past its rounding
+# RationalMap -> ({(point, sep): radius}, {|point|: (env_num, env_den)}):
+# each map's proven trap radii, and the expansions they share
+_PROOFS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = threading.Lock()
 
@@ -445,16 +451,47 @@ def _targets(R: RationalMap, roots, cycles) -> list:
 
 
 def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
-    """Capture radius of the root target t, given the other targets.
+    """Capture radius of the root target t, given the other targets: the
+    radius _proven_radius gives t at sep, t's distance to the nearest
+    other target, so the disks of two targets are disjoint.  A trap holds
+    one fixed point, somewhere in its disk; sep keeps the disk about t, so
+    a lone target, or one at infinity, has no sep and keeps CAPTURE_RADIUS.
 
-    A superattracting t (|R'(t)| < SUPERATTRACTING_TOL, as classify
-    calls it; Halley's simple roots are) keeps CAPTURE_RADIUS.  Otherwise
-    the radius is the first r of sep / 3, sep / 6, sep / 12, ... above
-    CAPTURE_RADIUS whose closed disk about t is a proven trap, and
-    CAPTURE_RADIUS if none is.  sep is t's distance to the nearest other
-    target, so the disks of two targets are disjoint.  A trap holds one
-    fixed point, somewhere in its disk; sep keeps the disk about t, so a
-    lone target, or one at infinity, has no sep and keeps CAPTURE_RADIUS.
+    Each (point, sep) of a map is proven once, and so is each orbit of
+    them under the map's mirrors: conjugation when R.is_real, and also
+    t -> -conj(t) when R is moreover odd (_is_odd).  R and its float
+    evaluation commute with each mirror bit for bit (see the module
+    docstring), and sep is mirror-invariant when the targets are, so a
+    mirrored target's disk is a trap exactly when its partner's is, and
+    both get one radius, bit for bit.  The proofs are kept with the map,
+    for as long as it lives, with the expansions of |num| and |den| about
+    each |t| that they share.
+    """
+    sep = min((abs(t - u) for u in others), default=math.inf)
+    if not math.isfinite(sep):  # a lone target, or one at infinity
+        return CAPTURE_RADIUS
+    if R.is_real:
+        t = complex(abs(t.real) if _is_odd(R) else t.real, abs(t.imag))
+    proven, envelopes = _PROOFS.setdefault(R, ({}, {}))
+    if (t, sep) not in proven:
+        at = abs(t)
+        if at not in envelopes:
+            envelopes[at] = tuple(taylor([abs(c) for c in f.coeffs], at) for f in (R.num, R.den))
+        proven[t, sep] = _proven_radius(R, t, sep, *envelopes[at])
+    return proven[t, sep]
+
+
+def _proven_radius(R: RationalMap, t: complex, sep: float, env_num: list,
+                   env_den: list) -> float:
+    """The widest radius r found in (CAPTURE_RADIUS, sep / 3] whose closed
+    disk about t is a proven trap of R, or CAPTURE_RADIUS if none is.
+
+    The search tries sep / 3, sep / 6, sep / 12, ... down to
+    CAPTURE_RADIUS.  Once r passes below a radius 2 r that failed, it
+    bisects between them _BISECTIONS times, keeping each midpoint that
+    passes.  Every root gets this search, a superattracting one
+    (Halley's simple roots) included: it converges so fast that its disk
+    is wide, and capture at its edge saves the last steps of every orbit.
 
     The proof: with N(h) = num(t + h) - t den(t + h) and D(h) = den(t + h)
     expanded about t, every z = t + h with |h| <= r has
@@ -462,7 +499,7 @@ def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
     A(r) = sum_j (|N_j| + e_j) r**j and
     L(r) = |D_0| - e_0 - sum_{j>=1} (|D_j| + e_j) r**j,
     and e_j bounds the rounding of the computed coefficient, read off the
-    same expansion of |num| and |den| about |t|.  delta(r) (spread below)
+    same expansion of |num| and |den| about |t| (env_num and env_den).  delta(r) (spread below)
     bounds the rounding of eval_sphere's Horner loops and quotient on the
     disk, from the envelopes of num and den over L(r).  When
     A / L + delta < r and no point of the disk is a pole by eval_sphere's
@@ -472,33 +509,27 @@ def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
     below r, which the kernel captures.  By the Schwarz lemma R then has
     exactly one fixed point in the disk, which attracts every orbit of R
     that enters (Earle-Hamilton), and no float orbit that enters ever
-    leaves.  Conjugate targets of a real map, and t -> -conj(t) of an odd
-    one, get bit-equal radii: every step is conjugation- and
-    sign-symmetric in floats.
+    leaves.  A point that R does not fix, or a pole, fails at every r.
     """
-    sep = min((abs(t - u) for u in others), default=math.inf)
-    if not math.isfinite(sep):  # a lone target, or one at infinity
-        return CAPTURE_RADIUS
     num, den = R.num.coeffs, R.den.coeffs
-    n0, n1 = taylor(num, t, 2)
-    d0, d1 = taylor(den, t, 2)
-    if d0 == 0 or abs((n1 * d0 - n0 * d1) / (d0 * d0)) < SUPERATTRACTING_TOL:
-        return CAPTURE_RADIUS
     # bounds the relative rounding of one Taylor shift, one Horner loop,
     # one complex division and these sums, with room to spare
     gamma = 8 * (max(len(num), len(den)) + 2) * _UNIT
     at = abs(t)
-    env_num = taylor([abs(c) for c in num], at)
-    env_den = taylor([abs(c) for c in den], at)
-    shifted_den = taylor(den, t)
+    shifted_den = taylor(den, t, _EXACT_TERMS)
     # upper[j] >= |N_j| and tail[j - 1] >= |D_j| for the exact coefficients,
-    # lead <= |D_0|, with room for the rounding of the sums below
-    upper = [abs(a - t * b) + gamma * (ea + at * eb) for a, b, ea, eb
-             in zip_longest(taylor(num, t), shifted_den, env_num, env_den, fillvalue=0)]
-    tail = [abs(b) + gamma * eb for b, eb in zip(shifted_den[1:], env_den[1:])]
+    # lead <= |D_0|, with room for the rounding of the sums below; beyond
+    # the first _EXACT_TERMS, |N_j| <= env_num[j] + |t| env_den[j] and
+    # |D_j| <= env_den[j]
+    upper = [abs(a - t * b) + gamma * (ea + at * eb) if j < _EXACT_TERMS
+             else (1 + 2 * gamma) * (ea + at * eb) for j, (a, b, ea, eb)
+             in enumerate(zip_longest(taylor(num, t, _EXACT_TERMS), shifted_den,
+                                      env_num, env_den, fillvalue=0))]
+    tail = [abs(b) + gamma * eb if j < _EXACT_TERMS else (1 + 2 * gamma) * eb
+            for j, (b, eb) in enumerate(zip_longest(shifted_den, env_den, fillvalue=0))][1:]
     lead = abs(shifted_den[0]) - 2 * gamma * env_den[0]
-    r = sep / 3
-    while r > CAPTURE_RADIUS:
+
+    def traps(r: float) -> bool:
         # the bounds hold on the disk of radius rho, which also holds every
         # point that the kernel's rounded |w - t| < r captures
         rho = (1 + gamma) * r
@@ -510,15 +541,26 @@ def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
         eta_den = gamma * envelope_den
         # no point of the disk is a pole by eval_sphere's rule, or is
         # evaluated in its 1/z chart
-        if low - eta_den > POLE_RTOL * envelope_den \
-                and (at + rho) * (1 + gamma) <= R.handoff_radius:
-            image = at + a / low  # >= |R(z)|
-            # >= |num/den - R(z)| for the computed num and den, then the division
-            spread = (eta_num + image * eta_den) / (low - eta_den)
-            if (a / low + spread + gamma * (image + spread)) * (1 + gamma) < r:
-                return r
-        r /= 2
-    return CAPTURE_RADIUS
+        if not (low - eta_den > POLE_RTOL * envelope_den
+                and (at + rho) * (1 + gamma) <= R.handoff_radius):
+            return False
+        image = at + a / low  # >= |R(z)|
+        # >= |num/den - R(z)| for the computed num and den, then the division
+        spread = (eta_num + image * eta_den) / (low - eta_den)
+        return (a / low + spread + gamma * (image + spread)) * (1 + gamma) < r
+
+    r, failed = sep / 3, None
+    while r > CAPTURE_RADIUS and not traps(r):
+        failed, r = r, r / 2
+    if r <= CAPTURE_RADIUS:
+        return CAPTURE_RADIUS
+    for _ in range(_BISECTIONS if failed is not None else 0):
+        mid = 0.5 * (r + failed)
+        if traps(mid):
+            r = mid
+        else:
+            failed = mid
+    return r
 
 
 def _classify_points(R: RationalMap, z: np.ndarray, targets: list, max_iter: int):
@@ -552,62 +594,111 @@ def _classify_points(R: RationalMap, z: np.ndarray, targets: list, max_iter: int
     last = np.empty(n, dtype=np.complex128)  # every point retires exactly once
     target_labels = np.array([label for label, _, _ in targets], dtype=np.int32)
     target_points = np.array([point for _, point, _ in targets], dtype=np.complex128)
-    # the screen's bands: each distinct real part once (a conjugate pair
-    # shares one), with the largest radius of its targets
+    # The trap disks are tested by bands.  A point w lies in the disk of
+    # radius r about t when (Re w - Re t)^2 + (Im w - Im t)^2 < r^2 in
+    # floats.  When conjugation maps the trap disks onto trap disks, a
+    # conjugate pair shares one band, tested on |Im w|, and the disk that
+    # holds w is the one on w's side of the real axis.  bands maps
+    # (Re t, Im t or |Im t|, r^2) to its targets for Im w >= 0 and Im w < 0.
+    traps = [(k, point, radius) for k, (_, point, radius) in enumerate(targets)
+             if radius != CAPTURE_RADIUS]
+    disks = {(point, radius) for _, point, radius in traps}
+    fold = all((point.conjugate(), radius) in disks for _, point, radius in traps)
     bands = {}
-    for _, point, radius in targets:
-        bands[point.real] = max(radius, bands.get(point.real, radius))
-    # a band of radius r > CAPTURE_RADIUS lowers its distances by slack, so
-    # that near < CAPTURE_RADIUS holds wherever |Re w - Re t| < r: the
-    # CAPTURE_RADIUS / 2 to spare exceeds the rounding of gap - slack
-    screen = [(re, 0.0 if radius == CAPTURE_RADIUS else radius - CAPTURE_RADIUS / 2)
-              for re, radius in sorted(bands.items())]
-    # a map that fixes infinity parks orbits at INF, the one point where
-    # the screen's near is inf once some (finite) target exists
-    parks = R.num.degree > R.den.degree and bool(screen)
+    for k, point, radius in traps:
+        sides = bands.setdefault(
+            (point.real, abs(point.imag) if fold else point.imag, radius * radius), [k, k])
+        if fold and point.imag:
+            sides[point.imag < 0] = k
+    numbers = np.arange(1, len(bands) + 1, dtype=np.int32)
+    # table[2 j + s]: the target that band j holds on side s (1 when
+    # Im w < 0 on a folded band); band 0 stands for none
+    table = np.array([-1, -1] + [k for sides in bands.values() for k in sides], dtype=np.intp)
+    # Every other target is screened by a strip on its real part,
+    # |Re w - Re t| < CAPTURE_RADIUS widened by _SCREEN_SLACK past the
+    # rounding of the exact test |w - t| < CAPTURE_RADIUS that follows.
+    others = [k for k, (_, _, radius) in enumerate(targets) if radius == CAPTURE_RADIUS]
+    strips = sorted({targets[k][1].real for k in others})
+    strip_square = (_SCREEN_SLACK * CAPTURE_RADIUS) ** 2
+    # a map that fixes infinity parks orbits at INF, whose real part is inf
+    parks = R.num.degree > R.den.degree
 
     def follow(pos, w, steps, alone):
         """Follow the points at positions pos, at w after steps map
         applications, writing out each as it retires.  Returns None once
         all have, or (unless alone) the live points' (pos, w, steps) once
         at most _BLOCK // 8 are live."""
-        buffers = np.empty((2, w.size))
+        floats = np.empty((2, w.size))
+        flags = np.empty((2, w.size), dtype=bool)
+        codes = np.empty((2, w.size), dtype=np.int32)
         while True:
-            # screen: near is each point's distance to the nearest band, less
-            # its slack; only points with near < CAPTURE_RADIUS can be captured
             re = w.real.copy()  # contiguous, as it is read once per band
-            near, gap = buffers[:, :re.size]
-            near.fill(np.inf)
-            for target_re, slack in screen:
-                np.abs(np.subtract(re, target_re, out=gap), out=gap)
-                if slack:
-                    np.subtract(gap, slack, out=gap)
-                np.minimum(near, gap, out=near)
-            cand = np.flatnonzero(near < CAPTURE_RADIUS)
-            # index of the nearest target whose disk holds the point (the
-            # first one on a tie), one target at a time to keep memory O(points)
-            t = np.full(cand.size, -1, dtype=np.intp)
-            best = np.full(cand.size, CAPTURE_RADIUS)
-            wc = w[cand]
-            for k, (_, target, radius) in enumerate(targets):
-                d = np.abs(wc - target)
-                # a trap disk meets no other target's disk
-                closer = d < (best if radius == CAPTURE_RADIUS else radius)
-                best[closer] = d[closer]
-                t[closer] = k
-            hit = t >= 0
-            done, t = cand[hit], t[hit]
-            labels[pos[done]] = target_labels[t]
-            iters[pos[done]] = steps[done]
+            im = np.abs(w.imag) if fold else w.imag.copy()
+            square_im = None
+            dx, dy = floats[:, :re.size]
+            inside, in_strip = flags[:, :re.size]
+            # band[i]: the number of the band whose disk holds point i, or
+            # 0; trap disks are disjoint, so at most one does
+            band, term = codes[:, :re.size]
+            band.fill(0)
+            with np.errstate(over="ignore"):  # a far point's square is inf
+                for number, (target_re, target_im, square) in zip(numbers, bands):
+                    np.subtract(re, target_re, out=dx)
+                    np.multiply(dx, dx, out=dx)
+                    if target_im:
+                        np.subtract(im, target_im, out=dy)
+                        np.multiply(dy, dy, out=dy)
+                        np.add(dx, dy, out=dx)
+                    else:
+                        if square_im is None:
+                            square_im = im * im
+                        np.add(dx, square_im, out=dx)
+                    np.less(dx, square, out=inside)
+                    np.multiply(inside, number, out=term)
+                    np.add(band, term, out=band)
+                if strips:
+                    in_strip.fill(False)
+                    for target_re in strips:
+                        np.subtract(re, target_re, out=dx)
+                        np.multiply(dx, dx, out=dx)
+                        np.less(dx, strip_square, out=inside)
+                        np.logical_or(in_strip, inside, out=in_strip)
+            cand = np.flatnonzero(np.logical_or(band, in_strip, out=inside) if strips else band)
+            # t: the target that captures each candidate, or -1.  A band
+            # captures the points of its disk: a trap disk meets no other
+            # target's disk, and its points lie beyond CAPTURE_RADIUS of
+            # every other target.
+            held = band[cand]
+            t = table[2 * held + (w.imag[cand] < 0) if fold else 2 * held]
+            if strips:
+                # the nearest CAPTURE_RADIUS target within that radius of
+                # each candidate in no band (the first one on a tie)
+                near = np.flatnonzero(held == 0)
+                wc = w[cand[near]]
+                best = np.full(near.size, CAPTURE_RADIUS)
+                for k in others:
+                    d = np.abs(wc - target_points[k])
+                    closer = d < best
+                    best[closer] = d[closer]
+                    t[near[closer]] = k
+                hit = np.flatnonzero(t >= 0)
+                cand, t = cand[hit], t[hit]
+            slots = pos[cand]
+            labels[slots] = target_labels[t]
+            iters[slots] = steps[cand]
+            # a captured point ends at the target that captured it
+            last[slots] = target_points[t]
             retire = steps >= max_iter
-            retire[done] = True
             if parks:
                 # points parked at the point at infinity never converge to a root
-                retire |= near == np.inf
-            if retire.any():
-                last[pos[retire]] = w[retire]
-                # a captured point ends at the target that captured it
-                last[pos[done]] = target_points[t]
+                retire |= re == np.inf
+            retire[cand] = False
+            undecided = retire.any()
+            if undecided:
+                out = np.flatnonzero(retire)
+                last[pos[out]] = w[out]
+            if cand.size or undecided:
+                retire[cand] = True
                 keep = np.flatnonzero(~retire)
                 pos, w, steps = pos[keep], w[keep], steps[keep]
             if not pos.size:

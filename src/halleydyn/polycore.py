@@ -14,7 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from collections import Counter
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -138,11 +139,17 @@ class Polynomial:
 
     def deflated(self, pairs) -> "Polynomial":
         """self divided by (z - h) count times for each (h, count) of pairs,
-        by synthetic division (deflate), each remainder discarded."""
+        by synthetic division (deflate), each remainder discarded.  When
+        self is real and the pairs of nonzero count are a multiset closed
+        under exact conjugation, the exact quotient is real, and the result
+        keeps only the real parts of the computed one."""
+        moved = [(complex(h), count) for h, count in pairs if count]
         w = list(self.coeffs)
-        for h, count in pairs:
+        for h, count in moved:
             for _ in range(count):
                 w, _ = deflate(w, h)
+        if self.is_real and Counter(moved) == Counter((h.conjugate(), c) for h, c in moved):
+            w = [c.real for c in w]
         return Polynomial.make(w)
 
     @cached_property
@@ -472,6 +479,20 @@ def _quadratic(c: np.ndarray) -> list[complex]:
     return [0j, -a1 / a2]
 
 
+@cache
+def _start_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_aberth's start points for degree n on the unit circle, as the
+    factors exp(i angle_k) and 1 + jitter_k of each: the same jitter on
+    every call, so roots depend on the polynomial alone."""
+    rng = np.random.default_rng(0)
+    angles = 2.0 * np.pi * (np.arange(n) + 0.35) / n
+    jitter = 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    factors = np.exp(1j * angles), 1.0 + jitter
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
 def _aberth(c: np.ndarray) -> list[complex]:
     """Roots of a polynomial with (assumed) simple roots: in closed form
     up to degree 2, else by the Aberth-Ehrlich sweep."""
@@ -485,11 +506,8 @@ def _aberth(c: np.ndarray) -> list[complex]:
         radius = min(cauchy, 1.0 + abs(c[0] / c[-1]) ** (1.0 / n))
     else:
         radius = min(cauchy, 2.0)
-    # the same jitter on every call, so roots depend on the polynomial alone
-    rng = np.random.default_rng(0)
-    angles = 2.0 * np.pi * (np.arange(n) + 0.35) / n
-    jitter = 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    z = radius * np.exp(1j * angles) * (1.0 + jitter)
+    turns, jitter = _start_circle(n)
+    z = radius * turns * jitter
     dc = derivative(c)
     ok = False
     for _ in range(MAX_SWEEPS):

@@ -53,7 +53,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -157,10 +156,9 @@ def make_reduced(num: Polynomial, den: Polynomial, cancel=()) -> RationalMap:
     Common powers of z, counted by coefficients that are exactly zero,
     are shifted out.  cancel holds (point, count) pairs; each point is
     then deflated count times from both sides (Polynomial.deflated), less
-    the powers of z already shifted out when the point is the origin.
-    When num and den are real and the pairs of nonzero count are a
-    multiset closed under exact conjugation, the exact quotient is real,
-    and the deflated num and den keep only their real parts.
+    the powers of z already shifted out when the point is the origin, so
+    a real num or den deflated at pairs closed under conjugation stays
+    exactly real (Polynomial.deflated).
     """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
@@ -171,13 +169,7 @@ def make_reduced(num: Polynomial, den: Polynomial, cancel=()) -> RationalMap:
         num = Polynomial.make(num.coeffs[t:])
         den = Polynomial.make(den.coeffs[t:])
     pairs = [(h, count - t if h == 0 else count) for h, count in cancel]
-    moved = [(h, count) for h, count in pairs if count]
-    real = num.is_real and den.is_real and \
-        Counter(moved) == Counter((h.conjugate(), count) for h, count in moved)
-    num, den = num.deflated(pairs), den.deflated(pairs)
-    if real:
-        num, den = (Polynomial.make([c.real for c in f.coeffs]) for f in (num, den))
-    return RationalMap(num, den)
+    return RationalMap(num.deflated(pairs), den.deflated(pairs))
 
 
 def _check_source(p: Polynomial) -> None:
@@ -214,8 +206,10 @@ def _reduced_map(method: str, p: Polynomial, num: Polynomial, den: Polynomial,
 
 def _other_zeros(f: Polynomial, orders, known) -> tuple[RootCluster, ...]:
     """The zeros of f that match no point of known, with f first deflated
-    count times at each (point, count) of orders so they cannot split;
-    NonConvergence when orders count more zeros than rounding left f."""
+    count times at each (point, count) of orders so they cannot split (a
+    real f deflated at orders closed under conjugation stays real, so
+    its zeros come exactly real or in conjugate pairs); NonConvergence
+    when orders count more zeros than rounding left f."""
     if sum(count for _, count in orders) > f.degree:
         raise NonConvergence(f"{f.degree} zeros cannot have the orders {orders}")
     rest = f.deflated(orders)

@@ -237,22 +237,24 @@ def test_nearest_of_two_targets_with_equal_real_parts_wins():
     assert labels.tolist() == [0]
 
 
-# the radius of each root of (z^2 - 1)^2, (z^2 - 1)^3 and z^4 - z^2 (in
-# find_roots order), halving from a third of its distance to the nearest
-# other root
+# the radius of each root of (z^2 - 1)^2, (z^2 - 1)^3, z^4 - z^2, z^2 - 1 and
+# z(z^7 - 1) (in find_roots order): halving from a third of its distance
+# to the nearest other root, then bisecting up from the first radius that
+# passes
 TRAP_RADII = [
-    ([1, 0, -2, 0, 1], [2 / 3 / 4, 2 / 3 / 4]),
-    ([-1, 0, 3, 0, -3, 0, 1], [2 / 3 / 8, 2 / 3 / 8]),
-    ([0, 0, -1, 0, 1], [dynamics.CAPTURE_RADIUS, 1 / 3, dynamics.CAPTURE_RADIUS]),
-    ([-1, 0, 1], [dynamics.CAPTURE_RADIUS] * 2),
-    ([0, -1] + [0] * 6 + [1], [dynamics.CAPTURE_RADIUS] * 8),
+    ([1, 0, -2, 0, 1], [0.24739583333333331] * 2),
+    ([-1, 0, 3, 0, -3, 0, 1], [0.16536458333333331] * 2),
+    ([0, 0, -1, 0, 1], [0.12630208333333331, 1 / 3, 0.12630208333333331]),
+    ([-1, 0, 1], [0.49479166666666663] * 2),
+    ([0, -1] + [0] * 6 + [1], [0.055930325745622726] * 4 + [1 / 3]
+     + [0.055930325745622726] * 3),
 ]
 
 
 @pytest.mark.parametrize("coeffs, radii", TRAP_RADII)
 def test_linearly_converging_roots_get_trap_radii(coeffs, radii):
-    # multiple roots (multiplier (k - 1) / (k + 1)) get proven trap disks;
-    # superattracting simple roots keep CAPTURE_RADIUS
+    # multiple roots (multiplier (k - 1) / (k + 1)) get proven trap disks,
+    # and so do the superattracting simple roots
     p = Polynomial.make(coeffs)
     roots = tuple(roots_of(p))
     targets = dynamics._targets(halley_of(p), roots, ())
@@ -504,6 +506,39 @@ def test_each_trap_radius_is_proven_once_per_call(monkeypatch):
     assert proven == roots * 3
 
 
+def test_a_mirrored_target_is_proven_once(monkeypatch):
+    # z(z^7 - 1) has a real odd-free map: its conjugate roots share one
+    # proof, so its 8 roots need 5 (0, 1 and three conjugate pairs); the
+    # four double roots of ((z^2 - a^2)(z^2 - conj(a)^2))^2 are one orbit of
+    # conjugation and z -> -conj(z) under the odd real map of the test
+    # above, so need one.
+    # A second target list of the same map proves nothing.
+    proven = []
+    proven_radius = dynamics._proven_radius
+
+    def counting(R, t, *args):
+        proven.append(t)
+        return proven_radius(R, t, *args)
+
+    monkeypatch.setattr(dynamics, "_proven_radius", counting)
+    R, roots = halley_of(OCTIC), tuple(roots_of(OCTIC))
+    assert R.is_real and not dynamics._is_odd(R)
+    targets = dynamics._targets(R, roots, ())
+    assert len(proven) == 5 and all(t.imag >= 0 for t in proven)
+    assert dynamics._targets(R, roots, ()) == targets and len(proven) == 5
+    radius_of = {point: radius for _, point, radius in targets}
+    assert all(radius_of[t.conjugate()] == radius_of[t] for t in roots)
+    proven.clear()
+    q = Polynomial.make([1.5625, 0, -1.5, 0, 1])  # as in the test above
+    dq = q.deriv()
+    den = dq * dq * Polynomial.make([3]) - q * dq.deriv()
+    R = RationalMap(Polynomial.make([0, 1]) * den - q * dq * Polynomial.make([2]), den)
+    assert R.is_real and dynamics._is_odd(R)
+    a = 1 + 0.5j
+    targets = dynamics._targets(R, (a, a.conjugate(), -a, -a.conjugate()), ())
+    assert proven == [a] and len({radius for _, _, radius in targets}) == 1
+
+
 # ((z^2 - a^2)(z^2 - conj(a)^2))^2 for a = 1 + 0.5i: real coefficients, exact
 # in binary, and non-real double roots that find_roots pairs exactly
 REAL_WITH_COMPLEX_DOUBLE_ROOTS = Polynomial.make([2.44140625, 0, -4.6875, 0, 5.375, 0, -3, 0, 1])
@@ -527,6 +562,21 @@ def test_real_polynomial_with_complex_multiple_roots_has_a_real_map(monkeypatch,
     assert np.array_equal(grid.labels.ravel(), labels)
     assert np.array_equal(grid.iterations.ravel(), iters)
     assert len(np.unique(labels)) >= 3
+
+
+def test_konig_fixed_points_of_a_real_polynomial_pair_exactly():
+    # konig(4)'s extra fixed points are the zeros of q_2 off the roots, which
+    # are root-found after deflating q_2 at the non-real double roots; the
+    # deflation keeps q_2 real, so they come exactly real or in exactly
+    # conjugate pairs, and the fixed point -1.118 inside (-1.2, -1.0) is an
+    # obstruction to the interval check rather than a missed point
+    R = konig_of(REAL_WITH_COMPLEX_DOUBLE_ROOTS, 4)
+    assert R.is_real
+    assert all(z.imag == 0 or z.conjugate() in R.fixed for z in R.fixed)
+    report = interval_convergence_check(R, -1.2, -1.0)
+    assert report.obstruction.kind == "fixed"
+    assert report.obstruction.location == pytest.approx(-math.sqrt(1.25), abs=1e-12)
+    assert not report.verified
 
 
 def _odd_real_maps():

@@ -18,7 +18,11 @@ conjugates.  When the multiple roots got proven trap disks, only the
 iteration counts of the three grids with multiple roots (e1-k2, e1-k3
 and e5-z4-z2) moved, and the `last` of the root fates, which is now the
 root that captured the orbit; test_label_oracle checks their labels at
-50 digits.
+50 digits.  When every root got a proven trap disk, Halley's simple roots
+included, and each orbit was captured at its first step inside one, the
+iteration counts of every grid and root fate moved, and no label: the
+labels of every grid are pinned on their own (LABELS), recorded before
+that change.
 """
 
 import cmath
@@ -71,56 +75,56 @@ def _acceptance_case(coeffs, digest):
 CASES = {
     "cubic": (lambda: _halley_case([0, -1, 0, 1]),
               Window(0j, 2.0, 1.5), (96, 72), (),
-              "c2472495b0f5c002000896cd5f277219bb738749a71fb43cde7ff0bc013ad75c"),
+              "6aee8d44eef3ad36c7895f50b6856b5888da6c2022ba613b0e716c341a0cda4d"),
     "sparse-octic": (lambda: _halley_case([0, -1, 0, 0, 0, 0, 0, 0, 1]),
                      Window(0j, 1.5, 1.5), 96, (),
-                     "e665d68da89750dc083c4cad421b59103c92e8caae41e65d2d6c2d08bd3e739f"),
+                     "8396a84091c0cadee3c7054639f39fba0e14c05ef73c915cf55697810c4cc04e"),
     "cycle": (lambda: _halley_case([CYCLE_B, 6, 0, 1]),
               Window(1 + 0j, 0.2, 0.2), 96, (CYCLE,),
-              "0d4dad711e6757dbb97d77af26afc9c48d8e6d6ff11cabfeb6dadd3936efd329"),
+              "56fffc3eba3453a917b12b8250197ed78c2e798b92ca732882514fc5b40c9956"),
     "low-numerator": (_inverted_newton,
                       Window(0j, 2.0, 2.0), 96, (),
-                      "ee3382686dc12ff6d0f625a61c4d315deb05cdd8070d4fc8ba4b9801376896c9"),
+                      "00f2749de9b1f7035ef982bb2a904873a7bd26d181045c98d17ee269971ae4cd"),
     # E1: (z^2 - 1)^k for k = 1, 2, 3
     "e1-k1": _acceptance_case(
         [-1, 0, 1],
-        "0d92207d407949bc00c1ead10738ed4ea4561ab8b885074c8fd5b6e39440962e"),
+        "2181148f7a549fed459851524a755cda9cfafa82dfb5f0548ec12ceea5c820da"),
     "e1-k2": _acceptance_case(
         [1, 0, -2, 0, 1],
-        "a439ae0616449eaa4db770377c5a51a448f5cbf5c31b885495952e478e70bde3"),
+        "579b0a6390179ed12d1c619bdc57e8627d6c77894a93f3e68471568afe95cc6e"),
     "e1-k3": _acceptance_case(
         [-1, 0, 3, 0, -3, 0, 1],
-        "6706a8838391ffa465957bda7011ee00a056a0a4430ef28150ecd24c304b2dad"),
+        "e3a555ce75c3e6d95d8b59aaa51374908317a2fa981001ca7be3ab4c5c7dfa78"),
     # E5's four polynomials; E7's z(z^n - 1) grids for n = 2 and 3 are
     # the z^3 - z and z^4 - z grids here, and for n = 7 and 9 E6's below
     "e5-z3-1": _acceptance_case(
         [-1, 0, 0, 1],
-        "742bb174c18a1d10bd670da8f132191649adcf2147df162a39ff04c19a1e5809"),
+        "a535acf265952dcb318280b4ecbc2851249feba775f0bc943b8af65477cebfe8"),
     "e5-z3-z": _acceptance_case(
         [0, -1, 0, 1],
-        "4186389f0efe373347da5b0e3ae2b474ce3de3e47a42283ab6cf4e206dde3e60"),
+        "41e21a97c7590f439e010a823195df9161bbaaf1d3a3383392b4f9df38a9dadc"),
     "e5-z4-z": _acceptance_case(
         [0, -1, 0, 0, 1],
-        "0b95aa8ada19496fb3b14d7e274930a50c7b67fe01341d05d03a1b15142c8c73"),
+        "6fa57b892900c1e3f2cc0bef94d4841dcaded0573aea4a9108724e75393cd2da"),
     "e5-z4-z2": _acceptance_case(
         [0, 0, -1, 0, 1],
-        "7ca8810874e00c1420a3d0f343922ec4364d9ccafcf53b6789689edb94bba996"),
+        "ead929e7f94d6c9364c33eec50dc6443bff7414383d5281acb41c1dcdb517c2b"),
     # E6: z(z^n - 1) for n = 7 and 9
     "e6-n7": _acceptance_case(
         [0, -1] + [0] * 6 + [1],
-        "95999884ea8bbed7ee29bf01355062d594ee100e87e9fe6b3948f041a51ed0bb"),
+        "934752510000c5d14e137d6705fb48eaf365750a8dff902f5572ca9d871866cc"),
     "e6-n9": _acceptance_case(
         [0, -1] + [0] * 8 + [1],
-        "412663b2313d71f7d3db026cce76715cb52d7cfa836b596451f7f1fb5c150b26"),
+        "ada254d45798cec118eac0c3f493c0522bce32aeef9165250964d6dabe99cfb1"),
     # grids of several kernel blocks whose pixel counts (75,000 and 65,535)
     # are not multiples of the block size; recorded when each grid ran as
     # one kernel call
     "cubic-blocks": (lambda: _halley_case([0, -1, 0, 1]),
                      Window(0j, 2.0, 1.5), (300, 250), (),
-                     "b73da7470cd06aa28f1fe8bb26cf700876a1d540f0143696641a6c04decbc1c8"),
+                     "0d6745ee8372f521db96f636a02d5c0f218389b6dfa96f5baa27a9b9815d72fd"),
     "cycle-blocks": (lambda: _halley_case([CYCLE_B, 6, 0, 1]),
                      Window(1 + 0j, 0.2, 0.2), (257, 255), (CYCLE,),
-                     "c8d3e8cc0f93d4fc3cb75bffe322e867748defd3b3d1dc454646cb6e3b31b1dd"),
+                     "5228c7ad6dee034b5c663fa36f79e7d4c81b1f4d4ce3842e875ef9d2641de083"),
 }
 
 # labels alone of the cycle grids, recorded before capture on first entry
@@ -131,15 +135,37 @@ CYCLE_LABELS = {
     "cycle-blocks": "5b11bb8e25570e66aafa848fb38bdca23be1085b61ef4ce0d9d4f7331027bb89",
 }
 
+# labels alone of every grid, recorded before Halley's simple roots got
+# trap disks: that change moved iteration counts, and must move no label
+LABELS = {
+    "cubic": "0f7b5c368ddbbfe3ad357ccf290480b3c2608836c86841ffa175d1f2b97ca8aa",
+    "cubic-blocks": "948dd6ec90e84a542cd498dd81b6b3727904584c7e0587d93709fc194d097f2d",
+    "cycle": "4da015d57346fa8db40004d0603453f0947609c5cfce65b5f08d475f0f31b662",
+    "cycle-blocks": "5b11bb8e25570e66aafa848fb38bdca23be1085b61ef4ce0d9d4f7331027bb89",
+    # the three E1 grids share their labels: a pixel's label is the sign of
+    # its real part
+    "e1-k1": "d9ec8df8393e459f68fa9ff211e04eb4219d32266798e4429870499f9c3a38b4",
+    "e1-k2": "d9ec8df8393e459f68fa9ff211e04eb4219d32266798e4429870499f9c3a38b4",
+    "e1-k3": "d9ec8df8393e459f68fa9ff211e04eb4219d32266798e4429870499f9c3a38b4",
+    "e5-z3-1": "d13e8a1085f18efa30ca9233a3ce3e894fba260bc525c2503029e26e32b90631",
+    "e5-z3-z": "5d2f89c0b966a44eb153d222be1853faff1c05326c1163ca9bd29dd1e89544ca",
+    "e5-z4-z": "6db54f20ec5b6ff941f563934d834bb724b3d0e964444aa0c12961bcf79fad6f",
+    "e5-z4-z2": "435eb7ace7ec33680be25deaaba7533ab2025886a2b8fea174162c1f71afa4fd",
+    "e6-n7": "eae51e63c618221dc194f688008975df46e20f79ce05a4a01d784c61bab9b372",
+    "e6-n9": "037a243dd06beebccfdfc57b16efae22cb57c3682755bacf57454e3d74efa177",
+    "low-numerator": "a1211dac054e6005c22353bec8014d1f8c4c3a74c10bbffe57b185284ac86667",
+    "sparse-octic": "19381f8480dce1d505d789ae3b86aa589179c11e221fa616665d93df89b811cd",
+}
+
 # free_critical_fates, field by field, exact floats included
 FATES = {
     "z^3 - z": (
         lambda: (Polynomial.make([0, -1, 0, 1]), halley_of(Polynomial.make([0, -1, 0, 1]))),
-        [OrbitOutcome("root", root_index=1, iterations=3, last=0j),
-         OrbitOutcome("root", root_index=1, iterations=3, last=0j)]),
+        [OrbitOutcome("root", root_index=1, iterations=1, last=0j),
+         OrbitOutcome("root", root_index=1, iterations=1, last=0j)]),
     "z^3 + 6z + b": (
         lambda: (family_polynomial(62.5144395981942), halley_b(62.5144395981942)),
-        [OrbitOutcome("root", root_index=0, iterations=3,
+        [OrbitOutcome("root", root_index=0, iterations=1,
                       last=-3.467922062417944 + 0j),
          OrbitOutcome("cycle", iterations=200,
                       cycle=(5.905235039330978 + 0j, 1.000000000000001 + 0j),
@@ -152,6 +178,10 @@ def grid_digest(grid) -> str:
     h.update(np.ascontiguousarray(grid.labels, dtype=np.int32).tobytes())
     h.update(np.ascontiguousarray(grid.iterations, dtype=np.int32).tobytes())
     return h.hexdigest()
+
+
+def labels_digest(grid) -> str:
+    return hashlib.sha256(np.ascontiguousarray(grid.labels, dtype=np.int32).tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -167,8 +197,14 @@ def test_cycle_grid_labels_match_golden_hash(name):
     build, window, res, cycles, _ = CASES[name]
     R, roots = build()
     grid = classify_grid(R, roots, window, res, cycles=cycles)
-    labels = np.ascontiguousarray(grid.labels, dtype=np.int32).tobytes()
-    assert hashlib.sha256(labels).hexdigest() == CYCLE_LABELS[name]
+    assert labels_digest(grid) == CYCLE_LABELS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_grid_labels_match_golden_hash(name):
+    build, window, res, cycles, _ = CASES[name]
+    R, roots = build()
+    assert labels_digest(classify_grid(R, roots, window, res, cycles=cycles)) == LABELS[name]
 
 
 def test_two_cycle_basin_is_labelled():
@@ -186,16 +222,39 @@ def test_free_critical_fates_match_golden(name):
     assert free_critical_fates(p, R) == want
 
 
+# Halley's maps of polynomials with simple roots only: z^n - 1, z^3 - z and
+# z^4 + a z^2 + 1 at sampled a (none of them 2 or -2, where roots merge)
+SIMPLE_ROOTS = {f"z^{n} - 1": [-1] + [0] * (n - 1) + [1] for n in range(2, 9)}
+SIMPLE_ROOTS["z^3 - z"] = [0, -1, 0, 1]
+SIMPLE_ROOTS.update((f"z^4 + ({a:.3f})z^2 + 1", [1, 0, a, 0, 1]) for a in
+                    [complex(x, y) for x, y in np.random.default_rng(4).uniform(-3, 3, (4, 2))]
+                    + [0.5, -1.0, 3.0])
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLE_ROOTS))
+def test_simple_roots_get_trap_disks(name):
+    # a simple root is a superattracting fixed point of Halley's map, and
+    # its proven disk is wider than CAPTURE_RADIUS
+    R, roots = _halley_case(SIMPLE_ROOTS[name])
+    radii = [radius for _, _, radius in dynamics._targets(R, tuple(roots), ())]
+    assert len(radii) == R.source.degree and min(radii) > CAPTURE_RADIUS
+    _check_capture_disks(R, roots, ())
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_capture_disks_are_traps(name):
+    build, _, _, cycles, _ = CASES[name]
+    R, roots = build()
+    _check_capture_disks(R, roots, cycles)
+
+
+def _check_capture_disks(R, roots, cycles):
     # 256 points on the boundary of each target's CAPTURE_RADIUS disk land
     # inside it: after one step about a root (worst ratio 0.5, at E1's
     # triple roots), after the period about a cycle point (0.015 for the
     # 2-cycle).  So an orbit captured on first entry stays in its basin.
     # Each proven trap disk, wider than CAPTURE_RADIUS, is checked the same
     # way in one step, under eval_sphere and at 50 digits.
-    build, _, _, cycles, _ = CASES[name]
-    R, roots = build()
     ring = np.exp(2j * np.pi * np.arange(256) / 256)
     for target, period in ([(complex(r), 1) for r in roots]
                            + [(complex(p), len(cyc)) for cyc in cycles for p in cyc]):
