@@ -15,25 +15,31 @@ outcome does not depend on its piece.  The pieces of a round run on one
 module-level thread pool, created on first use with a thread per CPU the
 process may use; numpy releases the GIL inside its ufuncs.  Its one
 capture rule: a point is captured at the first step, at most max_iter,
-at which it lies within the capture radius of a target; it takes the
-label of the nearest such target (the first one on a tie), its iteration
-count is that step, and its last point is that target.  Since
-|Re w - Re t| <= |w - t|, only the points that pass that test on real
-parts, against the largest radius of the targets sharing a real part,
-are measured against the targets.
-Targets are attracting: roots, and the points of attracting cycles.  A
-cycle point, a lone target and a superattracting root (Halley's simple
-roots) have radius CAPTURE_RADIUS; on every map the grid goldens pin,
-that disk about a root maps into itself, and the one about a cycle point
-maps into itself under the cycle's period.  Every other root, such as a
-multiple root, where Halley's method converges only linearly, gets a
-proven trap radius (_trap_radius): R maps the closed disk into the open
+at which it lies in a target's disk; it takes that target's label, its
+iteration count is that step, and its last point is that target.
+Targets are attracting: roots, and the points of attracting cycles.
+Every root gets a proven trap radius r (_trap_radius), a superattracting
+one (Halley's simple roots) as well as one where the method converges
+only linearly (a multiple root): R maps the closed disk into the open
 one, in exact arithmetic and in floats, so by the Schwarz lemma the disk
-holds one fixed point, which attracts every orbit that enters.  Trap
-disks meet no other target's disk.  So an orbit that enters a disk never
-leaves its basin, and an orbit that enters a trap disk before max_iter
-is labelled even when it would come within CAPTURE_RADIUS of the root
-only after max_iter.
+holds one fixed point, which attracts every orbit that enters.  A point w
+lies in that disk about t when (Re w - Re t)^2 + (Im w - Im t)^2 < r^2
+in floats.  Trap disks meet no other target's disk.  A cycle point, a
+lone target and a root whose proof fails at every radius have the disk
+|w - t| < CAPTURE_RADIUS instead, and a point in several such disks
+takes the nearest target (the first one on a tie); on every map the grid
+goldens pin, that disk about a root maps into itself, and the one about
+a cycle point maps into itself under the cycle's period.  So an orbit
+that enters a disk never leaves its basin.  It is labelled at its first
+step inside, which for a simple root is one or two steps before it comes
+within CAPTURE_RADIUS of the root, and may lie before max_iter where
+coming that close would not.
+The trap disks are tested on all live points of a step at once, by
+bands: one per disk, except that a conjugate pair of disks shares a band
+tested on |Im w| when conjugation maps the trap disks onto trap disks.
+The CAPTURE_RADIUS disks are screened on real parts first: since
+|Re w - Re t| <= |w - t|, only the points near the real part of such a
+target are measured against those targets.
 
 classify_grid classifies half the grid of a real map, and a quarter of
 an odd one.  When R.is_real (every coefficient has imaginary part
@@ -48,13 +54,13 @@ left ceil(W/2) columns only, and each column to their right is its
 mirror column under z -> -conj(z) in the same way.
 This is exact: the lattice of such a window is mirror-exact (see
 _centers), and with real coefficients Horner's loop, complex division,
-abs and the real-part screen commute with conjugation bit for bit, so
-the conjugate of an orbit is an orbit, step for step.  Rounding to
+abs and the capture tests commute with conjugation bit for bit, so the
+conjugate of an orbit is an orbit, step for step.  Rounding to
 nearest is symmetric under a change of sign, so for an odd real map
 Horner's loop on num and den (which skips exactly-zero coefficients),
 complex products and division, abs, the pole envelope, the 1/z chart
-and the screen commute with z -> -conj(z) bit for bit as well, and the
-image of an orbit under it is an orbit.
+and the capture tests commute with z -> -conj(z) bit for bit as well,
+and the image of an orbit under it is an orbit.
 
 orbit_outcomes finds the cycles: the kernel follows its orbits to the
 roots, and one vectorised continuation reads cycles off the points it
@@ -153,7 +159,9 @@ class BasinGrid:
     """Per-pixel outcomes over a window; row 0 holds the top edge.
 
     labels: root index >= 0, cycle id encoded as -(id+1), or UNDECIDED.
-    iterations: map applications until first capture (max_iter if none).
+    iterations: map applications until the orbit first lies in a target's
+    disk, a root's proven trap disk or the CAPTURE_RADIUS disk of a cycle
+    point (max_iter if none; see the module docstring).
     """
 
     window: Window
@@ -438,11 +446,12 @@ def _reflection(targets: list, flip):
 
 
 def _targets(R: RationalMap, roots, cycles) -> list:
-    """The kernel's target list, built once per kernel caller, as each
-    root's radius is a proof: (label, point, radius) of each target, with
-    points as complex.  Root i has label i and the radius _trap_radius
-    gives it among the other targets; the points of cycle j share label
-    -(j + 1) and have radius CAPTURE_RADIUS."""
+    """The kernel's target list, built once per kernel caller: (label,
+    point, radius) of each target, with points as complex.  Root i has
+    label i and the radius _trap_radius gives it among the other targets,
+    a proof that the map keeps, so a second list of the same map proves
+    nothing again; the points of cycle j share label -(j + 1) and have
+    radius CAPTURE_RADIUS."""
     roots = [complex(r) for r in roots]
     cycle_points = [(-(j + 1), complex(p)) for j, cyc in enumerate(cycles) for p in cyc]
     points = roots + [p for _, p in cycle_points]
@@ -499,14 +508,18 @@ def _proven_radius(R: RationalMap, t: complex, sep: float, env_num: list,
     A(r) = sum_j (|N_j| + e_j) r**j and
     L(r) = |D_0| - e_0 - sum_{j>=1} (|D_j| + e_j) r**j,
     and e_j bounds the rounding of the computed coefficient, read off the
-    same expansion of |num| and |den| about |t| (env_num and env_den).  delta(r) (spread below)
-    bounds the rounding of eval_sphere's Horner loops and quotient on the
-    disk, from the envelopes of num and den over L(r).  When
-    A / L + delta < r and no point of the disk is a pole by eval_sphere's
-    rule, R and its float evaluation both map the closed disk into the
-    open one.  The bounds are taken on a disk wider than r by the rounding
-    margin, so they also cover every point whose rounded distance to t is
-    below r, which the kernel captures.  By the Schwarz lemma R then has
+    expansions env_num and env_den of |num| and |den| about |t|.  Only
+    the first _EXACT_TERMS coefficients are computed; beyond them the
+    expansions bound them, |N_j| <= env_num[j] + |t| env_den[j] and
+    |D_j| <= env_den[j], whose terms r**j are small on the disks found.
+    delta(r) (spread below) bounds the rounding of eval_sphere's Horner
+    loops and quotient on the disk, from the envelopes of num and den over
+    L(r).  When A / L + delta < r and no point of the disk is a pole by
+    eval_sphere's rule, R and its float evaluation both map the closed
+    disk into the open one.  The bounds are taken on a disk wider than r
+    by the rounding margin, so they also cover every point whose squared
+    distance to t, computed in floats, is below r**2, which the kernel
+    captures.  By the Schwarz lemma R then has
     exactly one fixed point in the disk, which attracts every orbit of R
     that enters (Earle-Hamilton), and no float orbit that enters ever
     leaves.  A point that R does not fix, or a pole, fails at every r.
@@ -531,7 +544,7 @@ def _proven_radius(R: RationalMap, t: complex, sep: float, env_num: list,
 
     def traps(r: float) -> bool:
         # the bounds hold on the disk of radius rho, which also holds every
-        # point that the kernel's rounded |w - t| < r captures
+        # point that the kernel's rounded squared distance below r**2 captures
         rho = (1 + gamma) * r
         a = (1 + gamma) * envelope(upper, rho)  # A(rho) >= |N(h)|
         low = lead - (1 + gamma) * rho * envelope(tail, rho)  # L(rho) <= |D(h)|
@@ -570,10 +583,9 @@ def _classify_points(R: RationalMap, z: np.ndarray, targets: list, max_iter: int
 
     Every step is elementwise over the points, so a point's outcome does
     not depend on which other points share the call or its block.  A
-    point is captured at the first step at which it lies within a
-    target's capture radius (CAPTURE_RADIUS, or a root's proven trap
-    radius), with the label of the nearest such target; the points of one
-    cycle share a label.  last is the target that captured a
+    point is captured at the first step at which it lies in a target's
+    disk (see the module docstring), with that target's label; the points
+    of one cycle share a label.  last is the target that captured a
     point (the root, or the cycle point it was captured at), where an
     undecided point was at step max_iter, or INF when it was parked at
     infinity by a map that fixes infinity.  ValueError is raised unless

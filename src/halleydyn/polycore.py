@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from collections import Counter
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np

@@ -59,6 +59,24 @@ def test_run_subset_filter(monkeypatch):
     assert ran == ["E3"]
 
 
+def test_e2_and_e3_share_one_build_of_the_corpus_maps_per_run(monkeypatch):
+    # E3 reads the Halley maps E2 built in the same run() call; the next
+    # call builds them again, and nothing of a run is kept after it
+    built = []
+    halley_of = acceptance.halley_of
+
+    def counting(p):
+        built.append(p)
+        return halley_of(p)
+
+    monkeypatch.setattr(acceptance, "halley_of", counting)
+    assert [ok for _, ok, _ in acceptance.run(only={"E2", "E3"}, seed=0)] == [True, True]
+    assert len(built) == 50 + 3  # the corpus once, and E3's three named examples
+    assert acceptance._RUN_MEMO.get() is None
+    acceptance.run(only={"E2", "E3"}, seed=0)
+    assert len(built) == 2 * (50 + 3)
+
+
 def test_e1_memory_peak_is_that_of_its_grids():
     # E1 reads the real parts of the pixel centres per column, so no 800^2
     # array of centres (10 MB) is held while the next grid is classified
