@@ -131,7 +131,7 @@ _BLOCK = 32_768
 _UNIT = 2.0 ** -53  # unit roundoff of a double
 _BISECTIONS = 6  # steps of _proven_radius's bisection
 _EXACT_TERMS = 8  # Taylor coefficients that _proven_radius computes exactly
-_SCREEN_SLACK = 1 + 2.0 ** -40  # widens the kernel's screen past its rounding
+_SCREEN_SLACK = 1 + 2.0 ** -40  # widens the kernel's strips past its rounding
 # RationalMap -> ({(point, sep): radius}, {|point|: (env_num, env_den)}):
 # each map's proven trap radii, and the expansions they share
 _PROOFS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -160,8 +160,8 @@ class BasinGrid:
 
     labels: root index >= 0, cycle id encoded as -(id+1), or UNDECIDED.
     iterations: map applications until the orbit first lies in a target's
-    disk, a root's proven trap disk or the CAPTURE_RADIUS disk of a cycle
-    point (max_iter if none; see the module docstring).
+    disk, a root's proven trap disk or a CAPTURE_RADIUS disk (max_iter
+    if none; see the module docstring).
     """
 
     window: Window
