@@ -611,7 +611,7 @@ def _classify_points(R: RationalMap, z: np.ndarray, targets: list, max_iter: int
     # floats.  When conjugation maps the trap disks onto trap disks, a
     # conjugate pair shares one band, tested on |Im w|, and the disk that
     # holds w is the one on w's side of the real axis.  bands maps
-    # (Re t, Im t or |Im t|, r^2) to its targets for Im w >= 0 and Im w < 0.
+    # (Re t, Im t or |Im t|, r) to its targets for Im w >= 0 and Im w < 0.
     traps = [(k, point, radius) for k, (_, point, radius) in enumerate(targets)
              if radius != CAPTURE_RADIUS]
     disks = {(point, radius) for _, point, radius in traps}
@@ -619,10 +619,11 @@ def _classify_points(R: RationalMap, z: np.ndarray, targets: list, max_iter: int
     bands = {}
     for k, point, radius in traps:
         sides = bands.setdefault(
-            (point.real, abs(point.imag) if fold else point.imag, radius * radius), [k, k])
+            (point.real, abs(point.imag) if fold else point.imag, radius), [k, k])
         if fold and point.imag:
             sides[point.imag < 0] = k
-    numbers = np.arange(1, len(bands) + 1, dtype=np.int32)
+    screen = [(number, re, im, radius, radius * radius) for number, (re, im, radius)
+              in zip(np.arange(1, len(bands) + 1, dtype=np.int32), bands)]
     # table[2 j + s]: the target that band j holds on side s (1 when
     # Im w < 0 on a folded band); band 0 stands for none
     table = np.array([-1, -1] + [k for sides in bands.values() for k in sides], dtype=np.intp)
@@ -631,7 +632,8 @@ def _classify_points(R: RationalMap, z: np.ndarray, targets: list, max_iter: int
     # rounding of the exact test |w - t| < CAPTURE_RADIUS that follows.
     others = [k for k, (_, _, radius) in enumerate(targets) if radius == CAPTURE_RADIUS]
     strips = sorted({targets[k][1].real for k in others})
-    strip_square = (_SCREEN_SLACK * CAPTURE_RADIUS) ** 2
+    strip_width = _SCREEN_SLACK * CAPTURE_RADIUS
+    strip_square = strip_width * strip_width
     # a map that fixes infinity parks orbits at INF, whose real part is inf
     parks = R.num.degree > R.den.degree
 
@@ -646,6 +648,10 @@ def _classify_points(R: RationalMap, z: np.ndarray, targets: list, max_iter: int
         while True:
             re = w.real.copy()  # contiguous, as it is read once per band
             im = np.abs(w.imag) if fold else w.imag.copy()
+            # A band or strip that lies a radius or more beyond the box of
+            # these points is skipped: rounding is monotone, so each
+            # point's squared distance to it is at least the radius squared.
+            re_lo, re_hi, im_lo, im_hi = re.min(), re.max(), im.min(), im.max()
             square_im = None
             dx, dy = floats[:, :re.size]
             inside, in_strip = flags[:, :re.size]
@@ -654,7 +660,10 @@ def _classify_points(R: RationalMap, z: np.ndarray, targets: list, max_iter: int
             band, term = codes[:, :re.size]
             band.fill(0)
             with np.errstate(over="ignore"):  # a far point's square is inf
-                for number, (target_re, target_im, square) in zip(numbers, bands):
+                for number, target_re, target_im, radius, square in screen:
+                    if max(re_lo - target_re, target_re - re_hi,
+                           im_lo - target_im, target_im - im_hi) >= radius:
+                        continue
                     np.subtract(re, target_re, out=dx)
                     np.multiply(dx, dx, out=dx)
                     if target_im:
@@ -668,13 +677,14 @@ def _classify_points(R: RationalMap, z: np.ndarray, targets: list, max_iter: int
                     np.less(dx, square, out=inside)
                     np.multiply(inside, number, out=term)
                     np.add(band, term, out=band)
-                if strips:
-                    in_strip.fill(False)
-                    for target_re in strips:
-                        np.subtract(re, target_re, out=dx)
-                        np.multiply(dx, dx, out=dx)
-                        np.less(dx, strip_square, out=inside)
-                        np.logical_or(in_strip, inside, out=in_strip)
+                in_strip.fill(False)
+                for target_re in strips:
+                    if max(re_lo - target_re, target_re - re_hi) >= strip_width:
+                        continue
+                    np.subtract(re, target_re, out=dx)
+                    np.multiply(dx, dx, out=dx)
+                    np.less(dx, strip_square, out=inside)
+                    np.logical_or(in_strip, inside, out=in_strip)
             cand = np.flatnonzero(np.logical_or(band, in_strip, out=inside) if strips else band)
             # t: the target that captures each candidate, or -1.  A band
             # captures the points of its disk: a trap disk meets no other
