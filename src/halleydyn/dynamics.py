@@ -132,9 +132,8 @@ _UNIT = 2.0 ** -53  # unit roundoff of a double
 _BISECTIONS = 6  # steps of _proven_radius's bisection
 _EXACT_TERMS = 8  # Taylor coefficients that _proven_radius computes exactly
 _SCREEN_SLACK = 1 + 2.0 ** -40  # widens the kernel's strips past its rounding
-# RationalMap -> ({(point, sep): radius}, {|point|: (env_num, env_den)}):
-# each map's proven trap radii, and the expansions they share
-_PROOFS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# id(R) -> _proofs(R) for each RationalMap R that is alive
+_PROOFS: dict = {}
 _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = threading.Lock()
 
@@ -479,15 +478,26 @@ def _trap_radius(R: RationalMap, t: complex, others: list) -> float:
     sep = min((abs(t - u) for u in others), default=math.inf)
     if not math.isfinite(sep):  # a lone target, or one at infinity
         return CAPTURE_RADIUS
-    if R.is_real:
-        t = complex(abs(t.real) if _is_odd(R) else t.real, abs(t.imag))
-    proven, envelopes = _PROOFS.setdefault(R, ({}, {}))
+    proven, envelopes, real, odd = _proofs(R)
+    if real:
+        t = complex(abs(t.real) if odd else t.real, abs(t.imag))
     if (t, sep) not in proven:
         at = abs(t)
         if at not in envelopes:
             envelopes[at] = tuple(taylor([abs(c) for c in f.coeffs], at) for f in (R.num, R.den))
         proven[t, sep] = _proven_radius(R, t, sep, *envelopes[at])
     return proven[t, sep]
+
+
+def _proofs(R: RationalMap) -> tuple:
+    """What _trap_radius keeps for the map R while R lives: its proven
+    radii by (point, sep), the expansions of |num| and |den| by |point|,
+    R.is_real and _is_odd(R)."""
+    kept = _PROOFS.get(id(R))
+    if kept is None:
+        kept = _PROOFS[id(R)] = {}, {}, R.is_real, _is_odd(R)
+        weakref.finalize(R, _PROOFS.pop, id(R), None)
+    return kept
 
 
 def _proven_radius(R: RationalMap, t: complex, sep: float, env_num: list,

@@ -507,12 +507,12 @@ def test_each_trap_radius_is_proven_once_per_call(monkeypatch):
 
 
 def test_a_mirrored_target_is_proven_once(monkeypatch):
-    # z(z^7 - 1) has a real odd-free map: its conjugate roots share one
-    # proof, so its 8 roots need 5 (0, 1 and three conjugate pairs); the
+    # Halley's map of z(z^7 - 1) is real and not odd: its conjugate roots
+    # share one proof, so its 8 roots need 5 (0, 1 and three conjugate
+    # pairs), and a second target list of the same map proves nothing.  The
     # four double roots of ((z^2 - a^2)(z^2 - conj(a)^2))^2 are one orbit of
-    # conjugation and z -> -conj(z) under the odd real map of the test
-    # above, so need one.
-    # A second target list of the same map proves nothing.
+    # conjugation and z -> -conj(z) under the odd real map of
+    # test_mirror_targets_get_bit_equal_trap_radii, so they need one.
     proven = []
     proven_radius = dynamics._proven_radius
 
@@ -529,7 +529,7 @@ def test_a_mirrored_target_is_proven_once(monkeypatch):
     radius_of = {point: radius for _, point, radius in targets}
     assert all(radius_of[t.conjugate()] == radius_of[t] for t in roots)
     proven.clear()
-    q = Polynomial.make([1.5625, 0, -1.5, 0, 1])  # as in the test above
+    q = Polynomial.make([1.5625, 0, -1.5, 0, 1])
     dq = q.deriv()
     den = dq * dq * Polynomial.make([3]) - q * dq.deriv()
     R = RationalMap(Polynomial.make([0, 1]) * den - q * dq * Polynomial.make([2]), den)
