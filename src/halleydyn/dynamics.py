@@ -715,20 +715,19 @@ def _classify_points(R: RationalMap, z: np.ndarray, targets: list, max_iter: int
                     t[near[closer]] = k
                 hit = np.flatnonzero(t >= 0)
                 cand, t = cand[hit], t[hit]
+            retire = steps >= max_iter
+            if parks:
+                # points parked at the point at infinity never converge to a root
+                retire |= re == np.inf
+            undecided = retire.any()
+            if undecided:
+                out = np.flatnonzero(retire)
+                last[pos[out]] = w[out]
             slots = pos[cand]
             labels[slots] = target_labels[t]
             iters[slots] = steps[cand]
             # a captured point ends at the target that captured it
             last[slots] = target_points[t]
-            retire = steps >= max_iter
-            if parks:
-                # points parked at the point at infinity never converge to a root
-                retire |= re == np.inf
-            retire[cand] = False
-            undecided = retire.any()
-            if undecided:
-                out = np.flatnonzero(retire)
-                last[pos[out]] = w[out]
             if cand.size or undecided:
                 retire[cand] = True
                 keep = np.flatnonzero(~retire)
